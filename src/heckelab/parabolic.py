@@ -16,7 +16,7 @@ implemented:
     phi_{J,s,1}(w) = max(w ._J s, w), phi_{J,s,0}(w) = min(w ._J s, w)
     composed along the word, weighted by q^(number of 1s).
 
-A third enumeration runs over all of W rather than JW: a binary word b is
+A third route runs over all of W rather than JW: a binary word b is
 *good* for w if the composite of the absolute up/down maps fixes w and
 every left descent of w inside J is witnessed by a step where right
 multiplication by the letter equals left multiplication by the descent.
@@ -25,12 +25,22 @@ projecting good pairs to coset minima is a bijection onto the quotient
 fixed-point pairs.  Good pairs also carry a sequence of positive roots
 (one per 1-bit) certifying an affine cell of that dimension.
 
+All binary-word routes step through one up/down kernel per quotient
+table (the absolute dynamics is the table at J = {}).  The fixed-point
+and good-word *counts* merge the paths that meet at the same state, so
+they cost O(k * |states|) per start for a word of length k, where a
+state is a quotient element or a pair (permutation, witness mask).
+`bin_set` and `good_words` return the words themselves and stay
+exponential in k; `kappa` checks one pair in O(k), so projecting all
+good pairs is exponential too.
+
 Everything here is exact and deterministic; the hot loops run on integer
 indices from `coxeter.perm_table`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coxeter import (
@@ -99,14 +109,24 @@ class _QuotientTable:
                 reps.append(gi)
         self.reps = reps  # table order is (length, lex) already
         self.loc = {gi: i for i, gi in enumerate(reps)}
-        # dot[i][s-1]: local index of reps[i] ._J s
-        self.dot = []
-        for gi in reps:
+        # steps[s-1][i] = (up, down, wit): the up/down step kernel on local
+        # indices.  up = max(w ._J s, w) and down = the min; the two differ
+        # in length unless they coincide, and local order refines length,
+        # so max/min on indices are max/min in the Bruhat order.  Bit t-1
+        # of wit is set when s_t w = w s (the witness condition of good
+        # words); at J = {} this is the absolute dynamics on all of W.
+        self.steps = []
+        for s in range(n - 1):
             row = []
-            for s in range(n - 1):
+            for i, gi in enumerate(reps):
                 ws = tbl.rmult[gi][s]
-                row.append(self.loc.get(ws, self.loc[gi]))
-            self.dot.append(row)
+                j = self.loc.get(ws, i)
+                wit = 0
+                for t, tw in enumerate(tbl.lmult[gi]):
+                    if tw == ws:
+                        wit |= 1 << t
+                row.append((max(i, j), min(i, j), wit))
+            self.steps.append(row)
         # action[s-1][i]: the row of right multiplication by T_s at basis
         # vector i, as ((target, kind), ...) with kind 0 -> 1, 1 -> q,
         # 2 -> q-1
@@ -190,8 +210,8 @@ def _build_trace_table(n: int, J: frozenset) -> dict:
     every z in S_n, as a dict z -> LaurentQ.
 
     Walks the right weak order as a tree (parent strips the smallest
-    right descent), carrying the sparse matrix of T_(prefix) along each
-    branch so every matrix is built exactly once.
+    right descent) depth-first, carrying the sparse matrix of T_(prefix)
+    along each branch so every matrix is built exactly once.
     """
     tbl = perm_table(n)
     qt = _quotient_table(n, J)
@@ -240,21 +260,21 @@ def _build_trace_table(n: int, J: frozenset) -> dict:
             out.append(clean)
         return out
 
-    import sys
-    depth_need = n * (n - 1) // 2 + 50
-    if sys.getrecursionlimit() < depth_need:
-        sys.setrecursionlimit(depth_need + 1000)
-
-    def walk(gi, mat):
-        # one matrix alive per tree level
+    # an entry holds its parent's matrix and the child's is built when it
+    # is popped, so only the matrices along one branch are alive
+    stack = [(tbl.index[identity(n)], None, None)]
+    while stack:
+        gi, s, parent = stack.pop()
+        if parent is None:
+            mat = [{i: {0: 1}} for i in range(m)]
+        else:
+            mat = apply_gen(parent, s)
         traces[gi] = trace_of(mat)
         li = tbl.lengths[gi]
         for s in range(n - 1):
             us = tbl.rmult[gi][s]
             if tbl.lengths[us] > li and _min_right_descent(tbl, us) == s:
-                walk(us, apply_gen(mat, s))
-
-    walk(tbl.index[identity(n)], [{i: {0: 1}} for i in range(m)])
+                stack.append((us, s, mat))
 
     return {tbl.perms[gi]: LaurentQ({2 * e: c for e, c in t.items()})
             for gi, t in enumerate(traces)}
@@ -283,13 +303,102 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
     return total
 
 
-# -- binary-word enumeration ---------------------------------------------------
+# -- binary words --------------------------------------------------------------
+#
+# Every route below steps through the kernel `steps` of a quotient table;
+# the absolute dynamics on all of W is the table at J = {}.  Counts sweep
+# the word once per start and merge the paths that meet at the same state
+# (a transfer matrix), so a start costs at most k * |states| steps.  The
+# count vector over the number of 1s rides in one int, `width` bits per
+# coefficient (Kronecker packing): a 1-bit shifts by `width`, and merging
+# two paths is an int add.  One start counts each word at most once and
+# there are binom(k, e) words with e ones, so over m starts every
+# coefficient is at most m * binom(k, k // 2); `width` is the bit length
+# of that bound, and no field carries into the next.  The bound is
+# reached (n = 3, J = {1, 2}), so one bit less would overflow.
+# Enumeration returns the words themselves and stays an explicit walk,
+# exponential in k.
 
 def _word_indices(sigma: Word, n: int) -> list:
     sigma = tuple(int(s) for s in sigma)
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
     return [s - 1 for s in sigma]
+
+
+def _state(qt: _QuotientTable, w: Perm) -> int:
+    i = qt.loc.get(qt.tbl.index.get(w))
+    if i is None:
+        raise ValueError(f"{w} is not a minimal coset representative")
+    return i
+
+
+def _gen_mask(J) -> int:
+    return sum(1 << (j - 1) for j in J)
+
+
+def _left_descent_mask(tbl: PermTable, gi: int) -> int:
+    li = tbl.lengths[gi]
+    return sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
+               if tbl.lengths[tw] < li)
+
+
+def _count_width(k: int, starts: int) -> int:
+    return (starts * math.comb(k, k // 2)).bit_length()
+
+
+def _sweep(steps: list, sig: list, start: int, need: int,
+           width: int) -> dict:
+    """Packed counts of the words whose composite returns to start, keyed
+    by the set of witness bits inside need that they collect."""
+    vec = {(start, 0): 1}
+    for s in sig:
+        row = steps[s]
+        nxt: dict = {}
+        get = nxt.get
+        for (u, mask), x in vec.items():
+            up, down, wit = row[u]
+            mask |= wit & need
+            key = (up, mask)
+            nxt[key] = get(key, 0) + (x << width)
+            key = (down, mask)
+            nxt[key] = get(key, 0) + x
+        vec = nxt
+    return {mask: x for (u, mask), x in vec.items() if u == start}
+
+
+def _unpack(total: int, width: int, k: int) -> LaurentQ:
+    low = (1 << width) - 1
+    out = {}
+    for e in range(k + 1):
+        c = (total >> (e * width)) & low
+        if c:
+            out[2 * e] = c
+    return LaurentQ(out)
+
+
+def _walk(steps: list, sig: list, start: int, need: int) -> set:
+    """The words whose composite returns to start and that collect every
+    witness bit in need, by walking all 2^k words."""
+    k = len(sig)
+    out = set()
+    bits: list = []
+
+    def rec(i, u, mask):
+        if i == k:
+            if u == start and mask == need:
+                out.add(tuple(bits))
+            return
+        up, down, wit = steps[sig[i]][u]
+        mask |= wit & need
+        bits.append(1)
+        rec(i + 1, up, mask)
+        bits[-1] = 0
+        rec(i + 1, down, mask)
+        bits.pop()
+
+    rec(0, start, 0)
+    return out
 
 
 def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
@@ -299,37 +408,11 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     J = _check_j(n, J)
     qt = _quotient_table(n, J)
     sig = _word_indices(sigma, n)
-    tbl, dot = qt.tbl, qt.dot
-    lengths = tbl.lengths
-    reps = qt.reps
-    k = len(sig)
-    counts = [0] * (k + 1)
-
-    def scan(start: int) -> None:
-        # iterative DFS over (depth, state, ones)
-        todo = [(0, start, 0)]
-        while todo:
-            i, u, ones = todo.pop()
-            if i == k:
-                if u == start:
-                    counts[ones] += 1
-                continue
-            s = sig[i]
-            v = dot[u][s]
-            if v == u:
-                # ws leaves JW: both bits stay at u
-                todo.append((i + 1, u, ones + 1))
-                todo.append((i + 1, u, ones))
-            elif lengths[reps[v]] > lengths[reps[u]]:
-                todo.append((i + 1, v, ones + 1))
-                todo.append((i + 1, u, ones))
-            else:
-                todo.append((i + 1, u, ones + 1))
-                todo.append((i + 1, v, ones))
-
-    for start in range(len(reps)):
-        scan(start)
-    return LaurentQ({2 * e: c for e, c in enumerate(counts) if c})
+    width = _count_width(len(sig), len(qt.reps))
+    total = 0
+    for start in range(len(qt.reps)):
+        total += _sweep(qt.steps, sig, start, 0, width).get(0, 0)
+    return _unpack(total, width, len(sig))
 
 
 def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
@@ -338,35 +421,18 @@ def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     absent the absolute version on all of W is used (every ws counts)."""
     w = tuple(w)
     n = len(w)
-    sigma = tuple(sigma)
     b = tuple(int(x) for x in b)
     if len(b) != len(sigma):
         raise ValueError("binary word and letter word differ in length")
     if set(b) - {0, 1}:
         raise ValueError(f"not a binary word: {b}")
-    _word_indices(sigma, n)
-    if J is None:
-        for s, bit in zip(sigma, b):
-            ws = apply_s_right(w, s)
-            longer = w[s - 1] < w[s]
-            if bit:
-                w = ws if longer else w
-            else:
-                w = w if longer else ws
-        return w
-    Q = parabolic_quotient(n, J)
-    if w not in Q.index:
-        raise ValueError(f"{w} is not a minimal coset representative")
-    for s, bit in zip(sigma, b):
-        ws = dot_action(w, s, Q)
-        if ws == w:
-            continue
-        longer = w[s - 1] < w[s]
-        if bit:
-            w = ws if longer else w
-        else:
-            w = w if longer else ws
-    return w
+    sig = _word_indices(sigma, n)
+    qt = _quotient_table(n, frozenset() if J is None else _check_j(n, J))
+    u = _state(qt, w)
+    for s, bit in zip(sig, b):
+        up, down, _ = qt.steps[s][u]
+        u = up if bit else down
+    return qt.tbl.perms[qt.reps[u]]
 
 
 def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
@@ -374,90 +440,12 @@ def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     JW).  Exponential in len(sigma)."""
     w = tuple(w)
     n = len(w) if n is None else n
-    J = _check_j(n, J)
-    qt = _quotient_table(n, J)
+    qt = _quotient_table(n, _check_j(n, J))
     sig = _word_indices(sigma, n)
-    start = qt.loc.get(qt.tbl.index[w])
-    if start is None:
-        raise ValueError(f"{w} is not a minimal coset representative")
-    tbl, dot, reps = qt.tbl, qt.dot, qt.reps
-    lengths = tbl.lengths
-    out = set()
-    k = len(sig)
-
-    def rec(i, u, bits):
-        if i == k:
-            if u == start:
-                out.add(tuple(bits))
-            return
-        s = sig[i]
-        v = dot[u][s]
-        if v == u:
-            up, down = u, u
-        elif lengths[reps[v]] > lengths[reps[u]]:
-            up, down = v, u
-        else:
-            up, down = u, v
-        bits.append(1)
-        rec(i + 1, up, bits)
-        bits[-1] = 0
-        rec(i + 1, down, bits)
-        bits.pop()
-
-    rec(0, start, [])
-    return out
+    return _walk(qt.steps, sig, _state(qt, w), 0)
 
 
 # -- good words ---------------------------------------------------------------
-
-def _good_scan(tbl: PermTable, sig: list, w_gi: int, targets: list,
-               collect_words: bool = False):
-    """Core scan for one starting permutation.
-
-    Walks all binary words under the absolute up/down dynamics and
-    returns, for the words whose endpoint is the start, either
-    stats[(witness_mask, ones)] -> count, or the explicit words grouped
-    by witness mask when collect_words is set.
-
-    targets: generator indices (0-based) whose witness condition
-    "u s_(step) = target u at some step" is tracked as a bitmask.
-    """
-    rmult, lmult, lengths = tbl.rmult, tbl.lmult, tbl.lengths
-    k = len(sig)
-    full_stats: dict = {}
-    tmask = list(enumerate(targets))
-
-    def rec(i, u, ones, mask, bits):
-        if i == k:
-            if u == w_gi:
-                key = (mask, ones)
-                if collect_words:
-                    full_stats.setdefault(key, []).append(tuple(bits))
-                else:
-                    full_stats[key] = full_stats.get(key, 0) + 1
-            return
-        s = sig[i]
-        us = rmult[u][s]
-        for t_bit, t in tmask:
-            if not (mask >> t_bit) & 1 and lmult[u][t] == us:
-                mask |= 1 << t_bit
-        if lengths[us] > lengths[u]:
-            up, down = us, u
-        else:
-            up, down = u, us
-        if collect_words:
-            bits.append(1)
-            rec(i + 1, up, ones + 1, mask, bits)
-            bits[-1] = 0
-            rec(i + 1, down, ones, mask, bits)
-            bits.pop()
-        else:
-            rec(i + 1, up, ones + 1, mask, bits)
-            rec(i + 1, down, ones, mask, bits)
-
-    rec(0, w_gi, 0, 0, [] if collect_words else None)
-    return full_stats
-
 
 def good_words(w: Perm, sigma: Word, J) -> set:
     """All binary words good for w: the absolute composite fixes w and
@@ -465,61 +453,51 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     w = tuple(w)
     n = len(w)
     J = _check_j(n, J)
-    tbl = perm_table(n)
+    qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
-    targets = sorted(s - 1 for s in (left_descents(w) & J))
-    stats = _good_scan(tbl, sig, tbl.index[w], targets, collect_words=True)
-    full = (1 << len(targets)) - 1
-    out = set()
-    for (mask, _ones), words in stats.items():
-        if mask == full:
-            out.update(words)
-    return out
+    start = _state(qt, w)
+    need = _left_descent_mask(qt.tbl, start) & _gen_mask(J)
+    return _walk(qt.steps, sig, start, need)
 
 
 def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
     """Sum of q^(number of 1s) over all good pairs (w, b), w in S_n."""
     J = _check_j(n, J)
-    tbl = perm_table(n)
+    qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
-    k = len(sig)
-    counts = [0] * (k + 1)
-    for gi in range(len(tbl)):
-        targets = sorted(s - 1 for s in left_descents(tbl.perms[gi]) & J)
-        full = (1 << len(targets)) - 1
-        for (mask, ones), cnt in _good_scan(tbl, sig, gi, targets).items():
-            if mask == full:
-                counts[ones] += cnt
-    return LaurentQ({2 * e: c for e, c in enumerate(counts) if c})
+    width = _count_width(len(sig), len(qt.reps))
+    jmask = _gen_mask(J)
+    total = 0
+    for start in range(len(qt.reps)):
+        need = _left_descent_mask(qt.tbl, start) & jmask
+        total += _sweep(qt.steps, sig, start, need, width).get(need, 0)
+    return _unpack(total, width, len(sig))
 
 
 def good_word_characters_all_j(sigma: Word, n: int) -> dict:
     """The good-word character for every subset J at once.
 
-    One scan per starting permutation tracks witness bits for all left
-    descents; each J then reads off the words whose witnessed set covers
-    its own descents.  Returns {frozenset J: LaurentQ}.
+    One sweep per starting permutation tracks witness bits for all its
+    left descents; each J then reads off the words whose witnessed set
+    covers its own descents.  Returns {frozenset J: LaurentQ}.
     """
-    tbl = perm_table(n)
+    qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
-    k = len(sig)
-    subsets = all_parabolic_subsets(n)
-    counts = {J: [0] * (k + 1) for J in subsets}
-    for gi in range(len(tbl)):
-        desc = sorted(s - 1 for s in left_descents(tbl.perms[gi]))
-        dpos = {s: i for i, s in enumerate(desc)}
-        stats = _good_scan(tbl, sig, gi, desc)
-        for J in subsets:
-            need = 0
-            for j in J:
-                if j - 1 in dpos:
-                    need |= 1 << dpos[j - 1]
-            row = counts[J]
-            for (mask, ones), cnt in stats.items():
-                if mask & need == need:
-                    row[ones] += cnt
-    return {J: LaurentQ({2 * e: c for e, c in enumerate(cs) if c})
-            for J, cs in counts.items()}
+    width = _count_width(len(sig), len(qt.reps))
+    totals = {J: 0 for J in all_parabolic_subsets(n)}
+    jmasks = [(J, _gen_mask(J)) for J in totals]
+    for start in range(len(qt.reps)):
+        desc = _left_descent_mask(qt.tbl, start)
+        counts = _sweep(qt.steps, sig, start, desc, width)
+        # many J share one need: sum the covering masks once per need
+        covering: dict = {}
+        for J, jmask in jmasks:
+            need = desc & jmask
+            if need not in covering:
+                covering[need] = sum(x for mask, x in counts.items()
+                                     if mask & need == need)
+            totals[J] += covering[need]
+    return {J: _unpack(x, width, len(sig)) for J, x in totals.items()}
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -535,27 +513,25 @@ def _check_good(w: Perm, sigma: Word, b, J) -> list:
     """Validate that b is good for w; return the path w_0..w_k."""
     w = tuple(w)
     n = len(w)
-    sigma = tuple(sigma)
     b = tuple(int(x) for x in b)
-    path = [w]
-    u = w
-    for s, bit in zip(sigma, b):
-        ws = apply_s_right(u, s)
-        longer = u[s - 1] < u[s]
-        if bit:
-            u = ws if longer else u
-        else:
-            u = u if longer else ws
+    qt = _quotient_table(n, frozenset())
+    sig = _word_indices(sigma, n)
+    u = start = _state(qt, w)
+    path = [u]
+    witnessed = 0
+    for s, bit in zip(sig, b):
+        up, down, wit = qt.steps[s][u]
+        witnessed |= wit
+        u = up if bit else down
         path.append(u)
-    if u != w:
-        raise ValueError(f"{b} does not fix {w} along {sigma}")
+    if u != start:
+        raise ValueError(f"{b} does not fix {w} along {tuple(sigma)}")
     J = _check_j(n, J)
-    for t in left_descents(w) & J:
-        if not any(apply_s_right(path[i], sigma[i]) ==
-                   apply_s_left(path[i], t) for i in range(len(sigma))):
+    for t in sorted(left_descents(w) & J):
+        if not witnessed >> (t - 1) & 1:
             raise ValueError(
                 f"{b} is not good for {w}: descent {t} has no witness step")
-    return path
+    return [qt.tbl.perms[u] for u in path]
 
 
 def kappa(w: Perm, b, sigma: Word, J):

@@ -4,12 +4,14 @@ Independent brute-force oracles used to freeze expected values.
 Nothing here imports the implementation strategies it is checking:
 Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
-Schur), coloring counts from direct enumeration.
+Schur), coloring counts from direct enumeration, binary-word counts
+from a depth-first walk over all 2^k words.
 """
 
 from itertools import combinations, permutations, product
 
-from heckelab.coxeter import evaluate_word
+from heckelab.coxeter import evaluate_word, perm_table
+from heckelab.laurentq import LaurentQ
 
 
 def subword_bruhat_leq(u, w) -> bool:
@@ -176,3 +178,113 @@ def monomials_of_shape(lam, k: int) -> int:
         return 0
     padded = lam + (0,) * (k - len(lam))
     return len(set(permutations(padded)))
+
+
+# -- binary-word counts --------------------------------------------------------
+#
+# Depth-first walks over all 2^k binary words, one start at a time; no
+# two paths are merged, so these check the library's transfer-matrix
+# counts word by word.  They build the quotient from the permutation
+# table alone.
+
+def _quotient(n: int, J):
+    """(table, reps, dot): the table indices of the minimal coset reps in
+    table order, and dot[i][s] = local index of reps[i] ._J s_(s+1)."""
+    tbl = perm_table(n)
+    lengths = tbl.lengths
+    reps = [gi for gi in range(len(tbl))
+            if all(lengths[tbl.lmult[gi][j - 1]] > lengths[gi] for j in J)]
+    loc = {gi: i for i, gi in enumerate(reps)}
+    dot = [[loc.get(tbl.rmult[gi][s], i) for s in range(n - 1)]
+           for i, gi in enumerate(reps)]
+    return tbl, reps, dot
+
+
+def dfs_bott_samelson_character(sigma, J, n: int) -> LaurentQ:
+    """c_J of prod (1+T_s) over sigma: q^(number of 1s) summed over the
+    binary words whose quotient up/down composite fixes a quotient
+    element."""
+    tbl, reps, dot = _quotient(n, J)
+    lengths = tbl.lengths
+    sig = [s - 1 for s in sigma]
+    k = len(sig)
+    counts = [0] * (k + 1)
+
+    def scan(start: int) -> None:
+        # iterative DFS over (depth, state, ones)
+        todo = [(0, start, 0)]
+        while todo:
+            i, u, ones = todo.pop()
+            if i == k:
+                if u == start:
+                    counts[ones] += 1
+                continue
+            s = sig[i]
+            v = dot[u][s]
+            if v == u:
+                # ws leaves JW: both bits stay at u
+                todo.append((i + 1, u, ones + 1))
+                todo.append((i + 1, u, ones))
+            elif lengths[reps[v]] > lengths[reps[u]]:
+                todo.append((i + 1, v, ones + 1))
+                todo.append((i + 1, u, ones))
+            else:
+                todo.append((i + 1, u, ones + 1))
+                todo.append((i + 1, v, ones))
+
+    for start in range(len(reps)):
+        scan(start)
+    return LaurentQ({2 * e: c for e, c in enumerate(counts) if c})
+
+
+def _good_scan(tbl, sig: list, w_gi: int, targets: list) -> dict:
+    """stats[(witness_mask, ones)] -> count over the binary words whose
+    absolute up/down composite fixes w_gi; bit i of the mask is set when
+    some step u -> u s has u s = s_(targets[i]+1) u."""
+    rmult, lmult, lengths = tbl.rmult, tbl.lmult, tbl.lengths
+    k = len(sig)
+    stats: dict = {}
+    tmask = list(enumerate(targets))
+
+    def rec(i, u, ones, mask):
+        if i == k:
+            if u == w_gi:
+                key = (mask, ones)
+                stats[key] = stats.get(key, 0) + 1
+            return
+        s = sig[i]
+        us = rmult[u][s]
+        for t_bit, t in tmask:
+            if not (mask >> t_bit) & 1 and lmult[u][t] == us:
+                mask |= 1 << t_bit
+        if lengths[us] > lengths[u]:
+            up, down = us, u
+        else:
+            up, down = u, us
+        rec(i + 1, up, ones + 1, mask)
+        rec(i + 1, down, ones, mask)
+
+    rec(0, w_gi, 0, 0)
+    return stats
+
+
+def dfs_good_word_characters_all_j(sigma, n: int) -> dict:
+    """{J: sum of q^(number of 1s) over the good pairs (w, b)} for every
+    subset J of the generators: the absolute composite of b fixes w and
+    every left descent of w in J has a witness step."""
+    tbl = perm_table(n)
+    sig = [s - 1 for s in sigma]
+    subsets = [frozenset(g for g in range(1, n) if bits >> (g - 1) & 1)
+               for bits in range(1 << (n - 1))]
+    counts = {J: [0] * (len(sig) + 1) for J in subsets}
+    for gi in range(len(tbl)):
+        desc = [t for t in range(n - 1)
+                if tbl.lengths[tbl.lmult[gi][t]] < tbl.lengths[gi]]
+        stats = _good_scan(tbl, sig, gi, desc)
+        for J in subsets:
+            need = sum(1 << i for i, t in enumerate(desc) if t + 1 in J)
+            for (mask, ones), cnt in stats.items():
+                if mask & need == need:
+                    counts[J][ones] += cnt
+    return {J: LaurentQ({2 * e: c for e, c in enumerate(cs) if c})
+            for J, cs in counts.items()}

@@ -1,12 +1,14 @@
 """Command surface: literals, exit codes, formats, determinism, caching."""
 
 import json
+import time
 
 import pytest
 
 from heckelab.cli import main
-from heckelab.hecke import HeckeElement
+from heckelab.hecke import HeckeElement, bott_samelson_product
 from heckelab.laurentq import LaurentQ, ONE, Q, from_q_coefficients
+from heckelab.parabolic import induced_character
 from heckelab.symfunc import SymFunc
 
 
@@ -70,6 +72,19 @@ def test_bs_char_example(capsys):
     code, out2, _ = run(capsys, "bs-poincare", "--n", "4", "--J", "1,3",
                         "--word", "1,2")
     assert out2 == out
+
+
+def test_bs_char_long_word(capsys):
+    # 2^30 binary words per start: only a count that merges paths is fast
+    word = (1, 2, 3, 4, 3, 2) * 5
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bs-char", "--n", "5", "--J", "",
+                       "--word", ",".join(map(str, word)))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0
+    trace = induced_character(bott_samelson_product(word, 5), frozenset())
+    assert out == f"{trace}\n"
 
 
 def test_kl_basis_json_round_trip(capsys):

@@ -11,7 +11,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heckelab.coxeter import (
     all_permutations, apply_s_left, identity, length, multiply,
@@ -26,6 +26,9 @@ from heckelab.parabolic import (
     good_word_characters_all_j, good_words, hecke_dot_matrix,
     induced_character, is_good_sequence, kappa, min_coset_rep,
     parabolic_quotient, phi, trace_table, young_subgroup_generators,
+)
+from oracles import (
+    dfs_bott_samelson_character, dfs_good_word_characters_all_j,
 )
 
 J13 = frozenset({1, 3})
@@ -432,10 +435,37 @@ def test_trace_table_values_small():
     assert t[(2, 1)] == Q - ONE
 
 
-@given(st.integers(min_value=2, max_value=4), st.data())
-def test_trtr_randomized(n, data):
+@settings(max_examples=30)
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_word_counts_match_dfs_and_trace(n, data):
+    # the transfer-matrix counts against the 2^k walks and the trace route
     gens = list(range(1, n))
-    sigma = tuple(data.draw(st.lists(st.sampled_from(gens), max_size=6)))
-    J = frozenset(data.draw(st.sets(st.sampled_from(gens))))
-    assert bott_samelson_character(sigma, J, n) == \
-        good_word_character(sigma, J, n)
+    sigma = tuple(data.draw(st.lists(st.sampled_from(gens), max_size=10)))
+    by_j = good_word_characters_all_j(sigma, n)
+    dfs_by_j = dfs_good_word_characters_all_j(sigma, n)
+    element = bott_samelson_product(sigma, n)
+    for J in all_parabolic_subsets(n):
+        trace = induced_character(element, J)
+        assert bott_samelson_character(sigma, J, n) == trace, sorted(J)
+        assert good_word_character(sigma, J, n) == trace, sorted(J)
+        assert by_j[J] == trace, sorted(J)
+        assert dfs_bott_samelson_character(sigma, J, n) == trace, sorted(J)
+        assert dfs_by_j[J] == trace, sorted(J)
+
+
+def test_count_width_holds_binomial_coefficients():
+    # n = 3, J = {1, 2}: one start that both bits keep, so c_J is the
+    # binomial row, and binom(60, 30) fills its 57-bit field exactly: a
+    # field one bit narrower carries into its neighbour
+    J = frozenset({1, 2})
+    for route, k in ((bott_samelson_character, 60),
+                     (good_word_character, 40)):
+        c = route((1, 2) * (k // 2), J, 3)
+        assert c == from_q_coefficients([math.comb(k, j)
+                                         for j in range(k + 1)]), route
+
+
+def test_long_word_count_matches_trace():
+    sigma = tuple(random.Random(30).choice((1, 2, 3, 4)) for _ in range(30))
+    assert bott_samelson_character(sigma, frozenset(), 5) == \
+        induced_character(bott_samelson_product(sigma, 5), frozenset())
