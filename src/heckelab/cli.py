@@ -22,7 +22,7 @@ import sys
 
 from . import config
 from .coxeter import (
-    check_hessenberg, check_permutation, evaluate_word, length,
+    check_hessenberg, check_permutation, evaluate_word, length, perm_table,
 )
 from .hecke import (
     HeckeElement, bott_samelson_product, kl_context, springer_decomposition,
@@ -37,10 +37,6 @@ from .chromatic import chss_check, conjecture_scan, csf_q, llt_direct, \
 
 __all__ = ["main", "build_parser"]
 
-VERBS = ("kl-poly", "kl-basis", "cprime-expand", "induced-char", "bs-char",
-         "bs-poincare", "good-words", "frobenius", "csf", "chss-check",
-         "llt", "springer", "ih-poincare", "scan")
-
 
 # -- literals -----------------------------------------------------------------
 
@@ -54,16 +50,6 @@ def parse_permutation(text: str) -> tuple:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad permutation literal {text!r}: {exc}") from None
-
-
-def parse_partition(text: str) -> tuple:
-    try:
-        parts = tuple(int(x) for x in text.split(",") if x != "")
-        from .symfunc import check_partition
-        return check_partition(parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad partition literal {text!r}: {exc}") from None
 
 
 def parse_word(text: str) -> tuple:
@@ -117,38 +103,14 @@ def _render_symfunc(f: SymFunc, fmt: str):
 
 
 def _render_element(a: HeckeElement, fmt: str):
-    if fmt == "json":
-        return _emit_json(a.to_json())
-    if fmt == "latex":
-        bits = []
-        for w, c in a.sorted_terms():
-            name = "T_{%s}" % "".join(map(str, w)) if a.n <= 9 \
-                else "T_{%s}" % ",".join(map(str, w))
-            cs = c.latex()
-            bits.append(name if cs == "1"
-                        else (f"{cs}{name}" if len(c.c) == 1
-                              else f"({cs}){name}"))
-        return "+".join(bits) if bits else "0"
-    return str(a)
+    return _render_expansion(a.n, a.terms, fmt, "T")
 
 
 def _render_expansion(n: int, expansion: dict, fmt: str, label: str):
-    items = sorted(expansion.items(), key=lambda kv: (length(kv[0]), kv[0]))
+    elem = HeckeElement(n, expansion)
     if fmt == "json":
-        return _emit_json({"n": n, "terms": [
-            {"perm": list(w), "coeff": c.to_json()} for w, c in items]})
-    bits = []
-    for w, c in items:
-        name = "%s[%s]" % (label, ",".join(map(str, w)))
-        cs = c.latex() if fmt == "latex" else str(c)
-        if cs == "1":
-            bits.append(name)
-        elif len(c.c) == 1:
-            bits.append(f"{cs}*{name}" if fmt == "plain" else f"{cs}{name}")
-        else:
-            bits.append(f"({cs})*{name}" if fmt == "plain" else f"({cs}){name}")
-    joiner = " + " if fmt == "plain" else "+"
-    return joiner.join(bits) if bits else "0"
+        return _emit_json(elem.to_json())
+    return elem.render(label, latex=fmt == "latex")
 
 
 # -- KL cache persistence ----------------------------------------------------------
@@ -157,23 +119,43 @@ def _cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"kl_n{n}.json")
 
 
+_on_disk: dict = {}   # cache path -> elements in it when last read or written
+
+
 def _load_kl_cache(cache_dir, n: int):
+    """The shared context, merged with a valid cache file; an unreadable
+    or inconsistent file is a cache miss with a warning."""
     ctx = kl_context(n)
     if cache_dir:
         path = _cache_path(cache_dir, n)
-        if os.path.exists(path):
+        _on_disk.pop(path, None)
+        try:
             with open(path, "r", encoding="utf-8") as fh:
-                ctx.load_json(json.load(fh))
+                _on_disk[path] = ctx.load_json(json.load(fh))
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError) as exc:
+            print(f"heckelab: ignoring KL cache {path}: {exc}",
+                  file=sys.stderr)
     return ctx
 
 
 def _save_kl_cache(cache_dir, n: int) -> None:
     if not cache_dir:
         return
+    ctx, path = kl_context(n), _cache_path(cache_dir, n)
+    if _on_disk.get(path) == len(ctx):
+        return   # nothing new since the file was read or written
     os.makedirs(cache_dir, exist_ok=True)
-    ctx = kl_context(n)
-    with open(_cache_path(cache_dir, n), "w", encoding="utf-8") as fh:
-        json.dump(ctx.to_json(), fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"   # renamed over the cache in one step
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(ctx.to_json(), fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    _on_disk[path] = len(ctx)
 
 
 # -- verb handlers --------------------------------------------------------------
@@ -255,13 +237,12 @@ def run_good_words(args, parser) -> str:
     config.check_n(args.n)
     _validate_j(args.J, args.n, parser)
     _validate_word(args.word, args.n, parser)
-    from .coxeter import all_permutations
     if args.w is not None:
         if len(args.w) != args.n:
             parser.error("--w does not match --n")
         perms = [args.w]
     else:
-        perms = sorted(all_permutations(args.n), key=lambda u: (length(u), u))
+        perms = perm_table(args.n).perms
     sets = []
     for w in perms:
         good = sorted(good_words(w, args.word, args.J))

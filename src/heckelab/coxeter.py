@@ -333,6 +333,7 @@ class PermTable:
         rmult:   rmult[p][i-1] = index of perms[p] * s_i
         lmult:   lmult[p][i-1] = index of s_i * perms[p]
         inv:     index of the inverse permutation
+        ldesc:   bitmask with bit i-1 set iff s_i * perms[p] is shorter
     """
 
     def __init__(self, n: int, limit: int | None = None):
@@ -347,6 +348,9 @@ class PermTable:
         self.lmult = [[self.index[apply_s_left(w, i)] for i in range(1, n)]
                       for w in perms]
         self.inv = [self.index[inverse(w)] for w in perms]
+        self.ldesc = [sum(1 << t for t, sw in enumerate(row)
+                          if self.lengths[sw] < lw)
+                      for row, lw in zip(self.lmult, self.lengths)]
 
     def __len__(self):
         return len(self.perms)

@@ -101,13 +101,10 @@ class _QuotientTable:
         self.tbl = tbl
         self.n = n
         self.J = J
-        jlist = sorted(J)
-        reps = []
-        for gi in range(len(tbl)):
-            li = tbl.lengths[gi]
-            if all(tbl.lengths[tbl.lmult[gi][j - 1]] > li for j in jlist):
-                reps.append(gi)
-        self.reps = reps  # table order is (length, lex) already
+        # no left descent in J; table order is (length, lex) already
+        jmask = _gen_mask(J)
+        reps = self.reps = [gi for gi in range(len(tbl))
+                            if not tbl.ldesc[gi] & jmask]
         self.loc = {gi: i for i, gi in enumerate(reps)}
         # steps[s-1][i] = (up, down, wit): the up/down step kernel on local
         # indices.  up = max(w ._J s, w) and down = the min; the two differ
@@ -337,12 +334,6 @@ def _gen_mask(J) -> int:
     return sum(1 << (j - 1) for j in J)
 
 
-def _left_descent_mask(tbl: PermTable, gi: int) -> int:
-    li = tbl.lengths[gi]
-    return sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
-               if tbl.lengths[tw] < li)
-
-
 def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length()
 
@@ -456,7 +447,7 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
     start = _state(qt, w)
-    need = _left_descent_mask(qt.tbl, start) & _gen_mask(J)
+    need = qt.tbl.ldesc[start] & _gen_mask(J)
     return _walk(qt.steps, sig, start, need)
 
 
@@ -469,7 +460,7 @@ def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
     jmask = _gen_mask(J)
     total = 0
     for start in range(len(qt.reps)):
-        need = _left_descent_mask(qt.tbl, start) & jmask
+        need = qt.tbl.ldesc[start] & jmask
         total += _sweep(qt.steps, sig, start, need, width).get(need, 0)
     return _unpack(total, width, len(sig))
 
@@ -487,7 +478,7 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
     totals = {J: 0 for J in all_parabolic_subsets(n)}
     jmasks = [(J, _gen_mask(J)) for J in totals]
     for start in range(len(qt.reps)):
-        desc = _left_descent_mask(qt.tbl, start)
+        desc = qt.tbl.ldesc[start]
         counts = _sweep(qt.steps, sig, start, desc, width)
         # many J share one need: sum the covering masks once per need
         covering: dict = {}

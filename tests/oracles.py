@@ -5,13 +5,18 @@ Nothing here imports the implementation strategies it is checking:
 Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts from direct enumeration, binary-word counts
-from a depth-first walk over all 2^k words.
+from a depth-first walk over all 2^k words, Kazhdan-Lusztig elements
+from T-basis products B_s * B_{w'} on permutation tuples.
 """
 
 from itertools import combinations, permutations, product
 
-from heckelab.coxeter import evaluate_word, perm_table
-from heckelab.laurentq import LaurentQ
+from heckelab.coxeter import (
+    apply_s_left, apply_s_right, evaluate_word, left_descents, length,
+    perm_table, right_descents,
+)
+from heckelab.hecke import HeckeElement
+from heckelab.laurentq import ONE, Q, ZERO, LaurentQ
 
 
 def subword_bruhat_leq(u, w) -> bool:
@@ -288,3 +293,66 @@ def dfs_good_word_characters_all_j(sigma, n: int) -> dict:
                     counts[J][ones] += cnt
     return {J: LaurentQ({2 * e: c for e, c in enumerate(cs) if c})
             for J, cs in counts.items()}
+
+
+# -- Kazhdan-Lusztig elements --------------------------------------------------
+#
+# The tuple-and-LaurentQ recursion that the library's index core replaced:
+# B_w = B_s B_{w'} - sum mu(z, w') v^(len(w)-len(z)) B_z, computed with
+# HeckeElement products, on the smallest left descent (`element`) or the
+# smallest right descent (`element_right`).
+
+def mul_ts_left(a: HeckeElement, i: int) -> HeckeElement:
+    """T_{s_i} * a: T_s T_w = T_{sw} when sw is longer, else
+    (q-1) T_w + q T_{sw}."""
+    d: dict = {}
+    for w, c in a.terms.items():
+        sw = apply_s_left(w, i)
+        if w.index(i) < w.index(i + 1):  # sw longer
+            d[sw] = d.get(sw, ZERO) + c
+        else:
+            d[sw] = d.get(sw, ZERO) + c * Q
+            d[w] = d.get(w, ZERO) + c * (Q - ONE)
+    return HeckeElement(a.n, d)
+
+
+class TupleKL:
+    """Kazhdan-Lusztig elements of S_n by descent recursion on tuples."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._left: dict = {}
+        self._right: dict = {}
+
+    def element(self, w) -> HeckeElement:
+        return self._element(tuple(w), self._left, left_descents,
+                             apply_s_left, mul_ts_left)
+
+    def element_right(self, w) -> HeckeElement:
+        return self._element(tuple(w), self._right, right_descents,
+                             apply_s_right, HeckeElement.mul_ts_right)
+
+    def _element(self, w, memo, descents, apply_s, mul_ts):
+        out = memo.get(w)
+        if out is not None:
+            return out
+        ds = descents(w)
+        if not ds:
+            out = HeckeElement.unit(self.n)
+        else:
+            s = min(ds)
+            wp = apply_s(w, s)
+            base = self._element(wp, memo, descents, apply_s, mul_ts)
+            out = mul_ts(base, s) + base
+            lw, lwp = length(w), length(wp)
+            for z in sorted(base.terms, key=length, reverse=True):
+                d = lwp - length(z) - 1
+                if z == wp or s not in descents(z) or d % 2:
+                    continue
+                m = base.terms[z].coeff(d)
+                if m:
+                    out = out - self._element(
+                        z, memo, descents, apply_s, mul_ts).scale(
+                            LaurentQ({lw - length(z): m}))
+        memo[w] = out
+        return out

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from heckelab.cli import main
-from heckelab.hecke import HeckeElement, bott_samelson_product
+from heckelab.hecke import HeckeElement, KLContext, bott_samelson_product
 from heckelab.laurentq import LaurentQ, ONE, Q, from_q_coefficients
 from heckelab.parabolic import induced_character
 from heckelab.symfunc import SymFunc
@@ -204,6 +204,40 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     assert payload["format"] == "heckelab-kl-cache"
     second = run(capsys, *argv)
     assert second == first
+    # a run that computes no new element leaves the file as it is
+    (cache / "kl_n4.json").write_text(json.dumps(payload, indent=1))
+    assert run(capsys, *argv) == first
+    assert (cache / "kl_n4.json").read_text() == json.dumps(payload, indent=1)
+    assert [p.name for p in cache.iterdir()] == ["kl_n4.json"]
+
+
+def _corrupt_cache_recomputes(tmp_path, capsys, corrupt):
+    cache = tmp_path / "klcache"
+    argv = ["--cache-dir", str(cache), "kl-poly", "--u", "1234",
+            "--w", "3412"]
+    assert run(capsys, *argv) == (0, "1+q\n", "")
+    path = cache / "kl_n4.json"
+    path.write_text(corrupt(path.read_text()))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, "1+q\n")
+    assert err.startswith("heckelab: ignoring KL cache") and \
+        err.count("\n") == 1
+    fresh = KLContext(4)
+    fresh.load_json(json.loads(path.read_text()))
+    assert fresh.polynomial((1, 2, 3, 4), (3, 4, 1, 2)) == ONE + Q
+
+
+def test_tampered_cache_is_a_miss(tmp_path, capsys):
+    def tamper(text):
+        payload = json.loads(text)
+        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "7"}}
+        return json.dumps(payload)
+    _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+
+
+def test_truncated_cache_is_a_miss(tmp_path, capsys):
+    _corrupt_cache_recomputes(tmp_path, capsys,
+                              lambda text: text[:len(text) // 2])
 
 
 def test_cprime_expand_word_route(capsys):

@@ -1,5 +1,6 @@
 """Hecke algebra relations, the bar involution, and Kazhdan-Lusztig data."""
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from heckelab.hecke import (
     springer_decomposition,
 )
 from heckelab.laurentq import LaurentQ, ONE, Q, q_power, v_power
+
+from oracles import TupleKL
 
 E4 = identity(4)
 S1 = (2, 1, 3, 4)
@@ -159,9 +162,32 @@ def test_smoothness_criterion_n5():
 
 def test_left_and_right_recursions_agree():
     for n in (3, 4):
-        ctx = KLContext(n)
+        oracle = TupleKL(n)
         for w in all_permutations(n):
-            assert ctx.element(w) == ctx.element_right_recursion(w), w
+            assert oracle.element(w) == oracle.element_right(w), w
+
+
+@pytest.mark.parametrize("n, total", [(1, 1), (2, 3), (3, 19), (4, 213),
+                                      (5, 3781), (6, 98407)])
+def test_index_core_matches_tuple_oracle(n, total):
+    ctx, oracle = KLContext(n), TupleKL(n)
+    terms = 0
+    for w in all_permutations(n):
+        B = ctx.element(w)
+        assert B.terms == oracle.element(w).terms, w
+        terms += len(B.terms)
+    assert terms == total
+
+
+def test_non_permutations_are_rejected():
+    ctx = KLContext(3)
+    for bad in ((1, 1, 3), (1, 2), (0, 1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ctx.element(bad)
+        with pytest.raises(ValueError, match="not a permutation"):
+            ctx.polynomial(bad, (3, 2, 1))
+        with pytest.raises(ValueError, match="not a permutation"):
+            ctx.mu((1, 2, 3), bad)
 
 
 def test_cprime_expand_examples():
@@ -254,6 +280,34 @@ def test_json_round_trip():
     fresh = KLContext(4)
     fresh.load_json(ctx.to_json())
     assert fresh.element((3, 4, 1, 2)) == B
+
+
+def _tampered(edit):
+    ctx = KLContext(4)
+    ctx.element((3, 4, 1, 2))
+    payload = json.loads(json.dumps(ctx.to_json()))
+    edit(payload, payload["elements"]["3,4,1,2"])
+    return payload
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d, b: d.update(n=5),
+    lambda d, b: d.update(version=2),
+    lambda d, b: d.update(elements=[]),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "7"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "1": "1"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "1/2"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "4": "1"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1/0"}}}),
+    lambda d, b: b.update({"3,4,1,2": {"v": {"0": "2"}}}),
+    lambda d, b: b.update({"1,1,3,4": {"v": {"0": "1"}}}),
+    lambda d, b: b.update({"1,2,3,4": 7}),
+])
+def test_load_json_rejects_bad_payloads(edit):
+    ctx = KLContext(4)
+    with pytest.raises(ValueError):
+        ctx.load_json(_tampered(edit))
+    assert len(ctx) == 0
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())
