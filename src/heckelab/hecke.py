@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 
 from . import config
 from .coxeter import (
-    Perm, PermTable, Word, apply_s_right, evaluate_word, identity,
-    inverse, length, perm_table, reduced_word,
+    Perm, PermTable, Word, apply_s_right, check_permutation, evaluate_word,
+    identity, inverse, length, perm_table, reduced_word,
 )
 from .laurentq import ONE, ZERO, LaurentQ, Q, q_power
 
@@ -199,7 +199,7 @@ class HeckeElement:
         n = int(data["n"])
         terms = {}
         for item in data["terms"]:
-            w = tuple(int(x) for x in item["perm"])
+            w = check_permutation(int(x) for x in item["perm"])
             terms[w] = LaurentQ.from_json(item["coeff"])
         return HeckeElement(n, terms)
 
@@ -343,6 +343,23 @@ class KLContext:
                         f"P_({perms[z]},{perms[w]}) = {self._views[p]}")
         return None
 
+    def _pair_defect(self, w: int, terms: dict):
+        """Why B_w breaks P_{x,w} = P_{sx,w} (s in D_L(w) \\ D_L(x)) or
+        P_{x,w} = P_{xs,w} (s in D_R(w) \\ D_R(x)), du Cloux's extremal pairs,
+        or None; for w != e these catch any single changed polynomial."""
+        tbl = self._tbl
+        ldesc, inv, perms = tbl.ldesc, tbl.inv, tbl.perms
+        for x, p in terms.items():
+            for mask, mult in ((ldesc[w] & ~ldesc[x], tbl.lmult[x]),
+                               (ldesc[inv[w]] & ~ldesc[inv[x]], tbl.rmult[x])):
+                while mask:
+                    s = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    if terms.get(mult[s]) != p:
+                        return (f"P_({perms[x]},{perms[w]}) differs from "
+                                f"P_({perms[mult[s]]},{perms[w]})")
+        return None
+
     @property
     def _elements(self) -> dict:
         """Every element held, as views keyed by permutation."""
@@ -391,7 +408,8 @@ class KLContext:
         """Add the payload's elements that are not yet held; return how many
         it has.  Raises ValueError, adding nothing, unless format, version
         and n match and every element has integer q-coefficients and passes
-        `_defect` (constant terms 1, leading 1 at w, degree bound)."""
+        `_defect` (constant terms 1, leading 1 at w, degree bound) and
+        `_pair_defect` (equal polynomials on extremal pairs)."""
         if (not isinstance(data, dict) or data.get("n") != self.n
                 or data.get("format") != "heckelab-kl-cache"
                 or data.get("version") != 1):
@@ -404,8 +422,9 @@ class KLContext:
                 w = index[ws]
                 loaded[w] = {index[zs]: self._parse_poly(p)
                              for zs, p in terms.items()}
-                if self._defect(w, loaded[w]):
-                    raise ValueError(self._defect(w, loaded[w]))
+                if why := (self._defect(w, loaded[w])
+                           or self._pair_defect(w, loaded[w])):
+                    raise ValueError(why)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed KL cache payload: {exc!r}") from None
         for w, terms in loaded.items():

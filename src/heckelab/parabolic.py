@@ -8,13 +8,19 @@ action w ._J s keeps w when ws leaves JW and moves to ws otherwise; it
 extends to an action of H_n on the free module over JW, and the trace of
 right multiplication by a is the induced character c_J(a).
 
-Two independent routes to c_J of a product (1+T_{s_1})...(1+T_{s_k}) are
-implemented:
+Two independent routes to c_J are implemented:
 
-  * the trace route, multiplying sparse per-generator matrices, and
-  * the binary-word route, counting fixed points of the up/down maps
-    phi_{J,s,1}(w) = max(w ._J s, w), phi_{J,s,0}(w) = min(w ._J s, w)
-    composed along the word, weighted by q^(number of 1s).
+  * class polynomials, for any a: c_J is fixed by its values on T_{w_mu},
+    w_mu of minimal length in the class of cycle type mu, and
+    c_J(a) = sum_mu (sum_z a_z f_{z,mu}) c_J(T_{w_mu}) with integer class
+    polynomials f_{z,mu}; and
+  * binary words, for a product (1+T_{s_1})...(1+T_{s_k}): the fixed
+    points of the up/down maps phi_{J,s,1}(w) = max(w ._J s, w),
+    phi_{J,s,0}(w) = min(w ._J s, w) composed along the word, weighted by
+    q^(number of 1s).
+
+The trace route (traces of T_z from sparse matrix products) is kept as a
+cross-check in `tests/oracles.py`.
 
 A third route runs over all of W rather than JW: a binary word b is
 *good* for w if the composite of the absolute up/down maps fixes w and
@@ -42,9 +48,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .coxeter import (
-    Perm, PermTable, Word, apply_s_left, apply_s_right, identity,
+    Perm, Word, apply_s_left, apply_s_right, cycle_type, identity,
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
@@ -52,7 +59,8 @@ from .laurentq import ONE, ZERO, LaurentQ
 
 __all__ = [
     "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
-    "dot_action", "hecke_dot_matrix", "induced_character", "trace_table",
+    "dot_action", "hecke_dot_matrix", "induced_character",
+    "induced_characters", "trace_table",
     "bott_samelson_character", "phi", "bin_set",
     "good_words", "good_word_character", "good_word_characters_all_j",
     "kappa", "derive_root_sequence", "is_good_sequence",
@@ -192,112 +200,126 @@ def hecke_dot_matrix(s: int, Q: ParabolicQuotient):
     return out
 
 
-# -- trace tables ------------------------------------------------------------
+# -- characters from class polynomials ---------------------------------------
+#
+# A character chi of H_n is a trace function.  When l(sys) = l(y), T_y and
+# T_{sys} are T_s X and X T_s for one X, so chi agrees on them (a cyclic
+# shift); when l(sys) = l(y) - 2, T_y = T_s T_{sys} T_s gives
+#     chi(T_y) = q chi(T_{sys}) + (q-1) chi(T_{sy}).
+# Every cyclic-shift class either holds such a y or has minimal length in
+# its conjugacy class, where chi is constant (Geck-Pfeiffer, ch. 3 and 8).
+# So chi(T_z) = sum_mu f_{z,mu} chi(T_{w_mu}) with integer class
+# polynomials f_{z,mu}, w_mu the product of the Coxeter elements of the
+# blocks of the cycle type mu.  Polynomials are {v-exponent: int} dicts.
 
-def _min_right_descent(tbl: PermTable, gi: int):
-    li = tbl.lengths[gi]
-    for s in range(tbl.n - 1):
-        if tbl.lengths[tbl.rmult[gi][s]] < li:
-            return s
-    return None
+def _mac(acc: dict, x: dict, y: dict) -> None:
+    """acc += x * y on {v-exponent: coefficient} dicts (zeros are kept)."""
+    for e, c in x.items():
+        for d, b in y.items():
+            acc[e + d] = acc.get(e + d, 0) + c * b
 
 
-def _build_trace_table(n: int, J: frozenset) -> dict:
-    """trace of right multiplication by T_z on the quotient module, for
-    every z in S_n, as a dict z -> LaurentQ.
-
-    Walks the right weak order as a tree (parent strips the smallest
-    right descent) depth-first, carrying the sparse matrix of T_(prefix)
-    along each branch so every matrix is built exactly once.
-    """
+@cache
+def _class_polys(n: int) -> tuple:
+    """(f, types): f[z] = {mu: f_{z,mu}} for every perm_table index z, one
+    shared dict per cyclic-shift class, and the cycle types mu."""
     tbl = perm_table(n)
+    lengths, lmult, rmult = tbl.lengths, tbl.lmult, tbl.rmult
+    f: list = [None] * len(tbl)
+    types = []
+    # table order is by length, so every shorter element is done already
+    for z in range(len(tbl)):
+        if f[z] is not None:
+            continue
+        cls, seen, value = [z], {z}, None
+        for y in cls:
+            for s in range(n - 1):
+                sy = lmult[y][s]
+                sys = rmult[sy][s]
+                if lengths[sys] == lengths[y] and sys not in seen:
+                    seen.add(sys)
+                    cls.append(sys)
+                elif value is None and lengths[sys] < lengths[y]:
+                    value = {}
+                    for mu in f[sys].keys() | f[sy].keys():
+                        acc: dict = {}
+                        _mac(acc, f[sys].get(mu, {}), {2: 1})
+                        _mac(acc, f[sy].get(mu, {}), {2: 1, 0: -1})
+                        if acc := {e: c for e, c in acc.items() if c}:
+                            value[mu] = acc
+        if value is None:
+            mu = cycle_type(tbl.perms[z])
+            value = {mu: {0: 1}}
+            if mu not in types:
+                types.append(mu)
+        for y in cls:
+            f[y] = value
+    return f, types
+
+
+@cache
+def _class_traces(n: int, J: frozenset) -> dict:
+    """{mu: c_J(T_{w_mu})} for every cycle type mu.
+
+    The reduced word of w_mu uses each letter at most once, so a nonempty
+    set of moves along it never multiplies back to the identity: pushing
+    the basis vector x through the word returns to x only on the path that
+    stays at x.  The trace is therefore the sum over x of the products of
+    the diagonal entries of T_s at x: q when xs leaves JW, q-1 when xs is
+    a shorter rep, 0 when it is a longer one.
+    """
     qt = _quotient_table(n, J)
-    action = qt.action
-    m = len(qt.reps)
-    traces: list = [None] * len(tbl)
-
-    def trace_of(mat) -> dict:
-        total: dict = {}
-        for i, row in enumerate(mat):
-            p = row.get(i)
-            if p:
-                for e, c in p.items():
-                    s = total.get(e, 0) + c
-                    if s:
-                        total[e] = s
-                    else:
-                        total.pop(e, None)
-        return total
-
-    def apply_gen(mat, s):
-        act = action[s]
-        out = []
-        for row in mat:
-            new: dict = {}
-            for c, p in row.items():
-                for c2, kind in act[c]:
-                    tgt = new.get(c2)
-                    if tgt is None:
-                        tgt = new[c2] = {}
-                    if kind == 0:
-                        for e, v in p.items():
-                            tgt[e] = tgt.get(e, 0) + v
-                    elif kind == 1:
-                        for e, v in p.items():
-                            tgt[e + 1] = tgt.get(e + 1, 0) + v
-                    else:
-                        for e, v in p.items():
-                            tgt[e + 1] = tgt.get(e + 1, 0) + v
-                            tgt[e] = tgt.get(e, 0) - v
-            clean = {}
-            for c2, tgt in new.items():
-                tgt = {e: v for e, v in tgt.items() if v}
-                if tgt:
-                    clean[c2] = tgt
-            out.append(clean)
-        return out
-
-    # an entry holds its parent's matrix and the child's is built when it
-    # is popped, so only the matrices along one branch are alive
-    stack = [(tbl.index[identity(n)], None, None)]
-    while stack:
-        gi, s, parent = stack.pop()
-        if parent is None:
-            mat = [{i: {0: 1}} for i in range(m)]
-        else:
-            mat = apply_gen(parent, s)
-        traces[gi] = trace_of(mat)
-        li = tbl.lengths[gi]
-        for s in range(n - 1):
-            us = tbl.rmult[gi][s]
-            if tbl.lengths[us] > li and _min_right_descent(tbl, us) == s:
-                stack.append((us, s, mat))
-
-    return {tbl.perms[gi]: LaurentQ({2 * e: c for e, c in t.items()})
-            for gi, t in enumerate(traces)}
+    out = {}
+    for mu in _class_polys(n)[1]:
+        word, start = [], 0
+        for part in mu:
+            word.extend(range(start, start + part - 1))
+            start += part
+        acc: dict = {}
+        for x in range(len(qt.reps)):
+            kinds = [dict(qt.action[s][x]).get(x) for s in word]
+            if None not in kinds:   # q^a (q-1)^b
+                a, b = kinds.count(1), kinds.count(2)
+                for j in range(b + 1):
+                    e = 2 * (a + j)
+                    acc[e] = acc.get(e, 0) + (-1) ** (b - j) * math.comb(b, j)
+        out[mu] = {e: c for e, c in acc.items() if c}
+    return out
 
 
-_trace_tables: dict = {}
-
-
-def trace_table(n: int, J) -> dict:
-    """Cached per-(n, J) table of T_z traces on the quotient module."""
-    J = _check_j(n, J)
-    key = (n, J)
-    t = _trace_tables.get(key)
-    if t is None:
-        t = _trace_tables.setdefault(key, _build_trace_table(n, J))
-    return t
+def induced_characters(a: HeckeElement, Js) -> list:
+    """[c_J(a) for J in Js]: the trace of right multiplication by a on each
+    quotient module, as sum_mu (sum_z a_z f_{z,mu}) c_J(T_{w_mu}); the
+    inner sums are formed once for all J."""
+    tbl, (f, _) = perm_table(a.n), _class_polys(a.n)
+    by_class: dict = {}   # id of a class's f dict -> (f dict, sum of a_z)
+    for w, c in a.terms.items():
+        p = f[tbl.index[w]]
+        _mac(by_class.setdefault(id(p), (p, {}))[1], c.c, {0: 1})
+    sums: dict = {}
+    for p, g in by_class.values():
+        for mu, fp in p.items():
+            _mac(sums.setdefault(mu, {}), fp, g)
+    out = []
+    for J in Js:
+        traces = _class_traces(a.n, _check_j(a.n, J))
+        acc: dict = {}
+        for mu, g in sums.items():
+            _mac(acc, g, traces[mu])
+        out.append(LaurentQ(acc))
+    return out
 
 
 def induced_character(a: HeckeElement, J) -> LaurentQ:
     """c_J(a): the trace of right multiplication by a on the quotient
     module, extended linearly over the T-basis support of a."""
-    table = trace_table(a.n, J)
-    total = ZERO
-    for w, c in a.terms.items():
-        total = total + c * table[w]
-    return total
+    return induced_characters(a, [J])[0]
+
+
+def trace_table(n: int, J) -> dict:
+    """{z: trace of T_z on the quotient module} for every z in S_n."""
+    return {w: induced_character(HeckeElement.t_basis(n, w), J)
+            for w in perm_table(n).perms}
 
 
 # -- binary words --------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import config
 from .coxeter import cycle_type
 from .hecke import HeckeElement
 from .laurentq import ONE, ZERO, LaurentFrac, LaurentQ, q_power
-from .parabolic import induced_character, young_subgroup_generators
+from .parabolic import induced_characters, young_subgroup_generators
 
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
@@ -493,14 +493,13 @@ def hall_inner_product(f: SymFunc, g: SymFunc) -> LaurentQ:
 def frobenius_character(a: HeckeElement) -> SymFunc:
     """ch(a) in the monomial basis: the m_lam coefficient is the induced
     character of a from the Young subgroup S_lam (trivial module); in the
-    Schur basis the coefficients become the irreducible character values."""
+    Schur basis the coefficients become the irreducible character values.
+    All of them share one set of class-polynomial sums."""
     n = a.n
-    out = {}
-    for lam in partitions(n):
-        c = induced_character(a, young_subgroup_generators(lam, n))
-        if c:
-            out[lam] = c
-    return SymFunc("m", n, out)
+    lams = partitions(n)
+    values = induced_characters(
+        a, [young_subgroup_generators(lam, n) for lam in lams])
+    return SymFunc("m", n, dict(zip(lams, values)))
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

@@ -5,10 +5,12 @@ Nothing here imports the implementation strategies it is checking:
 Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts from direct enumeration, binary-word counts
-from a depth-first walk over all 2^k words, Kazhdan-Lusztig elements
+from a depth-first walk over all 2^k words, induced characters from
+per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from heckelab.coxeter import (
@@ -293,6 +295,102 @@ def dfs_good_word_characters_all_j(sigma, n: int) -> dict:
                     counts[J][ones] += cnt
     return {J: LaurentQ({2 * e: c for e, c in enumerate(cs) if c})
             for J, cs in counts.items()}
+
+
+# -- the trace route -----------------------------------------------------------
+#
+# The library's first route to c_J: the full table of traces of T_z on the
+# quotient module, one sparse matrix product per z.  The library now reads
+# c_J off class polynomials; this checks it for n <= 5.
+
+def _min_right_descent(tbl, gi: int):
+    li = tbl.lengths[gi]
+    for s in range(tbl.n - 1):
+        if tbl.lengths[tbl.rmult[gi][s]] < li:
+            return s
+    return None
+
+
+@lru_cache(maxsize=None)
+def build_trace_table(n: int, J: frozenset) -> dict:
+    """trace of right multiplication by T_z on the quotient module, for
+    every z in S_n, as a dict z -> LaurentQ.
+
+    Walks the right weak order as a tree (parent strips the smallest
+    right descent) depth-first, carrying the sparse matrix of T_(prefix)
+    along each branch so every matrix is built exactly once.
+    """
+    tbl, reps, dot = _quotient(n, J)
+    m = len(reps)
+    # action[s][u]: the row of T_s at basis vector u, as ((target, kind),
+    # ...) with kind 0 -> 1, 1 -> q, 2 -> q-1
+    action = []
+    for s in range(n - 1):
+        rows = []
+        for u in range(m):
+            v = dot[u][s]
+            if v == u:
+                rows.append(((u, 1),))
+            elif tbl.lengths[reps[v]] > tbl.lengths[reps[u]]:
+                rows.append(((v, 0),))
+            else:
+                rows.append(((v, 1), (u, 2)))
+        action.append(rows)
+    traces: list = [None] * len(tbl)
+
+    def trace_of(mat) -> dict:
+        total: dict = {}
+        for i, row in enumerate(mat):
+            for e, c in row.get(i, {}).items():
+                total[e] = total.get(e, 0) + c
+        return total
+
+    def apply_gen(mat, s):
+        act = action[s]
+        out = []
+        for row in mat:
+            new: dict = {}
+            for c, p in row.items():
+                for c2, kind in act[c]:
+                    tgt = new.setdefault(c2, {})
+                    for e, v in p.items():
+                        if kind == 0:
+                            tgt[e] = tgt.get(e, 0) + v
+                        else:
+                            tgt[e + 1] = tgt.get(e + 1, 0) + v
+                            if kind == 2:
+                                tgt[e] = tgt.get(e, 0) - v
+            out.append({c2: {e: v for e, v in tgt.items() if v}
+                        for c2, tgt in new.items()})
+        return out
+
+    # an entry holds its parent's matrix and the child's is built when it
+    # is popped, so only the matrices along one branch are alive
+    stack = [(0, None, None)]
+    while stack:
+        gi, s, parent = stack.pop()
+        if parent is None:
+            mat = [{i: {0: 1}} for i in range(m)]
+        else:
+            mat = apply_gen(parent, s)
+        traces[gi] = trace_of(mat)
+        li = tbl.lengths[gi]
+        for s in range(n - 1):
+            us = tbl.rmult[gi][s]
+            if tbl.lengths[us] > li and _min_right_descent(tbl, us) == s:
+                stack.append((us, s, mat))
+
+    return {tbl.perms[gi]: LaurentQ({2 * e: c for e, c in t.items()})
+            for gi, t in enumerate(traces)}
+
+
+def trace_route_character(a: HeckeElement, J) -> LaurentQ:
+    """c_J(a) summed over the support of a from `build_trace_table`."""
+    table = build_trace_table(a.n, frozenset(J))
+    total = ZERO
+    for w, c in a.terms.items():
+        total = total + c * table[w]
+    return total
 
 
 # -- Kazhdan-Lusztig elements --------------------------------------------------

@@ -110,6 +110,16 @@ def test_induced_char_variants(capsys):
     assert out.strip() == "3"
 
 
+def test_non_permutation_json_is_domain_error(capsys):
+    for perm in ([1, 1, 3], [1, 2, 4], [0, 1, 2]):
+        payload = json.dumps({"n": 3, "terms": [
+            {"perm": perm, "coeff": {"v": {"0": "1"}}}]})
+        code, out, err = run(capsys, "induced-char", "--J", "1",
+                             "--json", payload)
+        assert (code, out) == (1, "")
+        assert err.startswith("heckelab: ") and err.count("\n") == 1
+
+
 def test_ih_poincare_default_full_parabolic(capsys):
     code, out, _ = run(capsys, "ih-poincare", "--w", "3412")
     assert code == 0
@@ -231,6 +241,16 @@ def test_tampered_cache_is_a_miss(tmp_path, capsys):
     def tamper(text):
         payload = json.loads(text)
         payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "7"}}
+        return json.dumps(payload)
+    _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+
+
+def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):
+    # 1+2q passes the constant-term, leading-1 and degree checks, but
+    # P_{1234,3412} must equal P_{1324,3412} = 1+q (an extremal pair)
+    def tamper(text):
+        payload = json.loads(text)
+        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "1", "2": "2"}}
         return json.dumps(payload)
     _corrupt_cache_recomputes(tmp_path, capsys, tamper)
 

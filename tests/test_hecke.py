@@ -302,12 +302,46 @@ def _tampered(edit):
     lambda d, b: b.update({"3,4,1,2": {"v": {"0": "2"}}}),
     lambda d, b: b.update({"1,1,3,4": {"v": {"0": "1"}}}),
     lambda d, b: b.update({"1,2,3,4": 7}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "2"}}}),
+    lambda d, b: b.update({"1,3,2,4": {"v": {"0": "1", "2": "2"}}}),
 ])
 def test_load_json_rejects_bad_payloads(edit):
     ctx = KLContext(4)
     with pytest.raises(ValueError):
         ctx.load_json(_tampered(edit))
     assert len(ctx) == 0
+
+
+def _raised(n, w, xs, j):
+    """A one-element KL payload for B_w with q^j added to P_{x,w}, x in xs."""
+    def name(u):
+        return ",".join(map(str, u))
+
+    terms = {name(z): (c + q_power(j) if z in xs else c).to_json()
+             for z, c in kl_context(n).element(w).terms.items()}
+    return {"format": "heckelab-kl-cache", "version": 1, "n": n,
+            "elements": {name(w): terms}}
+
+
+def test_load_json_rejects_plausible_changes():
+    # P_{x,w} + q^j keeps the constant term, the leading 1 and the degree
+    # bound whenever j < (l(w) - l(x)) / 2; only the extremal-pair
+    # equalities can tell it from the true polynomial.  Every such single
+    # change at n = 4, and 300 of the 3,441 at n = 5.
+    for n, sample in ((4, None), (5, 300)):
+        changes = [(w, x, j) for w in all_permutations(n)
+                   for x in kl_context(n).element(w).terms
+                   for j in range(1, (length(w) - length(x) + 1) // 2)]
+        if sample:
+            changes = random.Random(n).sample(changes, sample)
+        for w, x, j in changes:
+            with pytest.raises(ValueError, match="differs from"):
+                KLContext(n).load_json(_raised(n, w, {x}, j))
+    # {12345, 21345} is closed under the left-hand equalities for
+    # w = 23451, so only a right-hand one sees both raised together
+    with pytest.raises(ValueError, match="differs from"):
+        KLContext(5).load_json(_raised(
+            5, (2, 3, 4, 5, 1), {(1, 2, 3, 4, 5), (2, 1, 3, 4, 5)}, 1))
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())

@@ -14,21 +14,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.coxeter import (
-    all_permutations, apply_s_left, identity, length, multiply,
-    weak_left_leq,
+    all_permutations, apply_s_left, cycle_type, identity, length, multiply,
+    perm_table, weak_left_leq,
 )
 from heckelab.hecke import HeckeElement, bott_samelson_product, kl_context
 from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
-    q_power
+    gauss_number, q_power
 from heckelab.parabolic import (
-    all_parabolic_subsets, bin_set, bott_samelson_character,
+    _class_polys, all_parabolic_subsets, bin_set, bott_samelson_character,
     derive_root_sequence, dot_action, good_word_character,
     good_word_characters_all_j, good_words, hecke_dot_matrix,
     induced_character, is_good_sequence, kappa, min_coset_rep,
     parabolic_quotient, phi, trace_table, young_subgroup_generators,
 )
+from heckelab.symfunc import SymFunc, frobenius_character, partitions
 from oracles import (
-    dfs_bott_samelson_character, dfs_good_word_characters_all_j,
+    build_trace_table, dfs_bott_samelson_character,
+    dfs_good_word_characters_all_j, trace_route_character,
 )
 
 J13 = frozenset({1, 3})
@@ -469,3 +471,84 @@ def test_long_word_count_matches_trace():
     sigma = tuple(random.Random(30).choice((1, 2, 3, 4)) for _ in range(30))
     assert bott_samelson_character(sigma, frozenset(), 5) == \
         induced_character(bott_samelson_product(sigma, 5), frozenset())
+
+
+# -- the class-polynomial route ------------------------------------------------
+
+def _element(n, data):
+    """A B_w, a T_w or a Bott-Samelson product of S_n."""
+    perms = perm_table(n).perms
+    kind = data.draw(st.sampled_from(("kl", "t", "bs")))
+    if kind == "bs":
+        word = data.draw(st.lists(st.integers(1, n - 1), max_size=8))
+        return bott_samelson_product(tuple(word), n)
+    w = data.draw(st.sampled_from(perms))
+    return kl_context(n).element(w) if kind == "kl" else \
+        HeckeElement.t_basis(n, w)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_class_route_matches_trace_route(n, data):
+    # one element, or a small combination with coefficients Laurent in v
+    a = _element(n, data)
+    if data.draw(st.booleans()):
+        a = HeckeElement.zero(n)
+        for _ in range(data.draw(st.integers(1, 3))):
+            c = LaurentQ({data.draw(st.integers(-3, 3)):
+                          data.draw(st.integers(-3, 3))})
+            a = a + _element(n, data).scale(c)
+    for J in all_parabolic_subsets(n):
+        assert induced_character(a, J) == trace_route_character(a, J), \
+            sorted(J)
+
+
+def test_trace_table_matches_trace_route():
+    for n in range(1, 6):
+        for J in all_parabolic_subsets(n):
+            assert trace_table(n, J) == build_trace_table(n, J), (n, sorted(J))
+
+
+def test_class_polynomials_at_q1_are_cycle_type_indicators():
+    for n in range(1, 7):
+        f, types = _class_polys(n)
+        assert sorted(types) == sorted(partitions(n))
+        for z, w in enumerate(perm_table(n).perms):
+            at_one = {mu: sum(p.values()) for mu, p in f[z].items()}
+            assert {mu: c for mu, c in at_one.items() if c} == \
+                {cycle_type(w): 1}, w
+
+
+def test_class_polynomials_respect_every_conjugation():
+    # f is constant on cyclic-shift classes, and the reduction
+    # f_y = q f_{sys} + (q-1) f_{sy} holds for every length-reducing s,
+    # not only the one the table was built from
+    for n in range(2, 7):
+        tbl = perm_table(n)
+        f, _ = _class_polys(n)
+        for y in range(len(tbl)):
+            for s in range(n - 1):
+                sy = tbl.lmult[y][s]
+                sys = tbl.rmult[sy][s]
+                if tbl.lengths[sys] == tbl.lengths[y]:
+                    assert f[sys] == f[y]
+                elif tbl.lengths[sys] < tbl.lengths[y]:
+                    for mu in f[y].keys() | f[sys].keys() | f[sy].keys():
+                        assert LaurentQ(f[y].get(mu)) == \
+                            Q * LaurentQ(f[sys].get(mu)) + \
+                            (Q - ONE) * LaurentQ(f[sy].get(mu))
+
+
+def test_sum_of_all_t_basis_elements():
+    # E = sum_z T_z satisfies E T_s = q E, so it spans the index
+    # representation, which each quotient module holds once: c_J(E) is
+    # sum_z q^l(z) = [n]_q! for every J, and ch(E) = [n]_q! h_n
+    n = 6
+    E = HeckeElement(n, {w: ONE for w in perm_table(n).perms})
+    qfact = ONE
+    for k in range(1, n + 1):
+        qfact = qfact * gauss_number(k)
+    for J in all_parabolic_subsets(n):
+        assert induced_character(E, J) == qfact, sorted(J)
+    assert frobenius_character(E).to_basis("h") == \
+        SymFunc("h", n, {(n,): qfact})
