@@ -5,6 +5,11 @@ symmetric groups and print verdict tables.
 Example:
     python scripts/scan_conjectures.py --max-n 5
     python scripts/scan_conjectures.py --kinds shifted-e --max-n 4
+    python scripts/scan_conjectures.py --kinds shifted-e --min-n 6 --max-n 6
+
+The default run (n <= 5, all three kinds) takes under a second; the n=6
+shifted-e scan (720 permutations) about 3 s, on a 2-vCPU Xeon VM with
+Python 3.11.
 """
 
 import argparse

@@ -20,20 +20,31 @@ Kazhdan-Lusztig element of the codominant permutation of m, the two sides
 computed through fully independent pipelines.  `llt_plethysm` produces
 the same object as `llt_direct` for codominant permutations through the
 plethystic substitution x -> x/(q-1), and is defined for every
-permutation.  `conjecture_scan` reports (never asserts) positivity and
-log-concavity patterns of the h-expansions.
+permutation.  The substitution does not depend on w: it is one linear
+map per n on the monomial basis over the common denominator
+n! [n]_q!, built on first use and cached, so an LLT costs integer
+polynomial products and one exact division per Schur coefficient.
+`conjecture_scan` reports (never asserts) positivity and log-concavity
+patterns of the h-expansions.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from . import config
 from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, length
 from .hecke import kl_context
-from .laurentq import LaurentFrac, LaurentQ
-from .symfunc import SymFunc, frobenius_character, omega
+from .laurentq import (
+    ONE, Q, ZERO, LaurentQ, from_q_coefficients, gauss_number,
+)
+from .symfunc import (
+    SymFunc, character_table, frobenius_character, omega, partitions,
+)
 
 __all__ = [
     "IndifferenceGraph", "csf_q", "llt_direct", "llt_plethysm",
@@ -66,12 +77,14 @@ def _coerce_graph(g) -> IndifferenceGraph:
 
 
 def _collect_monomials(n: int, vectors: dict) -> SymFunc:
-    """Turn {exponent vector: coefficient} into a monomial-basis SymFunc,
-    asserting the data is symmetric (constant on sorting orbits)."""
+    """Turn {exponent vector: {ascents: count}} into a monomial-basis
+    SymFunc, asserting the data is symmetric (constant on sorting
+    orbits)."""
     by_partition: dict = {}
-    for vec, poly in vectors.items():
+    for vec, d in vectors.items():
         lam = tuple(sorted((e for e in vec if e), reverse=True))
-        by_partition.setdefault(lam, {})[vec] = poly
+        by_partition.setdefault(lam, {})[vec] = LaurentQ(
+            {2 * e: c for e, c in d.items()})
     coeffs = {}
     for lam, orbit in by_partition.items():
         polys = list(orbit.values())
@@ -81,16 +94,9 @@ def _collect_monomials(n: int, vectors: dict) -> SymFunc:
                 f"coloring sum is not symmetric at shape {lam}; "
                 "this indicates a bug, not a mathematical possibility")
         # the orbit must be complete: every distinct rearrangement appears
-        import math
-        mult: dict = {}
-        zeros = n - len(lam)
-        for e in lam:
-            mult[e] = mult.get(e, 0) + 1
-        mult[0] = zeros
-        orbit_size = math.factorial(n)
-        for m in mult.values():
-            orbit_size //= math.factorial(m)
-        if len(orbit) != orbit_size:
+        mult = Counter(next(iter(orbit))).values()
+        if len(orbit) != math.factorial(n) // math.prod(
+                map(math.factorial, mult)):
             raise AssertionError(f"incomplete monomial orbit at {lam}")
         if first:
             coeffs[lam] = first
@@ -111,10 +117,7 @@ def csf_q(g, budget: int | None = None) -> SymFunc:
 
     def rec(v: int, asc: int):
         if v > n:
-            vec = tuple(counts)
-            d = vectors.get(vec)
-            if d is None:
-                d = vectors[vec] = {}
+            d = vectors.setdefault(tuple(counts), {})
             d[asc] = d.get(asc, 0) + 1
             return
         nbrs = below[v]
@@ -136,9 +139,7 @@ def csf_q(g, budget: int | None = None) -> SymFunc:
         color[v] = 0
 
     rec(1, 0)
-    polys = {vec: LaurentQ({2 * e: c for e, c in d.items()})
-             for vec, d in vectors.items()}
-    return _collect_monomials(n, polys)
+    return _collect_monomials(n, vectors)
 
 
 def llt_direct(g, budget: int | None = None) -> SymFunc:
@@ -154,31 +155,96 @@ def llt_direct(g, budget: int | None = None) -> SymFunc:
         counts = [0] * n
         for c in kappa:
             counts[c - 1] += 1
-        vec = tuple(counts)
-        d = vectors.get(vec)
-        if d is None:
-            d = vectors[vec] = {}
+        d = vectors.setdefault(tuple(counts), {})
         d[asc] = d.get(asc, 0) + 1
-    polys = {vec: LaurentQ({2 * e: c for e, c in d.items()})
-             for vec, d in vectors.items()}
-    return _collect_monomials(n, polys)
+    return _collect_monomials(n, vectors)
+
+
+@cache
+def _llt_map(n: int) -> tuple:
+    """(cols, top, den): f -> (q-1)^n omega(f)[x/(q-1)] from the m-basis
+    to the Schur basis over one denominator.  The image of m_nu is
+    sum_mu cols[nu][mu] s_mu / den, cols[nu][mu] a list of integer
+    q-coefficients (constant term first) whose absolute values are at
+    most top.
+
+    omega(m_nu) = sum_lam a_lam p_lam, and the substitution sends p_lam to
+    p_lam (q-1)^n / prod_i (q^lam_i - 1) = p_lam g_lam / [n]_q! with
+    g_lam = [n]_q! (q-1)^(n - len(lam)) / prod_i [lam_i]_q, a polynomial
+    because prod_i [lam_i]_q divides [n]_q!.  Each z_lam divides n!, so
+    den = n! [n]_q! clears the rational a_lam too.
+    """
+    parts, chi = partitions(n), character_table(n)
+    den = LaurentQ({0: math.factorial(n)})
+    for k in range(2, n + 1):
+        den = den * gauss_number(k)
+    cols = {}
+    for nu in parts:
+        col: dict = {}
+        for lam, a in omega(SymFunc.basis_element("m", nu)
+                            .to_basis("p")).coeffs.items():
+            g = den * (Q - ONE) ** (n - len(lam)) * a
+            for k in lam:
+                g = g.exact_div(gauss_number(k))
+            for mu in parts:
+                col[mu] = col.get(mu, ZERO) + g * chi.chi(mu, lam)
+        cols[nu] = {mu: g.q_coefficients() for mu, g in col.items() if g}
+    top = max(abs(c) for col in cols.values() for g in col.values()
+              for c in g)
+    return cols, top, den
+
+
+# Polynomial products run on integers: a q-coefficient list c is packed as
+# c(2^bits) (Kronecker substitution), which is exact as long as every
+# coefficient of the result lies strictly between -2^(bits-1) and
+# 2^(bits-1).
+
+def _pack(coeffs: list, bits: int) -> int:
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
+
+
+def _unpack(x: int, bits: int) -> list:
+    out, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << bits
+        out.append(c)
+        x = (x - c) >> bits
+    return out
+
+
+@cache
+def _packed_cols(n: int, bits: int) -> dict:
+    return {nu: {mu: _pack(g, bits) for mu, g in col.items()}
+            for nu, col in _llt_map(n)[0].items()}
 
 
 def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
     """(q-1)^n omega(ch(B_w))[x/(q-1)] in the Schur basis, where B_w is
-    the integral Kazhdan-Lusztig element of w.  Denominators introduced
-    by the power-sum rescaling must clear exactly."""
-    from .symfunc import plethysm_scale
+    the integral Kazhdan-Lusztig element of w: ch(B_w) pushed through the
+    cached linear map `_llt_map(n)`, then one exact division of each
+    Schur coefficient by the common denominator (ValueError if a
+    remainder is left)."""
     w = tuple(w)
     n = len(w)
     config.check_n(n, budget, what="n")
     ch = frobenius_character(kl_context(n).element(w))
-    scaled = plethysm_scale(omega(ch), "divide")
-    qm1n = (LaurentQ({2: 1, 0: -1})) ** n
-    cleared = scaled.map_coeffs(
-        lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
-        else c * qm1n)
-    return cleared.to_basis("s")
+    _, top, den = _llt_map(n)
+    chq = {nu: c.q_coefficients() for nu, c in ch.coeffs.items()}
+    # no coefficient of a numerator exceeds top * (sum of |ch coefficients|);
+    # widths are multiples of 32 so that few packed maps get cached
+    bound = top * sum(abs(c) for cs in chq.values() for c in cs)
+    bits = 32 * (bound.bit_length() // 32 + 1)
+    packed = _packed_cols(n, bits)
+    nums: dict = {}
+    for nu, cs in chq.items():
+        x = _pack(cs, bits)
+        for mu, y in packed[nu].items():
+            nums[mu] = nums.get(mu, 0) + x * y
+    return SymFunc("s", n, {
+        mu: from_q_coefficients(_unpack(x, bits)).exact_div(den)
+        for mu, x in nums.items()})
 
 
 def chss_check(m, budget: int | None = None):

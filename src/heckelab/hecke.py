@@ -196,11 +196,16 @@ class HeckeElement:
 
     @staticmethod
     def from_json(data: dict) -> "HeckeElement":
-        n = int(data["n"])
-        terms = {}
-        for item in data["terms"]:
-            w = check_permutation(int(x) for x in item["perm"])
-            terms[w] = LaurentQ.from_json(item["coeff"])
+        try:
+            n = int(data["n"])
+            terms = {}
+            for item in data["terms"]:
+                w = check_permutation(int(x) for x in item["perm"])
+                terms[w] = LaurentQ.from_json(item["coeff"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed Hecke element JSON ({exc!r}); "
+                             'expected {"n": n, "terms": [{"perm": [...], '
+                             '"coeff": {"v": {...}}}]}') from None
         return HeckeElement(n, terms)
 
 

@@ -9,6 +9,11 @@ statement "f is a polynomial in q" means "all v-exponents of f are even
 and nonnegative".  Keeping a single integer exponent avoids half-integer
 bookkeeping: every formula we need becomes integral in v.
 
+There is no rational-function type: where a computation divides by a
+polynomial (the plethystic LLT in `chromatic`), it multiplies through
+by one known common denominator and ends with `exact_div`, which raises
+on a remainder.
+
 >>> print(Q * Q - ONE)
 -1+q^2
 >>> print((Q - ONE) * (Q + ONE))
@@ -24,12 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "LaurentQ", "LaurentFrac",
+    "LaurentQ",
     "ZERO", "ONE", "Q", "V",
     "q_power", "v_power", "from_q_coefficients", "gauss_number",
 ]
-
-Coeff = "int | Fraction"
 
 
 def _norm_coeff(c):
@@ -55,12 +58,6 @@ class LaurentQ:
                 if c:
                     d[int(e)] = c
         self.c = d
-
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def term(coeff, vexp: int) -> "LaurentQ":
-        return LaurentQ({vexp: coeff})
 
     def __repr__(self):
         return f"LaurentQ({self.c!r})"
@@ -332,139 +329,20 @@ def _divmod_laurent(a: LaurentQ, b: LaurentQ):
     if not a.c:
         return ZERO, ZERO
     sa, sb = a.min_vexp(), b.min_vexp()
-    ra = dict(a.shift(-sa).c)
-    rb = b.shift(-sb).c
-    db = max(rb)
-    lead = rb[db]
+    ra = {e - sa: c for e, c in a.c.items()}
+    db = b.max_vexp() - sb
+    lead = b.c[db + sb]
+    rest = [(e - sb, c) for e, c in b.c.items() if e - sb != db]
     quot = {}
-    while ra and max(ra) >= db:
-        da = max(ra)
-        f = Fraction(ra[da], lead) if not isinstance(ra[da], Fraction) \
-            else ra[da] / lead
-        f = _norm_coeff(f)
-        quot[da - db] = f
-        for e, c in rb.items():
-            t = e + da - db
-            s = _norm_coeff(ra.get(t, 0) - f * c)
-            if s:
-                ra[t] = s
-            else:
-                ra.pop(t, None)
+    for da in range(max(ra), db - 1, -1):
+        c = ra.pop(da, 0)
+        if c:
+            exact = isinstance(c, int) and isinstance(lead, int) \
+                and not c % lead
+            f = quot[da - db] = c // lead if exact else Fraction(c) / lead
+            for e, x in rest:
+                ra[e + da - db] = ra.get(e + da - db, 0) - f * x
     return LaurentQ(quot).shift(sa - sb), LaurentQ(ra).shift(sa)
-
-
-def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
-    """Monic gcd over Q[v], up to units (v-powers are units here)."""
-    if not a.c:
-        x = b
-    elif not b.c:
-        x = a
-    else:
-        x, y = a.shift(-a.min_vexp()), b.shift(-b.min_vexp())
-        while y.c:
-            x, y = y, _divmod_laurent(x, y)[1]
-            if y.c:
-                y = y.shift(-y.min_vexp())
-    if not x.c:
-        return ZERO
-    x = x.shift(-x.min_vexp())
-    lead = x.c[x.max_vexp()]
-    return x if lead == 1 else x * Fraction(1, lead)
-
-
-class LaurentFrac:
-    """A ratio of two LaurentQ values.
-
-    Normal form: the denominator is a polynomial in v with valuation 0,
-    monic, and coprime to the numerator.  This is the escape hatch used
-    by the power-sum rescaling of the plethysm pipeline, where division
-    by q^k - 1 is required before denominators clear again.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentQ, den: LaurentQ = None):
-        if den is None:
-            den = ONE
-        if not den.c:
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if g.c and g != ONE:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        shift = den.min_vexp() if den.c else 0
-        if shift:
-            den = den.shift(-shift)
-            num = num.shift(-shift)
-        lead = den.c[den.max_vexp()]
-        if lead != 1:
-            inv = Fraction(1, lead)
-            den = den * inv
-            num = num * inv
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        other = _coerce_frac(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_frac(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _coerce_frac(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _coerce_frac(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def clear(self) -> LaurentQ:
-        """Return the numerator, asserting the denominator has cleared."""
-        if self.den != ONE:
-            raise ValueError(f"denominator did not clear: {self.den}")
-        return self.num
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"LaurentFrac({self.num!r}, {self.den!r})"
-
-
-def _coerce_frac(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, LaurentQ):
-        return LaurentFrac(x)
-    if isinstance(x, (int, Fraction)):
-        return LaurentFrac(LaurentQ({0: x}))
-    return None
 
 
 def q_power(k: int) -> LaurentQ:

@@ -295,7 +295,9 @@ def induced_characters(a: HeckeElement, Js) -> list:
     by_class: dict = {}   # id of a class's f dict -> (f dict, sum of a_z)
     for w, c in a.terms.items():
         p = f[tbl.index[w]]
-        _mac(by_class.setdefault(id(p), (p, {}))[1], c.c, {0: 1})
+        g = by_class.setdefault(id(p), (p, {}))[1]
+        for e, x in c.c.items():
+            g[e] = g.get(e, 0) + x
     sums: dict = {}
     for p, g in by_class.values():
         for mu, fp in p.items():

@@ -2,8 +2,7 @@
 Symmetric functions of one homogeneous degree over the Laurent ring in
 q^(1/2): the classical bases e, h, p, m, s, exact transitions between
 them, the omega involution, Hall pairing, Frobenius characters of Hecke
-elements, immanants, and the power-sum rescaling used by the plethystic
-substitution x -> x/(q-1).
+elements, and immanants.
 
 Conversions route through the Schur basis.  The Kostka matrix (h_mu =
 sum_lambda K[lambda][mu] s_lambda = transition also used for s -> m) is
@@ -25,7 +24,7 @@ from functools import lru_cache
 from . import config
 from .coxeter import cycle_type
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentFrac, LaurentQ, q_power
+from .laurentq import ONE, ZERO, LaurentQ
 from .parabolic import induced_characters, young_subgroup_generators
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "CharacterTable", "character_table", "murnaghan_nakayama",
     "SymFunc", "omega", "hall_inner_product", "frobenius_character",
     "multiply", "newton_check", "jacobi_trudi", "immanant", "z_matrix",
-    "plethysm_scale",
 ]
 
 Partition = tuple
@@ -225,8 +223,8 @@ def _kostka(n: int) -> dict:
 class SymFunc:
     """A homogeneous symmetric function tagged with its basis.
 
-    coeffs maps partitions of ``degree`` to LaurentQ (or LaurentFrac on
-    the plethysm path).  Immutable by convention.
+    coeffs maps partitions of ``degree`` to LaurentQ.  Immutable by
+    convention.
     """
 
     __slots__ = ("basis", "degree", "coeffs")
@@ -424,8 +422,8 @@ class SymFunc:
         for lam, c in self.sorted_coeffs():
             sub = ",".join(str(a) for a in lam)
             name = f"{self.basis}_{{{sub}}}" if latex else f"{self.basis}[{sub}]"
-            cs = c.latex() if isinstance(c, LaurentQ) and latex else str(c)
-            simple = isinstance(c, LaurentQ) and len(c.c) == 1
+            cs = c.latex() if latex else str(c)
+            simple = len(c.c) == 1
             if cs == "1":
                 bits.append(name)
             elif simple:
@@ -679,40 +677,6 @@ def newton_check(n: int, budget: int | None = None) -> bool:
         if per.to_basis("p") != h_ref:
             raise AssertionError("permanent form of n! h_n failed")
     return True
-
-
-# -- plethystic rescaling --------------------------------------------------------
-
-def plethysm_scale(f: SymFunc, mode: str) -> SymFunc:
-    """Rescale power sums: p_k -> p_k (q^k - 1) ("times") or
-    p_k / (q^k - 1) ("divide"), extended multiplicatively over p_lam and
-    linearly.  The two modes are mutually inverse.
-
-    In divide mode coefficients may leave the polynomial ring; they are
-    returned as exact fractions and must be cleared by the caller
-    (`SymFunc.map_coeffs` with `LaurentFrac.clear`) after the compensating
-    multiplication.
-    """
-    if mode not in ("times", "divide"):
-        raise ValueError(f"unknown mode {mode!r}")
-    fp = f.to_basis("p")
-    out = {}
-    for lam, c in fp.coeffs.items():
-        factor = ONE
-        for k in lam:
-            factor = factor * (q_power(k) - ONE)
-        if mode == "times":
-            out[lam] = (c * factor if not isinstance(c, LaurentFrac)
-                        else c * LaurentFrac(factor))
-        else:
-            if isinstance(c, LaurentFrac):
-                out[lam] = c * LaurentFrac(ONE, factor)
-            else:
-                out[lam] = LaurentFrac(c, factor)
-    res = SymFunc.__new__(SymFunc)
-    res.basis, res.degree = "p", fp.degree
-    res.coeffs = {lam: c for lam, c in out.items() if c}
-    return res
 
 
 if __name__ == "__main__":

@@ -7,9 +7,12 @@ explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts from direct enumeration, binary-word counts
 from a depth-first walk over all 2^k words, induced characters from
 per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
-from T-basis products B_s * B_{w'} on permutation tuples.
+from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
+LLT from power sums rescaled over rational functions in q (`LaurentFrac`
+normal forms by polynomial gcd).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -17,8 +20,11 @@ from heckelab.coxeter import (
     apply_s_left, apply_s_right, evaluate_word, left_descents, length,
     perm_table, right_descents,
 )
-from heckelab.hecke import HeckeElement
-from heckelab.laurentq import ONE, Q, ZERO, LaurentQ
+from heckelab.hecke import HeckeElement, kl_context
+from heckelab.laurentq import (
+    ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
+)
+from heckelab.symfunc import SymFunc, frobenius_character, omega
 
 
 def subword_bruhat_leq(u, w) -> bool:
@@ -454,3 +460,166 @@ class TupleKL:
                             LaurentQ({lw - length(z): m}))
         memo[w] = out
         return out
+
+
+# -- the plethystic LLT over rational functions ------------------------------
+
+def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
+    """Monic gcd over Q[v], up to units (v-powers are units here)."""
+    if not a.c:
+        x = b
+    elif not b.c:
+        x = a
+    else:
+        x, y = a.shift(-a.min_vexp()), b.shift(-b.min_vexp())
+        while y.c:
+            x, y = y, _divmod_laurent(x, y)[1]
+            if y.c:
+                y = y.shift(-y.min_vexp())
+    if not x.c:
+        return ZERO
+    x = x.shift(-x.min_vexp())
+    lead = x.c[x.max_vexp()]
+    return x if lead == 1 else x * Fraction(1, lead)
+
+
+class LaurentFrac:
+    """A ratio of two LaurentQ values.
+
+    Normal form: the denominator is a polynomial in v with valuation 0,
+    monic, and coprime to the numerator.  `plethysm_scale` divides by
+    q^k - 1 in this form before `frac_llt_plethysm` clears the
+    denominators again.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentQ, den: LaurentQ = None):
+        if den is None:
+            den = ONE
+        if not den.c:
+            raise ZeroDivisionError("zero denominator")
+        g = poly_gcd(num, den)
+        if g.c and g != ONE:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        shift = den.min_vexp() if den.c else 0
+        if shift:
+            den = den.shift(-shift)
+            num = num.shift(-shift)
+        lead = den.c[den.max_vexp()]
+        if lead != 1:
+            inv = Fraction(1, lead)
+            den = den * inv
+            num = num * inv
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        other = _coerce_frac(other)
+        if other is None:
+            return NotImplemented
+        return LaurentFrac(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentFrac(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = _coerce_frac(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = _coerce_frac(other)
+        if other is None:
+            return NotImplemented
+        return LaurentFrac(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = _coerce_frac(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def is_polynomial(self) -> bool:
+        return self.den == ONE
+
+    def clear(self) -> LaurentQ:
+        """Return the numerator, asserting the denominator has cleared."""
+        if self.den != ONE:
+            raise ValueError(f"denominator did not clear: {self.den}")
+        return self.num
+
+    def __str__(self):
+        if self.den == ONE:
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    def __repr__(self):
+        return f"LaurentFrac({self.num!r}, {self.den!r})"
+
+
+def _coerce_frac(x):
+    if isinstance(x, LaurentFrac):
+        return x
+    if isinstance(x, LaurentQ):
+        return LaurentFrac(x)
+    if isinstance(x, (int, Fraction)):
+        return LaurentFrac(LaurentQ({0: x}))
+    return None
+
+
+def plethysm_scale(f: SymFunc, mode: str) -> SymFunc:
+    """Rescale power sums: p_k -> p_k (q^k - 1) ("times") or
+    p_k / (q^k - 1) ("divide"), extended multiplicatively over p_lam and
+    linearly.  The two modes are mutually inverse.
+
+    In divide mode coefficients may leave the polynomial ring; they are
+    returned as exact fractions and must be cleared by the caller
+    (`SymFunc.map_coeffs` with `LaurentFrac.clear`) after the compensating
+    multiplication.
+    """
+    if mode not in ("times", "divide"):
+        raise ValueError(f"unknown mode {mode!r}")
+    fp = f.to_basis("p")
+    out = {}
+    for lam, c in fp.coeffs.items():
+        factor = ONE
+        for k in lam:
+            factor = factor * (q_power(k) - ONE)
+        if mode == "times":
+            out[lam] = (c * factor if not isinstance(c, LaurentFrac)
+                        else c * LaurentFrac(factor))
+        else:
+            if isinstance(c, LaurentFrac):
+                out[lam] = c * LaurentFrac(ONE, factor)
+            else:
+                out[lam] = LaurentFrac(c, factor)
+    res = SymFunc.__new__(SymFunc)
+    res.basis, res.degree = "p", fp.degree
+    res.coeffs = {lam: c for lam, c in out.items() if c}
+    return res
+
+
+def frac_llt_plethysm(w) -> SymFunc:
+    """(q-1)^n omega(ch(B_w))[x/(q-1)] in the Schur basis: power sums
+    rescaled by 1/(q^k - 1) as LaurentFrac coefficients, multiplied by
+    (q-1)^n, and cleared one coefficient at a time."""
+    w = tuple(w)
+    n = len(w)
+    ch = frobenius_character(kl_context(n).element(w))
+    scaled = plethysm_scale(omega(ch), "divide")
+    qm1n = (Q - ONE) ** n
+    cleared = scaled.map_coeffs(
+        lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
+        else c * qm1n)
+    return cleared.to_basis("s")

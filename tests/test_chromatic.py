@@ -1,19 +1,28 @@
 """Coloring generating functions and their Hecke-character counterparts."""
 
-import pytest
+import math
+import random
 
+import pytest
+from hypothesis import given, strategies as st
+
+from heckelab import chromatic
 from heckelab.chromatic import (
     IndifferenceGraph, ScanRow, chss_check, conjecture_scan, csf_q,
     llt_direct, llt_plethysm,
 )
 from heckelab.coxeter import (
-    all_hessenberg_functions, codominant_from_hessenberg, identity,
+    all_hessenberg_functions, all_permutations, codominant_from_hessenberg,
+    identity,
 )
 from heckelab.laurentq import (
     LaurentQ, ONE, Q, from_q_coefficients, gauss_number,
 )
-from heckelab.symfunc import SymFunc, omega
-from oracles import count_proper_colorings, monomials_of_shape
+from heckelab.symfunc import SymFunc, omega, partitions
+from oracles import (
+    LaurentFrac, count_proper_colorings, frac_llt_plethysm,
+    monomials_of_shape, plethysm_scale,
+)
 
 
 def test_graph_construction():
@@ -128,6 +137,63 @@ def test_llt_plethysm_matches_direct_enumeration():
         for m in all_hessenberg_functions(n):
             w = codominant_from_hessenberg(m)
             assert llt_plethysm(w) == llt_direct(m).to_basis("s"), m
+
+
+def test_llt_plethysm_matches_frac_oracle():
+    # every w, including the non-codominant ones llt_direct cannot reach
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            assert llt_plethysm(w) == frac_llt_plethysm(w), w
+    for w in random.Random(6).sample(sorted(all_permutations(6)), 12):
+        assert llt_plethysm(w) == frac_llt_plethysm(w), w
+
+
+def test_llt_map_columns_match_frac_oracle():
+    # column nu is the image of m_nu, with rational-function Schur
+    # coefficients; compare them in LaurentFrac normal form
+    for n in range(1, 6):
+        cols, top, den = chromatic._llt_map(n)
+        d = LaurentQ({0: math.factorial(n)})
+        for k in range(2, n + 1):
+            d = d * gauss_number(k)
+        assert den == d
+        qm1n = (Q - ONE) ** n
+        for nu in partitions(n):
+            f = plethysm_scale(omega(SymFunc.basis_element("m", nu)),
+                               "divide")
+            f = f.map_coeffs(lambda c: c * qm1n).to_basis("s")
+            got = {mu: LaurentFrac(from_q_coefficients(c), den)
+                   for mu, c in cols[nu].items()}
+            assert got == f.coeffs, nu
+            assert top >= max(abs(x) for c in cols[nu].values() for x in c)
+
+
+def test_llt_plethysm_remainder_is_value_error(monkeypatch):
+    cols, top, den = chromatic._llt_map(4)
+    monkeypatch.setattr(chromatic, "_llt_map",
+                        lambda n: (cols, top, den * (Q + 2)))
+    with pytest.raises(ValueError):
+        llt_plethysm((3, 4, 1, 2))
+
+
+@given(st.integers(min_value=2, max_value=80), st.data())
+def test_packed_products_are_exact(bits, data):
+    # a product of packed lists unpacks to the convolution whenever its
+    # coefficients stay inside the signed width
+    half = 1 << (bits - 1)
+    lists = st.lists(st.integers(-8, 8), min_size=1, max_size=6)
+    a, b = data.draw(lists), data.draw(lists)
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    while conv and not conv[-1]:
+        conv.pop()
+    if any(abs(c) >= half for c in conv):
+        return
+    got = chromatic._unpack(chromatic._pack(a, bits)
+                            * chromatic._pack(b, bits), bits)
+    assert got == conv
 
 
 def test_llt_symmetry_assertion_n6_sample():

@@ -120,6 +120,18 @@ def test_non_permutation_json_is_domain_error(capsys):
         assert err.startswith("heckelab: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload", [
+    '{"n": 3}',
+    '[1, 2]',
+    '{"n": 3, "terms": [{"coeff": {"v": {"0": "1"}}}]}',
+], ids=["no-terms", "not-an-object", "term-without-perm"])
+def test_malformed_json_is_domain_error(capsys, payload):
+    code, out, err = run(capsys, "induced-char", "--J", "1",
+                         "--json", payload)
+    assert (code, out) == (1, "")
+    assert err.startswith("heckelab: ") and err.count("\n") == 1
+
+
 def test_ih_poincare_default_full_parabolic(capsys):
     code, out, _ = run(capsys, "ih-poincare", "--w", "3412")
     assert code == 0

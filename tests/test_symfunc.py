@@ -12,15 +12,17 @@ from hypothesis import given, strategies as st
 from heckelab.coxeter import all_permutations, cycle_type, length
 from heckelab.hecke import HeckeElement, kl_context
 from heckelab.laurentq import (
-    LaurentFrac, LaurentQ, ONE, Q, ZERO, from_q_coefficients, q_power,
+    LaurentQ, ONE, Q, ZERO, from_q_coefficients, q_power,
 )
 from heckelab.symfunc import (
     SymFunc, character_table, class_size, conjugate_partition, dominates,
     frobenius_character, hall_inner_product, immanant, jacobi_trudi,
     multiply, murnaghan_nakayama, newton_check, omega, partitions,
-    plethysm_scale, sign_partition, z_matrix, z_mu,
+    sign_partition, z_matrix, z_mu,
 )
-from oracles import count_syt, expand_basis_element
+from oracles import (
+    LaurentFrac, count_syt, expand_basis_element, plethysm_scale,
+)
 
 
 def test_partition_order_is_dominance_compatible():
