@@ -8,9 +8,12 @@ usage error (bad literals, unknown verbs, size guard).
 
 Permutation literals are contiguous digits for n <= 9 ("3412") and
 comma-separated entries for larger n ("10,3,2,...").  Partitions, words
-and generator sets are comma-separated.  LaTeX output prints q-powers in
-ascending order and partition subscripts as comma lists, so displays are
-directly comparable with the usual conventions in the literature.
+and generator sets are comma-separated.  Every expansion is printed by
+one rule (`laurentq.Terms.render`): terms in basis order, coefficient 1
+dropped, others parenthesized unless a single monomial.  LaTeX output
+prints q-powers in ascending order and partition subscripts as comma
+lists, so displays are directly comparable with the usual conventions
+in the literature.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from .coxeter import (
 from .hecke import (
     HeckeElement, bott_samelson_product, kl_context, springer_decomposition,
 )
-from .laurentq import LaurentQ, v_power
+from .laurentq import v_power
 from .parabolic import (
     bott_samelson_character, good_words, induced_character,
 )
-from .symfunc import SymFunc, frobenius_character
+from .symfunc import frobenius_character
 from .chromatic import chss_check, conjecture_scan, csf_q, llt_direct, \
     llt_plethysm
 
@@ -86,31 +89,12 @@ def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "))
 
 
-def _render_poly(p: LaurentQ, fmt: str):
+def _render(x, fmt: str, **name) -> str:
+    """A LaurentQ, HeckeElement or SymFunc in the chosen format; ``name``
+    (label="B" or "C") names the basis of a Hecke expansion."""
     if fmt == "json":
-        return _emit_json(p.to_json())
-    if fmt == "latex":
-        return p.latex()
-    return str(p)
-
-
-def _render_symfunc(f: SymFunc, fmt: str):
-    if fmt == "json":
-        return _emit_json(f.to_json())
-    if fmt == "latex":
-        return f.latex()
-    return str(f)
-
-
-def _render_element(a: HeckeElement, fmt: str):
-    return _render_expansion(a.n, a.terms, fmt, "T")
-
-
-def _render_expansion(n: int, expansion: dict, fmt: str, label: str):
-    elem = HeckeElement(n, expansion)
-    if fmt == "json":
-        return _emit_json(elem.to_json())
-    return elem.render(label, latex=fmt == "latex")
+        return _emit_json(x.to_json())
+    return x.render(fmt == "latex", **name)
 
 
 # -- KL cache persistence ----------------------------------------------------------
@@ -185,7 +169,7 @@ def run_kl_poly(args, parser) -> str:
     ctx = _load_kl_cache(args.cache_dir, len(w))
     p = ctx.polynomial(u, w)
     _save_kl_cache(args.cache_dir, len(w))
-    return _render_poly(p, args.format)
+    return _render(p, args.format)
 
 
 def run_kl_basis(args, parser) -> str:
@@ -194,7 +178,7 @@ def run_kl_basis(args, parser) -> str:
     ctx = _load_kl_cache(args.cache_dir, n)
     elem = ctx.element(args.w)
     _save_kl_cache(args.cache_dir, n)
-    return _render_element(elem, args.format)
+    return _render(elem, args.format)
 
 
 def run_cprime_expand(args, parser) -> str:
@@ -212,7 +196,7 @@ def run_cprime_expand(args, parser) -> str:
     ctx = _load_kl_cache(args.cache_dir, elem.n)
     expansion = ctx.expand_cprime(elem)
     _save_kl_cache(args.cache_dir, elem.n)
-    return _render_expansion(elem.n, expansion, args.format, "B")
+    return _render(HeckeElement(elem.n, expansion), args.format, label="B")
 
 
 def run_induced_char(args, parser) -> str:
@@ -222,15 +206,15 @@ def run_induced_char(args, parser) -> str:
     value = induced_character(elem, args.J)
     if args.kl:
         _save_kl_cache(args.cache_dir, elem.n)
-    return _render_poly(value, args.format)
+    return _render(value, args.format)
 
 
 def run_bs_char(args, parser) -> str:
     config.check_n(args.n)
     _validate_j(args.J, args.n, parser)
     _validate_word(args.word, args.n, parser)
-    return _render_poly(bott_samelson_character(args.word, args.J, args.n),
-                        args.format)
+    return _render(bott_samelson_character(args.word, args.J, args.n),
+                   args.format)
 
 
 def run_good_words(args, parser) -> str:
@@ -270,12 +254,12 @@ def run_frobenius(args, parser) -> str:
     f = frobenius_character(elem).to_basis(args.basis)
     if args.of == "kl":
         _save_kl_cache(args.cache_dir, n)
-    return _render_symfunc(f, args.format)
+    return _render(f, args.format)
 
 
 def run_csf(args, parser) -> str:
     f = csf_q(args.m).to_basis(args.basis)
-    return _render_symfunc(f, args.format)
+    return _render(f, args.format)
 
 
 def run_chss_check(args, parser) -> str:
@@ -298,7 +282,7 @@ def run_llt(args, parser) -> str:
         f = llt_plethysm(args.w)
     else:
         f = llt_direct(args.m)
-    return _render_symfunc(f.to_basis(args.basis), args.format)
+    return _render(f.to_basis(args.basis), args.format)
 
 
 def run_springer(args, parser) -> str:
@@ -312,8 +296,8 @@ def run_springer(args, parser) -> str:
         top = evaluate_word(args.word, args.n)
         expansion = {u: c * v_power(length(u) - length(top))
                      for u, c in expansion.items()}
-    return _render_expansion(args.n, expansion, args.format,
-                             "B" if args.normalization == "integral" else "C")
+    return _render(HeckeElement(args.n, expansion), args.format,
+                   label="B" if args.normalization == "integral" else "C")
 
 
 def run_ih_poincare(args, parser) -> str:
@@ -324,7 +308,7 @@ def run_ih_poincare(args, parser) -> str:
     ctx = _load_kl_cache(args.cache_dir, n)
     value = induced_character(ctx.element(args.w), J)
     _save_kl_cache(args.cache_dir, n)
-    return _render_poly(value, args.format)
+    return _render(value, args.format)
 
 
 def run_scan(args, parser) -> str:

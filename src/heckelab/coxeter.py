@@ -336,8 +336,8 @@ class PermTable:
         ldesc:   bitmask with bit i-1 set iff s_i * perms[p] is shorter
     """
 
-    def __init__(self, n: int, limit: int | None = None):
-        config.check_n(n, limit)
+    def __init__(self, n: int):
+        config.check_n(n)
         self.n = n
         perms = sorted(all_permutations(n), key=lambda w: (length(w), w))
         self.perms = perms
@@ -359,14 +359,9 @@ class PermTable:
 _tables: dict = {}
 
 
-def perm_table(n: int, limit: int | None = None) -> PermTable:
+def perm_table(n: int) -> PermTable:
     """Shared per-n table (insert-if-absent; entries are immutable)."""
     table = _tables.get(n)
     if table is None:
-        table = _tables.setdefault(n, PermTable(n, limit))
+        table = _tables.setdefault(n, PermTable(n))
     return table
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

@@ -28,7 +28,7 @@ from .coxeter import (
     Perm, PermTable, Word, apply_s_right, check_permutation, evaluate_word,
     identity, inverse, length, perm_table, reduced_word,
 )
-from .laurentq import ONE, ZERO, LaurentQ, Q, q_power
+from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, q_power
 
 __all__ = [
     "HeckeElement", "KLContext", "kl_context",
@@ -38,14 +38,16 @@ __all__ = [
 _QM1 = Q - ONE  # q - 1
 
 
-class HeckeElement:
+class HeckeElement(Terms):
     """A finitely supported sum of T_w with LaurentQ coefficients.
 
     Immutable by convention.  All permutations in the support share the
-    same n.
+    same n, the space tag.  Terms are displayed in (length, one-line)
+    order.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = Terms.space   # the rank, stored as the space tag
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -80,44 +82,6 @@ class HeckeElement:
         out = HeckeElement.__new__(HeckeElement)
         out.n, out.terms = n, terms
         return out
-
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            d[w] = d.get(w, ZERO) + c
-        return HeckeElement._raw(self.n, {w: c for w, c in d.items() if c})
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement._raw(self.n,
-                                 {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElement":
-        if not isinstance(c, LaurentQ):
-            c = LaurentQ({0: c})
-        if not c:
-            return HeckeElement.zero(self.n)
-        return HeckeElement._raw(self.n, {w: x * c
-                                          for w, x in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, HeckeElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, w: Perm) -> LaurentQ:
-        return self.terms.get(tuple(w), ZERO)
-
-    def _check(self, other):
-        if not isinstance(other, HeckeElement) or other.n != self.n:
-            raise ValueError("mixing elements of different Hecke algebras")
 
     # -- products ----------------------------------------------------------
 
@@ -166,25 +130,16 @@ class HeckeElement:
 
     # -- rendering / serialization -------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (length(kv[0]), kv[0]))
+    @staticmethod
+    def _order(w: Perm):
+        return length(w), w
 
-    def render(self, label: str = "T", latex: bool = False) -> str:
-        """The terms in (length, one-line) order, each basis element named
-        label[w1,...,wn]; in LaTeX, T-basis elements are T_{w1...wn}."""
-        bits = []
-        star = "" if latex else "*"
-        for w, c in self.sorted_terms():
-            if latex and label == "T":
-                name = "T_{%s}" % ("" if self.n <= 9 else ",").join(map(str, w))
-            else:
-                name = "%s[%s]" % (label, ",".join(map(str, w)))
-            cs = c.latex() if latex else str(c)
-            bits.append(name if cs == "1" else f"{cs}{star}{name}"
-                        if len(c.c) == 1 else f"({cs}){star}{name}")
-        return ("+" if latex else " + ").join(bits) if bits else "0"
-
-    __str__ = render
+    def _name(self, w: Perm, latex: bool, label: str = "T") -> str:
+        """label[w1,...,wn]; in LaTeX, T-basis elements are T_{w1...wn}
+        (entries comma-separated from n = 10 on)."""
+        if latex and label == "T":
+            return "T_{%s}" % ("" if self.n <= 9 else ",").join(map(str, w))
+        return "%s[%s]" % (label, ",".join(map(str, w)))
 
     def __repr__(self):
         return f"HeckeElement(n={self.n}, {len(self.terms)} terms)"
@@ -252,11 +207,9 @@ class KLContext:
     permutation; views share one `LaurentQ` per interned polynomial.
     """
 
-    def __init__(self, n: int, limit: int | None = None, verify: bool = True):
-        config.check_n(n, limit)
+    def __init__(self, n: int):
+        config.check_n(n)
         self.n = n
-        self.verify = verify
-        self._limit = limit
         self._table: dict = {}   # w index -> {z index: interned P_{z,w}}
         self._polys: dict = {}   # q-coefficient tuple -> its interned copy
         self._views: dict = {}   # interned tuple -> shared LaurentQ
@@ -264,7 +217,7 @@ class KLContext:
     @cached_property
     def _tbl(self) -> PermTable:
         """perm_table(n), looked up when the first element is asked for."""
-        return perm_table(self.n, self._limit)
+        return perm_table(self.n)
 
     def __len__(self):
         """Number of elements held (built or loaded)."""
@@ -325,8 +278,8 @@ class KLContext:
                 for x, p in self._get(z).items():
                     out[x] = _axpy(out[x], -m, k, p)
         out = {x: self._intern(c) for x, c in out.items()}
-        if self.verify and self._defect(w, out):
-            raise AssertionError(self._defect(w, out))
+        if why := self._defect(w, out):
+            raise AssertionError(why)
         self._table[w] = out
         return out
 
@@ -367,7 +320,8 @@ class KLContext:
 
     @property
     def _elements(self) -> dict:
-        """Every element held, as views keyed by permutation."""
+        """Every element held, as views keyed by permutation (read by
+        perfbench/make_n7_pool.py)."""
         perms = self._tbl.perms
         return {perms[w]: self.element(perms[w]) for w in self._table}
 
@@ -459,11 +413,11 @@ def _axpy(a: tuple, m: int, k: int, p: tuple) -> tuple:
 _contexts: dict = {}
 
 
-def kl_context(n: int, limit: int | None = None) -> KLContext:
+def kl_context(n: int) -> KLContext:
     """Shared per-n context (insert-if-absent discipline)."""
     ctx = _contexts.get(n)
     if ctx is None:
-        ctx = _contexts.setdefault(n, KLContext(n, limit))
+        ctx = _contexts.setdefault(n, KLContext(n))
     return ctx
 
 

@@ -14,6 +14,10 @@ polynomial (the plethystic LLT in `chromatic`), it multiplies through
 by one known common denominator and ends with `exact_div`, which raises
 on a remainder.
 
+`Terms` is the linear structure and display shared by Hecke elements and
+symmetric functions: finite sums of basis elements with LaurentQ
+coefficients.
+
 >>> print(Q * Q - ONE)
 -1+q^2
 >>> print((Q - ONE) * (Q + ONE))
@@ -29,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "LaurentQ",
+    "LaurentQ", "Terms",
     "ZERO", "ONE", "Q", "V",
     "q_power", "v_power", "from_q_coefficients", "gauss_number",
 ]
@@ -146,9 +150,6 @@ class LaurentQ:
         return bool(self.c)
 
     # -- inspection ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.c
 
     def coeff(self, vexp: int):
         return self.c.get(vexp, 0)
@@ -271,12 +272,14 @@ class LaurentQ:
     # -- rendering and serialization -------------------------------------
 
     def __str__(self):
-        return self._render(latex=False)
+        return self.render()
 
     def latex(self) -> str:
-        return self._render(latex=True)
+        return self.render(latex=True)
 
-    def _render(self, latex: bool) -> str:
+    def render(self, latex: bool = False) -> str:
+        """Monomials in ascending order: coefficients 1 and -1 dropped,
+        q^e with e a braced fraction or negative where needed."""
         if not self.c:
             return "0"
         parts = []
@@ -370,6 +373,89 @@ Q = LaurentQ({2: 1})
 V = LaurentQ({1: 1})
 
 
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()
+class Terms:
+    """A finite sum of basis elements with nonzero LaurentQ coefficients.
+
+    ``terms`` maps basis keys to coefficients and ``space`` tags where
+    the sum lives; sums from different spaces do not mix.  A subclass
+    sets ``space`` and validates in its own constructor, and supplies the
+    term order (`_order`, a sort key) and the name of a basis element
+    (`_name`).  Immutable by convention.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def _like(self, terms: dict) -> "Terms":
+        """A sum in the same space on terms that are already nonzero."""
+        out = object.__new__(type(self))
+        out.space, out.terms = self.space, terms
+        return out
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other.space != self.space:
+            raise ValueError(f"cannot mix {self!r} with {other!r}")
+
+    # -- linear structure ------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        d = dict(self.terms)
+        for k, c in other.terms.items():
+            s = d[k] + c if k in d else c
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+        return self._like(d)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Every coefficient times c (a LaurentQ or an exact scalar)."""
+        if not isinstance(c, LaurentQ):
+            c = LaurentQ({0: c})
+        return self._like({k: x * c for k, x in self.terms.items()}
+                          if c else {})
+
+    def map_coeffs(self, f):
+        """Apply f to every coefficient, dropping zeros."""
+        return self._like({k: y for k, x in self.terms.items()
+                           if (y := f(x))})
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.space == self.space
+                and other.terms == self.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def coeff(self, key) -> LaurentQ:
+        return self.terms.get(tuple(key), ZERO)
+
+    # -- rendering -------------------------------------------------------
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+
+    def render(self, latex: bool = False, **name) -> str:
+        """The terms in order, joined by " + " (LaTeX: "+").  A coefficient
+        1 is dropped; any other precedes the basis element, parenthesized
+        unless it is a single monomial, with "*" between them in plain
+        text.  ``name`` goes on to `_name`."""
+        star = "" if latex else "*"
+        bits = []
+        for k, c in self.sorted_terms():
+            b, cs = self._name(k, latex, **name), c.render(latex)
+            bits.append(b if cs == "1" else f"{cs}{star}{b}"
+                        if len(c.c) == 1 else f"({cs}){star}{b}")
+        return ("+" if latex else " + ").join(bits) or "0"
+
+    def __str__(self):
+        return self.render()
+
+    def latex(self) -> str:
+        return self.render(latex=True)

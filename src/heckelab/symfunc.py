@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import config
 from .coxeter import cycle_type
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentQ
+from .laurentq import ONE, ZERO, LaurentQ, Terms
 from .parabolic import induced_characters, young_subgroup_generators
 
 __all__ = [
@@ -220,20 +220,23 @@ def _kostka(n: int) -> dict:
 
 # -- the SymFunc value type --------------------------------------------------------
 
-class SymFunc:
+class SymFunc(Terms):
     """A homogeneous symmetric function tagged with its basis.
 
-    coeffs maps partitions of ``degree`` to LaurentQ.  Immutable by
-    convention.
+    coeffs maps partitions of ``degree`` to LaurentQ; the space tag is
+    (basis, degree), and terms are displayed in the order of
+    `partitions`.  Immutable by convention.
     """
 
-    __slots__ = ("basis", "degree", "coeffs")
+    __slots__ = ()
+    coeffs = Terms.terms
+    basis = property(lambda self: self.space[0])
+    degree = property(lambda self: self.space[1])
 
     def __init__(self, basis: str, degree: int, coeffs=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.degree = degree
+        self.space = basis, degree
         clean = {}
         if coeffs:
             for lam, c in coeffs.items():
@@ -250,68 +253,6 @@ class SymFunc:
     def basis_element(basis: str, lam) -> "SymFunc":
         lam = check_partition(lam)
         return SymFunc(basis, sum(lam), {lam: ONE})
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other):
-        if (not isinstance(other, SymFunc) or other.basis != self.basis
-                or other.degree != self.degree):
-            raise ValueError("mixing different bases or degrees; convert first")
-
-    def __add__(self, other):
-        self._check(other)
-        d = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = d.get(lam, ZERO) + c
-            if s:
-                d[lam] = s
-            else:
-                d.pop(lam, None)
-        out = SymFunc.__new__(SymFunc)
-        out.basis, out.degree, out.coeffs = self.basis, self.degree, d
-        return out
-
-    def __neg__(self):
-        out = SymFunc.__new__(SymFunc)
-        out.basis, out.degree = self.basis, self.degree
-        out.coeffs = {lam: -c for lam, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "SymFunc":
-        if isinstance(c, (int, Fraction)):
-            c = LaurentQ({0: c})
-        d = {}
-        for lam, x in self.coeffs.items():
-            p = x * c
-            if p:
-                d[lam] = p
-        out = SymFunc.__new__(SymFunc)
-        out.basis, out.degree, out.coeffs = self.basis, self.degree, d
-        return out
-
-    def map_coeffs(self, f) -> "SymFunc":
-        d = {}
-        for lam, x in self.coeffs.items():
-            y = f(x)
-            if y:
-                d[lam] = y
-        out = SymFunc.__new__(SymFunc)
-        out.basis, out.degree, out.coeffs = self.basis, self.degree, d
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, SymFunc) and self.basis == other.basis
-                and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coeff(self, lam) -> LaurentQ:
-        return self.coeffs.get(tuple(lam), ZERO)
 
     # -- basis conversion -------------------------------------------------------
 
@@ -405,32 +346,13 @@ class SymFunc:
 
     # -- rendering / serialization -----------------------------------------------
 
-    def sorted_coeffs(self):
-        return [(lam, self.coeffs[lam])
-                for lam in partitions(self.degree) if lam in self.coeffs]
+    @staticmethod
+    def _order(lam: Partition):
+        return tuple(-a for a in lam)   # descending lex, as in `partitions`
 
-    def __str__(self):
-        return self._render(latex=False)
-
-    def latex(self) -> str:
-        return self._render(latex=True)
-
-    def _render(self, latex: bool) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for lam, c in self.sorted_coeffs():
-            sub = ",".join(str(a) for a in lam)
-            name = f"{self.basis}_{{{sub}}}" if latex else f"{self.basis}[{sub}]"
-            cs = c.latex() if latex else str(c)
-            simple = len(c.c) == 1
-            if cs == "1":
-                bits.append(name)
-            elif simple:
-                bits.append(f"{cs}{name}" if latex else f"{cs}*{name}")
-            else:
-                bits.append(f"({cs}){name}" if latex else f"({cs})*{name}")
-        return ("+" if latex else " + ").join(bits)
+    def _name(self, lam: Partition, latex: bool) -> str:
+        sub = ",".join(map(str, lam))
+        return f"{self.basis}_{{{sub}}}" if latex else f"{self.basis}[{sub}]"
 
     def __repr__(self):
         return f"SymFunc({self.basis!r}, {self.degree}, {len(self.coeffs)} terms)"
@@ -438,13 +360,21 @@ class SymFunc:
     def to_json(self) -> dict:
         return {"basis": self.basis, "degree": self.degree,
                 "coeffs": [{"partition": list(lam), "coeff": c.to_json()}
-                           for lam, c in self.sorted_coeffs()]}
+                           for lam, c in self.sorted_terms()]}
 
     @staticmethod
     def from_json(data: dict) -> "SymFunc":
-        coeffs = {tuple(item["partition"]): LaurentQ.from_json(item["coeff"])
-                  for item in data["coeffs"]}
-        return SymFunc(data["basis"], int(data["degree"]), coeffs)
+        try:
+            basis, degree = data["basis"], int(data["degree"])
+            coeffs = {tuple(item["partition"]):
+                      LaurentQ.from_json(item["coeff"])
+                      for item in data["coeffs"]}
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed symmetric function JSON ({exc!r}); "
+                             'expected {"basis": b, "degree": n, "coeffs": '
+                             '[{"partition": [...], "coeff": {"v": {...}}}]}'
+                             ) from None
+        return SymFunc(basis, degree, coeffs)
 
 
 def _acc(d: dict, key, val) -> None:
@@ -677,8 +607,3 @@ def newton_check(n: int, budget: int | None = None) -> bool:
         if per.to_basis("p") != h_ref:
             raise AssertionError("permanent form of n! h_n failed")
     return True
-
-
-if __name__ == "__main__":
-    import doctest
-    doctest.testmod()

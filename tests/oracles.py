@@ -604,10 +604,7 @@ def plethysm_scale(f: SymFunc, mode: str) -> SymFunc:
                 out[lam] = c * LaurentFrac(ONE, factor)
             else:
                 out[lam] = LaurentFrac(c, factor)
-    res = SymFunc.__new__(SymFunc)
-    res.basis, res.degree = "p", fp.degree
-    res.coeffs = {lam: c for lam, c in out.items() if c}
-    return res
+    return SymFunc("p", fp.degree, out)
 
 
 def frac_llt_plethysm(w) -> SymFunc:

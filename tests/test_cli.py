@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def test_golden_output(capsys):
+    """Exit code and stdout, byte for byte, of every verb in every format,
+    as recorded in tests/data/cli_golden.json.  Regenerate the file only
+    for an intended change of output."""
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+    diffs = []
+    for case in cases:
+        code, out, _ = run(capsys, *case["argv"])
+        if (code, out) != (case["code"], case["stdout"]):
+            diffs.append(f"{case['argv']}: exit {code}, {out!r}")
+    assert not diffs, "\n".join(diffs)
+
+
+def test_latex_names_beyond_rank_nine():
+    # one-line entries run together for n <= 9 (T_{3412}), but from
+    # n = 10 on they need commas, and only the T label is subscripted
+    top = (10,) + tuple(range(1, 10))
+    elem = HeckeElement(10, {top: ONE + Q, tuple(range(1, 11)): ONE,
+                             (2, 1) + tuple(range(3, 11)): -Q})
+    assert elem.latex() == ("T_{1,2,3,4,5,6,7,8,9,10}"
+                            "+-qT_{2,1,3,4,5,6,7,8,9,10}"
+                            "+(1+q)T_{10,1,2,3,4,5,6,7,8,9}")
+    assert str(elem) == ("T[1,2,3,4,5,6,7,8,9,10] + -q*T[2,1,3,4,5,6,7,8,9,10]"
+                         " + (1+q)*T[10,1,2,3,4,5,6,7,8,9]")
+    assert elem.render(latex=True, label="B") == (
+        "B[1,2,3,4,5,6,7,8,9,10]+-qB[2,1,3,4,5,6,7,8,9,10]"
+        "+(1+q)B[10,1,2,3,4,5,6,7,8,9]")
 
 
 def test_kl_poly_example(capsys):

@@ -1,0 +1,15 @@
+"""The examples in the module docstrings run as tests."""
+
+import doctest
+
+import pytest
+
+from heckelab import coxeter, laurentq, symfunc
+
+
+@pytest.mark.parametrize("module", [laurentq, coxeter, symfunc],
+                         ids=lambda m: m.__name__)
+def test_module_doctests(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

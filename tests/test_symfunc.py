@@ -341,3 +341,14 @@ def test_json_and_rendering():
     assert SymFunc.from_json(f.to_json()) == f
     assert str(f) == "(1+q)*h[4] + q*h[3,1]"
     assert f.latex() == "(1+q)h_{4}+qh_{3,1}"
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"basis": "m", "degree": 3},
+    [1, 2],
+    {"basis": "m", "degree": 3, "coeffs": [{"coeff": {"v": {"0": "1"}}}]},
+], ids=["empty", "no-coeffs", "not-an-object", "term-without-partition"])
+def test_malformed_json_is_value_error(payload):
+    with pytest.raises(ValueError, match="malformed symmetric function JSON"):
+        SymFunc.from_json(payload)
