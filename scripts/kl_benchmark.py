@@ -17,7 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from heckelab.coxeter import identity, perm_table  # noqa: E402
+from heckelab.coxeter import (  # noqa: E402
+    all_permutations, identity, length,
+)
 from heckelab.hecke import KLContext  # noqa: E402
 
 
@@ -29,7 +31,7 @@ def main() -> int:
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
         ctx = KLContext(n)
-        perms = perm_table(n).perms
+        perms = sorted(all_permutations(n), key=lambda w: (length(w), w))
         for w in perms:
             ctx.element(w)
         elapsed = time.perf_counter() - start

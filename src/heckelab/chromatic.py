@@ -280,7 +280,10 @@ def conjecture_scan(kind: str, n: int, budget: int | None = None) -> list:
     """
     if kind not in ("h-positivity", "log-concavity", "shifted-e"):
         raise ValueError(f"unknown scan kind {kind!r}")
-    config.check_n(n, budget, what="n")
+    config.check_n(n, budget if budget is not None
+                   else config.max_n(config.DEFAULTS.group_max_n),
+                   what=f"scan over S_{n} ({n}! = {math.factorial(n):,} "
+                        "KL elements): n")
     from .coxeter import all_permutations
     ctx = kl_context(n)
     rows = []

@@ -2,9 +2,10 @@
 Size guards and defaults.
 
 Everything in this package is exact, so the practical limits are time and
-memory, not precision.  The guards below stop accidental n=9 blowups; all
-of them can be raised deliberately, either per call, via the
-HECKE_LAB_MAX_N environment variable, or with the command line flag.
+memory, not precision.  The guards below stop accidental n=9 blowups, and
+scans over all n! elements of S_8; all of them can be raised deliberately,
+either per call, via the HECKE_LAB_MAX_N environment variable, or with the
+command line flag.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ class BudgetError(ValueError):
 class Budgets:
     # symmetric-group rank guard for tables, Hecke products and KL elements
     hecke_max_n: int = 8
+    # rank guard for work over all of S_n (scans); an explicit guard
+    # (set_max_n, HECKE_LAB_MAX_N, --max-n) replaces it
+    group_max_n: int = 7
     # symmetric-function degree guard for basis conversions
     symfunc_max_degree: int = 12
     # immanants cost n! products
@@ -44,7 +48,8 @@ def set_max_n(value: int | None) -> None:
     _override = value
 
 
-def max_n() -> int:
+def max_n(default: int | None = None) -> int:
+    """The explicit guard if one is set, else `default` (hecke_max_n)."""
     if _override is not None:
         return _override
     env = os.environ.get("HECKE_LAB_MAX_N")
@@ -53,7 +58,7 @@ def max_n() -> int:
             return int(env)
         except ValueError:
             pass
-    return DEFAULTS.hecke_max_n
+    return DEFAULTS.hecke_max_n if default is None else default
 
 
 def check_n(n: int, limit: int | None = None, what: str = "n") -> None:

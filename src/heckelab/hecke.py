@@ -13,20 +13,21 @@ T_{w^{-1}}.  `KLContext` computes the integral Kazhdan-Lusztig elements
     B_w := q^(len(w)/2) C'_w = sum_{z <= w} P_{z,w}(q) T_z
 
 by the classical recursion on a left descent, with mu-correction terms,
-on `perm_table` indices and interned integer q-coefficient tuples (no
-LaurentQ arithmetic); the leading 1, the constant terms and the degree
-bound deg P_{z,w} < (len(w)-len(z))/2 are checked as postconditions.  The
-table is memoized per n behind a size guard.
+on indices of only the permutations it reaches (for B_w, the interval
+[e, w]) and interned integer q-coefficient tuples (no LaurentQ arithmetic);
+the leading 1, the constant terms and the degree bound
+deg P_{z,w} < (len(w)-len(z))/2 are checked as postconditions.  Elements
+are memoized per n behind a size guard.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cache, lru_cache
 
 from . import config
 from .coxeter import (
-    Perm, PermTable, Word, apply_s_right, check_permutation, evaluate_word,
-    identity, inverse, length, perm_table, reduced_word,
+    Perm, Word, apply_s_right, check_permutation, evaluate_word, identity,
+    inverse, length, reduced_word,
 )
 from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, q_power
 
@@ -195,38 +196,88 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     return out
 
 
+def _descents(seq) -> int:
+    """Bitmask with bit t set iff seq[t] > seq[t+1]."""
+    return sum(1 << t for t in range(len(seq) - 1) if seq[t] > seq[t + 1])
+
+
+class _LazyIndex:
+    """Permutations of 1..n numbered in the order first asked for, with
+    their lengths, left and right descent masks, and multiplication tables
+    (`lmult[x][s]` = index of s_{s+1} x, `rmult[x][s]` of x s_{s+1}) that
+    `left` and `right` fill on demand.  Calling the index validates and
+    numbers a permutation."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.perms, self.index, self.lengths = [], {}, []
+        self.ldesc, self.rdesc, self.lmult, self.rmult = [], [], [], []
+
+    def __call__(self, w) -> int:
+        w = tuple(w)
+        if (i := self.index.get(w)) is None:
+            if sorted(w) != list(range(1, self.n + 1)):
+                raise ValueError(f"not a permutation of 1..{self.n}: {w}")
+            i = self._add(w, length(w))
+        return i
+
+    def _add(self, w: Perm, lw: int) -> int:
+        i = self.index[w] = len(self.perms)
+        self.perms.append(w)
+        self.lengths.append(lw)
+        self.ldesc.append(_descents(inverse(w)))
+        self.rdesc.append(_descents(w))
+        self.lmult.append([None] * (self.n - 1))
+        self.rmult.append([None] * (self.n - 1))
+        return i
+
+    def left(self, x: int, s: int) -> int:
+        """s_{s+1} x: one swap of the values s+1, s+2; the length moves by
+        one, down iff s is a left descent of x."""
+        if (y := self.lmult[x][s]) is None:
+            w = list(self.perms[x])
+            a, b = w.index(s + 1), w.index(s + 2)
+            w[a], w[b] = s + 2, s + 1
+            if (y := self.index.get(w := tuple(w))) is None:
+                y = self._add(w, self.lengths[x] + 1
+                              - 2 * (self.ldesc[x] >> s & 1))
+            self.lmult[x][s], self.lmult[y][s] = y, x
+        return y
+
+    def right(self, x: int, s: int) -> int:
+        """x s_{s+1}: one swap of the positions s, s+1 (only cache loads
+        ask, so a new permutation's length is counted afresh)."""
+        if (y := self.rmult[x][s]) is None:
+            w = self.perms[x]
+            y = self(w[:s] + (w[s + 1], w[s]) + w[s + 2:])
+            self.rmult[x][s], self.rmult[y][s] = y, x
+        return y
+
+
 class KLContext:
     """Kazhdan-Lusztig data for one symmetric group S_n.
 
     `element(w)` returns the integral basis element
     B_w = q^(len(w)/2) C'_w expanded in the T-basis; `polynomial(u, w)`
-    reads off P_{u,w}(q).  Each B_w is stored on `perm_table(n)` indices
-    as {z: P_{z,w}}, P a tuple of integer q-coefficients (constant term
-    first) interned per context, and built by recursion on the smallest
-    left descent.  `element` returns a `HeckeElement` view keyed by
-    permutation; views share one `LaurentQ` per interned polynomial.
+    reads off P_{u,w}(q).  Each B_w is stored on `_LazyIndex` indices (a
+    point query indexes only [e, w]) as {z: P_{z,w}}, P a tuple of integer
+    q-coefficients (constant term first) interned per context, and built by
+    recursion on the smallest left descent.  `element` returns a
+    `HeckeElement` view keyed by permutation; views share one `LaurentQ`
+    per interned polynomial.
     """
 
     def __init__(self, n: int):
         config.check_n(n)
         self.n = n
+        self._index = _LazyIndex(n)
         self._table: dict = {}   # w index -> {z index: interned P_{z,w}}
         self._polys: dict = {}   # q-coefficient tuple -> its interned copy
         self._views: dict = {}   # interned tuple -> shared LaurentQ
 
-    @cached_property
-    def _tbl(self) -> PermTable:
-        """perm_table(n), looked up when the first element is asked for."""
-        return perm_table(self.n)
-
     def __len__(self):
         """Number of elements held (built or loaded)."""
         return len(self._table)
-
-    def _index(self, w) -> int:
-        if (i := self._tbl.index.get(tuple(w))) is None:
-            raise ValueError(f"not a permutation of 1..{self.n}: {tuple(w)}")
-        return i
 
     def _intern(self, p: tuple) -> tuple:
         if p not in self._polys:
@@ -238,7 +289,7 @@ class KLContext:
 
     def element(self, w: Perm) -> HeckeElement:
         """B_w = q^(len(w)/2) C'_w as a T-basis element."""
-        perms, views = self._tbl.perms, self._views
+        perms, views = self._index.perms, self._views
         return HeckeElement._raw(self.n, {
             perms[z]: views[p] for z, p in self._get(self._index(w)).items()})
 
@@ -247,20 +298,21 @@ class KLContext:
         out = self._table.get(w)
         if out is not None:
             return out
-        lengths, lmult, ldesc = (self._tbl.lengths, self._tbl.lmult,
-                                 self._tbl.ldesc)
+        ix = self._index
+        lengths, lmult, ldesc, left = ix.lengths, ix.lmult, ix.ldesc, ix.left
         bit = ldesc[w] & -ldesc[w]
         if not bit:
             out = self._table[w] = {w: self._intern((1,))}
             return out
         s = bit.bit_length() - 1
-        wp = lmult[w][s]
+        wp = left(w, s)
         base = self._get(wp)
         # B_s B_{w'} = (T_s + 1) B_{w'} gives x and sx the same
         # coefficient P_{lo,w'} + q P_{hi,w'}, where {lo < hi} = {x, sx}
+        # (sx <= w; `left` fills a None entry and returns an index 0 as is)
         out = {}
         for x, p in base.items():
-            sx = lmult[x][s]
+            sx = lmult[x][s] or left(x, s)
             if lengths[sx] < lengths[x]:
                 if sx in base:
                     continue   # the pair is filled in from sx
@@ -285,13 +337,14 @@ class KLContext:
 
     def _mu(self, terms: dict, z: int, w: int):
         """mu(z, w) = coefficient of q^((len(w)-len(z)-1)/2) in P_{z,w}."""
-        d, p = self._tbl.lengths[w] - self._tbl.lengths[z] - 1, terms.get(z)
+        lengths = self._index.lengths
+        d, p = lengths[w] - lengths[z] - 1, terms.get(z)
         return p[d // 2] if p and d % 2 == 0 and d // 2 < len(p) else 0
 
     def _defect(self, w: int, terms: dict):
         """Why B_w breaks a postcondition (leading 1 at w, constant term 1,
         deg P_{z,w} < (len(w)-len(z))/2 for z != w), or None."""
-        lengths, perms = self._tbl.lengths, self._tbl.perms
+        lengths, perms = self._index.lengths, self._index.perms
         if terms.get(w) != (1,):
             return f"leading coefficient of B_{perms[w]} is not 1"
         for z, p in terms.items():
@@ -305,24 +358,24 @@ class KLContext:
         """Why B_w breaks P_{x,w} = P_{sx,w} (s in D_L(w) \\ D_L(x)) or
         P_{x,w} = P_{xs,w} (s in D_R(w) \\ D_R(x)), du Cloux's extremal pairs,
         or None; for w != e these catch any single changed polynomial."""
-        tbl = self._tbl
-        ldesc, inv, perms = tbl.ldesc, tbl.inv, tbl.perms
+        ix = self._index
+        ldesc, rdesc, perms = ix.ldesc, ix.rdesc, ix.perms
         for x, p in terms.items():
-            for mask, mult in ((ldesc[w] & ~ldesc[x], tbl.lmult[x]),
-                               (ldesc[inv[w]] & ~ldesc[inv[x]], tbl.rmult[x])):
+            for mask, mult in ((ldesc[w] & ~ldesc[x], ix.left),
+                               (rdesc[w] & ~rdesc[x], ix.right)):
                 while mask:
                     s = (mask & -mask).bit_length() - 1
                     mask &= mask - 1
-                    if terms.get(mult[s]) != p:
+                    if terms.get(y := mult(x, s)) != p:
                         return (f"P_({perms[x]},{perms[w]}) differs from "
-                                f"P_({perms[mult[s]]},{perms[w]})")
+                                f"P_({perms[y]},{perms[w]})")
         return None
 
     @property
     def _elements(self) -> dict:
         """Every element held, as views keyed by permutation (read by
         perfbench/make_n7_pool.py)."""
-        perms = self._tbl.perms
+        perms = self._index.perms
         return {perms[w]: self.element(perms[w]) for w in self._table}
 
     # -- derived data ---------------------------------------------------------
@@ -342,12 +395,13 @@ class KLContext:
 
     def expand_cprime(self, a: HeckeElement) -> dict:
         """Expand a = sum_w coeff(w) B_w by triangular elimination from the
-        largest `perm_table` index down (length, then lex, order);
-        round-trips through `element`."""
+        largest (length, one-line) term down; round-trips through
+        `element`."""
+        lengths = self._index.lengths
         residue = a
         out = {}
         while residue.terms:
-            w = max(residue.terms, key=self._index)
+            w = max(residue.terms, key=lambda u: (lengths[self._index(u)], u))
             c = residue.terms[w]
             out[w] = c
             residue = residue - self.element(w).scale(c)
@@ -356,7 +410,7 @@ class KLContext:
     # -- persistence ------------------------------------------------------------
 
     def to_json(self) -> dict:
-        names = [",".join(map(str, w)) for w in self._tbl.perms]
+        names = [",".join(map(str, w)) for w in self._index.perms]
         coeffs = {p: v.to_json() for p, v in self._views.items()}
         return {"format": "heckelab-kl-cache", "version": 1, "n": self.n,
                 "elements": {
@@ -368,18 +422,18 @@ class KLContext:
         it has.  Raises ValueError, adding nothing, unless format, version
         and n match and every element has integer q-coefficients and passes
         `_defect` (constant terms 1, leading 1 at w, degree bound) and
-        `_pair_defect` (equal polynomials on extremal pairs)."""
+        `_pair_defect` (equal polynomials on extremal pairs).  Element
+        names are parsed and checked as permutations of 1..n."""
         if (not isinstance(data, dict) or data.get("n") != self.n
                 or data.get("format") != "heckelab-kl-cache"
                 or data.get("version") != 1):
             raise ValueError("unrecognized KL cache payload")
-        index = {",".join(map(str, w)): i
-                 for i, w in enumerate(self._tbl.perms)}
+        index = cache(lambda name: self._index(map(int, name.split(","))))
         loaded = {}
         try:
             for ws, terms in data["elements"].items():
-                w = index[ws]
-                loaded[w] = {index[zs]: self._parse_poly(p)
+                w = index(ws)
+                loaded[w] = {index(zs): self._parse_poly(p)
                              for zs, p in terms.items()}
                 if why := (self._defect(w, loaded[w])
                            or self._pair_defect(w, loaded[w])):

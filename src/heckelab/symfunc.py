@@ -32,7 +32,7 @@ __all__ = [
     "z_mu", "class_size", "sign_partition", "dominates",
     "CharacterTable", "character_table", "murnaghan_nakayama",
     "SymFunc", "omega", "hall_inner_product", "frobenius_character",
-    "multiply", "newton_check", "jacobi_trudi", "immanant", "z_matrix",
+    "multiply", "jacobi_trudi", "immanant", "z_matrix",
 ]
 
 Partition = tuple
@@ -580,30 +580,3 @@ def z_matrix(n: int):
         rows.append(row)
     return rows
 
-
-def newton_check(n: int, budget: int | None = None) -> bool:
-    """Verify the factorial expansions of e_n and h_n through power sums
-    and through the determinant/permanent of `z_matrix`, by exact
-    expansion; raises on the first failing identity."""
-    config.check_n(n, budget, what="n")
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    en = {mu: LaurentQ({0: class_size(mu) * sign_partition(mu)})
-          for mu in partitions(n)}
-    hn = {mu: LaurentQ({0: class_size(mu)}) for mu in partitions(n)}
-    e_ref = SymFunc("e", n, {(n,): fact}).to_basis("p")
-    h_ref = SymFunc("h", n, {(n,): fact}).to_basis("p")
-    if SymFunc("p", n, en) != e_ref:
-        raise AssertionError("power-sum expansion of n! e_n failed")
-    if SymFunc("p", n, hn) != h_ref:
-        raise AssertionError("power-sum expansion of n! h_n failed")
-    if n >= 1:
-        zn = z_matrix(n)
-        det = immanant((1,) * n, zn, budget=budget)
-        per = immanant((n,), zn, budget=budget)
-        if det.to_basis("p") != e_ref:
-            raise AssertionError("determinant form of n! e_n failed")
-        if per.to_basis("p") != h_ref:
-            raise AssertionError("permanent form of n! h_n failed")
-    return True

@@ -9,13 +9,15 @@ from a depth-first walk over all 2^k words, induced characters from
 per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
-normal forms by polynomial gcd).
+normal forms by polynomial gcd), and the power-sum and determinantal
+forms of n! e_n and n! h_n (`newton_check`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from heckelab import config
 from heckelab.coxeter import (
     apply_s_left, apply_s_right, evaluate_word, left_descents, length,
     perm_table, right_descents,
@@ -24,7 +26,10 @@ from heckelab.hecke import HeckeElement, kl_context
 from heckelab.laurentq import (
     ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
 )
-from heckelab.symfunc import SymFunc, frobenius_character, omega
+from heckelab.symfunc import (
+    SymFunc, class_size, frobenius_character, immanant, omega, partitions,
+    sign_partition, z_matrix,
+)
 
 
 def subword_bruhat_leq(u, w) -> bool:
@@ -620,3 +625,31 @@ def frac_llt_plethysm(w) -> SymFunc:
         lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
         else c * qm1n)
     return cleared.to_basis("s")
+
+
+def newton_check(n: int, budget: int | None = None) -> bool:
+    """Verify the factorial expansions of e_n and h_n through power sums
+    and through the determinant/permanent of `z_matrix`, by exact
+    expansion; raises on the first failing identity."""
+    config.check_n(n, budget, what="n")
+    fact = 1
+    for i in range(2, n + 1):
+        fact *= i
+    en = {mu: LaurentQ({0: class_size(mu) * sign_partition(mu)})
+          for mu in partitions(n)}
+    hn = {mu: LaurentQ({0: class_size(mu)}) for mu in partitions(n)}
+    e_ref = SymFunc("e", n, {(n,): fact}).to_basis("p")
+    h_ref = SymFunc("h", n, {(n,): fact}).to_basis("p")
+    if SymFunc("p", n, en) != e_ref:
+        raise AssertionError("power-sum expansion of n! e_n failed")
+    if SymFunc("p", n, hn) != h_ref:
+        raise AssertionError("power-sum expansion of n! h_n failed")
+    if n >= 1:
+        zn = z_matrix(n)
+        det = immanant((1,) * n, zn, budget=budget)
+        per = immanant((n,), zn, budget=budget)
+        if det.to_basis("p") != e_ref:
+            raise AssertionError("determinant form of n! e_n failed")
+        if per.to_basis("p") != h_ref:
+            raise AssertionError("permanent form of n! h_n failed")
+    return True

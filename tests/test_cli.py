@@ -1,6 +1,9 @@
 """Command surface: literals, exit codes, formats, determinism, caching."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -84,6 +87,26 @@ def test_budget_guard_exit_code(capsys):
     code, out, err = run(capsys, "--max-n", "3", "kl-basis", "--w", "3412")
     assert code == 2
     assert "size guard" in err
+
+
+def test_whole_group_scan_guard(capsys, monkeypatch):
+    # a scan touches all n! KL elements: from n = 8 on it is refused
+    # before any work unless a guard is set explicitly
+    from heckelab import config, hecke
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--kind", "h-positivity", "--n", "8")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "8! = 40,320" in err and "size guard 7" in err
+    assert "--max-n" in err and "HECKE_LAB_MAX_N" in err
+    assert 8 not in hecke._contexts
+    assert run(capsys, "--max-n", "3", "scan", "--kind", "log-concavity",
+               "--n", "4")[0] == 2
+    assert run(capsys, "--max-n", "3", "scan", "--kind", "log-concavity",
+               "--n", "3")[0] == 0
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "9")
+    assert config.max_n(config.DEFAULTS.group_max_n) == 9
 
 
 def test_frobenius_latex_display(capsys):
@@ -264,6 +287,20 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     assert run(capsys, *argv) == first
     assert (cache / "kl_n4.json").read_text() == json.dumps(payload, indent=1)
     assert [p.name for p in cache.iterdir()] == ["kl_n4.json"]
+
+
+def test_n7_cache_is_reused_by_a_second_process(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "HECKE_LAB_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "heckelab.cli", "--cache-dir",
+            str(tmp_path), "kl-poly", "--u", "1234567", "--w", "6274531"]
+    first = subprocess.run(argv, capture_output=True, env=env, check=True)
+    path = tmp_path / "kl_n7.json"
+    assert "6,2,7,4,5,3,1" in json.loads(path.read_text())["elements"]
+    written = path.read_bytes(), path.stat().st_mtime_ns
+    second = subprocess.run(argv, capture_output=True, env=env, check=True)
+    assert (second.stdout, second.stderr) == (first.stdout, b"")
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == written
 
 
 def _corrupt_cache_recomputes(tmp_path, capsys, corrupt):

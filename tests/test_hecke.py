@@ -179,6 +179,47 @@ def test_index_core_matches_tuple_oracle(n, total):
     assert terms == total
 
 
+def test_cold_point_query_matches_full_table():
+    # the lazy index numbers permutations in the order the recursion
+    # reaches them; the elements must not depend on that order (the n=7
+    # w are from perfbench/n7_pool.json, lengths 15-18)
+    for n, ws in ((5, list(all_permutations(5))),
+                  (7, [(6, 2, 7, 4, 5, 3, 1), (3, 7, 4, 6, 5, 2, 1),
+                       (5, 7, 6, 3, 4, 2, 1)])):
+        full = KLContext(n)   # built in (length, lex) order
+        for w in sorted(all_permutations(n), key=lambda u: (length(u), u)):
+            full.element(w)
+        for w in ws:
+            assert KLContext(n).element(w) == full.element(w), w
+
+
+def test_point_query_indexes_only_the_interval():
+    from heckelab import coxeter
+    coxeter._tables.pop(8, None)
+    w = (3, 6, 1, 4, 5, 7, 8, 2)
+    ctx = KLContext(8)
+    support = ctx.element(w).terms
+    assert 8 not in coxeter._tables
+    assert len(ctx) <= len(support)
+    assert set(ctx._index.perms) <= set(support)
+
+
+def test_polynomial_not_below_on_a_cold_context():
+    ctx = KLContext(5)
+    with pytest.raises(ValueError, match="not below"):
+        ctx.polynomial((2, 1, 3, 4, 5), (1, 3, 2, 4, 5))
+    with pytest.raises(ValueError, match="not below"):
+        ctx.polynomial((5, 4, 3, 2, 1), (3, 4, 5, 1, 2))
+
+
+def test_elements_keys_every_held_element_by_permutation():
+    ctx = KLContext(4)
+    ctx.element((3, 4, 1, 2))
+    held = ctx._elements   # read by perfbench/make_n7_pool.py
+    assert len(held) == len(ctx) and (3, 4, 1, 2) in held
+    assert held == {w: kl_context(4).element(w) for w in held}
+
+
 def test_non_permutations_are_rejected():
     ctx = KLContext(3)
     for bad in ((1, 1, 3), (1, 2), (0, 1, 2), (1, 2, 3, 4)):

@@ -17,11 +17,12 @@ from heckelab.laurentq import (
 from heckelab.symfunc import (
     SymFunc, character_table, class_size, conjugate_partition, dominates,
     frobenius_character, hall_inner_product, immanant, jacobi_trudi,
-    multiply, murnaghan_nakayama, newton_check, omega, partitions,
+    multiply, murnaghan_nakayama, omega, partitions,
     sign_partition, z_matrix, z_mu,
 )
 from oracles import (
-    LaurentFrac, count_syt, expand_basis_element, plethysm_scale,
+    LaurentFrac, count_syt, expand_basis_element, newton_check,
+    plethysm_scale,
 )
 
 
