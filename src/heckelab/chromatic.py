@@ -5,15 +5,15 @@ A Hessenberg function m (nondecreasing, m(j) >= j, m(n) = n) determines
 the graph on [n] with edges {i, j} for i < j <= m(i); these are exactly
 the indifference graphs.  Two q-weighted sums over colorings kappa, each
 weighted by q^(number of edges with kappa(i) < kappa(j) for i < j), are
-computed by exact enumeration with palette [n]:
-
-  * `csf_q` over proper colorings only (backtracking);
-  * `llt_direct` over all n^n colorings.
+computed exactly with palette [n]: `csf_q` over the proper colorings and
+`llt_direct` over all of them.  Neither visits colorings one at a time:
+a sum depends only on the weak order a coloring induces on [n], and one
+transfer sweep over the vertices counts the weak orders by ascents.
 
 A degree-n symmetric function is determined by its monomials in n
-variables, so palette n loses nothing; the enumeration asserts that the
-collected monomials are constant on permutation orbits before reporting
-the monomial-basis coefficients.
+variables, so palette n loses nothing; the collection asserts that the
+monomials are constant on permutation orbits before reporting the
+monomial-basis coefficients.
 
 `chss_check` compares omega(csf_q) against the Frobenius character of the
 Kazhdan-Lusztig element of the codominant permutation of m, the two sides
@@ -31,10 +31,11 @@ patterns of the h-expansions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations
 
 from . import config
 from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, length
@@ -66,14 +67,66 @@ class IndifferenceGraph:
                           for j in range(i + 1, m[i - 1] + 1))
         return IndifferenceGraph(n, edges)
 
-    def neighbors_below(self, j: int) -> list:
-        return [i for i in range(1, j) if (i, j) in self.edges]
-
 
 def _coerce_graph(g) -> IndifferenceGraph:
     if isinstance(g, IndifferenceGraph):
         return g
     return IndifferenceGraph.from_hessenberg(g)
+
+
+def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
+    """{content vector: {ascents: count}} over the colorings
+    kappa: [n] -> [n], proper ones only if `proper`.
+
+    One sweep over the vertices counts the weak orders (blocks of equal
+    colors, in color order) by ascents.  A state is the block sizes so
+    far and the levels of the placed vertices that a later vertex still
+    sees, one sorted tuple per departure value m(i) >= v: the lower
+    neighbours of v are the i < v with m(i) >= v.  Vertex v joins a
+    block (not a neighbour's, if proper) or opens one at a gap, and
+    gains an ascent per visible level below its own.  Each composition
+    of block sizes then lands, in order, on every subset of the palette
+    of its length; its vectors share one dict.
+    """
+    n = g.n
+    m = [max((j for i, j in g.edges if i == v), default=v)
+         for v in range(1, n + 1)]
+    states = {((), ((),) * n): {0: 1}}   # groups[k]: departure value v + k
+    for v in range(1, n + 1):
+        slot = m[v - 1] - v - 1        # v's group after groups[0] leaves
+        nxt: dict = {}
+        for (sizes, groups), poly in states.items():
+            seen = sorted(x for grp in groups for x in grp)
+            rest = groups[1:]
+            moves = [(b, sizes[:b] + (sizes[b] + 1,) + sizes[b + 1:], rest)
+                     for b in range(len(sizes))
+                     if not (proper and b in seen)]
+            moves += [(b, sizes[:b] + (1,) + sizes[b:],
+                       tuple(tuple(x + (x >= b) for x in grp)
+                             for grp in rest))
+                      for b in range(len(sizes) + 1)]
+            for b, new_sizes, new_groups in moves:
+                if slot >= 0:
+                    new_groups = (new_groups[:slot]
+                                  + (tuple(sorted(new_groups[slot] + (b,))),)
+                                  + new_groups[slot + 1:])
+                up = bisect_left(seen, b)
+                key = (new_sizes, new_groups)
+                tgt = nxt.get(key)
+                if tgt is None:
+                    nxt[key] = {a + up: c for a, c in poly.items()}
+                else:
+                    for a, c in poly.items():
+                        tgt[a + up] = tgt.get(a + up, 0) + c
+        states = nxt
+    vectors = {}
+    for (sizes, _), poly in states.items():
+        for colors in combinations(range(n), len(sizes)):
+            vec = [0] * n
+            for c, k in zip(colors, sizes):
+                vec[c] = k
+            vectors[tuple(vec)] = poly
+    return vectors
 
 
 def _collect_monomials(n: int, vectors: dict) -> SymFunc:
@@ -83,23 +136,21 @@ def _collect_monomials(n: int, vectors: dict) -> SymFunc:
     by_partition: dict = {}
     for vec, d in vectors.items():
         lam = tuple(sorted((e for e in vec if e), reverse=True))
-        by_partition.setdefault(lam, {})[vec] = LaurentQ(
-            {2 * e: c for e, c in d.items()})
+        by_partition.setdefault(lam, []).append(d)
     coeffs = {}
     for lam, orbit in by_partition.items():
-        polys = list(orbit.values())
-        first = polys[0]
-        if any(p != first for p in polys[1:]):
+        first = orbit[0]
+        if any(d != first for d in orbit[1:]):
             raise AssertionError(
                 f"coloring sum is not symmetric at shape {lam}; "
                 "this indicates a bug, not a mathematical possibility")
         # the orbit must be complete: every distinct rearrangement appears
-        mult = Counter(next(iter(orbit))).values()
+        mult = Counter(lam + (0,) * (n - len(lam))).values()
         if len(orbit) != math.factorial(n) // math.prod(
                 map(math.factorial, mult)):
             raise AssertionError(f"incomplete monomial orbit at {lam}")
         if first:
-            coeffs[lam] = first
+            coeffs[lam] = LaurentQ({2 * e: c for e, c in first.items()})
     return SymFunc("m", n, coeffs)
 
 
@@ -107,57 +158,19 @@ def csf_q(g, budget: int | None = None) -> SymFunc:
     """The proper-coloring sum with ascent statistic, in the monomial
     basis: sum over proper kappa: [n] -> [n] of q^(ascents) x_kappa."""
     g = _coerce_graph(g)
-    n = g.n
-    config.check_n(n, budget if budget is not None
-                   else config.DEFAULTS.csf_max_n, what="n")
-    below = [g.neighbors_below(j) for j in range(n + 1)]
-    vectors: dict = {}
-    color = [0] * (n + 1)  # color[v] for v = 1..n
-    counts = [0] * n       # multiplicity of each color in the current prefix
-
-    def rec(v: int, asc: int):
-        if v > n:
-            d = vectors.setdefault(tuple(counts), {})
-            d[asc] = d.get(asc, 0) + 1
-            return
-        nbrs = below[v]
-        for c in range(1, n + 1):
-            ok = True
-            up = 0
-            for u in nbrs:
-                cu = color[u]
-                if cu == c:
-                    ok = False
-                    break
-                if cu < c:
-                    up += 1
-            if ok:
-                color[v] = c
-                counts[c - 1] += 1
-                rec(v + 1, asc + up)
-                counts[c - 1] -= 1
-        color[v] = 0
-
-    rec(1, 0)
-    return _collect_monomials(n, vectors)
+    config.check_n(g.n, budget if budget is not None
+                   else config.max_n(config.DEFAULTS.csf_max_n), what="n")
+    return _collect_monomials(g.n, _coloring_sums(g, proper=True))
 
 
 def llt_direct(g, budget: int | None = None) -> SymFunc:
-    """The all-colorings sum with ascent statistic (n^n colorings)."""
+    """The all-colorings sum with ascent statistic: sum over all
+    kappa: [n] -> [n] of q^(ascents) x_kappa, in the monomial basis."""
     g = _coerce_graph(g)
-    n = g.n
-    config.check_n(n, budget if budget is not None
-                   else config.DEFAULTS.llt_direct_max_n, what="n")
-    edges = sorted(g.edges)
-    vectors: dict = {}
-    for kappa in product(range(1, n + 1), repeat=n):
-        asc = sum(1 for i, j in edges if kappa[i - 1] < kappa[j - 1])
-        counts = [0] * n
-        for c in kappa:
-            counts[c - 1] += 1
-        d = vectors.setdefault(tuple(counts), {})
-        d[asc] = d.get(asc, 0) + 1
-    return _collect_monomials(n, vectors)
+    config.check_n(g.n, budget if budget is not None
+                   else config.max_n(config.DEFAULTS.llt_direct_max_n),
+                   what="n")
+    return _collect_monomials(g.n, _coloring_sums(g, proper=False))
 
 
 @cache

@@ -31,10 +31,10 @@ class Budgets:
     symfunc_max_degree: int = 12
     # immanants cost n! products
     immanant_max_n: int = 7
-    # proper-coloring enumeration (backtracking, palette n)
+    # coloring sums (one weak-order transfer sweep, palette n); an
+    # explicit guard replaces these too
     csf_max_n: int = 8
-    # all-colorings enumeration costs n^n
-    llt_direct_max_n: int = 6
+    llt_direct_max_n: int = 8
 
 
 DEFAULTS = Budgets()
@@ -49,7 +49,8 @@ def set_max_n(value: int | None) -> None:
 
 
 def max_n(default: int | None = None) -> int:
-    """The explicit guard if one is set, else `default` (hecke_max_n)."""
+    """The explicit guard if one is set, else `default` (hecke_max_n).
+    A HECKE_LAB_MAX_N that is not an integer raises BudgetError."""
     if _override is not None:
         return _override
     env = os.environ.get("HECKE_LAB_MAX_N")
@@ -57,7 +58,8 @@ def max_n(default: int | None = None) -> int:
         try:
             return int(env)
         except ValueError:
-            pass
+            raise BudgetError(f"HECKE_LAB_MAX_N={env!r} is not an "
+                              "integer") from None
     return DEFAULTS.hecke_max_n if default is None else default
 
 

@@ -26,8 +26,8 @@ from functools import cache, lru_cache
 
 from . import config
 from .coxeter import (
-    Perm, Word, apply_s_right, check_permutation, evaluate_word, identity,
-    inverse, length, reduced_word,
+    Perm, Word, apply_s_right, bruhat_leq, check_permutation, evaluate_word,
+    identity, inverse, length, reduced_word,
 )
 from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, q_power
 
@@ -383,11 +383,10 @@ class KLContext:
     def polynomial(self, u: Perm, w: Perm) -> LaurentQ:
         """The Kazhdan-Lusztig polynomial P_{u,w}(q); requires u <= w."""
         ui, wi = self._index(u), self._index(w)
-        p = self._get(wi).get(ui)
-        if p is None:
+        if not bruhat_leq(tuple(u), tuple(w)):
             raise ValueError(
                 f"{tuple(u)} is not below {tuple(w)} in Bruhat order")
-        return self._views[p]
+        return self._views[self._get(wi)[ui]]
 
     def mu(self, u: Perm, w: Perm):
         wi = self._index(w)

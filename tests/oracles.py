@@ -4,8 +4,10 @@ Independent brute-force oracles used to freeze expected values.
 Nothing here imports the implementation strategies it is checking:
 Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
-Schur), coloring counts from direct enumeration, binary-word counts
-from a depth-first walk over all 2^k words, induced characters from
+Schur), coloring counts and the q-weighted coloring sums from direct
+enumeration (all n^n colorings, or backtracking over the proper ones),
+binary-word counts from a depth-first walk over all 2^k words, induced
+characters from
 per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
@@ -187,6 +189,48 @@ def count_proper_colorings(n: int, edges, k: int) -> int:
         if all(kappa[i - 1] != kappa[j - 1] for i, j in edges):
             total += 1
     return total
+
+
+def backtrack_coloring_sums(n: int, edges) -> dict:
+    """{content vector: {ascents: count}} over the proper colorings
+    kappa: [n] -> [n], by backtracking one vertex at a time."""
+    below = [[i for i in range(1, j) if (i, j) in edges]
+             for j in range(n + 1)]
+    vectors: dict = {}
+    color = [0] * (n + 1)  # color[v] for v = 1..n
+    counts = [0] * n       # multiplicity of each color in the current prefix
+
+    def rec(v: int, asc: int):
+        if v > n:
+            d = vectors.setdefault(tuple(counts), {})
+            d[asc] = d.get(asc, 0) + 1
+            return
+        for c in range(1, n + 1):
+            if any(color[u] == c for u in below[v]):
+                continue
+            color[v] = c
+            counts[c - 1] += 1
+            rec(v + 1, asc + sum(1 for u in below[v] if color[u] < c))
+            counts[c - 1] -= 1
+        color[v] = 0
+
+    rec(1, 0)
+    return vectors
+
+
+def all_coloring_sums(n: int, edges) -> dict:
+    """{content vector: {ascents: count}} over all n^n colorings
+    kappa: [n] -> [n]."""
+    edges = sorted(edges)
+    vectors: dict = {}
+    for kappa in product(range(1, n + 1), repeat=n):
+        asc = sum(1 for i, j in edges if kappa[i - 1] < kappa[j - 1])
+        counts = [0] * n
+        for c in kappa:
+            counts[c - 1] += 1
+        d = vectors.setdefault(tuple(counts), {})
+        d[asc] = d.get(asc, 0) + 1
+    return vectors
 
 
 def monomials_of_shape(lam, k: int) -> int:

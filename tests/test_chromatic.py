@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,8 +21,9 @@ from heckelab.laurentq import (
 )
 from heckelab.symfunc import SymFunc, omega, partitions
 from oracles import (
-    LaurentFrac, count_proper_colorings, frac_llt_plethysm,
-    monomials_of_shape, plethysm_scale,
+    LaurentFrac, all_coloring_sums, backtrack_coloring_sums,
+    count_proper_colorings, frac_llt_plethysm, monomials_of_shape,
+    plethysm_scale,
 )
 
 
@@ -133,10 +135,48 @@ def test_llt_plethysm_trivial_cases():
 
 
 def test_llt_plethysm_matches_direct_enumeration():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for m in all_hessenberg_functions(n):
             w = codominant_from_hessenberg(m)
             assert llt_plethysm(w) == llt_direct(m).to_basis("s"), m
+
+
+def test_coloring_sums_match_enumeration():
+    # the weak-order sweep gives the same {content: {ascents: count}} as
+    # backtracking over proper colorings and as all n^n colorings
+    sample6 = random.Random(6).sample(sorted(all_hessenberg_functions(6)), 4)
+    for m in [m for n in range(1, 6) for m in all_hessenberg_functions(n)] \
+            + sample6:
+        g = IndifferenceGraph.from_hessenberg(m)
+        assert chromatic._coloring_sums(g, proper=True) == \
+            backtrack_coloring_sums(g.n, g.edges), m
+        assert chromatic._coloring_sums(g, proper=False) == \
+            all_coloring_sums(g.n, g.edges), m
+
+
+def test_collect_monomials_rejects_tampered_sums():
+    g = IndifferenceGraph.from_hessenberg((2, 3, 3))
+    sums = chromatic._coloring_sums(g, proper=False)
+    assert chromatic._collect_monomials(3, dict(sums)) == llt_direct(g)
+    lopsided = dict(sums)
+    lopsided[(2, 1, 0)] = {a: c + 1 for a, c in sums[(2, 1, 0)].items()}
+    with pytest.raises(AssertionError, match="not symmetric"):
+        chromatic._collect_monomials(3, lopsided)
+    partial = dict(sums)
+    del partial[(0, 1, 2)]
+    with pytest.raises(AssertionError, match="incomplete monomial orbit"):
+        chromatic._collect_monomials(3, partial)
+
+
+def test_llt_direct_complete_graph_n8_is_quick():
+    # all colorings of K_8 would be 8^8; the sweep sees 2^7 weak orders
+    start = time.perf_counter()
+    f = llt_direct((8,) * 8)
+    assert time.perf_counter() - start < 1.0
+    qfact = ONE
+    for k in range(1, 9):
+        qfact = qfact * gauss_number(k)
+    assert f.coeffs[(1,) * 8] == qfact and f.coeffs[(8,)] == ONE
 
 
 def test_llt_plethysm_matches_frac_oracle():

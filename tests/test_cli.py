@@ -109,6 +109,40 @@ def test_whole_group_scan_guard(capsys, monkeypatch):
     assert config.max_n(config.DEFAULTS.group_max_n) == 9
 
 
+def test_coloring_guards_follow_an_explicit_guard(capsys, monkeypatch):
+    # the coloring sums default to n <= 8; --max-n or HECKE_LAB_MAX_N
+    # replaces that default in either direction
+    from heckelab.coxeter import codominant_from_hessenberg
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    m = "2,3,4,5,6,7,7"
+    code, out, _ = run(capsys, "llt", "--m", m)
+    assert code == 0
+    w = "".join(map(str, codominant_from_hessenberg((2, 3, 4, 5, 6, 7, 7))))
+    assert run(capsys, "llt", "--w", w) == (0, out, "")
+    assert run(capsys, "--max-n", "7", "llt", "--m", m) == (0, out, "")
+    code, out6, err = run(capsys, "--max-n", "6", "llt", "--m", m)
+    assert (code, out6) == (2, "") and "size guard 6" in err
+    code, _, err = run(capsys, "csf", "--m", "2,3,4,5,6,7,8,9,9")
+    assert code == 2 and "n=9 exceeds the size guard 8" in err
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "7")
+    assert run(capsys, "llt", "--m", m) == (0, out, "")
+    assert run(capsys, "csf", "--m", "3,3,4,5,6,7,7")[0] == 0
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "6")
+    assert run(capsys, "llt", "--m", m)[0] == 2
+    assert run(capsys, "csf", "--m", "3,3,4,5,6,7,7")[0] == 2
+
+
+def test_non_integer_guard_variable_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "nine")
+    code, out, err = run(capsys, "kl-poly", "--u", "123456789",
+                         "--w", "391867452")
+    assert (code, out) == (2, "")
+    assert "HECKE_LAB_MAX_N='nine' is not an integer" in err
+    # --max-n wins over the variable, so it is not read at all
+    assert run(capsys, "--max-n", "4", "kl-poly", "--u", "1234",
+               "--w", "3412") == (0, "1+q\n", "")
+
+
 def test_frobenius_latex_display(capsys):
     code, out, _ = run(capsys, "frobenius", "--w", "3412", "--basis", "h",
                        "--format", "latex")

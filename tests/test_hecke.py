@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from heckelab import config
 from heckelab.coxeter import (
     all_permutations, apply_s_right, avoids_patterns, identity, length,
     reduced_word, right_descents,
@@ -210,6 +211,16 @@ def test_polynomial_not_below_on_a_cold_context():
         ctx.polynomial((2, 1, 3, 4, 5), (1, 3, 2, 4, 5))
     with pytest.raises(ValueError, match="not below"):
         ctx.polynomial((5, 4, 3, 2, 1), (3, 4, 5, 1, 2))
+    assert len(ctx) == 0   # refused before any element is built
+
+
+def test_polynomial_not_below_builds_nothing_at_n9(monkeypatch):
+    # u not below w is an O(n^2) rank test, not a walk over all of B_w
+    monkeypatch.setattr(config, "_override", 9)
+    ctx = KLContext(9)
+    with pytest.raises(ValueError, match="not below"):
+        ctx.polynomial((9, 8, 7, 6, 5, 4, 3, 2, 1), (3, 9, 1, 8, 6, 7, 4, 5, 2))
+    assert len(ctx) == 0 and len(ctx._index.perms) == 2
 
 
 def test_elements_keys_every_held_element_by_permutation():
