@@ -22,6 +22,7 @@ are memoized per n behind a size guard.
 
 from __future__ import annotations
 
+import math
 from functools import cache, lru_cache
 
 from . import config
@@ -29,7 +30,7 @@ from .coxeter import (
     Perm, Word, apply_s_right, bruhat_leq, check_permutation, evaluate_word,
     identity, inverse, length, reduced_word,
 )
-from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, q_power
+from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, from_packed, q_power
 
 __all__ = [
     "HeckeElement", "KLContext", "kl_context",
@@ -188,12 +189,40 @@ def _t_bar(n: int, w: Perm) -> HeckeElement:
 def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     """The product (1 + T_{s_1})(1 + T_{s_2})...(1 + T_{s_k}) in the T-basis.
 
-    The word need not be reduced.
+    The word need not be reduced.  T_w (1 + T_s) is T_w + T_{ws} when ws
+    is longer, q T_w + q T_{ws} when shorter: coefficients stay in N[q]
+    and each factor doubles their sum at q = 1, so none exceeds 2^k, and
+    a term rides in one int, k + 1 bits per power of q, that never carry
+    (Kronecker packing).  The support lies below the word's Demazure
+    product; when that is w0 (n! terms) the guard for all of S_n applies.
+
+    >>> print(bott_samelson_product((1,), 2))
+    T[1,2] + T[2,1]
     """
-    out = HeckeElement.unit(n)
+    word = tuple(word)
+    top = list(range(1, n + 1))   # the Demazure product, O(k + n)
     for i in word:
-        out = out + out.mul_ts_right(i)
-    return out
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index out of range: {i}")
+        if top[i - 1] < top[i]:
+            top[i - 1], top[i] = top[i], top[i - 1]
+    if top == list(range(n, 0, -1)):
+        config.check_n(n, config.max_n(config.DEFAULTS.group_max_n),
+                       what=f"product over a word whose Demazure product "
+                            f"is w0 ({n}! = {math.factorial(n):,} terms): n")
+    width = len(word) + 1
+    terms = {identity(n): 1}
+    for i in word:
+        nxt: dict = {}
+        for w, x in terms.items():
+            if w[i - 1] > w[i]:   # ws shorter
+                x <<= width
+            ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            nxt[w] = nxt.get(w, 0) + x
+            nxt[ws] = nxt.get(ws, 0) + x
+        terms = nxt
+    return HeckeElement._raw(n, {w: from_packed(x, width)
+                                 for w, x in terms.items()})
 
 
 def _descents(seq) -> int:

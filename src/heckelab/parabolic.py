@@ -36,9 +36,9 @@ table (the absolute dynamics is the table at J = {}).  The fixed-point
 and good-word *counts* merge the paths that meet at the same state, so
 they cost O(k * |states|) per start for a word of length k, where a
 state is a quotient element or a pair (permutation, witness mask).
-`bin_set` and `good_words` return the words themselves and stay
-exponential in k; `kappa` checks one pair in O(k), so projecting all
-good pairs is exponential too.
+`bin_set` and `good_words` keep only the states some word passes, so
+they cost O(k * (states + words found)) per start; `kappa` checks and
+projects one pair on indices in O(k + len(w)) steps.
 
 Everything here is exact and deterministic; the hot loops run on integer
 indices from `coxeter.perm_table`.
@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 from .coxeter import (
     Perm, Word, apply_s_left, apply_s_right, cycle_type, identity,
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentQ
+from .laurentq import ONE, ZERO, LaurentQ, from_packed
 
 __all__ = [
     "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
@@ -69,6 +69,11 @@ __all__ = [
 
 
 def _check_j(n: int, J) -> frozenset:
+    return _valid_j(n, frozenset(J))
+
+
+@cache
+def _valid_j(n: int, J: frozenset) -> frozenset:
     J = frozenset(int(j) for j in J)
     if any(not 1 <= j <= n - 1 for j in J):
         raise ValueError(f"invalid generator indices for n={n}: {sorted(J)}")
@@ -78,11 +83,9 @@ def _check_j(n: int, J) -> frozenset:
 def min_coset_rep(w: Perm, J) -> Perm:
     """The minimal-length element of W_J w (strip left descents in J)."""
     J = _check_j(len(w), J)
-    while True:
-        ds = left_descents(w) & J
-        if not ds:
-            return w
+    while ds := left_descents(w) & J:
         w = apply_s_left(w, min(ds))
+    return w
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,7 @@ class _QuotientTable:
 
     def __init__(self, n: int, J: frozenset):
         tbl = perm_table(n)
-        self.tbl = tbl
-        self.n = n
-        self.J = J
+        self.tbl, self.n, self.J = tbl, n, J
         # no left descent in J; table order is (length, lex) already
         jmask = _gen_mask(J)
         reps = self.reps = [gi for gi in range(len(tbl))
@@ -126,10 +127,8 @@ class _QuotientTable:
             for i, gi in enumerate(reps):
                 ws = tbl.rmult[gi][s]
                 j = self.loc.get(ws, i)
-                wit = 0
-                for t, tw in enumerate(tbl.lmult[gi]):
-                    if tw == ws:
-                        wit |= 1 << t
+                wit = sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
+                          if tw == ws)
                 row.append((max(i, j), min(i, j), wit))
             self.steps.append(row)
         # action[s-1][i]: the row of right multiplication by T_s at basis
@@ -337,24 +336,41 @@ def trace_table(n: int, J) -> dict:
 # coefficient is at most m * binom(k, k // 2); `width` is the bit length
 # of that bound, and no field carries into the next.  The bound is
 # reached (n = 3, J = {1, 2}), so one bit less would overflow.
-# Enumeration returns the words themselves and stays an explicit walk,
-# exponential in k.
+# Enumeration keeps only the states from which some word returns, so a
+# start costs O(k * (states + words found)).
 
-def _word_indices(sigma: Word, n: int) -> list:
+def _word_indices(sigma: Word, n: int) -> tuple:
+    return _valid_word(tuple(sigma), n)
+
+
+@lru_cache(maxsize=1 << 12)
+def _valid_word(sigma: tuple, n: int) -> tuple:
     sigma = tuple(int(s) for s in sigma)
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
-    return [s - 1 for s in sigma]
+    return tuple(s - 1 for s in sigma)
+
+
+def _bits(b, k: int) -> tuple:
+    """b as a tuple of ints, checked to be a binary word of length k."""
+    b = tuple(map(int, b))
+    if len(b) != k:
+        raise ValueError("binary word and letter word differ in length")
+    if set(b) - {0, 1}:
+        raise ValueError(f"not a binary word: {b}")
+    return b
 
 
 def _state(qt: _QuotientTable, w: Perm) -> int:
-    i = qt.loc.get(qt.tbl.index.get(w))
-    if i is None:
+    if (gi := qt.tbl.index.get(w)) is None:
+        raise ValueError(f"not a permutation of 1..{qt.n}: {w}")
+    if (i := qt.loc.get(gi)) is None:
         raise ValueError(f"{w} is not a minimal coset representative")
     return i
 
 
-def _gen_mask(J) -> int:
+@cache
+def _gen_mask(J: frozenset) -> int:
     return sum(1 << (j - 1) for j in J)
 
 
@@ -362,7 +378,7 @@ def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length()
 
 
-def _sweep(steps: list, sig: list, start: int, need: int,
+def _sweep(steps: list, sig: tuple, start: int, need: int,
            width: int) -> dict:
     """Packed counts of the words whose composite returns to start, keyed
     by the set of witness bits inside need that they collect."""
@@ -382,38 +398,33 @@ def _sweep(steps: list, sig: list, start: int, need: int,
     return {mask: x for (u, mask), x in vec.items() if u == start}
 
 
-def _unpack(total: int, width: int, k: int) -> LaurentQ:
-    low = (1 << width) - 1
-    out = {}
-    for e in range(k + 1):
-        c = (total >> (e * width)) & low
-        if c:
-            out[2 * e] = c
-    return LaurentQ(out)
-
-
-def _walk(steps: list, sig: list, start: int, need: int) -> set:
+def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
     """The words whose composite returns to start and that collect every
-    witness bit in need, by walking all 2^k words."""
-    k = len(sig)
-    out = set()
-    bits: list = []
-
-    def rec(i, u, mask):
-        if i == k:
-            if u == start and mask == need:
-                out.add(tuple(bits))
-            return
-        up, down, wit = steps[sig[i]][u]
-        mask |= wit & need
-        bits.append(1)
-        rec(i + 1, up, mask)
-        bits[-1] = 0
-        rec(i + 1, down, mask)
-        bits.pop()
-
-    rec(0, start, 0)
-    return out
+    witness bit in need.  A forward sweep finds the states (u, mask) at
+    each step, a backward one the tails completing a word from each; dead
+    states get none, and every tail kept is part of a word."""
+    reach = [{(start, 0)}]
+    for s in sig:
+        row, nxt = steps[s], set()
+        for u, mask in reach[-1]:
+            up, down, wit = row[u]
+            mask |= wit & need
+            nxt.add((up, mask))
+            nxt.add((down, mask))
+        reach.append(nxt)
+    if (start, need) not in reach[-1]:
+        return set()
+    tails = {(start, need): [()]}
+    for i in range(len(sig) - 1, -1, -1):
+        row, get, tails = steps[sig[i]], tails.get, {}
+        for u, mask in reach[i]:
+            up, down, wit = row[u]
+            m = mask | wit & need
+            hi, lo = get((up, m), ()), get((down, m), ())
+            if hi or lo:
+                tails[u, mask] = ([(1,) + t for t in hi]
+                                  + [(0,) + t for t in lo])
+    return set(tails.get((start, 0), ()))
 
 
 def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
@@ -427,37 +438,39 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     total = 0
     for start in range(len(qt.reps)):
         total += _sweep(qt.steps, sig, start, 0, width).get(0, 0)
-    return _unpack(total, width, len(sig))
+    return from_packed(total, width)
+
+
+def _run(w: Perm, sigma: Word, b, J) -> tuple:
+    """Check the input and follow b from w in the quotient table qt of J:
+    (qt, b as ints, the path w_0..w_k as local indices, witness bits)."""
+    w = tuple(w)
+    sig = _word_indices(sigma, len(w))
+    b = _bits(b, len(sig))
+    qt = _quotient_table(len(w), _check_j(len(w), J))
+    path, witnessed = [_state(qt, w)], 0
+    for s, bit in zip(sig, b):
+        up, down, wit = qt.steps[s][path[-1]]
+        witnessed |= wit
+        path.append(up if bit else down)
+    return qt, b, path, witnessed
 
 
 def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     """Apply the up/down composite to w: at step i go to
     max(w ._J s_i, w) when b_i = 1, to the min when b_i = 0.  With J
     absent the absolute version on all of W is used (every ws counts)."""
-    w = tuple(w)
-    n = len(w)
-    b = tuple(int(x) for x in b)
-    if len(b) != len(sigma):
-        raise ValueError("binary word and letter word differ in length")
-    if set(b) - {0, 1}:
-        raise ValueError(f"not a binary word: {b}")
-    sig = _word_indices(sigma, n)
-    qt = _quotient_table(n, frozenset() if J is None else _check_j(n, J))
-    u = _state(qt, w)
-    for s, bit in zip(sig, b):
-        up, down, _ = qt.steps[s][u]
-        u = up if bit else down
-    return qt.tbl.perms[qt.reps[u]]
+    qt, _, path, _ = _run(w, sigma, b, () if J is None else J)
+    return qt.tbl.perms[qt.reps[path[-1]]]
 
 
 def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     """All binary words whose quotient composite fixes w (w must lie in
-    JW).  Exponential in len(sigma)."""
+    JW), in O(k * (states + words found)) for a word of length k."""
     w = tuple(w)
     n = len(w) if n is None else n
     qt = _quotient_table(n, _check_j(n, J))
-    sig = _word_indices(sigma, n)
-    return _walk(qt.steps, sig, _state(qt, w), 0)
+    return _walk(qt.steps, _word_indices(sigma, n), _state(qt, w), 0)
 
 
 # -- good words ---------------------------------------------------------------
@@ -466,27 +479,23 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     """All binary words good for w: the absolute composite fixes w and
     every left descent of w lying in J is witnessed at some step."""
     w = tuple(w)
-    n = len(w)
-    J = _check_j(n, J)
-    qt = _quotient_table(n, frozenset())
-    sig = _word_indices(sigma, n)
+    qt = _quotient_table(len(w), frozenset())
     start = _state(qt, w)
-    need = qt.tbl.ldesc[start] & _gen_mask(J)
-    return _walk(qt.steps, sig, start, need)
+    need = qt.tbl.ldesc[start] & _gen_mask(_check_j(len(w), J))
+    return _walk(qt.steps, _word_indices(sigma, len(w)), start, need)
 
 
 def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
     """Sum of q^(number of 1s) over all good pairs (w, b), w in S_n."""
-    J = _check_j(n, J)
+    jmask = _gen_mask(_check_j(n, J))
     qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
     width = _count_width(len(sig), len(qt.reps))
-    jmask = _gen_mask(J)
     total = 0
     for start in range(len(qt.reps)):
         need = qt.tbl.ldesc[start] & jmask
         total += _sweep(qt.steps, sig, start, need, width).get(need, 0)
-    return _unpack(total, width, len(sig))
+    return from_packed(total, width)
 
 
 def good_word_characters_all_j(sigma: Word, n: int) -> dict:
@@ -512,41 +521,29 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
                 covering[need] = sum(x for mask, x in counts.items()
                                      if mask & need == need)
             totals[J] += covering[need]
-    return {J: _unpack(x, width, len(sig)) for J, x in totals.items()}
+    return {J: from_packed(x, width) for J, x in totals.items()}
 
 
 def all_parabolic_subsets(n: int) -> list:
     """All subsets of {1..n-1} as frozensets, in a deterministic order."""
-    gens = list(range(1, n))
-    out = []
-    for bits in range(1 << len(gens)):
-        out.append(frozenset(g for i, g in enumerate(gens) if (bits >> i) & 1))
-    return sorted(out, key=lambda J: (len(J), sorted(J)))
+    gens = range(1, n)
+    return sorted((frozenset(g for g in gens if bits >> (g - 1) & 1)
+                   for bits in range(1 << len(gens))),
+                  key=lambda J: (len(J), sorted(J)))
 
 
-def _check_good(w: Perm, sigma: Word, b, J) -> list:
-    """Validate that b is good for w; return the path w_0..w_k."""
-    w = tuple(w)
-    n = len(w)
-    b = tuple(int(x) for x in b)
-    qt = _quotient_table(n, frozenset())
-    sig = _word_indices(sigma, n)
-    u = start = _state(qt, w)
-    path = [u]
-    witnessed = 0
-    for s, bit in zip(sig, b):
-        up, down, wit = qt.steps[s][u]
-        witnessed |= wit
-        u = up if bit else down
-        path.append(u)
-    if u != start:
+def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
+    """Validate that b is good for w; return b as ints, the path
+    w_0..w_k as perm_table indices, and the table."""
+    qt, b, path, witnessed = _run(w, sigma, b, ())
+    w, jmask = tuple(w), _gen_mask(_check_j(len(w), J))
+    if path[-1] != path[0]:
         raise ValueError(f"{b} does not fix {w} along {tuple(sigma)}")
-    J = _check_j(n, J)
-    for t in sorted(left_descents(w) & J):
-        if not witnessed >> (t - 1) & 1:
-            raise ValueError(
-                f"{b} is not good for {w}: descent {t} has no witness step")
-    return [qt.tbl.perms[u] for u in path]
+    if missing := qt.tbl.ldesc[path[0]] & jmask & ~witnessed:
+        raise ValueError(f"{b} is not good for {w}: descent "
+                         f"{(missing & -missing).bit_length()} has no "
+                         "witness step")
+    return b, path, qt.tbl
 
 
 def kappa(w: Perm, b, sigma: Word, J):
@@ -554,10 +551,15 @@ def kappa(w: Perm, b, sigma: Word, J):
 
     This map is a bijection onto the pairs (wbar, b) with wbar in JW
     fixed by the quotient composite of b.
+
+    >>> kappa((4, 3, 1, 2), (1, 1), (1, 2), {1, 3})
+    ((3, 4, 1, 2), (1, 1))
     """
-    _check_good(w, sigma, b, J)
-    wbar = min_coset_rep(tuple(w), J)
-    return wbar, tuple(int(x) for x in b)
+    b, path, tbl = _check_good(w, sigma, b, J)
+    u, jmask = path[0], _gen_mask(_check_j(len(w), J))
+    while d := tbl.ldesc[u] & jmask:   # strip the lowest descent in J
+        u = tbl.lmult[u][(d & -d).bit_length() - 1]
+    return tbl.perms[u], b
 
 
 def derive_root_sequence(w: Perm, sigma: Word, b, J) -> tuple:
@@ -568,13 +570,11 @@ def derive_root_sequence(w: Perm, sigma: Word, b, J) -> tuple:
     one swapping the values at positions s_i, s_i + 1 of w_(i-1); the
     sequence of those t (as sorted pairs) is returned.
     """
-    path = _check_good(w, sigma, b, J)
-    sigma = tuple(sigma)
+    b, path, tbl = _check_good(w, sigma, b, J)
     out = []
-    for i, bit in enumerate(int(x) for x in b):
+    for i, (s, bit) in enumerate(zip(sigma, b)):
         if bit:
-            u = path[i]
-            s = sigma[i]
+            u = tbl.perms[path[i]]
             a, c = u[s - 1], u[s]
             out.append((a, c) if a < c else (c, a))
     return tuple(out)

@@ -6,9 +6,9 @@ Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts and the q-weighted coloring sums from direct
 enumeration (all n^n colorings, or backtracking over the proper ones),
-binary-word counts from a depth-first walk over all 2^k words, induced
-characters from
-per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
+binary-word counts and word sets from depth-first walks over all 2^k
+words, Bott-Samelson products from LaurentQ products, induced characters
+from per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd), and the power-sum and determinantal
@@ -352,6 +352,63 @@ def dfs_good_word_characters_all_j(sigma, n: int) -> dict:
             for J, cs in counts.items()}
 
 
+def _word_walk(n: int, J, sigma, start: int) -> list:
+    """(bits, end, witnessed) for every one of the 2^k binary words,
+    walked depth first from the local index start of the quotient JW
+    (all of S_n when J is empty): end is the local index the up/down
+    composite reaches, and bit t of witnessed is set when some step
+    u -> u s has u s = s_(t+1) u (read at J = {} only)."""
+    tbl, reps, dot = _quotient(n, J)
+    lengths = tbl.lengths
+    sig = [s - 1 for s in sigma]
+    k = len(sig)
+    out = []
+    bits: list = []
+
+    def rec(i, u, mask):
+        if i == k:
+            out.append((tuple(bits), u, mask))
+            return
+        s = sig[i]
+        v = dot[u][s]
+        for t in range(n - 1):
+            if tbl.lmult[reps[u]][t] == tbl.rmult[reps[u]][s]:
+                mask |= 1 << t
+        if lengths[reps[v]] > lengths[reps[u]]:
+            up, down = v, u
+        else:
+            up, down = u, v
+        bits.append(1)
+        rec(i + 1, up, mask)
+        bits[-1] = 0
+        rec(i + 1, down, mask)
+        bits.pop()
+
+    rec(0, start, 0)
+    return out
+
+
+def dfs_bin_set(w, sigma, J, n: int) -> set:
+    """The binary words whose quotient up/down composite fixes w in JW,
+    out of all 2^k."""
+    tbl, reps, _ = _quotient(n, J)
+    start = reps.index(tbl.index[tuple(w)])
+    return {b for b, end, _ in _word_walk(n, frozenset(J), tuple(sigma),
+                                          start) if end == start}
+
+
+def dfs_good_words(w, sigma, J) -> set:
+    """The binary words good for w, out of all 2^k: the absolute
+    composite fixes w and every left descent of w in J has a witness."""
+    n = len(w)
+    tbl = perm_table(n)
+    start = tbl.index[tuple(w)]
+    need = sum(1 << (t - 1) for t in left_descents(tuple(w)) if t in J)
+    return {b for b, end, mask in _word_walk(n, frozenset(), tuple(sigma),
+                                             start)
+            if end == start and mask & need == need}
+
+
 # -- the trace route -----------------------------------------------------------
 #
 # The library's first route to c_J: the full table of traces of T_z on the
@@ -467,6 +524,15 @@ def mul_ts_left(a: HeckeElement, i: int) -> HeckeElement:
             d[sw] = d.get(sw, ZERO) + c * Q
             d[w] = d.get(w, ZERO) + c * (Q - ONE)
     return HeckeElement(a.n, d)
+
+
+def laurent_bott_samelson_product(word, n: int) -> HeckeElement:
+    """prod (1 + T_s) over the word by LaurentQ products, one factor at a
+    time."""
+    out = HeckeElement.unit(n)
+    for i in word:
+        out = out + out.mul_ts_right(i)
+    return out
 
 
 class TupleKL:

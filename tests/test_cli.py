@@ -109,6 +109,25 @@ def test_whole_group_scan_guard(capsys, monkeypatch):
     assert config.max_n(config.DEFAULTS.group_max_n) == 9
 
 
+def test_products_over_w0_follow_the_group_guard(capsys, monkeypatch):
+    # prod (1+T_s) over a word whose Demazure product is w0 has all n!
+    # terms: from n = 8 on springer and cprime-expand --word refuse it
+    # before any work unless a guard is set explicitly
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    w0 = ",".join(str(s) for top in range(1, 8)
+                  for s in range(top, 0, -1))
+    for verb in ("springer", "cprime-expand"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, "--n", "8", "--word", w0)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, ""), verb
+        assert "8! = 40,320" in err and "size guard 7" in err
+        assert "--max-n" in err and "HECKE_LAB_MAX_N" in err
+    code, out, _ = run(capsys, "springer", "--n", "8",
+                       "--word", "1,2,3,4,5,6,7")
+    assert (code, out) == (0, "B[2,3,4,5,6,7,8,1]\n")
+
+
 def test_coloring_guards_follow_an_explicit_guard(capsys, monkeypatch):
     # the coloring sums default to n <= 8; --max-n or HECKE_LAB_MAX_N
     # replaces that default in either direction

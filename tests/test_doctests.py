@@ -4,10 +4,11 @@ import doctest
 
 import pytest
 
-from heckelab import coxeter, laurentq, symfunc
+from heckelab import coxeter, hecke, laurentq, parabolic, symfunc
 
 
-@pytest.mark.parametrize("module", [laurentq, coxeter, symfunc],
+@pytest.mark.parametrize("module", [laurentq, coxeter, hecke, parabolic,
+                                    symfunc],
                          ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -1,7 +1,9 @@
 """Hecke algebra relations, the bar involution, and Kazhdan-Lusztig data."""
 
 import json
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +17,11 @@ from heckelab.hecke import (
     HeckeElement, KLContext, bott_samelson_product, kl_context,
     springer_decomposition,
 )
-from heckelab.laurentq import LaurentQ, ONE, Q, q_power, v_power
+from heckelab.laurentq import (
+    LaurentQ, ONE, Q, from_q_coefficients, q_power, v_power,
+)
 
-from oracles import TupleKL
+from oracles import TupleKL, laurent_bott_samelson_product
 
 E4 = identity(4)
 S1 = (2, 1, 3, 4)
@@ -273,6 +277,59 @@ def test_bott_samelson_examples():
     p = bott_samelson_product((1, 2), 3)
     assert p.terms == {identity(3): ONE, (2, 1, 3): ONE,
                        (1, 3, 2): ONE, (2, 3, 1): ONE}
+
+
+def test_packed_product_matches_laurent_oracle():
+    for n in range(1, 5):
+        for k in range(7):
+            for word in product(range(1, n), repeat=k):
+                assert bott_samelson_product(word, n) == \
+                    laurent_bott_samelson_product(word, n), word
+    rng = random.Random(23)
+    for n in (5, 6):
+        for k in (12, 20, 30):
+            word = tuple(rng.randint(1, n - 1) for _ in range(k))
+            assert bott_samelson_product(word, n) == \
+                laurent_bott_samelson_product(word, n), word
+
+
+def test_packed_product_width_bound():
+    # (1 + T_s)^k = (1+q)^(k-1) (T_e + T_s): the fields hold binom(k-1, j)
+    k = 60
+    c = from_q_coefficients([math.comb(k - 1, j) for j in range(k)])
+    assert bott_samelson_product((1,) * k, 2).terms == \
+        {(1, 2): c, (2, 1): c}
+    for k in (40, 61):
+        word = (1, 2) * (k // 2)
+        assert bott_samelson_product(word, 3) == \
+            laurent_bott_samelson_product(word, 3), k
+
+
+def test_product_rejects_letters_out_of_range():
+    for word in ((0,), (1, 3), (2, 1, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            bott_samelson_product(word, 3)
+
+
+def test_product_over_w0_follows_the_group_guard(monkeypatch):
+    # Demazure product w0 means all n! terms: refused from n = 8 on
+    # unless a guard is set explicitly; other words pass
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    w0_word = reduced_word(tuple(range(8, 0, -1)))
+    with pytest.raises(config.BudgetError, match="8! = 40,320"):
+        bott_samelson_product(w0_word, 8)
+    with pytest.raises(config.BudgetError):
+        bott_samelson_product((1, 1) + w0_word, 8)   # not reduced
+    assert len(bott_samelson_product(tuple(range(1, 8)), 8).terms) == 128
+    previous = config._override
+    config.set_max_n(3)
+    try:
+        with pytest.raises(config.BudgetError, match="size guard 3"):
+            bott_samelson_product((1, 2, 1, 3, 2, 1), 4)
+        assert bott_samelson_product((1, 2, 1, 3, 2), 4) == \
+            laurent_bott_samelson_product((1, 2, 1, 3, 2), 4)
+    finally:
+        config.set_max_n(previous)
 
 
 def all_reduced_words(w):

@@ -29,8 +29,8 @@ from heckelab.parabolic import (
 )
 from heckelab.symfunc import SymFunc, frobenius_character, partitions
 from oracles import (
-    build_trace_table, dfs_bott_samelson_character,
-    dfs_good_word_characters_all_j, trace_route_character,
+    build_trace_table, dfs_bin_set, dfs_bott_samelson_character,
+    dfs_good_word_characters_all_j, dfs_good_words, trace_route_character,
 )
 
 J13 = frozenset({1, 3})
@@ -328,6 +328,44 @@ def test_kappa_bijection_small():
                 assert set(image) == F2, (sigma, sorted(J))
 
 
+def test_kappa_keeps_its_error_messages():
+    with pytest.raises(ValueError, match=r"\(1, 1\) does not fix "
+                       r"\(1, 2, 3, 4\) along \(1, 2\)"):
+        kappa((1, 2, 3, 4), (1, 1), SIGMA, J13)
+    # 2134 is fixed by the empty word, but its descent 1 in J is unwitnessed
+    with pytest.raises(ValueError, match=r"\(\) is not good for "
+                       r"\(2, 1, 3, 4\): descent 1 has no witness step"):
+        kappa((2, 1, 3, 4), (), (), J13)
+    with pytest.raises(ValueError, match="descent 3 has no witness step"):
+        kappa((1, 2, 4, 3), (0, 0), SIGMA, J13)
+
+
+def test_binary_words_are_checked():
+    e, empty = (1, 2, 3), frozenset()
+    for b in ((0, 1), ()):
+        with pytest.raises(ValueError, match="differ in length"):
+            kappa(e, b, (1,), empty)
+    with pytest.raises(ValueError, match=r"not a binary word: \(2, 0\)"):
+        kappa(e, (2, 0), (1, 1), empty)
+    with pytest.raises(ValueError, match="differ in length"):
+        derive_root_sequence(e, (1,), (0, 1), empty)
+    with pytest.raises(ValueError, match="not a binary word"):
+        derive_root_sequence(e, (1,), (3,), empty)
+
+
+def test_non_permutations_are_named():
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.4: "
+                       r"\(1, 2, 3\)"):
+        bin_set((1, 2, 3), (1,), {1}, n=4)
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: "
+                       r"\(1, 1, 2\)"):
+        good_words((1, 1, 2), (1,), frozenset())
+    with pytest.raises(ValueError, match="not a permutation"):
+        kappa((1, 1, 2), (0,), (1,), frozenset())
+    with pytest.raises(ValueError, match="not a minimal coset representative"):
+        bin_set((2, 1, 3), (1,), {1})
+
+
 def test_phi_left_multiplication_lemma():
     # applying one up/down step to s'w lands on phi(w) or s' phi(w), and
     # the step preserves the weak left order
@@ -453,6 +491,32 @@ def test_word_counts_match_dfs_and_trace(n, data):
         assert by_j[J] == trace, sorted(J)
         assert dfs_bott_samelson_character(sigma, J, n) == trace, sorted(J)
         assert dfs_by_j[J] == trace, sorted(J)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_word_sets_match_the_exhaustive_walk(n, data):
+    # listing the words against the walks over all 2^k binary words
+    gens = list(range(1, n))
+    sigma = tuple(data.draw(st.lists(st.sampled_from(gens), max_size=10)))
+    J = frozenset(data.draw(st.sets(st.sampled_from(gens))))
+    for w in perm_table(n).perms:
+        assert good_words(w, sigma, J) == dfs_good_words(w, sigma, J), w
+    for w in parabolic_quotient(n, J).reps:
+        assert bin_set(w, sigma, J) == dfs_bin_set(w, sigma, J, n), w
+
+
+def test_word_sets_match_the_exhaustive_walk_at_k16():
+    rng = random.Random(16)
+    for n, J in ((4, J13), (5, frozenset({2, 4}))):
+        sigma = tuple(rng.randint(1, n - 1) for _ in range(16))
+        perms = perm_table(n).perms
+        for w in (perms[0], rng.choice(perms)):
+            good = good_words(w, sigma, J)
+            assert good and good == dfs_good_words(w, sigma, J), w
+        reps = parabolic_quotient(n, J).reps
+        for w in (reps[-1], rng.choice(reps)):
+            assert bin_set(w, sigma, J) == dfs_bin_set(w, sigma, J, n), w
 
 
 def test_count_width_holds_binomial_coefficients():
