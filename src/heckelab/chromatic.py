@@ -41,10 +41,11 @@ from . import config
 from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, length
 from .hecke import kl_context
 from .laurentq import (
-    ONE, Q, ZERO, LaurentQ, from_q_coefficients, gauss_number,
+    ONE, Q, LaurentQ, from_q_coefficients, gauss_number, pack_signed,
+    unpack_signed,
 )
 from .symfunc import (
-    SymFunc, character_table, frobenius_character, omega, partitions,
+    SymFunc, frobenius_character, omega, partitions,
 )
 
 __all__ = [
@@ -187,49 +188,30 @@ def _llt_map(n: int) -> tuple:
     because prod_i [lam_i]_q divides [n]_q!.  Each z_lam divides n!, so
     den = n! [n]_q! clears the rational a_lam too.
     """
-    parts, chi = partitions(n), character_table(n)
     den = LaurentQ({0: math.factorial(n)})
     for k in range(2, n + 1):
         den = den * gauss_number(k)
     cols = {}
-    for nu in parts:
-        col: dict = {}
+    for nu in partitions(n):
+        scaled = {}
         for lam, a in omega(SymFunc.basis_element("m", nu)
                             .to_basis("p")).coeffs.items():
             g = den * (Q - ONE) ** (n - len(lam)) * a
             for k in lam:
                 g = g.exact_div(gauss_number(k))
-            for mu in parts:
-                col[mu] = col.get(mu, ZERO) + g * chi.chi(mu, lam)
-        cols[nu] = {mu: g.q_coefficients() for mu, g in col.items() if g}
+            scaled[lam] = g
+        cols[nu] = {mu: g.q_coefficients() for mu, g in
+                    SymFunc("p", n, scaled).to_basis("s").coeffs.items()}
     top = max(abs(c) for col in cols.values() for g in col.values()
               for c in g)
     return cols, top, den
 
 
-# Polynomial products run on integers: a q-coefficient list c is packed as
-# c(2^bits) (Kronecker substitution), which is exact as long as every
-# coefficient of the result lies strictly between -2^(bits-1) and
-# 2^(bits-1).
-
-def _pack(coeffs: list, bits: int) -> int:
-    return sum(c << (bits * i) for i, c in enumerate(coeffs))
-
-
-def _unpack(x: int, bits: int) -> list:
-    out, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
-    while x:
-        c = x & mask
-        if c >= half:
-            c -= 1 << bits
-        out.append(c)
-        x = (x - c) >> bits
-    return out
-
-
 @cache
 def _packed_cols(n: int, bits: int) -> dict:
-    return {nu: {mu: _pack(g, bits) for mu, g in col.items()}
+    """The columns of `_llt_map(n)`, each packed into one int."""
+    return {nu: {mu: pack_signed(enumerate(g), bits)
+                  for mu, g in col.items()}
             for nu, col in _llt_map(n)[0].items()}
 
 
@@ -237,8 +219,8 @@ def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
     """(q-1)^n omega(ch(B_w))[x/(q-1)] in the Schur basis, where B_w is
     the integral Kazhdan-Lusztig element of w: ch(B_w) pushed through the
     cached linear map `_llt_map(n)`, then one exact division of each
-    Schur coefficient by the common denominator (ValueError if a
-    remainder is left)."""
+    Schur coefficient by the common denominator, on integer coefficient
+    lists (ValueError if a remainder is left)."""
     w = tuple(w)
     n = len(w)
     config.check_n(n, budget, what="n")
@@ -252,12 +234,27 @@ def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
     packed = _packed_cols(n, bits)
     nums: dict = {}
     for nu, cs in chq.items():
-        x = _pack(cs, bits)
+        x = pack_signed(enumerate(cs), bits)
         for mu, y in packed[nu].items():
             nums[mu] = nums.get(mu, 0) + x * y
+    dcs = den.q_coefficients()
     return SymFunc("s", n, {
-        mu: from_q_coefficients(_unpack(x, bits)).exact_div(den)
+        mu: from_q_coefficients(_divide(unpack_signed(x, bits), dcs))
         for mu, x in nums.items()})
+
+
+def _divide(num: list, den: list) -> list:
+    """num / den on integer q-coefficient lists; ValueError on a remainder."""
+    rem, quot, top = list(num), [], len(den) - 1
+    for i in reversed(range(len(num) - top)):
+        t = rem[i + top] // den[-1]   # an inexact step leaves a remainder
+        quot.append(t)
+        for j, d in enumerate(den):
+            rem[i + j] -= t * d
+    if any(rem):
+        raise ValueError(f"inexact division: {from_q_coefficients(num)} "
+                         f"by {from_q_coefficients(den)}")
+    return quot[::-1]
 
 
 def chss_check(m, budget: int | None = None):

@@ -31,17 +31,20 @@ q^{-2}
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 __all__ = [
     "LaurentQ", "Terms",
     "ZERO", "ONE", "Q", "V",
     "q_power", "v_power", "from_q_coefficients", "from_packed",
-    "gauss_number",
+    "pack_signed", "unpack_signed", "gauss_number",
 ]
 
 
 def _norm_coeff(c):
     """Collapse integral Fractions back to int."""
+    if type(c) is int:   # the common case, without the ABC instance check
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -201,13 +204,12 @@ class LaurentQ:
         return [self.c.get(2 * k, 0) for k in range(top + 1)]
 
     def substitute_q_shift(self) -> "LaurentQ":
-        """The substitution q -> q + 1 (input must be a polynomial in q)."""
-        coeffs = self.q_coefficients()
-        out = ZERO
-        qp1 = Q + ONE
-        for k in reversed(range(len(coeffs))):
-            out = out * qp1 + coeffs[k]
-        return out
+        """The substitution q -> q + 1 (input must be a polynomial in q):
+        q-coefficients c_k become b_j = sum_k c_k C(k, j)."""
+        cs = self.q_coefficients()
+        return from_q_coefficients([
+            sum(c * comb(k, j) for k, c in enumerate(cs[j:], j))
+            for j in range(len(cs))])
 
     # -- shape predicates ----------------------------------------------
 
@@ -369,6 +371,30 @@ def from_packed(x: int, width: int) -> LaurentQ:
     low = (1 << width) - 1
     return LaurentQ({2 * e: c for e in range(x.bit_length() // width + 1)
                      if (c := x >> (e * width) & low)})
+
+
+def pack_signed(fields, width: int) -> int:
+    """The int sum c 2^(width i) over the (i, c) pairs of `fields`
+    (Kronecker substitution).  Sums and products of packed values unpack
+    to those of the polynomials while every coefficient lies strictly
+    between -2^(width-1) and 2^(width-1).
+
+    >>> a = pack_signed(enumerate([3, -1, 0, 2]), 8)
+    >>> b = pack_signed({0: 1, 1: 1}.items(), 8)
+    >>> unpack_signed(a * b, 8), unpack_signed(a - 5 * b, 8)
+    ([3, 2, -1, 2, 2], [-2, -6, 0, 2])
+    """
+    return sum(c << (width * i) for i, c in fields)
+
+
+def unpack_signed(x: int, width: int) -> list:
+    """The coefficients packed in x by `pack_signed`, lowest first and
+    without trailing zeros: `width`-bit fields read as signed."""
+    out, mask, half = [], (1 << width) - 1, 1 << (width - 1)
+    while x:
+        out.append(c := ((x + half) & mask) - half)
+        x = (x - c) >> width
+    return out
 
 
 def gauss_number(k: int) -> LaurentQ:

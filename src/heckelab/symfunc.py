@@ -4,12 +4,13 @@ q^(1/2): the classical bases e, h, p, m, s, exact transitions between
 them, the omega involution, Hall pairing, Frobenius characters of Hecke
 elements, and immanants.
 
-Conversions route through the Schur basis.  The Kostka matrix (h_mu =
-sum_lambda K[lambda][mu] s_lambda = transition also used for s -> m) is
-built by iterated Pieri multiplication and inverted by back-substitution
-along the dominance-compatible order; power sums convert through the
-character table, computed by the Murnaghan-Nakayama rule on beta-sets.
-Only the s -> p direction introduces rational scalars (1/z_mu).
+A change of basis is one cached integer matrix per (degree, source,
+target) over one integer denominator, acting on coefficients packed into
+one int each.  It composes the map into the Schur basis (Kostka numbers
+by iterated Pieri multiplication, their inverse by integer
+back-substitution along the dominance-compatible order, the character
+table by the Murnaghan-Nakayama rule on beta-sets) with the map out of
+it, read off by Hall duality; only a map into p has a denominator.
 
 Partitions are weakly decreasing tuples of positive integers.  Where a
 total order is needed, partitions of n are listed in descending
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, permutations, zip_longest
+from math import factorial, gcd, lcm
 
 from . import config
 from .coxeter import cycle_type
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentQ, Terms
+from .laurentq import ONE, ZERO, LaurentQ, Terms, pack_signed, unpack_signed
 from .parabolic import induced_characters, young_subgroup_generators
 
 __all__ = [
@@ -81,23 +84,15 @@ def conjugate_partition(lam) -> Partition:
 def z_mu(mu) -> int:
     """The centralizer order: prod i^(m_i) m_i! over multiplicities."""
     z = 1
-    mult: dict = {}
-    for a in mu:
-        mult[a] = mult.get(a, 0) + 1
-    for a, m in mult.items():
-        z *= a ** m
-        for i in range(1, m + 1):
-            z *= i
+    for a in set(mu):
+        m = mu.count(a)
+        z *= a ** m * factorial(m)
     return z
 
 
 def class_size(mu) -> int:
     """Number of permutations of cycle type mu: n!/z_mu."""
-    n = sum(mu)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return fact // z_mu(mu)
+    return factorial(sum(mu)) // z_mu(mu)
 
 
 def sign_partition(mu) -> int:
@@ -107,17 +102,8 @@ def sign_partition(mu) -> int:
 
 def dominates(lam, mu) -> bool:
     """lam >= mu in dominance order (partial sums dominate)."""
-    a = b = 0
-    la, mb = list(lam), list(mu)
-    k = max(len(la), len(mb))
-    la += [0] * (k - len(la))
-    mb += [0] * (k - len(mb))
-    for x, y in zip(la, mb):
-        a += x
-        b += y
-        if a < b:
-            return False
-    return True
+    return all(d >= 0 for d in accumulate(
+        a - b for a, b in zip_longest(lam, mu, fillvalue=0)))
 
 
 # -- character table -----------------------------------------------------------
@@ -175,27 +161,21 @@ def character_table(n: int) -> CharacterTable:
 # -- Kostka numbers via Pieri ----------------------------------------------------
 
 def _pieri_row(nu: Partition, k: int):
-    """Shapes lam obtained from nu by adding a horizontal strip of size k."""
-    nu = tuple(nu)
-    rows = len(nu) + 1
+    """Shapes lam obtained from nu by adding a horizontal strip of size k:
+    row i grows to at most nu[i-1], row 0 freely."""
+    nu = tuple(nu) + (0,)
     out = []
 
-    def rec(i, prev_new, remaining, acc):
-        # prev_new: the part chosen for row i-1, bounding row i from above
-        if i == rows:
+    def rec(i, remaining, acc):
+        if i == len(nu):
             if remaining == 0:
                 out.append(tuple(a for a in acc if a))
             return
-        old = nu[i] if i < len(nu) else 0
-        upper = min(prev_new, old + remaining)
-        # horizontal strip: new_i between old_i and old_(i-1)
-        prev_old = nu[i - 1] if i >= 1 else None
-        for new in range(old, upper + 1):
-            if i >= 1 and new > nu[i - 1]:
-                break
-            rec(i + 1, new, remaining - (new - old), acc + [new])
+        cap = min(nu[i - 1] if i else nu[0] + remaining, nu[i] + remaining)
+        for new in range(nu[i], cap + 1):
+            rec(i + 1, remaining - (new - nu[i]), acc + (new,))
 
-    rec(0, nu[0] + k if nu else k, k, [])
+    rec(0, k, ())
     return out
 
 
@@ -216,6 +196,59 @@ def _kostka(n: int) -> dict:
         for lam, c in expans.items():
             K[lam][mu] = c
     return K
+
+
+@lru_cache(maxsize=None)
+def _schur_rows(n: int, basis: str) -> dict:
+    """rows[mu][lam], the coefficient of s_lam in the basis element b_mu:
+    h_mu = sum K[lam][mu] s_lam, e_mu = sum K[lam][mu] s_lam', p_mu = sum
+    chi^lam(mu) s_lam, and for m the inverse of K (s_lam = sum K[lam][mu]
+    m_mu), unitriangular against the order of `partitions`."""
+    parts = partitions(n)
+    if basis == "s":
+        return {lam: {lam: 1} for lam in parts}
+    if basis == "p":
+        chi = character_table(n).chi
+        return {mu: {lam: c for lam in parts if (c := chi(lam, mu))}
+                for mu in parts}
+    K = _kostka(n)
+    if basis == "m":   # m_mu = s_mu - sum K[mu][nu] m_nu over nu after mu
+        inv: dict = {}
+        for mu in reversed(parts):
+            row = inv[mu] = {mu: 1}
+            for nu, k in K[mu].items():
+                for lam, c in inv[nu].items() if nu != mu else ():
+                    row[lam] = row.get(lam, 0) - k * c
+        return inv
+    conj = conjugate_partition if basis == "e" else tuple
+    return {mu: {conj(lam): K[lam][mu] for lam in parts if mu in K[lam]}
+            for mu in parts}
+
+
+@lru_cache(maxsize=None)
+def _basis_map(n: int, source: str, target: str) -> tuple:
+    """(rows, den, top): source_mu = sum k target_lam / den over the pairs
+    (lam, k) of rows[mu], integers k != 0 with |k| <= top.  Out of s by
+    Hall duality: <h_mu, m_nu>, <p_mu, p_nu> / z_mu and <s_mu, s_nu> are
+    [mu = nu], and omega swaps e_mu with h_mu and s_lam with s_lam'; den is
+    the lcm of the z_nu for p, a divisor of n!."""
+    norm = z_mu if target == "p" else (lambda nu: 1)
+    den = lcm(*map(norm, partitions(n)))
+    conj = conjugate_partition if target == "e" else tuple
+    out: dict = {}   # den * (b_nu in s_lam) at out[conj(lam)][nu]
+    dual = {"h": "m", "e": "m", "m": "h"}.get(target, target)
+    for nu, col in _schur_rows(n, dual).items():
+        for lam, b in col.items():
+            out.setdefault(lam, {})[nu] = b * (den // norm(nu))
+    rows = {}
+    for mu, col in _schur_rows(n, source).items():
+        acc: dict = {}
+        for lam, a in col.items():
+            for nu, b in out.get(conj(lam), {}).items():
+                acc[nu] = acc.get(nu, 0) + a * b
+        rows[mu] = tuple((nu, k) for nu, k in acc.items() if k)
+    top = max((abs(k) for row in rows.values() for _, k in row), default=0)
+    return rows, den, top
 
 
 # -- the SymFunc value type --------------------------------------------------------
@@ -243,7 +276,7 @@ class SymFunc(Terms):
                 lam = check_partition(lam)
                 if sum(lam) != degree:
                     raise ValueError(f"{lam} is not a partition of {degree}")
-                if isinstance(c, (int, Fraction)):
+                if type(c) is not LaurentQ and isinstance(c, (int, Fraction)):
                     c = LaurentQ({0: c})
                 if c:
                     clean[lam] = c
@@ -257,92 +290,38 @@ class SymFunc(Terms):
     # -- basis conversion -------------------------------------------------------
 
     def to_basis(self, target: str, budget: int | None = None) -> "SymFunc":
+        """The same function in the target basis, by the cached integer
+        matrix `_basis_map` acting on packed coefficients."""
         if target not in BASES:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        config.check_n(self.degree,
-                       budget if budget is not None
-                       else config.DEFAULTS.symfunc_max_degree,
-                       what="degree")
-        in_s = self._to_schur()
-        if target == "s":
-            return in_s
-        return in_s._schur_to(target)
-
-    def _to_schur(self) -> "SymFunc":
-        n, parts = self.degree, partitions(self.degree)
-        out: dict = {}
-        if self.basis == "s":
-            return self
-        if self.basis in ("h", "e"):
-            K = _kostka(n)
-            for mu, c in self.coeffs.items():
-                for lam in parts:
-                    k = K[lam].get(mu, 0)
-                    if k:
-                        tgt = conjugate_partition(lam) if self.basis == "e" else lam
-                        _acc(out, tgt, c * k)
-        elif self.basis == "p":
-            chi = character_table(n)
-            for mu, c in self.coeffs.items():
-                for lam in parts:
-                    k = chi.chi(lam, mu)
-                    if k:
-                        _acc(out, lam, c * k)
-        elif self.basis == "m":
-            # solve sum_lam b_lam K[lam][mu] = c_mu by back-substitution
-            # (K is unitriangular against the descending-lex order)
-            K = _kostka(n)
-            need = dict(self.coeffs)
-            b: dict = {}
-            for lam in parts:  # descending lex; lam can only involve mu <= lam
-                c = need.get(lam, ZERO)
-                if c:
-                    b[lam] = c
-                    for mu, k in K[lam].items():
-                        if mu != lam:
-                            _acc(need, mu, c * (-k))
-                    need.pop(lam, None)
-            out = b
-        return SymFunc("s", n, out)
-
-    def _schur_to(self, target: str) -> "SymFunc":
-        n, parts = self.degree, partitions(self.degree)
-        out: dict = {}
-        if target == "m":
-            K = _kostka(n)
-            for lam, c in self.coeffs.items():
-                for mu, k in K[lam].items():
-                    _acc(out, mu, c * k)
-        elif target in ("h", "e"):
-            # b_lam = sum_mu K[lam][mu] x_mu with K unitriangular; solve
-            # for x ascending in lex order, whose smaller entries are known
-            K = _kostka(n)
-            need = {lam: c for lam, c in self.coeffs.items()}
-            if target == "e":
-                need = {conjugate_partition(lam): c for lam, c in need.items()}
-            x: dict = {}
-            for mu in reversed(parts):
-                c = need.get(mu, ZERO)
-                for nu, k in K[mu].items():
-                    if nu != mu and nu in x:
-                        c = c - x[nu] * k
-                if c:
-                    x[mu] = c
-            out = x
-        elif target == "p":
-            chi = character_table(n)
-            for mu in parts:
-                total = ZERO
-                for lam, c in self.coeffs.items():
-                    k = chi.chi(lam, mu)
-                    if k:
-                        total = total + c * k
-                total = total * Fraction(1, z_mu(mu))
-                if total:
-                    out[mu] = total
-        return SymFunc(target, n, out)
+        n = self.degree
+        config.check_n(n, budget if budget is not None
+                       else config.DEFAULTS.symfunc_max_degree, what="degree")
+        rows, den, top = _basis_map(n, self.basis, target)
+        polys = [c.c for c in self.coeffs.values()]
+        # field i of a packed coefficient: its v^(lo + step i) term * scale
+        exps = {e for d in polys for e in d}
+        lo = min(exps, default=0)
+        step = gcd(*(e - lo for e in exps)) or 1
+        scale = lcm(*(x.denominator for d in polys for x in d.values()
+                      if type(x) is not int))
+        fields = [[((e - lo) // step, int(x * scale)) for e, x in d.items()]
+                  for d in polys]
+        # no field of the result exceeds top times the l1 norm of the input
+        width = (top * sum(abs(x) for d in fields for _, x in d)
+                 ).bit_length() + 1
+        acc: dict = {}
+        for mu, d in zip(self.coeffs, fields):
+            x = pack_signed(d, width)
+            for lam, k in rows[mu]:
+                acc[lam] = acc.get(lam, 0) + k * x
+        div = den * scale
+        return SymFunc(target, n)._like({lam: LaurentQ({
+            lo + step * i: c if div == 1 else Fraction(c, div)
+            for i, c in enumerate(unpack_signed(x, width))})
+            for lam, x in acc.items() if x})
 
     # -- rendering / serialization -----------------------------------------------
 
@@ -492,9 +471,8 @@ def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
     if basis is None:
         basis = "p"
 
-    from itertools import permutations as iperm
     total: dict = {}
-    for w in iperm(range(k)):
+    for w in permutations(range(k)):
         cval = chi.chi(chi_label, cycle_type(tuple(x + 1 for x in w)))
         if not cval:
             continue
@@ -541,9 +519,8 @@ def jacobi_trudi(lam, mu=()) -> SymFunc:
     lamp = tuple(lam) + (0,) * (k - len(lam))
     mup = tuple(mu) + (0,) * (k - len(mu))
 
-    from itertools import permutations as iperm
     total: dict = {}
-    for w in iperm(range(k)):
+    for w in permutations(range(k)):
         inv = sum(1 for i in range(k) for j in range(i + 1, k)
                   if w[i] > w[j])
         sign = -1 if inv % 2 else 1

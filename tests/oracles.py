@@ -6,7 +6,10 @@ Bruhat order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts and the q-weighted coloring sums from direct
 enumeration (all n^n colorings, or backtracking over the proper ones),
-binary-word counts and word sets from depth-first walks over all 2^k
+changes of basis from term-by-term LaurentQ arithmetic through the Schur
+basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
+the library's packed route cannot), binary-word counts and word sets
+from depth-first walks over all 2^k
 words, Bott-Samelson products from LaurentQ products, induced characters
 from per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
@@ -29,8 +32,9 @@ from heckelab.laurentq import (
     ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
 )
 from heckelab.symfunc import (
-    SymFunc, class_size, frobenius_character, immanant, omega, partitions,
-    sign_partition, z_matrix,
+    SymFunc, _kostka, character_table, class_size, conjugate_partition,
+    frobenius_character, immanant, omega, partitions, sign_partition,
+    z_matrix, z_mu,
 )
 
 
@@ -179,6 +183,114 @@ def count_syt(lam) -> int:
         return count
 
     return rec((0,) * len(lam))
+
+
+# -- basis changes ------------------------------------------------------------
+#
+# The library's first route: every coefficient carried through the Kostka
+# and character tables by LaurentQ (or LaurentFrac) arithmetic, term by
+# term, into the Schur basis and out of it, solving the unitriangular
+# systems as it goes.
+
+def _acc(d: dict, key, val) -> None:
+    s = d.get(key, ZERO) + val
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
+
+
+def oracle_to_basis(f: SymFunc, target: str) -> SymFunc:
+    """f in the target basis, through the Schur basis one term at a time."""
+    if target == f.basis:
+        return f
+    in_s = _oracle_to_schur(f)
+    return in_s if target == "s" else _oracle_schur_to(in_s, target)
+
+
+def _oracle_to_schur(f: SymFunc) -> SymFunc:
+    n, parts = f.degree, partitions(f.degree)
+    out: dict = {}
+    if f.basis == "s":
+        return f
+    if f.basis in ("h", "e"):
+        K = _kostka(n)
+        for mu, c in f.coeffs.items():
+            for lam in parts:
+                k = K[lam].get(mu, 0)
+                if k:
+                    tgt = conjugate_partition(lam) if f.basis == "e" else lam
+                    _acc(out, tgt, c * k)
+    elif f.basis == "p":
+        chi = character_table(n)
+        for mu, c in f.coeffs.items():
+            for lam in parts:
+                k = chi.chi(lam, mu)
+                if k:
+                    _acc(out, lam, c * k)
+    elif f.basis == "m":
+        # solve sum_lam b_lam K[lam][mu] = c_mu by back-substitution
+        # (K is unitriangular against the descending-lex order)
+        K = _kostka(n)
+        need = dict(f.coeffs)
+        b: dict = {}
+        for lam in parts:  # descending lex; lam can only involve mu <= lam
+            c = need.get(lam, ZERO)
+            if c:
+                b[lam] = c
+                for mu, k in K[lam].items():
+                    if mu != lam:
+                        _acc(need, mu, c * (-k))
+                need.pop(lam, None)
+        out = b
+    return SymFunc("s", n, out)
+
+
+def _oracle_schur_to(f: SymFunc, target: str) -> SymFunc:
+    n, parts = f.degree, partitions(f.degree)
+    out: dict = {}
+    if target == "m":
+        K = _kostka(n)
+        for lam, c in f.coeffs.items():
+            for mu, k in K[lam].items():
+                _acc(out, mu, c * k)
+    elif target in ("h", "e"):
+        # b_lam = sum_mu K[lam][mu] x_mu with K unitriangular; solve
+        # for x ascending in lex order, whose smaller entries are known
+        K = _kostka(n)
+        need = {lam: c for lam, c in f.coeffs.items()}
+        if target == "e":
+            need = {conjugate_partition(lam): c for lam, c in need.items()}
+        x: dict = {}
+        for mu in reversed(parts):
+            c = need.get(mu, ZERO)
+            for nu, k in K[mu].items():
+                if nu != mu and nu in x:
+                    c = c - x[nu] * k
+            if c:
+                x[mu] = c
+        out = x
+    elif target == "p":
+        chi = character_table(n)
+        for mu in parts:
+            total = ZERO
+            for lam, c in f.coeffs.items():
+                k = chi.chi(lam, mu)
+                if k:
+                    total = total + c * k
+            total = total * Fraction(1, z_mu(mu))
+            if total:
+                out[mu] = total
+    return SymFunc(target, n, out)
+
+
+def horner_q_shift(f: LaurentQ) -> LaurentQ:
+    """f(q + 1) by Horner's rule in LaurentQ arithmetic (f must be a
+    polynomial in q)."""
+    out = ZERO
+    for c in reversed(f.q_coefficients()):
+        out = out * (Q + ONE) + c
+    return out
 
 
 # -- graph colorings ----------------------------------------------------------
@@ -705,7 +817,7 @@ def plethysm_scale(f: SymFunc, mode: str) -> SymFunc:
     """
     if mode not in ("times", "divide"):
         raise ValueError(f"unknown mode {mode!r}")
-    fp = f.to_basis("p")
+    fp = oracle_to_basis(f, "p")
     out = {}
     for lam, c in fp.coeffs.items():
         factor = ONE
@@ -734,7 +846,7 @@ def frac_llt_plethysm(w) -> SymFunc:
     cleared = scaled.map_coeffs(
         lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
         else c * qm1n)
-    return cleared.to_basis("s")
+    return oracle_to_basis(cleared, "s")
 
 
 def newton_check(n: int, budget: int | None = None) -> bool:

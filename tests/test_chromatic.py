@@ -17,13 +17,14 @@ from heckelab.coxeter import (
     identity,
 )
 from heckelab.laurentq import (
-    LaurentQ, ONE, Q, from_q_coefficients, gauss_number,
+    LaurentQ, ONE, Q, from_q_coefficients, gauss_number, pack_signed,
+    unpack_signed,
 )
 from heckelab.symfunc import SymFunc, omega, partitions
 from oracles import (
     LaurentFrac, all_coloring_sums, backtrack_coloring_sums,
     count_proper_colorings, frac_llt_plethysm, monomials_of_shape,
-    plethysm_scale,
+    oracle_to_basis, plethysm_scale,
 )
 
 
@@ -201,7 +202,7 @@ def test_llt_map_columns_match_frac_oracle():
         for nu in partitions(n):
             f = plethysm_scale(omega(SymFunc.basis_element("m", nu)),
                                "divide")
-            f = f.map_coeffs(lambda c: c * qm1n).to_basis("s")
+            f = oracle_to_basis(f.map_coeffs(lambda c: c * qm1n), "s")
             got = {mu: LaurentFrac(from_q_coefficients(c), den)
                    for mu, c in cols[nu].items()}
             assert got == f.coeffs, nu
@@ -209,11 +210,14 @@ def test_llt_map_columns_match_frac_oracle():
 
 
 def test_llt_plethysm_remainder_is_value_error(monkeypatch):
+    # a polynomial remainder, and a quotient that is rational but not
+    # integral: the integer division refuses both
     cols, top, den = chromatic._llt_map(4)
-    monkeypatch.setattr(chromatic, "_llt_map",
-                        lambda n: (cols, top, den * (Q + 2)))
-    with pytest.raises(ValueError):
-        llt_plethysm((3, 4, 1, 2))
+    for bad in (den * (Q + 2), den * 2):
+        monkeypatch.setattr(chromatic, "_llt_map",
+                            lambda n, bad=bad: (cols, top, bad))
+        with pytest.raises(ValueError, match="inexact division"):
+            llt_plethysm((3, 4, 1, 2))
 
 
 @given(st.integers(min_value=2, max_value=80), st.data())
@@ -231,8 +235,8 @@ def test_packed_products_are_exact(bits, data):
         conv.pop()
     if any(abs(c) >= half for c in conv):
         return
-    got = chromatic._unpack(chromatic._pack(a, bits)
-                            * chromatic._pack(b, bits), bits)
+    got = unpack_signed(pack_signed(enumerate(a), bits)
+                        * pack_signed(enumerate(b), bits), bits)
     assert got == conv
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from heckelab import chromatic, cli
 from heckelab.cli import main
+from heckelab.coxeter import all_hessenberg_functions, all_permutations
 from heckelab.hecke import HeckeElement, KLContext, bott_samelson_product
 from heckelab.laurentq import LaurentQ, ONE, Q, from_q_coefficients
 from heckelab.parabolic import induced_character
 from heckelab.symfunc import SymFunc
+from oracles import oracle_to_basis
 
 
 def run(capsys, *argv):
@@ -36,6 +40,62 @@ def test_golden_output(capsys):
         if (code, out) != (case["code"], case["stdout"]):
             diffs.append(f"{case['argv']}: exit {code}, {out!r}")
     assert not diffs, "\n".join(diffs)
+
+
+def _sweep_argvs():
+    """Every basis and format of the verbs that change bases, on all of
+    S_4 (and all 14 Hessenberg functions at n = 4), plus a seeded sample
+    of 20 at n = 5 and 3 at n = 6."""
+    rng = random.Random(20261018)
+    ws = [w for n, k in ((4, 24), (5, 20), (6, 3))
+          for w in rng.sample(sorted(all_permutations(n)), k)]
+    ms = [m for n, k in ((4, 14), (5, 20), (6, 3))
+          for m in rng.sample(sorted(all_hessenberg_functions(n)), k)]
+    for fmt in ("plain", "json", "latex"):
+        for w in ws:
+            lit, gens = "".join(map(str, w)), range(1, len(w))
+            for b in "ehpms":
+                yield "frobenius", "--w", lit, "--basis", b, "--format", fmt
+                yield ("frobenius", "--w", lit, "--of", "t", "--basis", b,
+                       "--format", fmt)
+                yield "llt", "--w", lit, "--basis", b, "--format", fmt
+            for J in ("1", ",".join(map(str, gens))):
+                for src in ("--w", "--kl"):
+                    yield ("induced-char", src, lit, "--J", J,
+                           "--format", fmt)
+        for m in ms:
+            lit = ",".join(map(str, m))
+            yield "chss-check", "--m", lit, "--format", fmt
+            for b in "ehpms":
+                yield "csf", "--m", lit, "--basis", b, "--format", fmt
+                yield "llt", "--m", lit, "--basis", b, "--format", fmt
+
+
+def test_basis_changes_match_oracle_route_byte_for_byte(capsys,
+                                                        monkeypatch):
+    # stdout of the packed integer-matrix route against the term-by-term
+    # route through the Schur basis, with the cached LLT map rebuilt on
+    # each side; one parser serves every call, since building it would
+    # take most of the time
+    argvs = list(_sweep_argvs())
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    outputs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(
+                SymFunc, "to_basis",
+                lambda self, target, budget=None: oracle_to_basis(self,
+                                                                  target))
+        chromatic._llt_map.cache_clear()
+        chromatic._packed_cols.cache_clear()
+        outputs.append([run(capsys, *argv)[:2] for argv in argvs])
+    chromatic._llt_map.cache_clear()
+    chromatic._packed_cols.cache_clear()
+    new, old = outputs
+    assert all(code == 0 for code, _ in new)
+    diffs = [argv for argv, a, b in zip(argvs, new, old) if a != b]
+    assert not diffs, diffs[:5]
 
 
 def test_latex_names_beyond_rank_nine():

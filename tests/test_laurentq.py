@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from heckelab.laurentq import (
     LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number, q_power,
 )
-from oracles import LaurentFrac, poly_gcd
+from oracles import LaurentFrac, horner_q_shift, poly_gcd
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
 small_exps = st.integers(min_value=-6, max_value=6)
@@ -128,6 +128,22 @@ def test_q_shift_substitution():
     f = from_q_coefficients([1, 1])  # 1 + q
     assert f.substitute_q_shift() == from_q_coefficients([2, 1])
     assert Q.substitute_q_shift() == Q + ONE
+    assert ZERO.substitute_q_shift() == ZERO
+    for bad in (V, LaurentQ({-2: 1}), Q + LaurentQ({3: 1})):
+        with pytest.raises(ValueError, match="not a polynomial in q"):
+            bad.substitute_q_shift()
+
+
+q_coeffs = st.one_of(small_coeffs, st.fractions(min_value=-9, max_value=9,
+                                                 max_denominator=12))
+
+
+@given(st.lists(q_coeffs, max_size=12))
+def test_q_shift_matches_horner(cs):
+    # the Pascal transform b_j = sum_k c_k C(k, j) against f(q + 1)
+    # expanded by Horner's rule, on integer and Fraction coefficients
+    f = from_q_coefficients(cs)
+    assert f.substitute_q_shift() == horner_q_shift(f)
 
 
 def test_rendering():

@@ -6,6 +6,8 @@ for Schur functions), so the Kostka/character machinery is validated
 end-to-end against first principles.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,7 @@ from heckelab.symfunc import (
 )
 from oracles import (
     LaurentFrac, count_syt, expand_basis_element, newton_check,
-    plethysm_scale,
+    oracle_to_basis, plethysm_scale,
 )
 
 
@@ -128,6 +130,48 @@ def test_round_trip_random_elements(n, data):
     b2 = data.draw(st.sampled_from("ehpms"))
     f = SymFunc(b1, n, coeffs)
     assert f.to_basis(b2).to_basis(b1) == f
+
+
+def test_to_basis_matches_oracle_on_basis_elements():
+    # the cached integer matrices against term-by-term LaurentQ arithmetic
+    # through the Schur basis, for every ordered pair of bases
+    for n in range(7):
+        for b1 in "ehpms":
+            for lam in partitions(n):
+                f = SymFunc.basis_element(b1, lam)
+                for b2 in "ehpms":
+                    assert f.to_basis(b2) == oracle_to_basis(f, b2), \
+                        (b1, b2, lam)
+
+
+scalars = st.one_of(st.integers(-30, 30),
+                    st.fractions(min_value=-30, max_value=30,
+                                 max_denominator=24))
+
+
+@given(st.integers(min_value=0, max_value=5), st.sampled_from("ehpms"),
+       st.sampled_from("ehpms"), st.data())
+def test_to_basis_matches_oracle_random(n, b1, b2, data):
+    # odd and negative v-exponents, Fraction and zero coefficients,
+    # degree 0 and the empty function
+    lams = data.draw(st.lists(st.sampled_from(partitions(n)), max_size=4))
+    f = SymFunc(b1, n, {lam: LaurentQ(data.draw(st.dictionaries(
+        st.integers(-7, 7), scalars, max_size=4))) for lam in lams})
+    got = f.to_basis(b2)
+    assert got == oracle_to_basis(f, b2)
+    assert (got.basis, got.degree) == (b2, n)
+    assert all(got.coeffs.values())
+
+
+def test_to_basis_keeps_scalar_forms():
+    # integral results are ints, rational ones Fractions in lowest terms
+    f = SymFunc("s", 3, {(2, 1): LaurentQ({-1: Fraction(3, 2), 4: 6})})
+    p = f.to_basis("p")
+    assert p.coeffs[(3,)].c == {-1: Fraction(-1, 2), 4: -2}
+    assert type(p.coeffs[(3,)].c[4]) is int
+    assert p.to_basis("s") == f
+    with pytest.raises(ValueError, match="unknown basis"):
+        f.to_basis("x")
 
 
 def test_omega_examples():
