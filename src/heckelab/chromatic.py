@@ -138,7 +138,7 @@ def _collect_monomials(n: int, vectors: dict) -> SymFunc:
     for vec, d in vectors.items():
         lam = tuple(sorted((e for e in vec if e), reverse=True))
         by_partition.setdefault(lam, []).append(d)
-    coeffs = {}
+    coeffs = {}   # the sorted exponent vectors are partitions of n
     for lam, orbit in by_partition.items():
         first = orbit[0]
         if any(d != first for d in orbit[1:]):
@@ -150,9 +150,9 @@ def _collect_monomials(n: int, vectors: dict) -> SymFunc:
         if len(orbit) != math.factorial(n) // math.prod(
                 map(math.factorial, mult)):
             raise AssertionError(f"incomplete monomial orbit at {lam}")
-        if first:
-            coeffs[lam] = LaurentQ({2 * e: c for e, c in first.items()})
-    return SymFunc("m", n, coeffs)
+        if poly := LaurentQ({2 * e: c for e, c in first.items()}):
+            coeffs[lam] = poly
+    return SymFunc("m", n)._like(coeffs)
 
 
 def csf_q(g, budget: int | None = None) -> SymFunc:
@@ -238,9 +238,9 @@ def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
         for mu, y in packed[nu].items():
             nums[mu] = nums.get(mu, 0) + x * y
     dcs = den.q_coefficients()
-    return SymFunc("s", n, {
+    return SymFunc("s", n)._like({
         mu: from_q_coefficients(_divide(unpack_signed(x, bits), dcs))
-        for mu, x in nums.items()})
+        for mu, x in nums.items() if x})
 
 
 def _divide(num: list, den: list) -> list:

@@ -6,21 +6,23 @@ they generate and JW denotes the minimal-length representatives of the
 right cosets W_J \\ w, ordered by (length, one-line notation).  The right
 action w ._J s keeps w when ws leaves JW and moves to ws otherwise; it
 extends to an action of H_n on the free module over JW, and the trace of
-right multiplication by a is the induced character c_J(a).
+right multiplication by a is the induced character c_J(a).  It depends
+only on the sorted block sizes lam of J (W_J is conjugate to S_lam).
 
 Two independent routes to c_J are implemented:
 
   * class polynomials, for any a: c_J is fixed by its values on T_{w_mu},
     w_mu of minimal length in the class of cycle type mu, and
     c_J(a) = sum_mu (sum_z a_z f_{z,mu}) c_J(T_{w_mu}) with integer class
-    polynomials f_{z,mu}; and
+    polynomials f_{z,mu}; the values c_J(T_{w_mu}) come from a closed
+    formula in lam and mu, with no quotient module built; and
   * binary words, for a product (1+T_{s_1})...(1+T_{s_k}): the fixed
     points of the up/down maps phi_{J,s,1}(w) = max(w ._J s, w),
     phi_{J,s,0}(w) = min(w ._J s, w) composed along the word, weighted by
     q^(number of 1s).
 
-The trace route (traces of T_z from sparse matrix products) is kept as a
-cross-check in `tests/oracles.py`.
+The trace route (traces of T_z from sparse matrix products on the
+quotient module) is kept as a cross-check in `tests/oracles.py`.
 
 A third route runs over all of W rather than JW: a binary word b is
 *good* for w if the composite of the absolute up/down maps fixes w and
@@ -32,7 +34,8 @@ fixed-point pairs.  Good pairs also carry a sequence of positive roots
 (one per 1-bit) certifying an affine cell of that dimension.
 
 All binary-word routes step through one up/down kernel per quotient
-table (the absolute dynamics is the table at J = {}).  The fixed-point
+table (the absolute dynamics is the table at J = {}); the tables serve
+only these routes and `parabolic_quotient`.  The fixed-point
 and good-word *counts* merge the paths that meet at the same state, so
 they cost O(k * |states|) per start for a word of length k, where a
 state is a quotient element or a pair (permutation, witness mask).
@@ -49,18 +52,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import accumulate, product
 
 from .coxeter import (
-    Perm, Word, apply_s_left, apply_s_right, cycle_type, identity,
+    Perm, Word, apply_s_left, cycle_type, identity,
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentQ, from_packed
+from .laurentq import LaurentQ, from_packed
 
 __all__ = [
     "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
-    "dot_action", "hecke_dot_matrix", "induced_character",
-    "induced_characters", "trace_table",
+    "induced_character", "induced_characters",
     "bott_samelson_character", "phi", "bin_set",
     "good_words", "good_word_character", "good_word_characters_all_j",
     "kappa", "derive_root_sequence", "is_good_sequence",
@@ -104,8 +107,8 @@ class ParabolicQuotient:
 
 
 class _QuotientTable:
-    """Index-level data for one (n, J): local numbering of JW, the dot
-    action, and the induced-module action of each T_s."""
+    """Index-level data for one (n, J) for the binary-word routes: local
+    numbering of JW and the up/down step kernel of the dot action."""
 
     def __init__(self, n: int, J: frozenset):
         tbl = perm_table(n)
@@ -131,33 +134,11 @@ class _QuotientTable:
                           if tw == ws)
                 row.append((max(i, j), min(i, j), wit))
             self.steps.append(row)
-        # action[s-1][i]: the row of right multiplication by T_s at basis
-        # vector i, as ((target, kind), ...) with kind 0 -> 1, 1 -> q,
-        # 2 -> q-1
-        self.action = []
-        for s in range(n - 1):
-            rows = []
-            for i, gi in enumerate(reps):
-                ws = tbl.rmult[gi][s]
-                j = self.loc.get(ws)
-                if j is None:
-                    rows.append(((i, 1),))
-                elif tbl.lengths[ws] > tbl.lengths[gi]:
-                    rows.append(((j, 0),))
-                else:
-                    rows.append(((j, 1), (i, 2)))
-            self.action.append(rows)
 
 
-_quotients: dict = {}
-
-
+@cache
 def _quotient_table(n: int, J: frozenset) -> _QuotientTable:
-    key = (n, J)
-    qt = _quotients.get(key)
-    if qt is None:
-        qt = _quotients.setdefault(key, _QuotientTable(n, J))
-    return qt
+    return _QuotientTable(n, J)
 
 
 def parabolic_quotient(n: int, J) -> ParabolicQuotient:
@@ -166,37 +147,6 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
     qt = _quotient_table(n, J)
     reps = tuple(qt.tbl.perms[gi] for gi in qt.reps)
     return ParabolicQuotient(n, J, reps, {w: i for i, w in enumerate(reps)})
-
-
-def dot_action(w: Perm, s: int, Q: ParabolicQuotient) -> Perm:
-    """w ._J s = ws if ws stays in JW, else w.  Requires w in JW."""
-    w = tuple(w)
-    if not 1 <= s <= Q.n - 1:
-        raise ValueError(f"generator index out of range: {s}")
-    if w not in Q.index:
-        raise ValueError(f"{w} is not a minimal coset representative")
-    ws = apply_s_right(w, s)
-    return ws if ws in Q.index else w
-
-
-def hecke_dot_matrix(s: int, Q: ParabolicQuotient):
-    """The matrix of right multiplication by T_s on the quotient module,
-    rows and columns in the order of Q.reps.
-
-    Row w reads: q*[w] when ws leaves JW; [ws] when ws is a longer rep;
-    q*[ws] + (q-1)*[w] when ws is a shorter rep.  At J = {} this is the
-    regular representation of T_s.
-    """
-    if not 1 <= s <= Q.n - 1:
-        raise ValueError(f"generator index out of range: {s}")
-    qt = _quotient_table(Q.n, Q.J)
-    m = len(qt.reps)
-    kinds = (ONE, LaurentQ({2: 1}), LaurentQ({2: 1, 0: -1}))
-    out = [[ZERO] * m for _ in range(m)]
-    for i, row in enumerate(qt.action[s - 1]):
-        for j, kind in row:
-            out[i][j] = out[i][j] + kinds[kind]
-    return out
 
 
 # -- characters from class polynomials ---------------------------------------
@@ -257,39 +207,58 @@ def _class_polys(n: int) -> tuple:
 
 
 @cache
-def _class_traces(n: int, J: frozenset) -> dict:
-    """{mu: c_J(T_{w_mu})} for every cycle type mu.
+def _young_type(n: int, J: frozenset) -> tuple:
+    """The block sizes of J, largest first: W_J is conjugate to S_lam."""
+    cuts = [0, *(i for i in range(1, n) if i not in J), n]
+    return tuple(sorted((b - a for a, b in zip(cuts, cuts[1:]) if b > a),
+                        reverse=True))
 
-    The reduced word of w_mu uses each letter at most once, so a nonempty
-    set of moves along it never multiplies back to the identity: pushing
-    the basis vector x through the word returns to x only on the path that
-    stays at x.  The trace is therefore the sum over x of the products of
-    the diagonal entries of T_s at x: q when xs leaves JW, q-1 when xs is
-    a shorter rep, 0 when it is a longer one.
+
+@cache
+def _young_trace(content: tuple, mu: tuple) -> dict:
+    """c_lam(T_{w_mu}) for the Young subgroup S_lam, lam = content, as a
+    {v-exponent: int} dict.
+
+    Read a coset rep x as the word of the J-blocks holding x(1..n); its
+    content is lam.  The diagonal entry of T_s at x is q on equal letters
+    (xs leaves JW), q-1 on a descent (xs is a shorter rep) and 0 on an
+    ascent.  The reduced word of w_mu uses each letter at most once, so
+    pushing x through it returns to x only along the diagonal: x counts
+    exactly when its word weakly decreases along each block of mu.  A
+    block of size k that takes d distinct letters has one such
+    arrangement, weighing q^(k-d) (q-1)^(d-1).  Summing the products of
+    those weights over the ways of splitting lam into one multiset per
+    block gives the trace; what a block leaves is keyed by its sorted
+    content.
+
+    >>> _young_trace((2, 1), (3,))   # q^2 - q
+    {2: -1, 4: 1}
     """
-    qt = _quotient_table(n, J)
-    out = {}
-    for mu in _class_polys(n)[1]:
-        word, start = [], 0
-        for part in mu:
-            word.extend(range(start, start + part - 1))
-            start += part
-        acc: dict = {}
-        for x in range(len(qt.reps)):
-            kinds = [dict(qt.action[s][x]).get(x) for s in word]
-            if None not in kinds:   # q^a (q-1)^b
-                a, b = kinds.count(1), kinds.count(2)
-                for j in range(b + 1):
-                    e = 2 * (a + j)
-                    acc[e] = acc.get(e, 0) + (-1) ** (b - j) * math.comb(b, j)
-        out[mu] = {e: c for e, c in acc.items() if c}
-    return out
+    if not mu:
+        return {0: 1}
+    k, out = mu[0], {}
+    for take in product(*(range(c + 1) for c in content)):
+        if sum(take) == k:
+            d = len(take) - take.count(0)
+            rest = sorted((c - a for c, a in zip(content, take) if c > a),
+                          reverse=True)
+            weight = {2 * (k - d + j): (-1) ** (d - 1 - j)
+                      * math.comb(d - 1, j) for j in range(d)}
+            _mac(out, weight, _young_trace(tuple(rest), mu[1:]))
+    return {e: c for e, c in out.items() if c}
 
 
-def induced_characters(a: HeckeElement, Js) -> list:
-    """[c_J(a) for J in Js]: the trace of right multiplication by a on each
-    quotient module, as sum_mu (sum_z a_z f_{z,mu}) c_J(T_{w_mu}); the
-    inner sums are formed once for all J."""
+@cache
+def _class_traces(lam: tuple) -> dict:
+    """{mu: c_lam(T_{w_mu})} for every cycle type mu."""
+    return {mu: _young_trace(lam, mu) for mu in _class_polys(sum(lam))[1]}
+
+
+def _young_characters(a: HeckeElement, lams) -> list:
+    """[c_lam(a) for lam in lams], lam partitions of a.n: the induced
+    characters from the Young subgroups S_lam, as
+    sum_mu (sum_z a_z f_{z,mu}) c_lam(T_{w_mu}); the inner sums are formed
+    once for all lam."""
     tbl, (f, _) = perm_table(a.n), _class_polys(a.n)
     by_class: dict = {}   # id of a class's f dict -> (f dict, sum of a_z)
     for w, c in a.terms.items():
@@ -302,8 +271,8 @@ def induced_characters(a: HeckeElement, Js) -> list:
         for mu, fp in p.items():
             _mac(sums.setdefault(mu, {}), fp, g)
     out = []
-    for J in Js:
-        traces = _class_traces(a.n, _check_j(a.n, J))
+    for lam in lams:
+        traces = _class_traces(lam)
         acc: dict = {}
         for mu, g in sums.items():
             _mac(acc, g, traces[mu])
@@ -311,16 +280,18 @@ def induced_characters(a: HeckeElement, Js) -> list:
     return out
 
 
+def induced_characters(a: HeckeElement, Js) -> list:
+    """[c_J(a) for J in Js]: the trace of right multiplication by a on each
+    quotient module, which is the character induced from S_lam for lam
+    the block sizes of J."""
+    return _young_characters(
+        a, [_young_type(a.n, _check_j(a.n, J)) for J in Js])
+
+
 def induced_character(a: HeckeElement, J) -> LaurentQ:
     """c_J(a): the trace of right multiplication by a on the quotient
     module, extended linearly over the T-basis support of a."""
     return induced_characters(a, [J])[0]
-
-
-def trace_table(n: int, J) -> dict:
-    """{z: trace of T_z on the quotient module} for every z in S_n."""
-    return {w: induced_character(HeckeElement.t_basis(n, w), J)
-            for w in perm_table(n).perms}
 
 
 # -- binary words --------------------------------------------------------------
@@ -628,9 +599,5 @@ def young_subgroup_generators(parts, n: int) -> frozenset:
     indices except the partial sums of the composition."""
     if sum(parts) != n:
         raise ValueError(f"{parts} is not a composition of {n}")
-    cuts = set()
-    acc = 0
-    for p in parts[:-1]:
-        acc += p
-        cuts.add(acc)
+    cuts = set(accumulate(parts[:-1]))
     return frozenset(i for i in range(1, n) if i not in cuts)

@@ -28,7 +28,7 @@ from . import config
 from .coxeter import cycle_type
 from .hecke import HeckeElement
 from .laurentq import ONE, ZERO, LaurentQ, Terms, pack_signed, unpack_signed
-from .parabolic import induced_characters, young_subgroup_generators
+from .parabolic import _young_characters
 
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
@@ -402,11 +402,9 @@ def frobenius_character(a: HeckeElement) -> SymFunc:
     character of a from the Young subgroup S_lam (trivial module); in the
     Schur basis the coefficients become the irreducible character values.
     All of them share one set of class-polynomial sums."""
-    n = a.n
-    lams = partitions(n)
-    values = induced_characters(
-        a, [young_subgroup_generators(lam, n) for lam in lams])
-    return SymFunc("m", n, dict(zip(lams, values)))
+    lams = partitions(a.n)
+    return SymFunc("m", a.n)._like(
+        {lam: c for lam, c in zip(lams, _young_characters(a, lams)) if c})
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

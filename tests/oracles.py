@@ -11,7 +11,8 @@ basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
 the library's packed route cannot), binary-word counts and word sets
 from depth-first walks over all 2^k
 words, Bott-Samelson products from LaurentQ products, induced characters
-from per-z trace matrices on the quotient module, Kazhdan-Lusztig elements
+from per-z trace matrices on the quotient module and the traces of the
+T_{w_mu} from the diagonal of its action, Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd), and the power-sum and determinantal
@@ -31,6 +32,7 @@ from heckelab.hecke import HeckeElement, kl_context
 from heckelab.laurentq import (
     ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
 )
+from heckelab.parabolic import induced_character
 from heckelab.symfunc import (
     SymFunc, _kostka, character_table, class_size, conjugate_partition,
     frobenius_character, immanant, omega, partitions, sign_partition,
@@ -521,11 +523,105 @@ def dfs_good_words(w, sigma, J) -> set:
             if end == start and mask & need == need}
 
 
-# -- the trace route -----------------------------------------------------------
+# -- the quotient module -------------------------------------------------------
 #
-# The library's first route to c_J: the full table of traces of T_z on the
-# quotient module, one sparse matrix product per z.  The library now reads
-# c_J off class polynomials; this checks it for n <= 5.
+# The action of H_n on the free module over JW, built from `_quotient`.
+# The library's first route to c_J was the full table of traces of T_z on
+# it, one sparse matrix product per z; its second read the traces of the
+# T_{w_mu} off the diagonal of this action.  The library now reads c_J off
+# class polynomials and a closed formula for those traces; these check it.
+
+def dot_action(w, s: int, quot):
+    """w ._J s = ws if ws stays in JW, else w, for quot a
+    `ParabolicQuotient`.  Requires w in JW."""
+    w = tuple(w)
+    if not 1 <= s <= quot.n - 1:
+        raise ValueError(f"generator index out of range: {s}")
+    if w not in quot.index:
+        raise ValueError(f"{w} is not a minimal coset representative")
+    ws = apply_s_right(w, s)
+    return ws if ws in quot.index else w
+
+
+@lru_cache(maxsize=None)
+def _action(n: int, J: frozenset) -> list:
+    """action[s][u]: the row of right multiplication by T_(s+1) at basis
+    vector u of the quotient module, as ((target, kind), ...) with kind
+    0 -> 1, 1 -> q, 2 -> q-1."""
+    tbl, reps, dot = _quotient(n, J)
+    action = []
+    for s in range(n - 1):
+        rows = []
+        for u in range(len(reps)):
+            v = dot[u][s]
+            if v == u:
+                rows.append(((u, 1),))
+            elif tbl.lengths[reps[v]] > tbl.lengths[reps[u]]:
+                rows.append(((v, 0),))
+            else:
+                rows.append(((v, 1), (u, 2)))
+        action.append(rows)
+    return action
+
+
+_KINDS = (ONE, Q, Q - ONE)
+
+
+def hecke_dot_matrix(s: int, quot):
+    """The matrix of right multiplication by T_s on the quotient module of
+    the `ParabolicQuotient` quot, rows and columns in the order of its reps.
+
+    Row w reads: q*[w] when ws leaves JW; [ws] when ws is a longer rep;
+    q*[ws] + (q-1)*[w] when ws is a shorter rep.  At J = {} this is the
+    regular representation of T_s.
+    """
+    if not 1 <= s <= quot.n - 1:
+        raise ValueError(f"generator index out of range: {s}")
+    rows = _action(quot.n, quot.J)[s - 1]
+    out = [[ZERO] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, kind in row:
+            out[i][j] = out[i][j] + _KINDS[kind]
+    return out
+
+
+def quotient_class_traces(n: int, J) -> dict:
+    """{mu: c_J(T_{w_mu})} as {v-exponent: int} dicts, for every partition
+    mu of n, w_mu the product of the Coxeter elements of the blocks of mu.
+
+    The reduced word of w_mu uses each letter at most once, so pushing a
+    basis vector x through it returns to x only on the path that stays at
+    x: the trace is the sum over x of the products of the diagonal
+    entries of T_s at x.
+    """
+    J = frozenset(J)
+    action, m = _action(n, J), len(_quotient(n, J)[1])
+    out = {}
+    for mu in partitions(n):
+        word, start = [], 0
+        for part in mu:
+            word.extend(range(start, start + part - 1))
+            start += part
+        total = ZERO
+        for x in range(m):
+            diag = ONE
+            for s in word:
+                kind = dict(action[s][x]).get(x)
+                if kind is None:
+                    break
+                diag = diag * _KINDS[kind]
+            else:
+                total = total + diag
+        out[mu] = dict(total.c)
+    return out
+
+
+def trace_table(n: int, J) -> dict:
+    """{z: c_J(T_z)} for every z in S_n, read from the library's class
+    route, to set against `build_trace_table`."""
+    return {w: induced_character(HeckeElement.t_basis(n, w), J)
+            for w in perm_table(n).perms}
+
 
 def _min_right_descent(tbl, gi: int):
     li = tbl.lengths[gi]
@@ -544,22 +640,9 @@ def build_trace_table(n: int, J: frozenset) -> dict:
     right descent) depth-first, carrying the sparse matrix of T_(prefix)
     along each branch so every matrix is built exactly once.
     """
-    tbl, reps, dot = _quotient(n, J)
+    tbl, reps, _ = _quotient(n, J)
     m = len(reps)
-    # action[s][u]: the row of T_s at basis vector u, as ((target, kind),
-    # ...) with kind 0 -> 1, 1 -> q, 2 -> q-1
-    action = []
-    for s in range(n - 1):
-        rows = []
-        for u in range(m):
-            v = dot[u][s]
-            if v == u:
-                rows.append(((u, 1),))
-            elif tbl.lengths[reps[v]] > tbl.lengths[reps[u]]:
-                rows.append(((v, 0),))
-            else:
-                rows.append(((v, 1), (u, 2)))
-        action.append(rows)
+    action = _action(n, J)
     traces: list = [None] * len(tbl)
 
     def trace_of(mat) -> dict:

@@ -20,17 +20,20 @@ from heckelab.coxeter import (
 from heckelab.hecke import HeckeElement, bott_samelson_product, kl_context
 from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
     gauss_number, q_power
+from heckelab import cli, parabolic
 from heckelab.parabolic import (
-    _class_polys, all_parabolic_subsets, bin_set, bott_samelson_character,
-    derive_root_sequence, dot_action, good_word_character,
-    good_word_characters_all_j, good_words, hecke_dot_matrix,
-    induced_character, is_good_sequence, kappa, min_coset_rep,
-    parabolic_quotient, phi, trace_table, young_subgroup_generators,
+    _class_polys, _class_traces, _young_type, all_parabolic_subsets, bin_set,
+    bott_samelson_character, derive_root_sequence, good_word_character,
+    good_word_characters_all_j, good_words, induced_character,
+    is_good_sequence, kappa, min_coset_rep, parabolic_quotient, phi,
+    young_subgroup_generators,
 )
 from heckelab.symfunc import SymFunc, frobenius_character, partitions
 from oracles import (
     build_trace_table, dfs_bin_set, dfs_bott_samelson_character,
-    dfs_good_word_characters_all_j, dfs_good_words, trace_route_character,
+    dfs_good_word_characters_all_j, dfs_good_words, dot_action,
+    hecke_dot_matrix, quotient_class_traces, trace_route_character,
+    trace_table,
 )
 
 J13 = frozenset({1, 3})
@@ -571,6 +574,36 @@ def test_trace_table_matches_trace_route():
     for n in range(1, 6):
         for J in all_parabolic_subsets(n):
             assert trace_table(n, J) == build_trace_table(n, J), (n, sorted(J))
+
+
+def test_young_traces_match_quotient_module_traces():
+    # the closed content-splitting formula against the diagonal of the
+    # quotient-module action: every J (every composition, so the order of
+    # the blocks is checked too) up to n = 6, the Young J at n = 7
+    cases = [(n, J) for n in range(1, 7) for J in all_parabolic_subsets(n)]
+    cases += [(7, young_subgroup_generators(lam, 7))
+              for lam in partitions(7)]
+    assert len(cases) == 63 + 15
+    for n, J in cases:
+        assert _class_traces(_young_type(n, J)) == \
+            quotient_class_traces(n, J), (n, sorted(J))
+
+
+def test_character_route_builds_no_quotient_module(monkeypatch, capsys):
+    def refuse(n, J):
+        raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
+
+    monkeypatch.setattr(parabolic, "_quotient_table", refuse)
+    _class_traces.cache_clear()
+    w = (3, 5, 1, 4, 2)
+    for a in (kl_context(5).element(w), HeckeElement.t_basis(5, w),
+              bott_samelson_product((1, 3, 2, 4, 1), 5)):
+        ch = frobenius_character(a)
+        for J in all_parabolic_subsets(5):
+            assert ch.coeffs.get(_young_type(5, J), ZERO) == \
+                induced_character(a, J), sorted(J)
+    assert cli.main(["ih-poincare", "--w", "35142"]) == 0
+    assert capsys.readouterr().out.strip()
 
 
 def test_class_polynomials_at_q1_are_cycle_type_indicators():
