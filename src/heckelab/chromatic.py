@@ -38,7 +38,8 @@ from functools import cache
 from itertools import combinations
 
 from . import config
-from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, length
+from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, \
+    perm_table
 from .hecke import kl_context
 from .laurentq import (
     ONE, Q, LaurentQ, from_q_coefficients, gauss_number, pack_signed,
@@ -159,8 +160,7 @@ def csf_q(g, budget: int | None = None) -> SymFunc:
     """The proper-coloring sum with ascent statistic, in the monomial
     basis: sum over proper kappa: [n] -> [n] of q^(ascents) x_kappa."""
     g = _coerce_graph(g)
-    config.check_n(g.n, budget if budget is not None
-                   else config.max_n(config.DEFAULTS.csf_max_n), what="n")
+    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
     return _collect_monomials(g.n, _coloring_sums(g, proper=True))
 
 
@@ -168,9 +168,7 @@ def llt_direct(g, budget: int | None = None) -> SymFunc:
     """The all-colorings sum with ascent statistic: sum over all
     kappa: [n] -> [n] of q^(ascents) x_kappa, in the monomial basis."""
     g = _coerce_graph(g)
-    config.check_n(g.n, budget if budget is not None
-                   else config.max_n(config.DEFAULTS.llt_direct_max_n),
-                   what="n")
+    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
     return _collect_monomials(g.n, _coloring_sums(g, proper=False))
 
 
@@ -294,10 +292,9 @@ def conjecture_scan(kind: str, n: int, budget: int | None = None) -> list:
                    else config.max_n(config.DEFAULTS.group_max_n),
                    what=f"scan over S_{n} ({n}! = {math.factorial(n):,} "
                         "KL elements): n")
-    from .coxeter import all_permutations
     ctx = kl_context(n)
     rows = []
-    for w in sorted(all_permutations(n), key=lambda u: (length(u), u)):
+    for w in perm_table(n).perms:
         if kind == "shifted-e":
             f = llt_plethysm(w).to_basis("e")
             shifted = f.map_coeffs(lambda c: c.substitute_q_shift())

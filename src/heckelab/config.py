@@ -22,7 +22,7 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True)
 class Budgets:
-    # symmetric-group rank guard for tables, Hecke products and KL elements
+    # rank guard for tables, Hecke products, KL elements and coloring sums
     hecke_max_n: int = 8
     # rank guard for work over all of S_n (scans); an explicit guard
     # (set_max_n, HECKE_LAB_MAX_N, --max-n) replaces it
@@ -31,10 +31,6 @@ class Budgets:
     symfunc_max_degree: int = 12
     # immanants cost n! products
     immanant_max_n: int = 7
-    # coloring sums (one weak-order transfer sweep, palette n); an
-    # explicit guard replaces these too
-    csf_max_n: int = 8
-    llt_direct_max_n: int = 8
 
 
 DEFAULTS = Budgets()

@@ -8,6 +8,10 @@ The generator s_i (i = 1..n-1) is the transposition (i, i+1); multiplying
 by s_i on the right swaps positions i, i+1, on the left it swaps the
 values i, i+1.
 
+`PermTable` numbers permutations for the engines that step on indices: a
+lazy table per Kazhdan-Lusztig context, and the complete `perm_table(n)`
+for the class polynomials and the binary-word scans.
+
 >>> multiply((2, 1, 3), (1, 3, 2))
 (2, 3, 1)
 >>> length((4, 2, 1, 3))
@@ -18,7 +22,7 @@ values i, i+1.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from . import config
 
@@ -320,48 +324,92 @@ def transpositions(n: int):
 
 # -- indexed tables ---------------------------------------------------------
 
+def _descents(seq) -> int:
+    """Bitmask with bit t set iff seq[t] > seq[t+1]."""
+    return sum(1 << t for t in range(len(seq) - 1) if seq[t] > seq[t + 1])
+
+
 class PermTable:
-    """All of S_n indexed by (length, lex) order, with multiplication tables.
+    """Permutations of 1..n numbered in the order they are added.  Calling
+    the table validates and numbers a permutation; `left` and `right` fill
+    the multiplication tables on demand, numbering what they reach.
 
-    The enumeration cores (binary-word scans, parabolic modules, trace
-    tables) run on integer indices into this table instead of tuples.
+    perms[p] is the one-line tuple and index the inverse map, lengths[p]
+    the Coxeter length; lmult[p][s] and rmult[p][s] are the indices of
+    s_{s+1} perms[p] and perms[p] s_{s+1} (None until filled), and bit s
+    of ldesc[p] (rdesc[p]) is set iff that left (right) product is shorter.
 
-    Attributes:
-        perms:   index -> one-line tuple, sorted by (length, entries)
-        index:   one-line tuple -> index
-        lengths: index -> Coxeter length
-        rmult:   rmult[p][i-1] = index of perms[p] * s_i
-        lmult:   lmult[p][i-1] = index of s_i * perms[p]
-        inv:     index of the inverse permutation
-        ldesc:   bitmask with bit i-1 set iff s_i * perms[p] is shorter
+    >>> t = PermTable(3)
+    >>> t((1, 3, 2)), t.left(0, 0), t.right(0, 0), t.left(1, 0)
+    (0, 1, 2, 0)
+    >>> t.perms, t.lengths, t.lmult[0]
+    ([(1, 3, 2), (2, 3, 1), (3, 1, 2)], [1, 2, 2], [1, None])
     """
 
     def __init__(self, n: int):
-        config.check_n(n)
         self.n = n
-        perms = sorted(all_permutations(n), key=lambda w: (length(w), w))
-        self.perms = perms
-        self.index = {w: p for p, w in enumerate(perms)}
-        self.lengths = [length(w) for w in perms]
-        self.rmult = [[self.index[apply_s_right(w, i)] for i in range(1, n)]
-                      for w in perms]
-        self.lmult = [[self.index[apply_s_left(w, i)] for i in range(1, n)]
-                      for w in perms]
-        self.inv = [self.index[inverse(w)] for w in perms]
-        self.ldesc = [sum(1 << t for t, sw in enumerate(row)
-                          if self.lengths[sw] < lw)
-                      for row, lw in zip(self.lmult, self.lengths)]
+        self.perms, self.index, self.lengths = [], {}, []
+        self.ldesc, self.rdesc, self.lmult, self.rmult = [], [], [], []
 
     def __len__(self):
         return len(self.perms)
+
+    def __call__(self, w) -> int:
+        w = tuple(w)
+        if (i := self.index.get(w)) is None:
+            if sorted(w) != list(range(1, self.n + 1)):
+                raise ValueError(f"not a permutation of 1..{self.n}: {w}")
+            i = self._add(w, length(w))
+        return i
+
+    def _add(self, w: Perm, lw: int) -> int:
+        i = self.index[w] = len(self.perms)
+        self.perms.append(w)
+        self.lengths.append(lw)
+        self.ldesc.append(_descents(inverse(w)))
+        self.rdesc.append(_descents(w))
+        self.lmult.append([None] * (self.n - 1))
+        self.rmult.append([None] * (self.n - 1))
+        return i
+
+    def left(self, x: int, s: int) -> int:
+        """s_{s+1} x: one swap of the values s+1, s+2; the length moves by
+        one, down iff s is a left descent of x."""
+        if (y := self.lmult[x][s]) is None:
+            w = list(self.perms[x])
+            a, b = w.index(s + 1), w.index(s + 2)
+            w[a], w[b] = s + 2, s + 1
+            if (y := self.index.get(w := tuple(w))) is None:
+                y = self._add(w, self.lengths[x] + 1
+                              - 2 * (self.ldesc[x] >> s & 1))
+            self.lmult[x][s], self.lmult[y][s] = y, x
+        return y
+
+    def right(self, x: int, s: int) -> int:
+        """x s_{s+1}: one swap of the positions s, s+1 (a permutation not
+        yet numbered has its length counted afresh)."""
+        if (y := self.rmult[x][s]) is None:
+            w = self.perms[x]
+            y = self(w[:s] + (w[s + 1], w[s]) + w[s + 2:])
+            self.rmult[x][s], self.rmult[y][s] = y, x
+        return y
 
 
 _tables: dict = {}
 
 
 def perm_table(n: int) -> PermTable:
-    """Shared per-n table (insert-if-absent; entries are immutable)."""
+    """The shared complete table of S_n: (length, one-line) order, every
+    entry filled, and `inv` (index -> index of the inverse permutation)."""
     table = _tables.get(n)
     if table is None:
-        table = _tables.setdefault(n, PermTable(n))
+        config.check_n(n)
+        table = PermTable(n)
+        for lw, w in sorted((length(w), w) for w in all_permutations(n)):
+            table._add(w, lw)
+        for x, s in product(range(len(table)), range(n - 1)):
+            table.left(x, s)
+            table.right(x, s)
+        table.inv = [table.index[inverse(w)] for w in table.perms]
+        table = _tables.setdefault(n, table)
     return table

@@ -13,9 +13,10 @@ T_{w^{-1}}.  `KLContext` computes the integral Kazhdan-Lusztig elements
     B_w := q^(len(w)/2) C'_w = sum_{z <= w} P_{z,w}(q) T_z
 
 by the classical recursion on a left descent, with mu-correction terms,
-on indices of only the permutations it reaches (for B_w, the interval
-[e, w]) and interned integer q-coefficient tuples (no LaurentQ arithmetic);
-the leading 1, the constant terms and the degree bound
+on indices of a lazy `coxeter.PermTable` that numbers only the
+permutations it reaches (for B_w, the interval [e, w]) and interned
+integer q-coefficient tuples (no LaurentQ arithmetic); the leading 1, the
+constant terms and the degree bound
 deg P_{z,w} < (len(w)-len(z))/2 are checked as postconditions.  Elements
 are memoized per n behind a size guard.
 """
@@ -27,10 +28,12 @@ from functools import cache, lru_cache
 
 from . import config
 from .coxeter import (
-    Perm, Word, apply_s_right, bruhat_leq, check_permutation, evaluate_word,
-    identity, inverse, length, reduced_word,
+    Perm, PermTable, Word, apply_s_right, bruhat_leq, check_permutation,
+    evaluate_word, identity, inverse, length, reduced_word,
 )
-from .laurentq import ONE, ZERO, LaurentQ, Q, Terms, from_packed, q_power
+from .laurentq import (
+    ONE, ZERO, LaurentQ, Q, Terms, from_q_coefficients, q_power, unpack_signed,
+)
 
 __all__ = [
     "HeckeElement", "KLContext", "kl_context",
@@ -166,23 +169,16 @@ class HeckeElement(Terms):
         return HeckeElement(n, terms)
 
 
-# inverse of T_{w^{-1}}, memoized per n: these are the images of T_w under
-# the bar involution before conjugating coefficients
-_t_bar_cache: dict = {}
-
-
+@cache
 def _t_bar(n: int, w: Perm) -> HeckeElement:
-    cache = _t_bar_cache.setdefault(n, {})
-    elem = cache.get(w)
-    if elem is None:
-        u = inverse(w)
-        elem = HeckeElement.unit(n)
-        qinv = q_power(-1)
-        qinv_m1 = qinv - ONE
-        for i in reversed(reduced_word(u)):
-            # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1) T_e
-            elem = elem.mul_ts_right(i).scale(qinv) + elem.scale(qinv_m1)
-        cache[w] = elem
+    """The inverse of T_{w^{-1}}, memoized: the image of T_w under the bar
+    involution before conjugating coefficients."""
+    elem = HeckeElement.unit(n)
+    qinv = q_power(-1)
+    qinv_m1 = qinv - ONE
+    for i in reversed(reduced_word(inverse(w))):
+        # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1) T_e
+        elem = elem.mul_ts_right(i).scale(qinv) + elem.scale(qinv_m1)
     return elem
 
 
@@ -192,8 +188,8 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     The word need not be reduced.  T_w (1 + T_s) is T_w + T_{ws} when ws
     is longer, q T_w + q T_{ws} when shorter: coefficients stay in N[q]
     and each factor doubles their sum at q = 1, so none exceeds 2^k, and
-    a term rides in one int, k + 1 bits per power of q, that never carry
-    (Kronecker packing).  The support lies below the word's Demazure
+    a term rides in one int as signed (k + 2)-bit fields, one per power
+    of q, that never carry.  The support lies below the word's Demazure
     product; when that is w0 (n! terms) the guard for all of S_n applies.
 
     >>> print(bott_samelson_product((1,), 2))
@@ -210,7 +206,7 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
         config.check_n(n, config.max_n(config.DEFAULTS.group_max_n),
                        what=f"product over a word whose Demazure product "
                             f"is w0 ({n}! = {math.factorial(n):,} terms): n")
-    width = len(word) + 1
+    width = len(word) + 2   # 2^k needs k + 1 bits plus the sign bit
     terms = {identity(n): 1}
     for i in word:
         nxt: dict = {}
@@ -221,66 +217,9 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
             nxt[w] = nxt.get(w, 0) + x
             nxt[ws] = nxt.get(ws, 0) + x
         terms = nxt
-    return HeckeElement._raw(n, {w: from_packed(x, width)
-                                 for w, x in terms.items()})
-
-
-def _descents(seq) -> int:
-    """Bitmask with bit t set iff seq[t] > seq[t+1]."""
-    return sum(1 << t for t in range(len(seq) - 1) if seq[t] > seq[t + 1])
-
-
-class _LazyIndex:
-    """Permutations of 1..n numbered in the order first asked for, with
-    their lengths, left and right descent masks, and multiplication tables
-    (`lmult[x][s]` = index of s_{s+1} x, `rmult[x][s]` of x s_{s+1}) that
-    `left` and `right` fill on demand.  Calling the index validates and
-    numbers a permutation."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.perms, self.index, self.lengths = [], {}, []
-        self.ldesc, self.rdesc, self.lmult, self.rmult = [], [], [], []
-
-    def __call__(self, w) -> int:
-        w = tuple(w)
-        if (i := self.index.get(w)) is None:
-            if sorted(w) != list(range(1, self.n + 1)):
-                raise ValueError(f"not a permutation of 1..{self.n}: {w}")
-            i = self._add(w, length(w))
-        return i
-
-    def _add(self, w: Perm, lw: int) -> int:
-        i = self.index[w] = len(self.perms)
-        self.perms.append(w)
-        self.lengths.append(lw)
-        self.ldesc.append(_descents(inverse(w)))
-        self.rdesc.append(_descents(w))
-        self.lmult.append([None] * (self.n - 1))
-        self.rmult.append([None] * (self.n - 1))
-        return i
-
-    def left(self, x: int, s: int) -> int:
-        """s_{s+1} x: one swap of the values s+1, s+2; the length moves by
-        one, down iff s is a left descent of x."""
-        if (y := self.lmult[x][s]) is None:
-            w = list(self.perms[x])
-            a, b = w.index(s + 1), w.index(s + 2)
-            w[a], w[b] = s + 2, s + 1
-            if (y := self.index.get(w := tuple(w))) is None:
-                y = self._add(w, self.lengths[x] + 1
-                              - 2 * (self.ldesc[x] >> s & 1))
-            self.lmult[x][s], self.lmult[y][s] = y, x
-        return y
-
-    def right(self, x: int, s: int) -> int:
-        """x s_{s+1}: one swap of the positions s, s+1 (only cache loads
-        ask, so a new permutation's length is counted afresh)."""
-        if (y := self.rmult[x][s]) is None:
-            w = self.perms[x]
-            y = self(w[:s] + (w[s + 1], w[s]) + w[s + 2:])
-            self.rmult[x][s], self.rmult[y][s] = y, x
-        return y
+    return HeckeElement._raw(n, {
+        w: from_q_coefficients(unpack_signed(x, width))
+        for w, x in terms.items()})
 
 
 class KLContext:
@@ -288,10 +227,11 @@ class KLContext:
 
     `element(w)` returns the integral basis element
     B_w = q^(len(w)/2) C'_w expanded in the T-basis; `polynomial(u, w)`
-    reads off P_{u,w}(q).  Each B_w is stored on `_LazyIndex` indices (a
-    point query indexes only [e, w]) as {z: P_{z,w}}, P a tuple of integer
-    q-coefficients (constant term first) interned per context, and built by
-    recursion on the smallest left descent.  `element` returns a
+    reads off P_{u,w}(q).  Each B_w is stored on indices of the context's
+    own lazy `PermTable` (a point query numbers only [e, w]) as
+    {z: P_{z,w}}, P a tuple of integer q-coefficients (constant term first)
+    interned per context, and built by recursion on the smallest left
+    descent.  `element` returns a
     `HeckeElement` view keyed by permutation; views share one `LaurentQ`
     per interned polynomial.
     """
@@ -299,7 +239,7 @@ class KLContext:
     def __init__(self, n: int):
         config.check_n(n)
         self.n = n
-        self._index = _LazyIndex(n)
+        self._index = PermTable(n)   # numbers only what queries reach
         self._table: dict = {}   # w index -> {z index: interned P_{z,w}}
         self._polys: dict = {}   # q-coefficient tuple -> its interned copy
         self._views: dict = {}   # interned tuple -> shared LaurentQ
@@ -311,7 +251,7 @@ class KLContext:
     def _intern(self, p: tuple) -> tuple:
         if p not in self._polys:
             self._polys[p] = p
-            self._views[p] = LaurentQ({2 * k: c for k, c in enumerate(p)})
+            self._views[p] = from_q_coefficients(p)
         return self._polys[p]
 
     # -- core recursion -----------------------------------------------------
@@ -430,8 +370,7 @@ class KLContext:
         out = {}
         while residue.terms:
             w = max(residue.terms, key=lambda u: (lengths[self._index(u)], u))
-            c = residue.terms[w]
-            out[w] = c
+            out[w] = c = residue.terms[w]
             residue = residue - self.element(w).scale(c)
         return out
 

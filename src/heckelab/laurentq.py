@@ -36,7 +36,7 @@ from math import comb
 __all__ = [
     "LaurentQ", "Terms",
     "ZERO", "ONE", "Q", "V",
-    "q_power", "v_power", "from_q_coefficients", "from_packed",
+    "q_power", "v_power", "from_q_coefficients",
     "pack_signed", "unpack_signed", "gauss_number",
 ]
 
@@ -363,14 +363,6 @@ def v_power(k: int) -> LaurentQ:
 def from_q_coefficients(coeffs) -> LaurentQ:
     """Build a q-polynomial from its coefficient list, constant term first."""
     return LaurentQ({2 * k: c for k, c in enumerate(coeffs)})
-
-
-def from_packed(x: int, width: int) -> LaurentQ:
-    """The q-polynomial whose coefficient of q^e is the e-th `width`-bit
-    field of the nonnegative int x, lowest field first."""
-    low = (1 << width) - 1
-    return LaurentQ({2 * e: c for e in range(x.bit_length() // width + 1)
-                     if (c := x >> (e * width) & low)})
 
 
 def pack_signed(fields, width: int) -> int:

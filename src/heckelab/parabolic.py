@@ -59,7 +59,7 @@ from .coxeter import (
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
-from .laurentq import LaurentQ, from_packed
+from .laurentq import LaurentQ, from_q_coefficients, unpack_signed
 
 __all__ = [
     "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
@@ -75,9 +75,18 @@ def _check_j(n: int, J) -> frozenset:
     return _valid_j(n, frozenset(J))
 
 
+def _ints(xs, what: str) -> tuple:
+    """xs as ints, refusing what int() would truncate or parse (1.5, "1")."""
+    xs = tuple(xs)
+    if (out := tuple(map(int, xs))) != xs:
+        bad = next(x for x, i in zip(xs, out) if x != i)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return out
+
+
 @cache
 def _valid_j(n: int, J: frozenset) -> frozenset:
-    J = frozenset(int(j) for j in J)
+    J = frozenset(_ints(J, "generator index"))
     if any(not 1 <= j <= n - 1 for j in J):
         raise ValueError(f"invalid generator indices for n={n}: {sorted(J)}")
     return J
@@ -305,8 +314,9 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 # two paths is an int add.  One start counts each word at most once and
 # there are binom(k, e) words with e ones, so over m starts every
 # coefficient is at most m * binom(k, k // 2); `width` is the bit length
-# of that bound, and no field carries into the next.  The bound is
-# reached (n = 3, J = {1, 2}), so one bit less would overflow.
+# of that bound plus a sign bit (`unpack_signed` reads signed fields), and
+# no field carries into the next.  The bound is reached (n = 3,
+# J = {1, 2}), so one bit less would read it as negative.
 # Enumeration keeps only the states from which some word returns, so a
 # start costs O(k * (states + words found)).
 
@@ -316,7 +326,7 @@ def _word_indices(sigma: Word, n: int) -> tuple:
 
 @lru_cache(maxsize=1 << 12)
 def _valid_word(sigma: tuple, n: int) -> tuple:
-    sigma = tuple(int(s) for s in sigma)
+    sigma = _ints(sigma, "letter")
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
     return tuple(s - 1 for s in sigma)
@@ -324,7 +334,7 @@ def _valid_word(sigma: tuple, n: int) -> tuple:
 
 def _bits(b, k: int) -> tuple:
     """b as a tuple of ints, checked to be a binary word of length k."""
-    b = tuple(map(int, b))
+    b = _ints(b, "bit")
     if len(b) != k:
         raise ValueError("binary word and letter word differ in length")
     if set(b) - {0, 1}:
@@ -333,9 +343,7 @@ def _bits(b, k: int) -> tuple:
 
 
 def _state(qt: _QuotientTable, w: Perm) -> int:
-    if (gi := qt.tbl.index.get(w)) is None:
-        raise ValueError(f"not a permutation of 1..{qt.n}: {w}")
-    if (i := qt.loc.get(gi)) is None:
+    if (i := qt.loc.get(qt.tbl(w))) is None:   # tbl(w) checks w
         raise ValueError(f"{w} is not a minimal coset representative")
     return i
 
@@ -346,7 +354,7 @@ def _gen_mask(J: frozenset) -> int:
 
 
 def _count_width(k: int, starts: int) -> int:
-    return (starts * math.comb(k, k // 2)).bit_length()
+    return (starts * math.comb(k, k // 2)).bit_length() + 1
 
 
 def _sweep(steps: list, sig: tuple, start: int, need: int,
@@ -409,7 +417,7 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     total = 0
     for start in range(len(qt.reps)):
         total += _sweep(qt.steps, sig, start, 0, width).get(0, 0)
-    return from_packed(total, width)
+    return from_q_coefficients(unpack_signed(total, width))
 
 
 def _run(w: Perm, sigma: Word, b, J) -> tuple:
@@ -466,7 +474,7 @@ def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
     for start in range(len(qt.reps)):
         need = qt.tbl.ldesc[start] & jmask
         total += _sweep(qt.steps, sig, start, need, width).get(need, 0)
-    return from_packed(total, width)
+    return from_q_coefficients(unpack_signed(total, width))
 
 
 def good_word_characters_all_j(sigma: Word, n: int) -> dict:
@@ -492,7 +500,8 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
                 covering[need] = sum(x for mask, x in counts.items()
                                      if mask & need == need)
             totals[J] += covering[need]
-    return {J: from_packed(x, width) for J, x in totals.items()}
+    return {J: from_q_coefficients(unpack_signed(x, width))
+            for J, x in totals.items()}
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -597,6 +606,9 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
 def young_subgroup_generators(parts, n: int) -> frozenset:
     """The generator set J with W_J the Young subgroup S_parts: all
     indices except the partial sums of the composition."""
+    parts = _ints(parts, "part")
+    if (low := min(parts, default=1)) < 1:
+        raise ValueError(f"part {low} of {parts} is not positive")
     if sum(parts) != n:
         raise ValueError(f"{parts} is not a composition of {n}")
     cuts = set(accumulate(parts[:-1]))

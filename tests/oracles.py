@@ -2,7 +2,8 @@
 Independent brute-force oracles used to freeze expected values.
 
 Nothing here imports the implementation strategies it is checking:
-Bruhat order comes from subword enumeration, symmetric functions from
+the complete permutation table is built row by row on tuples, Bruhat
+order comes from subword enumeration, symmetric functions from
 explicit monomial expansion in n variables (semistandard tableaux for
 Schur), coloring counts and the q-weighted coloring sums from direct
 enumeration (all n^n colorings, or backtracking over the proper ones),
@@ -22,11 +23,12 @@ forms of n! e_n and n! h_n (`newton_check`).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 from heckelab import config
 from heckelab.coxeter import (
-    apply_s_left, apply_s_right, evaluate_word, left_descents, length,
-    perm_table, right_descents,
+    apply_s_left, apply_s_right, evaluate_word, inverse, left_descents,
+    length, perm_table, right_descents,
 )
 from heckelab.hecke import HeckeElement, kl_context
 from heckelab.laurentq import (
@@ -66,6 +68,22 @@ def _any_reduced_word(w):
     word.reverse()
     assert evaluate_word(tuple(word), n) == target
     return tuple(word)
+
+
+def eager_perm_table(n: int) -> SimpleNamespace:
+    """All of S_n in (length, one-line) order with its multiplication
+    tables, built row by row on tuples (the library table's reference)."""
+    perms = sorted(permutations(range(1, n + 1)), key=lambda w: (length(w), w))
+    index = {w: p for p, w in enumerate(perms)}
+    lengths = [length(w) for w in perms]
+    lmult = [[index[apply_s_left(w, i)] for i in range(1, n)] for w in perms]
+    return SimpleNamespace(
+        perms=perms, index=index, lengths=lengths, lmult=lmult,
+        rmult=[[index[apply_s_right(w, i)] for i in range(1, n)]
+               for w in perms],
+        inv=[index[inverse(w)] for w in perms],
+        ldesc=[sum(1 << t for t, sw in enumerate(row) if lengths[sw] < lw)
+               for row, lw in zip(lmult, lengths)])
 
 
 # -- monomial expansions -------------------------------------------------------

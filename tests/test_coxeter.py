@@ -8,9 +8,9 @@ from heckelab.coxeter import (
     avoids_patterns, bruhat_leq, check_hessenberg, codominant_from_hessenberg,
     cycle_type, evaluate_word, hessenberg_from_skew, identity, inverse,
     left_descents, left_inversions, length, multiply, perm_table,
-    reduced_word, transpositions, weak_left_leq,
+    reduced_word, right_descents, transpositions, weak_left_leq,
 )
-from oracles import subword_bruhat_leq
+from oracles import eager_perm_table, subword_bruhat_leq
 
 SMOOTH_PATTERNS = [(3, 4, 1, 2), (4, 2, 3, 1)]
 
@@ -250,3 +250,13 @@ def test_perm_table_consistency():
             assert tbl.perms[tbl.rmult[gi][s - 1]] == apply_s_right(w, s)
             assert tbl.perms[tbl.lmult[gi][s - 1]] == apply_s_left(w, s)
         assert tbl.perms[tbl.inv[gi]] == inverse(w)
+
+
+def test_perm_table_matches_the_eager_oracle():
+    for n in range(1, 8):
+        tbl, ref = perm_table(n), eager_perm_table(n)
+        for name in ("perms", "index", "lengths", "lmult", "rmult", "ldesc",
+                     "inv"):
+            assert getattr(tbl, name) == getattr(ref, name), (n, name)
+        assert tbl.rdesc == [sum(1 << (i - 1) for i in right_descents(w))
+                             for w in tbl.perms], n

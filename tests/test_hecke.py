@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from heckelab import config
 from heckelab.coxeter import (
     all_permutations, apply_s_right, avoids_patterns, identity, length,
-    reduced_word, right_descents,
+    perm_table, reduced_word, right_descents,
 )
 from heckelab.hecke import (
     HeckeElement, KLContext, bott_samelson_product, kl_context,
@@ -209,6 +209,30 @@ def test_point_query_indexes_only_the_interval():
     assert set(ctx._index.perms) <= set(support)
 
 
+def test_lazy_table_entries_agree_with_the_complete_table():
+    # a point query fills left steps only; a cache load checks extremal
+    # pairs and fills right steps too.  Mapped to permutations, every
+    # entry either lazy table filled is the complete table's.
+    full = perm_table(6)
+    ctx = KLContext(6)
+    ctx.element((4, 6, 2, 5, 1, 3))
+    loaded = KLContext(6)
+    loaded.load_json(ctx.to_json())
+    for lazy, filled in ((ctx._index, "lmult"), (loaded._index, "rmult")):
+        assert 0 < len(lazy) < len(full)
+        assert any(y is not None for row in getattr(lazy, filled)
+                   for y in row)
+        for x, w in enumerate(lazy.perms):
+            g = full.index[w]
+            assert (lazy.lengths[x], lazy.ldesc[x], lazy.rdesc[x]) == \
+                (full.lengths[g], full.ldesc[g], full.rdesc[g]), w
+            for mult, ref in ((lazy.lmult, full.lmult),
+                              (lazy.rmult, full.rmult)):
+                for s, y in enumerate(mult[x]):
+                    assert y is None or lazy.perms[y] == \
+                        full.perms[ref[g][s]], (w, s)
+
+
 def test_polynomial_not_below_on_a_cold_context():
     ctx = KLContext(5)
     with pytest.raises(ValueError, match="not below"):
@@ -277,6 +301,13 @@ def test_bott_samelson_examples():
     p = bott_samelson_product((1, 2), 3)
     assert p.terms == {identity(3): ONE, (2, 1, 3): ONE,
                        (1, 3, 2): ONE, (2, 3, 1): ONE}
+
+
+def test_empty_product_is_the_unit():
+    # k = 0: the coefficient 1 = 2^k needs a field of k + 2 signed bits;
+    # in k + 1 = 1 bit it would read as -1
+    for n in range(1, 6):
+        assert bott_samelson_product((), n) == HeckeElement.unit(n)
 
 
 def test_packed_product_matches_laurent_oracle():

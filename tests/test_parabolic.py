@@ -369,6 +369,32 @@ def test_non_permutations_are_named():
         bin_set((2, 1, 3), (1,), {1})
 
 
+def test_non_integer_letters_are_refused():
+    # int() would truncate the letter 1.5 to 1 and count 3 + 3q
+    for route in (bott_samelson_character, good_word_character):
+        with pytest.raises(ValueError, match="letter 1.5 is not an integer"):
+            route((1.5,), (), 3)
+    with pytest.raises(ValueError, match="letter '1' is not an integer"):
+        bin_set((1, 2, 3), ("1",), ())
+
+
+def test_non_integer_generators_are_refused():
+    # int() would read J = {1.9} as {1}
+    with pytest.raises(ValueError,
+                       match="generator index 1.9 is not an integer"):
+        bott_samelson_character((1,), {1.9}, 3)
+    with pytest.raises(ValueError, match="generator index 1.9"):
+        induced_character(HeckeElement.unit(3), {1.9})
+
+
+def test_non_integer_bits_are_refused():
+    e = (1, 2, 3)
+    with pytest.raises(ValueError, match="bit 0.5 is not an integer"):
+        phi(e, (1,), (0.5,))
+    with pytest.raises(ValueError, match="bit 1.5 is not an integer"):
+        kappa(e, (1.5, 0), (1, 1), frozenset())
+
+
 def test_phi_left_multiplication_lemma():
     # applying one up/down step to s'w lands on phi(w) or s' phi(w), and
     # the step preserves the weak left order
@@ -471,6 +497,14 @@ def test_young_subgroup_generators():
         young_subgroup_generators((3, 2), 4)
 
 
+def test_young_subgroup_generators_refuse_nonpositive_parts():
+    # (4, -1) sums to 3; unchecked, its cut at 4 leaves J = {1, 2}
+    with pytest.raises(ValueError, match=r"part -1 of \(4, -1\)"):
+        young_subgroup_generators((4, -1), 3)
+    with pytest.raises(ValueError, match="part 0 "):
+        young_subgroup_generators((2, 0, 1), 3)
+
+
 def test_trace_table_values_small():
     # regular representation of S_2: trace(T_e) = 2, trace(T_s) = q-1
     t = trace_table(2, frozenset())
@@ -524,8 +558,9 @@ def test_word_sets_match_the_exhaustive_walk_at_k16():
 
 def test_count_width_holds_binomial_coefficients():
     # n = 3, J = {1, 2}: one start that both bits keep, so c_J is the
-    # binomial row, and binom(60, 30) fills its 57-bit field exactly: a
-    # field one bit narrower carries into its neighbour
+    # binomial row, and binom(60, 30) needs all 57 value bits below the
+    # sign bit of its 58-bit field: a field one bit narrower reads it as
+    # negative
     J = frozenset({1, 2})
     for route, k in ((bott_samelson_character, 60),
                      (good_word_character, 40)):
