@@ -217,9 +217,11 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
             nxt[w] = nxt.get(w, 0) + x
             nxt[ws] = nxt.get(ws, 0) + x
         terms = nxt
-    return HeckeElement._raw(n, {
-        w: from_q_coefficients(unpack_signed(x, width))
-        for w, x in terms.items()})
+    views: dict = {}   # equal coefficients share one LaurentQ
+    for x in terms.values():
+        if x not in views:
+            views[x] = from_q_coefficients(unpack_signed(x, width))
+    return HeckeElement._raw(n, {w: views[x] for w, x in terms.items()})
 
 
 class KLContext:

@@ -90,16 +90,12 @@ class LaurentQ:
                 d[e] = s
             else:
                 d.pop(e, None)
-        out = LaurentQ.__new__(LaurentQ)
-        out.c = d
-        return out
+        return _raw(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentQ.__new__(LaurentQ)
-        out.c = {e: -c for e, c in self.c.items()}
-        return out
+        return _raw({e: -c for e, c in self.c.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -126,9 +122,7 @@ class LaurentQ:
                     d[e] = s
                 else:
                     d.pop(e, None)
-        out = LaurentQ.__new__(LaurentQ)
-        out.c = d
-        return out
+        return _raw(d)
 
     __rmul__ = __mul__
 
@@ -166,15 +160,11 @@ class LaurentQ:
 
     def shift(self, vexp: int) -> "LaurentQ":
         """Multiply by v^vexp."""
-        out = LaurentQ.__new__(LaurentQ)
-        out.c = {e + vexp: c for e, c in self.c.items()}
-        return out
+        return _raw({e + vexp: c for e, c in self.c.items()})
 
     def bar(self) -> "LaurentQ":
         """The involution v -> 1/v (that is, q^(1/2) -> q^(-1/2))."""
-        out = LaurentQ.__new__(LaurentQ)
-        out.c = {-e: c for e, c in self.c.items()}
-        return out
+        return _raw({-e: c for e, c in self.c.items()})
 
     def subs_v(self, x):
         """Evaluate at a concrete value of v (exactly; x may be Fraction)."""
@@ -322,10 +312,27 @@ class LaurentQ:
 
     @staticmethod
     def from_json(data: dict) -> "LaurentQ":
+        """The inverse of `to_json`.  A coefficient may also be a JSON
+        integer; anything but an int or a string of an integer or a
+        fraction is a ValueError naming the exponent and the value."""
         out = {}
         for e, c in data["v"].items():
-            out[int(e)] = Fraction(c) if "/" in c else int(c)
+            try:
+                if type(c) is not int:   # bools and floats fail below
+                    c = Fraction(c) if "/" in c else int(c)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"coefficient {c!r} of v^{e} is not an "
+                                 "integer or a fraction") from None
+            out[int(e)] = c
         return LaurentQ(out)
+
+
+def _raw(d: dict) -> LaurentQ:
+    """The LaurentQ on d, whose coefficients are already normalized and
+    nonzero."""
+    out = LaurentQ.__new__(LaurentQ)
+    out.c = d
+    return out
 
 
 def _divmod_laurent(a: LaurentQ, b: LaurentQ):
@@ -369,24 +376,32 @@ def pack_signed(fields, width: int) -> int:
     """The int sum c 2^(width i) over the (i, c) pairs of `fields`
     (Kronecker substitution).  Sums and products of packed values unpack
     to those of the polynomials while every coefficient lies strictly
-    between -2^(width-1) and 2^(width-1).
+    between -2^(width-1) and 2^(width-1); width must be at least 2.
 
     >>> a = pack_signed(enumerate([3, -1, 0, 2]), 8)
     >>> b = pack_signed({0: 1, 1: 1}.items(), 8)
     >>> unpack_signed(a * b, 8), unpack_signed(a - 5 * b, 8)
     ([3, 2, -1, 2, 2], [-2, -6, 0, 2])
     """
+    _check_width(width)
     return sum(c << (width * i) for i, c in fields)
 
 
 def unpack_signed(x: int, width: int) -> list:
     """The coefficients packed in x by `pack_signed`, lowest first and
     without trailing zeros: `width`-bit fields read as signed."""
+    _check_width(width)
     out, mask, half = [], (1 << width) - 1, 1 << (width - 1)
     while x:
         out.append(c := ((x + half) & mask) - half)
         x = (x - c) >> width
     return out
+
+
+def _check_width(width: int) -> None:
+    # a 1-bit signed field holds only 0 and -1, and 1 would never unpack
+    if width < 2:
+        raise ValueError(f"field width {width} is below 2 bits")
 
 
 def gauss_number(k: int) -> LaurentQ:

@@ -12,17 +12,19 @@ only on the sorted block sizes lam of J (W_J is conjugate to S_lam).
 Two independent routes to c_J are implemented:
 
   * class polynomials, for any a: c_J is fixed by its values on T_{w_mu},
-    w_mu of minimal length in the class of cycle type mu, and
-    c_J(a) = sum_mu (sum_z a_z f_{z,mu}) c_J(T_{w_mu}) with integer class
-    polynomials f_{z,mu}; the values c_J(T_{w_mu}) come from a closed
-    formula in lam and mu, with no quotient module built; and
+    w_mu of minimal length in the class of cycle type mu, which come from
+    a closed formula in lam and mu, with no quotient module built; the
+    characters of every cyclic-shift class follow from them by the class
+    reduction, one packed int per class, and
+    c_J(a) = sum_c c * sum_{z : a_z = c} c_J(T_z); and
   * binary words, for a product (1+T_{s_1})...(1+T_{s_k}): the fixed
     points of the up/down maps phi_{J,s,1}(w) = max(w ._J s, w),
     phi_{J,s,0}(w) = min(w ._J s, w) composed along the word, weighted by
     q^(number of 1s).
 
 The trace route (traces of T_z from sparse matrix products on the
-quotient module) is kept as a cross-check in `tests/oracles.py`.
+quotient module) and the class sums by dict convolutions are kept as
+cross-checks in `tests/oracles.py`.
 
 A third route runs over all of W rather than JW: a binary word b is
 *good* for w if the composite of the absolute up/down maps fixes w and
@@ -51,15 +53,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
+from sys import byteorder
 
 from .coxeter import (
     Perm, Word, apply_s_left, cycle_type, identity,
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
-from .laurentq import LaurentQ, from_q_coefficients, unpack_signed
+from .laurentq import (
+    ONE, ZERO, LaurentQ, _raw, from_q_coefficients, pack_signed,
+    unpack_signed,
+)
 
 __all__ = [
     "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
@@ -168,51 +175,46 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 # its conjugacy class, where chi is constant (Geck-Pfeiffer, ch. 3 and 8).
 # So chi(T_z) = sum_mu f_{z,mu} chi(T_{w_mu}) with integer class
 # polynomials f_{z,mu}, w_mu the product of the Coxeter elements of the
-# blocks of the cycle type mu.  Polynomials are {v-exponent: int} dicts.
+# blocks of the cycle type mu; `_classes` records which reduction gives
+# each class, and the characters follow it without forming f.
+#
+# ch(a) = sum_lam c_lam(a) m_lam is linear in a, so
+# ch(a) = sum_c c * sum_{z : a_z = c} ch(T_z): each class's ch(T_z) is one
+# int over all lam, the T-terms are summed per coefficient object (KL
+# views share one LaurentQ per polynomial) at one int add each, and each
+# sum is multiplied by its coefficient once, by shift-adds (Kronecker
+# substitution; Harvey, J. Symbolic Comput. 44, 2009).
 
-def _mac(acc: dict, x: dict, y: dict) -> None:
-    """acc += x * y on {v-exponent: coefficient} dicts (zeros are kept)."""
-    for e, c in x.items():
-        for d, b in y.items():
-            acc[e + d] = acc.get(e + d, 0) + c * b
-
-
-@cache
-def _class_polys(n: int) -> tuple:
-    """(f, types): f[z] = {mu: f_{z,mu}} for every perm_table index z, one
-    shared dict per cyclic-shift class, and the cycle types mu."""
+def _classes(n: int) -> tuple:
+    """(cls, rules, types): cls[z] numbers the cyclic-shift class of each
+    perm_table index z; rules[k] is (class of sys, class of sy) for a y in
+    class k with l(sys) = l(y) - 2, or (-1, mu) for a class of minimal
+    length in its conjugacy class, of cycle type mu; types lists the mu."""
     tbl = perm_table(n)
     lengths, lmult, rmult = tbl.lengths, tbl.lmult, tbl.rmult
-    f: list = [None] * len(tbl)
+    cls: list = [None] * len(tbl)
+    rules: list = []
     types = []
     # table order is by length, so every shorter element is done already
     for z in range(len(tbl)):
-        if f[z] is not None:
+        if cls[z] is not None:
             continue
-        cls, seen, value = [z], {z}, None
-        for y in cls:
+        cls[z], members, rule = len(rules), [z], None
+        for y in members:
             for s in range(n - 1):
                 sy = lmult[y][s]
                 sys = rmult[sy][s]
-                if lengths[sys] == lengths[y] and sys not in seen:
-                    seen.add(sys)
-                    cls.append(sys)
-                elif value is None and lengths[sys] < lengths[y]:
-                    value = {}
-                    for mu in f[sys].keys() | f[sy].keys():
-                        acc: dict = {}
-                        _mac(acc, f[sys].get(mu, {}), {2: 1})
-                        _mac(acc, f[sy].get(mu, {}), {2: 1, 0: -1})
-                        if acc := {e: c for e, c in acc.items() if c}:
-                            value[mu] = acc
-        if value is None:
-            mu = cycle_type(tbl.perms[z])
-            value = {mu: {0: 1}}
-            if mu not in types:
-                types.append(mu)
-        for y in cls:
-            f[y] = value
-    return f, types
+                if lengths[sys] == lengths[y] and cls[sys] is None:
+                    cls[sys] = cls[z]
+                    members.append(sys)
+                elif rule is None and lengths[sys] < lengths[y]:
+                    rule = cls[sys], cls[sy]
+        if rule is None:
+            rule = -1, cycle_type(tbl.perms[z])
+            if rule[1] not in types:
+                types.append(rule[1])
+        rules.append(rule)
+    return cls, rules, types
 
 
 @cache
@@ -224,9 +226,8 @@ def _young_type(n: int, J: frozenset) -> tuple:
 
 
 @cache
-def _young_trace(content: tuple, mu: tuple) -> dict:
-    """c_lam(T_{w_mu}) for the Young subgroup S_lam, lam = content, as a
-    {v-exponent: int} dict.
+def _young_trace(content: tuple, mu: tuple) -> LaurentQ:
+    """c_lam(T_{w_mu}) for the Young subgroup S_lam, lam = content.
 
     Read a coset rep x as the word of the J-blocks holding x(1..n); its
     content is lam.  The diagonal entry of T_s at x is q on equal letters
@@ -240,61 +241,196 @@ def _young_trace(content: tuple, mu: tuple) -> dict:
     block gives the trace; what a block leaves is keyed by its sorted
     content.
 
-    >>> _young_trace((2, 1), (3,))   # q^2 - q
-    {2: -1, 4: 1}
+    >>> print(_young_trace((2, 1), (3,)))
+    -q+q^2
     """
     if not mu:
-        return {0: 1}
-    k, out = mu[0], {}
+        return ONE
+    k, out = mu[0], ZERO
     for take in product(*(range(c + 1) for c in content)):
         if sum(take) == k:
             d = len(take) - take.count(0)
             rest = sorted((c - a for c, a in zip(content, take) if c > a),
                           reverse=True)
-            weight = {2 * (k - d + j): (-1) ** (d - 1 - j)
-                      * math.comb(d - 1, j) for j in range(d)}
-            _mac(out, weight, _young_trace(tuple(rest), mu[1:]))
-    return {e: c for e, c in out.items() if c}
+            weight = LaurentQ({2 * (k - d + j): (-1) ** (d - 1 - j)
+                               * math.comb(d - 1, j) for j in range(d)})
+            out = out + weight * _young_trace(tuple(rest), mu[1:])
+    return out
+
+
+class _Narrow(Exception):
+    """A class character does not fit the field width of a sum."""
+
+
+class _ClassChars:
+    """The packed ch(T_z) of the cyclic-shift classes of S_n.
+
+    Field i * slots + k of an int holds the q^k coefficient for lams[i],
+    the partitions in descending lexicographic order: lam = (n), where
+    c_lam(T_z) = q^l(z), takes the lowest block.  T_s has entries of
+    q-degree at most 1, so deg c_lam(T_z) <= l(z) <= N = n(n-1)/2 and
+    slots = N + 1 keeps each lam in its block.  The int of a class of
+    cycle type mu packs traces[i][mu] = c_lam(T_{w_mu}) over all lam; any
+    other class is q x_sys + (q-1) x_sy, filled on first use at a width.
+
+    Its fields are at most mtop, the largest |coefficient| of a trace, or
+    tops[sys] + 2 tops[sy], tops[k] the largest |field| of class k, read
+    off as it is filled (before the class is kept, so a kept class is
+    never missing from max(tops)).  A class whose bound reaches
+    2^(width-1) is not kept: `width` goes up and _Narrow is raised.
+    """
+
+    def __init__(self, n: int):
+        self.cls, self.rules, types = _classes(n)
+        self.lams = sorted(types, reverse=True)
+        self.slots = n * (n - 1) // 2 + 1
+        self.traces = [{mu: _young_trace(lam, mu) for mu in types}
+                       for lam in self.lams]
+        self.mtop = max(abs(c) for t in self.traces for g in t.values()
+                        for c in g.c.values())
+        self.tops = [0] * len(self.rules)
+        self.width, self.packs = 32, {}
+
+    def pack(self, width: int) -> list:
+        """The class ints at one width, None until filled."""
+        if width not in self.packs:
+            self.packs[width] = [None] * len(self.rules)
+        return self.packs[width]
+
+    def fill(self, k: int, width: int) -> int:
+        ints = self.pack(width)
+        sys_, sy = self.rules[k]
+        if sys_ < 0:
+            x, bound = pack_signed(((i * self.slots + e // 2, c)
+                                    for i, t in enumerate(self.traces)
+                                    for e, c in t[sy].c.items()),
+                                   width), self.mtop
+        else:
+            x1 = ints[sys_] or self.fill(sys_, width)
+            x2 = ints[sy] or self.fill(sy, width)
+            x = (x1 + x2 << width) - x2
+            bound = self.tops[sys_] + 2 * self.tops[sy]
+        if bound >> width - 1:
+            self.width = max(self.width, _width(bound))
+            raise _Narrow
+        self.tops[k] = max(map(abs, self.fields(x, width, self.slots)))
+        ints[k] = x
+        return x
+
+    def fields(self, x: int, width: int, slots: int):
+        """The signed fields of x in a layout of `slots` per lam, lowest
+        first: adding _bias sets the top bit of each field, and the xor
+        leaves them in two's complement."""
+        if width != 32:
+            return unpack_signed(x, width)
+        bias = _bias(32, len(self.lams) * slots)
+        return memoryview(((x + bias) ^ bias).to_bytes(
+            4 * len(self.lams) * slots, byteorder)).cast("i")
+
+    def respace(self, x: int, width: int, wide: int) -> int:
+        """x moved to a layout of `wide` >= slots fields per lam."""
+        x += _bias(width, len(self.lams) * self.slots)   # no borrows
+        block, mask = self.slots * width, (1 << self.slots * width) - 1
+        return sum(((x >> i * block & mask) - _bias(width, self.slots))
+                   << i * wide * width for i in range(len(self.lams)))
+
+
+_class_chars = cache(_ClassChars)
 
 
 @cache
-def _class_traces(lam: tuple) -> dict:
-    """{mu: c_lam(T_{w_mu})} for every cycle type mu."""
-    return {mu: _young_trace(lam, mu) for mu in _class_polys(sum(lam))[1]}
+def _bias(width: int, fields: int) -> int:
+    """2^(width-1) in each of `fields` fields."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * fields,
+                          "little")
 
 
-def _young_characters(a: HeckeElement, lams) -> list:
-    """[c_lam(a) for lam in lams], lam partitions of a.n: the induced
-    characters from the Young subgroups S_lam, as
-    sum_mu (sum_z a_z f_{z,mu}) c_lam(T_{w_mu}); the inner sums are formed
-    once for all lam."""
-    tbl, (f, _) = perm_table(a.n), _class_polys(a.n)
-    by_class: dict = {}   # id of a class's f dict -> (f dict, sum of a_z)
-    for w, c in a.terms.items():
-        p = f[tbl.index[w]]
-        g = by_class.setdefault(id(p), (p, {}))[1]
-        for e, x in c.c.items():
-            g[e] = g.get(e, 0) + x
-    sums: dict = {}
-    for p, g in by_class.values():
-        for mu, fp in p.items():
-            _mac(sums.setdefault(mu, {}), fp, g)
-    out = []
-    for lam in lams:
-        traces = _class_traces(lam)
-        acc: dict = {}
-        for mu, g in sums.items():
-            _mac(acc, g, traces[mu])
-        out.append(LaurentQ(acc))
-    return out
+def _width(bound: int) -> int:
+    """The least multiple of 32 bits whose signed fields hold |x| <= bound."""
+    return 32 * (bound.bit_length() // 32 + 1)
+
+
+def _young_characters(a: HeckeElement) -> dict:
+    """{lam: c_lam(a)} for the partitions lam of a.n with c_lam(a) != 0:
+    the induced characters of a from the Young subgroups S_lam.
+
+    The T-terms are summed per coefficient object into S_c, and the sums
+    of equal coefficients c are added.  Then c is shifted to nonnegative
+    v-exponents (from lo, the least one) and cleared of denominators
+    (times scale), and S_c times each of its terms goes into one
+    accumulator per v-parity.  The lam = (n) block of S_c is
+    sum_z q^l(z), which nothing borrows from (width holds the number of
+    terms): it gives m, the longest l(z), and the number of terms,
+    S_c mod 2^width - 1.  A product then has q-degree below
+    hi = max(m + deg c) + 1; past `slots` every S_c is moved to a layout
+    of hi fields per lam first, so no product leaves its block.  A field
+    of an accumulator is at most max(tops) * sum_c terms(c) l1(c * scale),
+    l1 the sum of |coefficients|: below 2^(width-1) every field is exact;
+    otherwise the sum is redone wider.
+
+    >>> ch = _young_characters(HeckeElement.t_basis(3, (2, 1, 3)))
+    >>> print(ch[(3,)], ch[(2, 1)], ch[(1, 1, 1)])
+    q -1+2q -3+3q
+    """
+    cc = _class_chars(a.n)
+    cls, index, slots = cc.cls, perm_table(a.n).index, cc.slots
+    width = max(cc.width, _width(len(a.terms)))
+    while True:
+        ints, fill, sums, coeffs = cc.pack(width), cc.fill, {}, {}
+        try:
+            for w, c in a.terms.items():
+                k = cls[index[w]]
+                x = ints[k] or fill(k, width)
+                if (i := id(c)) in sums:
+                    sums[i] += x
+                else:
+                    sums[i], coeffs[i] = x, c
+        except _Narrow:
+            width = cc.width
+            continue
+        by_value: dict = {}   # equal coefficients in distinct objects
+        for i, s in sums.items():
+            key = tuple(coeffs[i].c.items())
+            by_value[key] = by_value[key] + s if key in by_value else s
+        scale = math.lcm(*(x.denominator for key in by_value
+                           for _, x in key if type(x) is not int))
+        lo = min((e for key in by_value for e, _ in key), default=0)
+        terms, hi, mass = [], 0, 0
+        for key, s in by_value.items():
+            low = s & (1 << slots * width) - 1
+            m = (low.bit_length() - 1) // width
+            c = [(e - lo, int(x * scale)) for e, x in key]
+            mass += low % ((1 << width) - 1) * sum(abs(x) for _, x in c)
+            hi = max(hi, m + max((e for e, _ in c), default=0) // 2 + 1)
+            terms.append((s, c))
+        if (bound := max(cc.tops) * mass) < 1 << width - 1:
+            break
+        width = _width(bound)
+    wide, accs = max(slots, hi), {}
+    for s, c in terms:
+        if wide > slots:
+            s = cc.respace(s, width, wide)
+        for e, x in c:
+            accs[e & 1] = accs.get(e & 1, 0) + (x * s << width * (e >> 1))
+    out: dict = {}
+    for p, x in accs.items():
+        row = cc.fields(x, width, wide)
+        exps = range(lo + p, lo + p + 2 * hi, 2)
+        for i, lam in enumerate(cc.lams):
+            ys = row[i * wide:i * wide + hi]
+            if d := dict(zip(compress(exps, ys), filter(None, ys))):
+                out.setdefault(lam, {}).update(d)   # parities never meet
+    return {lam: _raw(d) if scale == 1 else
+            LaurentQ({e: Fraction(y, scale) for e, y in d.items()})
+            for lam, d in out.items()}
 
 
 def induced_characters(a: HeckeElement, Js) -> list:
     """[c_J(a) for J in Js]: the trace of right multiplication by a on each
     quotient module, which is the character induced from S_lam for lam
     the block sizes of J."""
-    return _young_characters(
-        a, [_young_type(a.n, _check_j(a.n, J)) for J in Js])
+    chars = _young_characters(a)
+    return [chars.get(_young_type(a.n, _check_j(a.n, J)), ZERO) for J in Js]
 
 
 def induced_character(a: HeckeElement, J) -> LaurentQ:

@@ -401,10 +401,8 @@ def frobenius_character(a: HeckeElement) -> SymFunc:
     """ch(a) in the monomial basis: the m_lam coefficient is the induced
     character of a from the Young subgroup S_lam (trivial module); in the
     Schur basis the coefficients become the irreducible character values.
-    All of them share one set of class-polynomial sums."""
-    lams = partitions(a.n)
-    return SymFunc("m", a.n)._like(
-        {lam: c for lam, c in zip(lams, _young_characters(a, lams)) if c})
+    All of them come from one sum of packed class characters."""
+    return SymFunc("m", a.n)._like(_young_characters(a))
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

@@ -12,8 +12,9 @@ basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
 the library's packed route cannot), binary-word counts and word sets
 from depth-first walks over all 2^k
 words, Bott-Samelson products from LaurentQ products, induced characters
-from per-z trace matrices on the quotient module and the traces of the
-T_{w_mu} from the diagonal of its action, Kazhdan-Lusztig elements
+from per-z trace matrices on the quotient module, the traces of the
+T_{w_mu} from the diagonal of its action and the class-sum route from
+dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd), and the power-sum and determinantal
@@ -34,7 +35,8 @@ from heckelab.hecke import HeckeElement, kl_context
 from heckelab.laurentq import (
     ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
 )
-from heckelab.parabolic import induced_character
+from heckelab.coxeter import cycle_type
+from heckelab.parabolic import _young_trace, induced_character
 from heckelab.symfunc import (
     SymFunc, _kostka, character_table, class_size, conjugate_partition,
     frobenius_character, immanant, omega, partitions, sign_partition,
@@ -604,7 +606,7 @@ def hecke_dot_matrix(s: int, quot):
 
 
 def quotient_class_traces(n: int, J) -> dict:
-    """{mu: c_J(T_{w_mu})} as {v-exponent: int} dicts, for every partition
+    """{mu: c_J(T_{w_mu})} for every partition
     mu of n, w_mu the product of the Coxeter elements of the blocks of mu.
 
     The reduced word of w_mu uses each letter at most once, so pushing a
@@ -630,7 +632,7 @@ def quotient_class_traces(n: int, J) -> dict:
                 diag = diag * _KINDS[kind]
             else:
                 total = total + diag
-        out[mu] = dict(total.c)
+        out[mu] = total
     return out
 
 
@@ -639,6 +641,77 @@ def trace_table(n: int, J) -> dict:
     route, to set against `build_trace_table`."""
     return {w: induced_character(HeckeElement.t_basis(n, w), J)
             for w in perm_table(n).perms}
+
+
+def _mac(acc: dict, x: dict, y: dict) -> None:
+    """acc += x * y on {v-exponent: coefficient} dicts (zeros are kept)."""
+    for e, c in x.items():
+        for d, b in y.items():
+            acc[e + d] = acc.get(e + d, 0) + c * b
+
+
+@lru_cache(maxsize=None)
+def mac_class_polys(n: int) -> tuple:
+    """(f, types): f[z] = {mu: f_{z,mu}} as {v-exponent: int} dicts for
+    every perm_table index z, one shared dict per cyclic-shift class, by
+    f_y = q f_{sys} + (q-1) f_{sy} on dicts, and the cycle types mu."""
+    tbl = perm_table(n)
+    lengths, lmult, rmult = tbl.lengths, tbl.lmult, tbl.rmult
+    f: list = [None] * len(tbl)
+    types = []
+    for z in range(len(tbl)):
+        if f[z] is not None:
+            continue
+        cls, seen, value = [z], {z}, None
+        for y in cls:
+            for s in range(n - 1):
+                sy = lmult[y][s]
+                sys = rmult[sy][s]
+                if lengths[sys] == lengths[y] and sys not in seen:
+                    seen.add(sys)
+                    cls.append(sys)
+                elif value is None and lengths[sys] < lengths[y]:
+                    value = {}
+                    for mu in f[sys].keys() | f[sy].keys():
+                        acc: dict = {}
+                        _mac(acc, f[sys].get(mu, {}), {2: 1})
+                        _mac(acc, f[sy].get(mu, {}), {2: 1, 0: -1})
+                        if acc := {e: c for e, c in acc.items() if c}:
+                            value[mu] = acc
+        if value is None:
+            mu = cycle_type(tbl.perms[z])
+            value = {mu: {0: 1}}
+            if mu not in types:
+                types.append(mu)
+        for y in cls:
+            f[y] = value
+    return f, types
+
+
+def mac_young_characters(a: HeckeElement, lams) -> list:
+    """[c_lam(a) for lam in lams] as
+    sum_mu (sum_z a_z f_{z,mu}) c_lam(T_{w_mu}) on {v-exponent: coeff}
+    dicts: the coefficients of a are summed per cyclic-shift class, then
+    one `_mac` convolution per (class, cycle type) pair and per
+    (lam, cycle type) pair.  The route the packed class sums replaced."""
+    tbl, (f, _) = perm_table(a.n), mac_class_polys(a.n)
+    by_class: dict = {}   # id of a class's f dict -> (f dict, sum of a_z)
+    for w, c in a.terms.items():
+        p = f[tbl.index[w]]
+        g = by_class.setdefault(id(p), (p, {}))[1]
+        for e, x in c.c.items():
+            g[e] = g.get(e, 0) + x
+    sums: dict = {}
+    for p, g in by_class.values():
+        for mu, fp in p.items():
+            _mac(sums.setdefault(mu, {}), fp, g)
+    out = []
+    for lam in lams:
+        acc: dict = {}
+        for mu, g in sums.items():
+            _mac(acc, g, _young_trace(tuple(lam), mu).c)
+        out.append(LaurentQ(acc))
+    return out
 
 
 def _min_right_descent(tbl, gi: int):

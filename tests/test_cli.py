@@ -430,6 +430,7 @@ def _corrupt_cache_recomputes(tmp_path, capsys, corrupt):
     fresh = KLContext(4)
     fresh.load_json(json.loads(path.read_text()))
     assert fresh.polynomial((1, 2, 3, 4), (3, 4, 1, 2)) == ONE + Q
+    return err
 
 
 def test_tampered_cache_is_a_miss(tmp_path, capsys):
@@ -448,6 +449,43 @@ def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):
         payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "1", "2": "2"}}
         return json.dumps(payload)
     _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+
+
+def test_float_coefficient_in_cache_is_a_miss(tmp_path, capsys):
+    def tamper(text):
+        payload = json.loads(text)
+        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": 1.0,
+                                                           "2": 1}}
+        return json.dumps(payload)
+    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+    assert "coefficient 1.0 of v^0 is not an integer" in err
+
+
+def test_integer_coefficients_in_cache_are_read(tmp_path, capsys):
+    cache = tmp_path / "klcache"
+    argv = ["--cache-dir", str(cache), "kl-poly", "--u", "1234",
+            "--w", "3412"]
+    assert run(capsys, *argv) == (0, "1+q\n", "")
+    path = cache / "kl_n4.json"
+    payload = json.loads(path.read_text())
+    for terms in payload["elements"].values():
+        for coeff in terms.values():
+            coeff["v"] = {e: int(c) for e, c in coeff["v"].items()}
+    path.write_text(json.dumps(payload))
+    assert run(capsys, *argv) == (0, "1+q\n", "")
+
+
+def test_json_number_coefficients_on_the_command_line(capsys):
+    elem = '{"n": 2, "terms": [{"perm": [2, 1], "coeff": {"v": {"0": %s}}}]}'
+    assert run(capsys, "induced-char", "--J", "1", "--json", elem % "7") == \
+        run(capsys, "induced-char", "--J", "1", "--json", elem % '"7"') == \
+        (0, "7q\n", "")
+    for bad in ("7.5", "true", "[7]"):
+        code, out, err = run(capsys, "induced-char", "--J", "1",
+                             "--json", elem % bad)
+        assert (code, out) == (1, "")
+        assert err.startswith("heckelab: coefficient ") and \
+            "of v^0 is not an integer" in err and err.count("\n") == 1
 
 
 def test_truncated_cache_is_a_miss(tmp_path, capsys):

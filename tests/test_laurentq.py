@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckelab.laurentq import (
-    LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number, q_power,
+    LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number,
+    pack_signed, q_power, unpack_signed,
 )
 from oracles import LaurentFrac, horner_q_shift, poly_gcd
 
@@ -159,3 +160,28 @@ def test_json_round_trip():
     a = LaurentQ({-3: 4, 0: -1, 5: Fraction(2, 3)})
     assert LaurentQ.from_json(a.to_json()) == a
     assert a.to_json()["v"]["5"] == "2/3"
+
+
+def test_json_integer_coefficients():
+    # JSON numbers are read as the integers they name, like "7"
+    assert LaurentQ.from_json({"v": {"0": 7, "-3": -2, "2": "1/2"}}) == \
+        LaurentQ({0: 7, -3: -2, 2: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("value", [7.0, True, None, [1], {"a": 1}, "1.5",
+                                   "x", "1/0"])
+def test_json_refuses_non_integer_coefficients(value):
+    with pytest.raises(ValueError, match=r"of v\^2 is not an integer") \
+            as info:
+        LaurentQ.from_json({"v": {"0": "1", "2": value}})
+    assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("width", [-1, 0, 1])
+def test_packing_refuses_fields_below_two_bits(width):
+    # a 1-bit signed field holds only 0 and -1: unpacking 1 never ended
+    with pytest.raises(ValueError, match="below 2 bits"):
+        unpack_signed(1, width)
+    with pytest.raises(ValueError, match="below 2 bits"):
+        pack_signed([(0, 1)], width)
+    assert unpack_signed(pack_signed([(0, 1), (2, -1)], 2), 2) == [1, 0, -1]

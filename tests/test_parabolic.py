@@ -8,6 +8,9 @@ here.
 
 import math
 import random
+import sys
+import threading
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,9 +25,11 @@ from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
     gauss_number, q_power
 from heckelab import cli, parabolic
 from heckelab.parabolic import (
-    _class_polys, _class_traces, _young_type, all_parabolic_subsets, bin_set,
+    _ClassChars, _class_chars, _young_characters, _young_type,
+    all_parabolic_subsets, bin_set,
     bott_samelson_character, derive_root_sequence, good_word_character,
     good_word_characters_all_j, good_words, induced_character,
+    induced_characters,
     is_good_sequence, kappa, min_coset_rep, parabolic_quotient, phi,
     young_subgroup_generators,
 )
@@ -32,8 +37,8 @@ from heckelab.symfunc import SymFunc, frobenius_character, partitions
 from oracles import (
     build_trace_table, dfs_bin_set, dfs_bott_samelson_character,
     dfs_good_word_characters_all_j, dfs_good_words, dot_action,
-    hecke_dot_matrix, quotient_class_traces, trace_route_character,
-    trace_table,
+    hecke_dot_matrix, mac_class_polys, mac_young_characters,
+    quotient_class_traces, trace_route_character, trace_table,
 )
 
 J13 = frozenset({1, 3})
@@ -620,7 +625,8 @@ def test_young_traces_match_quotient_module_traces():
               for lam in partitions(7)]
     assert len(cases) == 63 + 15
     for n, J in cases:
-        assert _class_traces(_young_type(n, J)) == \
+        cc = _class_chars(n)
+        assert cc.traces[cc.lams.index(_young_type(n, J))] == \
             quotient_class_traces(n, J), (n, sorted(J))
 
 
@@ -629,7 +635,7 @@ def test_character_route_builds_no_quotient_module(monkeypatch, capsys):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
     monkeypatch.setattr(parabolic, "_quotient_table", refuse)
-    _class_traces.cache_clear()
+    _class_chars.cache_clear()
     w = (3, 5, 1, 4, 2)
     for a in (kl_context(5).element(w), HeckeElement.t_basis(5, w),
               bott_samelson_product((1, 3, 2, 4, 1), 5)):
@@ -643,7 +649,7 @@ def test_character_route_builds_no_quotient_module(monkeypatch, capsys):
 
 def test_class_polynomials_at_q1_are_cycle_type_indicators():
     for n in range(1, 7):
-        f, types = _class_polys(n)
+        f, types = mac_class_polys(n)
         assert sorted(types) == sorted(partitions(n))
         for z, w in enumerate(perm_table(n).perms):
             at_one = {mu: sum(p.values()) for mu, p in f[z].items()}
@@ -657,7 +663,7 @@ def test_class_polynomials_respect_every_conjugation():
     # not only the one the table was built from
     for n in range(2, 7):
         tbl = perm_table(n)
-        f, _ = _class_polys(n)
+        f, _ = mac_class_polys(n)
         for y in range(len(tbl)):
             for s in range(n - 1):
                 sy = tbl.lmult[y][s]
@@ -684,3 +690,139 @@ def test_sum_of_all_t_basis_elements():
         assert induced_character(E, J) == qfact, sorted(J)
     assert frobenius_character(E).to_basis("h") == \
         SymFunc("h", n, {(n,): qfact})
+
+
+# -- packed class sums against the dict-convolution route ----------------------
+
+def _mac_chars(a):
+    lams = partitions(a.n)
+    return {lam: c for lam, c in zip(lams, mac_young_characters(a, lams))
+            if c}
+
+
+def test_class_sums_match_mac_route_for_every_element_to_n5():
+    for n in range(1, 6):
+        ctx = kl_context(n)
+        for w in perm_table(n).perms:
+            for a in (ctx.element(w), HeckeElement.t_basis(n, w)):
+                assert _young_characters(a) == _mac_chars(a), (n, w)
+
+
+def test_class_sums_match_mac_route_on_samples_at_n6_n7():
+    # every class of S_6 and S_7 is filled on the way; the samples are
+    # kept small because the dict route is the slow one
+    rng = random.Random(20261018)
+    for n, count in ((6, 30), (7, 4)):
+        ctx, perms = kl_context(n), perm_table(n).perms
+        for w in rng.sample(perms, count):
+            for a in (ctx.element(w), HeckeElement.t_basis(n, w)):
+                assert _young_characters(a) == _mac_chars(a), (n, w)
+
+
+def test_class_sums_are_exact_on_any_coefficients():
+    # Fractions, odd and negative v-exponents, v-spans wider than the
+    # q-slots of the layout, and values that overflow 32-bit fields
+    rng = random.Random(7)
+    for n in (3, 4, 5):
+        perms = perm_table(n).perms
+        w0 = perms[-1]
+        cases = [
+            HeckeElement(n),
+            HeckeElement(n, {w0: LaurentQ({-41: 1, 0: 2, 60: -3}),
+                             perms[0]: LaurentQ({101: 1})}),
+            kl_context(n).element(w0).scale(2 ** 40),
+            # |c_(1^n)(T_e)| = n! times 2^25 needs more than 32 bits
+            HeckeElement.t_basis(n, perms[0]).scale(2 ** 25),
+            kl_context(n).element(w0).scale(
+                LaurentQ({-3: 1, 5: Fraction(1, 7)})),
+            kl_context(n).element(perms[len(perms) // 2]).scale(
+                Fraction(2 ** 90, 3)),
+        ]
+        for _ in range(15):
+            cases.append(HeckeElement(n, {
+                w: LaurentQ({rng.randint(-9, 9): rng.choice(
+                    [1, -2, Fraction(1, 3), Fraction(-5, 6), 7 * 2 ** 40])
+                    for _ in range(rng.randint(1, 3))})
+                for w in rng.sample(perms, rng.randint(1, len(perms)))}))
+        # signs aligned on one field of c_(1^n), so that the terms add up
+        # there: 2^23 times the sum of |c_(1^n)(T_z)| at q^2 passes 2^31
+        ones = (1,) * n
+        field = {w: _mac_chars(HeckeElement.t_basis(n, w))[ones].coeff(4)
+                 for w in perms}
+        cases.append(HeckeElement(n, {w: 2 ** 23 * (1 if c > 0 else -1)
+                                      for w, c in field.items() if c}))
+        for a in cases:
+            assert _young_characters(a) == _mac_chars(a), (n, a.terms)
+        assert _young_characters(HeckeElement(n)) == {}
+    # 2^40 needs 64-bit fields, 2^90 / 3 cleared of its denominator 128
+    assert {32, 64, 128} <= set(_class_chars(5).packs)
+
+
+def test_class_too_wide_for_the_fields_widens_the_sum(monkeypatch):
+    # with a trace bound of 2^40 no class fits 32-bit fields: the fill
+    # refuses, the width goes up and the sum is redone
+    cc = _ClassChars(5)
+    cc.mtop = 2 ** 40
+    monkeypatch.setattr(parabolic, "_class_chars", lambda n: cc)
+    ctx = kl_context(5)
+    for w in perm_table(5).perms[::7]:
+        assert _young_characters(ctx.element(w)) == \
+            _mac_chars(ctx.element(w)), w
+    assert cc.width == 64 and set(cc.packs) == {32, 64}
+    assert all(x is None for x in cc.packs[32])
+    # a class of the form q x_sys + (q-1) x_sy is bounded by the measured
+    # largest fields of the two classes it comes from
+    cc = _ClassChars(5)
+    k = next(k for k, (a, b) in enumerate(cc.rules) if a >= 0)
+    a, b = cc.rules[k]
+    cc.fill(a, 32), cc.fill(b, 32)
+    cc.tops[a], cc.tops[b] = 2 ** 30 - 1, 2 ** 29   # 2^31 - 1 still fits
+    assert cc.fill(k, 32) == cc.packs[32][k] and cc.width == 32
+    cc.packs[32][k], cc.tops[a] = None, 2 ** 30
+    with pytest.raises(parabolic._Narrow):
+        cc.fill(k, 32)
+    assert cc.width == 64 and cc.packs[32][k] is None
+
+
+def test_induced_characters_repeated_and_every_j():
+    a = kl_context(4).element((3, 4, 1, 2)).scale(LaurentQ({-1: 2, 2: 1}))
+    Js = all_parabolic_subsets(4)
+    Js = Js + Js[::-1] + [frozenset({1, 3})] * 3
+    got = induced_characters(a, Js)
+    assert len(got) == len(Js)
+    for J, c in zip(Js, got):
+        assert c == mac_young_characters(a, [_young_type(4, J)])[0], J
+        assert c == induced_character(a, J)
+    assert induced_characters(a, []) == []
+
+
+def test_class_sums_from_many_threads(monkeypatch):
+    # the class ints, their largest fields and the width are filled
+    # lazily on a shared object: threads racing through the same classes
+    # must still get exact sums
+    cc = _ClassChars(6)
+    monkeypatch.setattr(parabolic, "_class_chars", lambda n: cc)
+    ctx = kl_context(6)
+    perms = perm_table(6).perms
+    elements = [ctx.element(w) for w in perms[::9]]
+    elements += [e.scale(2 ** 40) for e in elements[::4]]
+    want = [_mac_chars(a) for a in elements]
+    got = [None] * len(elements)
+
+    def work(start):
+        for i in range(start, len(elements), 3):
+            got[i] = _young_characters(elements[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 3,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
