@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Cross-validate the induced-character pipelines on random words: the
-class-polynomial route, the quotient fixed-point count, the good-word
-count over the full group, and the all-J good-word count, which is
-compared with the class-polynomial route for every J.  The Frobenius
+class-sum route (`induced_character`, from the closed Young-subgroup
+class traces), the quotient fixed-point count, the good-word count over
+the full group, and the all-J good-word count, which is compared with
+the class-sum route for every J.  The Frobenius
 character of each product is also checked against the monomial
 expansion sum_lam c_{J_lam} m_lam read off the all-J good-word counts.
 

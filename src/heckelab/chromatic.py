@@ -5,15 +5,16 @@ A Hessenberg function m (nondecreasing, m(j) >= j, m(n) = n) determines
 the graph on [n] with edges {i, j} for i < j <= m(i); these are exactly
 the indifference graphs.  Two q-weighted sums over colorings kappa, each
 weighted by q^(number of edges with kappa(i) < kappa(j) for i < j), are
-computed exactly with palette [n]: `csf_q` over the proper colorings and
-`llt_direct` over all of them.  Neither visits colorings one at a time:
-a sum depends only on the weak order a coloring induces on [n], and one
-transfer sweep over the vertices counts the weak orders by ascents.
+summed exactly: `csf_q` over the proper colorings and `llt_direct` over
+all of them.  Neither visits colorings one at a time: a sum depends only
+on the weak order a coloring induces on [n], and one transfer sweep over
+the vertices counts the weak orders by ascents.
 
-A degree-n symmetric function is determined by its monomials in n
-variables, so palette n loses nothing; the collection asserts that the
-monomials are constant on permutation orbits before reporting the
-monomial-basis coefficients.
+A weak order with block sizes (k_1, ..., k_l) gives the same count to
+every monomial x_(c_1)^(k_1) ... x_(c_l)^(k_l) with c_1 < ... < c_l, so
+the coefficient of m_lam is the count at any rearrangement of lam; the
+collection asserts that every rearrangement is present with the same
+count (the sums are symmetric).
 
 `chss_check` compares omega(csf_q) against the Frobenius character of the
 Kazhdan-Lusztig element of the codominant permutation of m, the two sides
@@ -35,7 +36,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from . import config
 from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, \
@@ -70,15 +70,9 @@ class IndifferenceGraph:
         return IndifferenceGraph(n, edges)
 
 
-def _coerce_graph(g) -> IndifferenceGraph:
-    if isinstance(g, IndifferenceGraph):
-        return g
-    return IndifferenceGraph.from_hessenberg(g)
-
-
 def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
-    """{content vector: {ascents: count}} over the colorings
-    kappa: [n] -> [n], proper ones only if `proper`.
+    """{composition of block sizes: {ascents: count}} over the weak orders
+    of the colorings of g, proper ones only if `proper`.
 
     One sweep over the vertices counts the weak orders (blocks of equal
     colors, in color order) by ascents.  A state is the block sizes so
@@ -86,9 +80,8 @@ def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
     sees, one sorted tuple per departure value m(i) >= v: the lower
     neighbours of v are the i < v with m(i) >= v.  Vertex v joins a
     block (not a neighbour's, if proper) or opens one at a gap, and
-    gains an ascent per visible level below its own.  Each composition
-    of block sizes then lands, in order, on every subset of the palette
-    of its length; its vectors share one dict.
+    gains an ascent per visible level below its own.  After the last
+    vertex nothing is seen, so the block sizes alone key a final state.
     """
     n = g.n
     m = [max((j for i, j in g.edges if i == v), default=v)
@@ -121,55 +114,56 @@ def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
                     for a, c in poly.items():
                         tgt[a + up] = tgt.get(a + up, 0) + c
         states = nxt
-    vectors = {}
-    for (sizes, _), poly in states.items():
-        for colors in combinations(range(n), len(sizes)):
-            vec = [0] * n
-            for c, k in zip(colors, sizes):
-                vec[c] = k
-            vectors[tuple(vec)] = poly
-    return vectors
+    return {sizes: poly for (sizes, _), poly in states.items()}
 
 
-def _collect_monomials(n: int, vectors: dict) -> SymFunc:
-    """Turn {exponent vector: {ascents: count}} into a monomial-basis
-    SymFunc, asserting the data is symmetric (constant on sorting
-    orbits)."""
-    by_partition: dict = {}
-    for vec, d in vectors.items():
-        lam = tuple(sorted((e for e in vec if e), reverse=True))
-        by_partition.setdefault(lam, []).append(d)
-    coeffs = {}   # the sorted exponent vectors are partitions of n
-    for lam, orbit in by_partition.items():
+def _collect_monomials(n: int, sums: dict) -> SymFunc:
+    """Turn {composition: {ascents: count}} into a monomial-basis SymFunc
+    of degree n, asserting the data is symmetric: every rearrangement of
+    each partition is present, all with the same count."""
+    orbits: dict = {}
+    for sizes, d in sums.items():
+        orbits.setdefault(tuple(sorted(sizes, reverse=True)), []).append(d)
+    coeffs = {}
+    for lam, orbit in orbits.items():
         first = orbit[0]
         if any(d != first for d in orbit[1:]):
             raise AssertionError(
                 f"coloring sum is not symmetric at shape {lam}; "
                 "this indicates a bug, not a mathematical possibility")
-        # the orbit must be complete: every distinct rearrangement appears
-        mult = Counter(lam + (0,) * (n - len(lam))).values()
-        if len(orbit) != math.factorial(n) // math.prod(
-                map(math.factorial, mult)):
+        if len(orbit) != math.factorial(len(lam)) // math.prod(
+                map(math.factorial, Counter(lam).values())):
             raise AssertionError(f"incomplete monomial orbit at {lam}")
         if poly := LaurentQ({2 * e: c for e, c in first.items()}):
             coeffs[lam] = poly
     return SymFunc("m", n)._like(coeffs)
 
 
+def _coloring_function(g, budget: int | None, proper: bool) -> SymFunc:
+    if not isinstance(g, IndifferenceGraph):
+        g = IndifferenceGraph.from_hessenberg(g)
+    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
+    return _collect_monomials(g.n, _coloring_sums(g, proper))
+
+
 def csf_q(g, budget: int | None = None) -> SymFunc:
     """The proper-coloring sum with ascent statistic, in the monomial
-    basis: sum over proper kappa: [n] -> [n] of q^(ascents) x_kappa."""
-    g = _coerce_graph(g)
-    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
-    return _collect_monomials(g.n, _coloring_sums(g, proper=True))
+    basis: sum over proper kappa: [n] -> [n] of q^(ascents) x_kappa.
+
+    >>> print(csf_q((2, 3, 4, 4)).to_basis("e"))
+    (1+q+q^2+q^3)*e[4] + (q+q^2)*e[3,1] + (q+q^2)*e[2,2]
+    """
+    return _coloring_function(g, budget, proper=True)
 
 
 def llt_direct(g, budget: int | None = None) -> SymFunc:
     """The all-colorings sum with ascent statistic: sum over all
-    kappa: [n] -> [n] of q^(ascents) x_kappa, in the monomial basis."""
-    g = _coerce_graph(g)
-    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
-    return _collect_monomials(g.n, _coloring_sums(g, proper=False))
+    kappa: [n] -> [n] of q^(ascents) x_kappa, in the monomial basis.
+
+    >>> print(llt_direct((2, 3, 3)))
+    m[3] + (1+2q)*m[2,1] + (1+4q+q^2)*m[1,1,1]
+    """
+    return _coloring_function(g, budget, proper=False)
 
 
 @cache

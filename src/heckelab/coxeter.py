@@ -10,7 +10,7 @@ values i, i+1.
 
 `PermTable` numbers permutations for the engines that step on indices: a
 lazy table per Kazhdan-Lusztig context, and the complete `perm_table(n)`
-for the class polynomials and the binary-word scans.
+for the cyclic-shift classes, the binary-word scans and the scanners.
 
 >>> multiply((2, 1, 3), (1, 3, 2))
 (2, 3, 1)
@@ -46,6 +46,15 @@ Transposition = tuple
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
+
+
+def _ints(xs, what: str) -> tuple:
+    """xs as ints, refusing what int() would truncate or parse (1.5, "1")."""
+    xs = tuple(xs)
+    if (out := tuple(map(int, xs))) != xs:
+        bad = next(x for x, i in zip(xs, out) if x != i)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return out
 
 
 def check_permutation(w) -> Perm:
@@ -242,7 +251,7 @@ def cycle_type(w: Perm) -> tuple:
 
 def check_hessenberg(m) -> tuple:
     """Validate m(j) >= j, m nondecreasing, m(n) = n."""
-    m = tuple(int(x) for x in m)
+    m = _ints(m, "Hessenberg value")
     n = len(m)
     ok = (n >= 1 and m[-1] == n
           and all(m[j] >= j + 1 for j in range(n))

@@ -28,8 +28,8 @@ from functools import cache, lru_cache
 
 from . import config
 from .coxeter import (
-    Perm, PermTable, Word, apply_s_right, bruhat_leq, check_permutation,
-    evaluate_word, identity, inverse, length, reduced_word,
+    Perm, PermTable, Word, _ints, apply_s_right, bruhat_leq,
+    check_permutation, evaluate_word, identity, inverse, length, reduced_word,
 )
 from .laurentq import (
     ONE, ZERO, LaurentQ, Q, Terms, from_q_coefficients, q_power, unpack_signed,
@@ -157,10 +157,10 @@ class HeckeElement(Terms):
     @staticmethod
     def from_json(data: dict) -> "HeckeElement":
         try:
-            n = int(data["n"])
+            n, = _ints([data["n"]], "rank")
             terms = {}
             for item in data["terms"]:
-                w = check_permutation(int(x) for x in item["perm"])
+                w = check_permutation(_ints(item["perm"], "letter"))
                 terms[w] = LaurentQ.from_json(item["coeff"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed Hecke element JSON ({exc!r}); "

@@ -11,8 +11,8 @@ bookkeeping: every formula we need becomes integral in v.
 
 There is no rational-function type: where a computation divides by a
 polynomial (the plethystic LLT in `chromatic`), it multiplies through
-by one known common denominator and ends with `exact_div`, which raises
-on a remainder.
+by one known common denominator and ends with `chromatic._divide`, an
+exact division of integer coefficient lists that raises on a remainder.
 
 `Terms` is the linear structure and display shared by Hecke elements and
 symmetric functions: finite sums of basis elements with LaurentQ
@@ -42,12 +42,13 @@ __all__ = [
 
 
 def _norm_coeff(c):
-    """Collapse integral Fractions back to int."""
+    """c as an exact coefficient: integral Fractions collapse to int, and
+    anything but an int or a Fraction (a float) is a ValueError."""
     if type(c) is int:   # the common case, without the ABC instance check
         return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    if isinstance(c, (int, Fraction)):
+        return int(c) if c.denominator == 1 else c
+    raise ValueError(f"coefficient {c!r} is not an integer or a fraction")
 
 
 class LaurentQ:
@@ -170,7 +171,7 @@ class LaurentQ:
         """Evaluate at a concrete value of v (exactly; x may be Fraction)."""
         total = 0
         for e, c in self.c.items():
-            total += c * (Fraction(x) ** e if e < 0 else x ** e)
+            total += c * Fraction(x) ** e
         return _norm_coeff(total)
 
     def is_q_polynomial(self) -> bool:

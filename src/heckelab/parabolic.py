@@ -59,7 +59,7 @@ from itertools import accumulate, compress, product
 from sys import byteorder
 
 from .coxeter import (
-    Perm, Word, apply_s_left, cycle_type, identity,
+    Perm, Word, _ints, apply_s_left, cycle_type, identity,
     left_descents, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
@@ -80,15 +80,6 @@ __all__ = [
 
 def _check_j(n: int, J) -> frozenset:
     return _valid_j(n, frozenset(J))
-
-
-def _ints(xs, what: str) -> tuple:
-    """xs as ints, refusing what int() would truncate or parse (1.5, "1")."""
-    xs = tuple(xs)
-    if (out := tuple(map(int, xs))) != xs:
-        bad = next(x for x, i in zip(xs, out) if x != i)
-        raise ValueError(f"{what} {bad!r} is not an integer")
-    return out
 
 
 @cache

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations, zip_longest
+from itertools import accumulate, zip_longest
 from math import factorial, gcd, lcm
+from numbers import Number
 
 from . import config
-from .coxeter import cycle_type
+from .coxeter import _ints, cycle_type
 from .hecke import HeckeElement
 from .laurentq import ONE, ZERO, LaurentQ, Terms, pack_signed, unpack_signed
 from .parabolic import _young_characters
@@ -68,7 +69,7 @@ def partitions(n: int) -> tuple:
 
 
 def check_partition(lam) -> Partition:
-    lam = tuple(int(x) for x in lam)
+    lam = _ints(lam, "part")
     if any(a <= 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"not a partition: {lam}")
     return lam
@@ -276,8 +277,8 @@ class SymFunc(Terms):
                 lam = check_partition(lam)
                 if sum(lam) != degree:
                     raise ValueError(f"{lam} is not a partition of {degree}")
-                if type(c) is not LaurentQ and isinstance(c, (int, Fraction)):
-                    c = LaurentQ({0: c})
+                if not isinstance(c, LaurentQ) and isinstance(c, Number):
+                    c = LaurentQ({0: c})   # ValueError unless exact
                 if c:
                     clean[lam] = c
         self.coeffs = clean
@@ -344,7 +345,8 @@ class SymFunc(Terms):
     @staticmethod
     def from_json(data: dict) -> "SymFunc":
         try:
-            basis, degree = data["basis"], int(data["degree"])
+            basis = data["basis"]
+            degree, = _ints([data["degree"]], "degree")
             coeffs = {tuple(item["partition"]):
                       LaurentQ.from_json(item["coeff"])
                       for item in data["coeffs"]}
@@ -405,31 +407,34 @@ def frobenius_character(a: HeckeElement) -> SymFunc:
     return SymFunc("m", a.n)._like(_young_characters(a))
 
 
+def _times(a: dict, b: dict) -> dict:
+    """The product of two partition sums {partition: coeff} in one
+    multiplicative basis."""
+    out: dict = {}
+    for lam, c in a.items():
+        for mu, d in b.items():
+            _acc(out, tuple(sorted(lam + mu, reverse=True)), c * d)
+    return out
+
+
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product, via the power-sum basis (rational scalars may appear in
     intermediate coefficients; the result is exact)."""
-    fp, gp = f.to_basis("p"), g.to_basis("p")
-    out: dict = {}
-    for lam, c in fp.coeffs.items():
-        for mu, d in gp.coeffs.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            _acc(out, key, c * d)
-    return SymFunc("p", f.degree + g.degree, out).to_basis(f.basis)
+    return SymFunc("p", f.degree + g.degree, _times(
+        f.to_basis("p").coeffs, g.to_basis("p").coeffs)).to_basis(f.basis)
 
 
 # -- immanants and determinantal identities ---------------------------------------
 
-def _entry_terms(entry):
-    """Normalize a matrix entry to (basis, {partition: coeff}) in a
-    multiplicative basis, or (None, scalar) for ring scalars."""
-    if isinstance(entry, (int, Fraction)):
-        return None, LaurentQ({0: entry})
-    if isinstance(entry, LaurentQ):
-        return None, entry
+def _entry_terms(entry) -> dict:
+    """A matrix entry as {partition: coeff}: a symmetric function in a
+    multiplicative basis, or a scalar c read as {(): c} ({} if c = 0)."""
     if isinstance(entry, SymFunc):
         if entry.basis not in ("e", "h", "p"):
             raise ValueError("matrix entries must use a multiplicative basis")
-        return entry.basis, dict(entry.coeffs)
+        return entry.coeffs
+    if isinstance(entry, (int, Fraction, LaurentQ)):
+        return {(): ONE * entry} if entry else {}
     raise ValueError(f"unsupported matrix entry: {entry!r}")
 
 
@@ -439,7 +444,9 @@ def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
 
     Entries may be scalars or symmetric functions in one shared
     multiplicative basis ({e, h, p}); the result must come out
-    homogeneous.  Cost is n! products.
+    homogeneous.  The product is expanded row by row over the unused
+    columns, a zero partial product ending its branch; rows and columns
+    are first conjugated (cycle types stay) to put the sparsest rows first.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
@@ -449,91 +456,47 @@ def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
     chi_label = check_partition(chi_label)
     if sum(chi_label) != k:
         raise ValueError(f"character label {chi_label} does not match size {k}")
-    chi = character_table(k)
 
-    basis = None
-    rows = []
-    for row in matrix:
-        cells = []
-        for entry in row:
-            b, data = _entry_terms(entry)
-            if b is not None:
-                if basis is None:
-                    basis = b
-                elif basis != b:
-                    raise ValueError("matrix entries mix bases")
-            cells.append((b, data))
-        rows.append(cells)
-    if basis is None:
-        basis = "p"
+    bases = {x.basis for row in matrix for x in row if isinstance(x, SymFunc)}
+    if len(bases) > 1:
+        raise ValueError("matrix entries mix bases")
+    order = sorted(range(k), key=lambda i: sum(map(bool, matrix[i])))
+    rows = [[_entry_terms(matrix[i][j]) for j in order] for i in order]
 
     total: dict = {}
-    for w in permutations(range(k)):
-        cval = chi.chi(chi_label, cycle_type(tuple(x + 1 for x in w)))
-        if not cval:
-            continue
-        # expand the product of the selected entries
-        acc = {(): LaurentQ({0: cval})}
-        dead = False
-        for i in range(k):
-            b, data = rows[i][w[i]]
-            if b is None:
-                if not data:
-                    dead = True
-                    break
-                acc = {key: c * data for key, c in acc.items()}
-            else:
-                nxt: dict = {}
-                for part, d in data.items():
-                    for key, c in acc.items():
-                        merged = tuple(sorted(key + part, reverse=True))
-                        _acc(nxt, merged, c * d)
-                acc = nxt
-        if dead:
-            continue
-        for key, c in acc.items():
-            _acc(total, key, c)
-    degrees = {sum(key) for key in total}
-    if not degrees:
-        return SymFunc(basis, 0, {})
+
+    def expand(w: tuple, acc: dict) -> None:
+        if len(w) == k:
+            if c := murnaghan_nakayama(chi_label, cycle_type(w)):
+                for key, x in acc.items():
+                    _acc(total, key, x * c)
+            return
+        for j, data in enumerate(rows[len(w)], 1):
+            if j not in w and (nxt := _times(acc, data)):
+                expand(w + (j,), nxt)
+
+    expand((), {(): ONE})
+    degrees = {sum(key) for key in total} or {0}
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous immanant: degrees {sorted(degrees)}")
-    return SymFunc(basis, degrees.pop(), total)
+    return SymFunc(bases.pop() if bases else "p", degrees.pop(), total)
 
 
 def jacobi_trudi(lam, mu=()) -> SymFunc:
     """The skew Schur function as the h-determinant
-    det(h_(lam_i - mu_j + j - i)), returned in the h-basis."""
-    lam = check_partition(lam) if lam else ()
-    mu = check_partition(mu) if mu else ()
-    k = max(len(lam), len(mu))
-    if any((mu[i] if i < len(mu) else 0) > (lam[i] if i < len(lam) else 0)
-           for i in range(k)):
+    det(h_(lam_i - mu_j + j - i)), returned in the h-basis: the sign
+    immanant of that matrix."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    k = len(lam)
+    if len(mu) > k or any(a < b for a, b in zip(lam, mu)):
         raise ValueError(f"{mu} is not contained in {lam}")
-    if k == 0:
-        return SymFunc("h", 0, {(): ONE})
-    lamp = tuple(lam) + (0,) * (k - len(lam))
-    mup = tuple(mu) + (0,) * (k - len(mu))
-
-    total: dict = {}
-    for w in permutations(range(k)):
-        inv = sum(1 for i in range(k) for j in range(i + 1, k)
-                  if w[i] > w[j])
-        sign = -1 if inv % 2 else 1
-        part = []
-        dead = False
-        for i in range(k):
-            d = lamp[i] - mup[w[i]] + w[i] - i
-            if d < 0:
-                dead = True
-                break
-            if d > 0:
-                part.append(d)
-        if dead:
-            continue
-        key = tuple(sorted(part, reverse=True))
-        _acc(total, key, LaurentQ({0: sign}))
-    return SymFunc("h", sum(lam) - sum(mu), total)
+    mu += (0,) * (k - len(mu))
+    h = [1] + [SymFunc.basis_element("h", (d,))
+               for d in range(1, sum(lam) + k)]   # h[d] = h_d
+    matrix = [[h[d] if (d := lam[i] - mu[j] + j - i) >= 0 else 0
+               for j in range(k)] for i in range(k)]
+    return SymFunc("h", sum(lam) - sum(mu),
+                   immanant((1,) * k, matrix, budget=k).coeffs)
 
 
 def z_matrix(n: int):

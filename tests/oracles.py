@@ -18,7 +18,9 @@ dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd), and the power-sum and determinantal
-forms of n! e_n and n! h_n (`newton_check`).
+forms of n! e_n and n! h_n (`newton_check`), and skew Schur functions
+from the Jacobi-Trudi determinant expanded term by term
+(`direct_jacobi_trudi`).
 """
 
 from fractions import Fraction
@@ -1021,6 +1023,23 @@ def frac_llt_plethysm(w) -> SymFunc:
         lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
         else c * qm1n)
     return oracle_to_basis(cleared, "s")
+
+
+def direct_jacobi_trudi(lam, mu=()) -> SymFunc:
+    """det(h_(lam_i - mu_j + j - i)) in the h-basis, one signed term per
+    permutation of the rows with no negative index (h_0 = 1)."""
+    k = max(len(lam), len(mu))
+    lamp = tuple(lam) + (0,) * (k - len(lam))
+    mup = tuple(mu) + (0,) * (k - len(mu))
+    total: dict = {}
+    for w in permutations(range(k)):
+        inv = sum(1 for i in range(k) for j in range(i + 1, k)
+                  if w[i] > w[j])
+        ds = [lamp[i] - mup[w[i]] + w[i] - i for i in range(k)]
+        if all(d >= 0 for d in ds):
+            key = tuple(sorted((d for d in ds if d), reverse=True))
+            _acc(total, key, LaurentQ({0: -1 if inv % 2 else 1}))
+    return SymFunc("h", sum(lam) - sum(mu), total)
 
 
 def newton_check(n: int, budget: int | None = None) -> bool:

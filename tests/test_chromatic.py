@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,29 +143,55 @@ def test_llt_plethysm_matches_direct_enumeration():
             assert llt_plethysm(w) == llt_direct(m).to_basis("s"), m
 
 
+def _on_palette(n: int, sums: dict) -> dict:
+    """{content vector: {ascents: count}} over the palette [n]: each
+    composition of block sizes placed, in order, on every set of colors
+    of its length."""
+    vectors = {}
+    for sizes, poly in sums.items():
+        for colors in combinations(range(n), len(sizes)):
+            vec = [0] * n
+            for c, k in zip(colors, sizes):
+                vec[c] = k
+            vectors[tuple(vec)] = poly
+    return vectors
+
+
 def test_coloring_sums_match_enumeration():
-    # the weak-order sweep gives the same {content: {ascents: count}} as
-    # backtracking over proper colorings and as all n^n colorings
+    # the weak-order sweep, placed on the palette [n], gives the same
+    # {content: {ascents: count}} as backtracking over proper colorings
+    # and as all n^n colorings
     sample6 = random.Random(6).sample(sorted(all_hessenberg_functions(6)), 4)
     for m in [m for n in range(1, 6) for m in all_hessenberg_functions(n)] \
             + sample6:
         g = IndifferenceGraph.from_hessenberg(m)
-        assert chromatic._coloring_sums(g, proper=True) == \
-            backtrack_coloring_sums(g.n, g.edges), m
-        assert chromatic._coloring_sums(g, proper=False) == \
-            all_coloring_sums(g.n, g.edges), m
+        assert _on_palette(g.n, chromatic._coloring_sums(g, proper=True)) \
+            == backtrack_coloring_sums(g.n, g.edges), m
+        assert _on_palette(g.n, chromatic._coloring_sums(g, proper=False)) \
+            == all_coloring_sums(g.n, g.edges), m
+
+
+def test_coloring_sums_are_keyed_by_compositions():
+    # the path 1-2-3: a proper weak order puts 1 and 3 together or apart;
+    # {1,3} < {2} ascends on edge 12 only, {2} < {1,3} on edge 23 only
+    g = IndifferenceGraph.from_hessenberg((2, 3, 3))
+    assert chromatic._coloring_sums(g, proper=True) == {
+        (2, 1): {1: 1}, (1, 2): {1: 1}, (1, 1, 1): {0: 1, 1: 4, 2: 1}}
+    assert set(chromatic._coloring_sums(g, proper=False)) == {
+        (3,), (2, 1), (1, 2), (1, 1, 1)}
 
 
 def test_collect_monomials_rejects_tampered_sums():
     g = IndifferenceGraph.from_hessenberg((2, 3, 3))
     sums = chromatic._coloring_sums(g, proper=False)
     assert chromatic._collect_monomials(3, dict(sums)) == llt_direct(g)
+    # one rearrangement of (2, 1) tampered, then one deleted
     lopsided = dict(sums)
-    lopsided[(2, 1, 0)] = {a: c + 1 for a, c in sums[(2, 1, 0)].items()}
+    lopsided[(2, 1)] = {a: c + 1 for a, c in sums[(2, 1)].items()}
     with pytest.raises(AssertionError, match="not symmetric"):
         chromatic._collect_monomials(3, lopsided)
     partial = dict(sums)
-    del partial[(0, 1, 2)]
+    del partial[(1, 2)]
     with pytest.raises(AssertionError, match="incomplete monomial orbit"):
         chromatic._collect_monomials(3, partial)
 

@@ -289,6 +289,16 @@ def test_non_permutation_json_is_domain_error(capsys):
         assert err.startswith("heckelab: ") and err.count("\n") == 1
 
 
+def test_non_integer_letter_json_is_domain_error(capsys):
+    # int() would read the letter 1.9 as 1, and induced-char printed 3
+    payload = json.dumps({"n": 3, "terms": [
+        {"perm": [1.9, 2, 3], "coeff": {"v": {"0": 1}}}]})
+    code, out, err = run(capsys, "induced-char", "--J", "1",
+                         "--json", payload)
+    assert (code, out) == (1, "")
+    assert err == "heckelab: letter 1.9 is not an integer\n"
+
+
 @pytest.mark.parametrize("payload", [
     '{"n": 3}',
     '[1, 2]',

@@ -196,6 +196,12 @@ def test_hessenberg_validation():
         check_hessenberg((2, 3))  # values must end at n
 
 
+def test_non_integer_hessenberg_value_is_refused():
+    # int() would read (2.5, 3, 3) as the valid (2, 3, 3)
+    with pytest.raises(ValueError, match="Hessenberg value 2.5 is not an"):
+        check_hessenberg((2.5, 3, 3))
+
+
 def test_hessenberg_from_skew_examples():
     # oracle: direct evaluation of max{i : i - lam_i + mu_j - j <= 0}
     assert hessenberg_from_skew((2, 2), (1,), 2) == (2, 2)

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from heckelab import coxeter, hecke, laurentq, parabolic, symfunc
+from heckelab import chromatic, coxeter, hecke, laurentq, parabolic, symfunc
 
 
 @pytest.mark.parametrize("module", [laurentq, coxeter, hecke, parabolic,
-                                    symfunc],
+                                    symfunc, chromatic],
                          ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -422,6 +422,26 @@ def test_json_round_trip():
     assert fresh.element((3, 4, 1, 2)) == B
 
 
+def test_float_coefficient_is_refused():
+    with pytest.raises(ValueError, match="coefficient 0.1 is not an"):
+        HeckeElement(2, {(1, 2): 0.1})
+    with pytest.raises(ValueError, match="coefficient 0.5 is not an"):
+        HeckeElement.unit(2).scale(0.5)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["terms"][0].update(perm=[1.9, 2, 3]),
+     "letter 1.9 is not an integer"),
+    (lambda d: d.update(n=3.7), "rank 3.7 is not an integer"),
+], ids=["letter", "rank"])
+def test_json_non_integers_are_refused(edit, message):
+    # int() would read [1.9, 2, 3] as T[1,2,3] and 3.7 as 3
+    data = HeckeElement.unit(3).to_json()
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        HeckeElement.from_json(data)
+
+
 def _tampered(edit):
     ctx = KLContext(4)
     ctx.element((3, 4, 1, 2))

@@ -177,6 +177,23 @@ def test_json_refuses_non_integer_coefficients(value):
     assert repr(value) in str(info.value)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, 1e30, "1", None])
+def test_constructor_refuses_inexact_coefficients(value):
+    # a float used to be kept: LaurentQ({0: 0.1}) * 3 printed
+    # 0.30000000000000004
+    with pytest.raises(ValueError, match="is not an integer or a fraction") \
+            as info:
+        LaurentQ({0: value})
+    assert repr(value) in str(info.value)
+
+
+def test_constructor_keeps_exact_coefficients():
+    assert LaurentQ({0: Fraction(6, 3), 2: Fraction(1, 2)}).c == \
+        {0: 2, 2: Fraction(1, 2)}
+    assert type(LaurentQ({0: Fraction(6, 3)}).c[0]) is int
+    assert (LaurentQ({0: 1}) * 3).c == {0: 3}
+
+
 @pytest.mark.parametrize("width", [-1, 0, 1])
 def test_packing_refuses_fields_below_two_bits(width):
     # a 1-bit signed field holds only 0 and -1: unpacking 1 never ended

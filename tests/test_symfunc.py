@@ -6,7 +6,10 @@ for Schur functions), so the Kostka/character machinery is validated
 end-to-end against first principles.
 """
 
+import time
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,14 +20,15 @@ from heckelab.laurentq import (
     LaurentQ, ONE, Q, ZERO, from_q_coefficients, q_power,
 )
 from heckelab.symfunc import (
-    SymFunc, character_table, class_size, conjugate_partition, dominates,
+    SymFunc, character_table, check_partition, class_size,
+    conjugate_partition, dominates,
     frobenius_character, hall_inner_product, immanant, jacobi_trudi,
     multiply, murnaghan_nakayama, omega, partitions,
     sign_partition, z_matrix, z_mu,
 )
 from oracles import (
-    LaurentFrac, count_syt, expand_basis_element, newton_check,
-    oracle_to_basis, plethysm_scale,
+    LaurentFrac, count_syt, direct_jacobi_trudi, expand_basis_element,
+    newton_check, oracle_to_basis, plethysm_scale,
 )
 
 
@@ -301,6 +305,33 @@ def test_jacobi_trudi_straight_shapes_are_schur():
                 SymFunc.basis_element("s", lam)
 
 
+def test_jacobi_trudi_matches_direct_expansion():
+    # the sign immanant of the h-matrix against the determinant expanded
+    # term by term; (1^8) and the 8-row skew shape pass the default
+    # immanant guard of 7
+    shapes = [(lam, ()) for n in range(7) for lam in partitions(n)] + [
+        ((2, 2), (1,)), ((3, 1), (1,)), ((3, 2, 1), (1, 1)),
+        ((2, 2), (2, 2)), ((4, 3, 2), (2, 1)), ((3, 3, 3), (2, 2)),
+        ((3,) * 7, (2, 1)), ((1,) * 8, ()), ((2, 2) + (1,) * 6, (1,))]
+    for lam, mu in shapes:
+        jt = jacobi_trudi(lam, mu)
+        assert (jt.basis, jt.degree) == ("h", sum(lam) - sum(mu))
+        assert jt == direct_jacobi_trudi(lam, mu), (lam, mu)
+
+
+def test_jacobi_trudi_of_a_long_column_is_quick():
+    # the h-matrix of (1^12) is upper Hessenberg: with its sparsest rows
+    # expanded first no branch dead-ends, and 2^11 of the 12! permutations
+    # avoid its zeros; e_12 = sum_lam (-1)^(12 - len(lam)) (rearrangements
+    # of lam) h_lam
+    start = time.perf_counter()
+    f = jacobi_trudi((1,) * 12)
+    assert time.perf_counter() - start < 5
+    assert f.coeffs == {lam: LaurentQ({0: (-1) ** (12 - len(lam)) * (
+        factorial(len(lam)) // prod(map(factorial, Counter(lam).values())))})
+        for lam in partitions(12)}
+
+
 def test_skew_schur_via_sign_immanant():
     # the sign immanant of the Jacobi-Trudi matrix recovers the skew
     # Schur function
@@ -379,6 +410,37 @@ def test_budget_guard_on_conversions():
     f = SymFunc.basis_element("h", (13,))
     with pytest.raises(BudgetError):
         f.to_basis("s")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: check_partition((2.7, 1)),
+    lambda: SymFunc("m", 3, {(2.7, 1): 1}),
+], ids=["check_partition", "constructor"])
+def test_non_integer_part_is_refused(make):
+    # int() would read the part 2.7 as 2 and give m[2,1]
+    with pytest.raises(ValueError, match="part 2.7 is not an integer"):
+        make()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"basis": "m", "degree": 3.2, "coeffs": []},
+     "degree 3.2 is not an integer"),
+    ({"basis": "m", "degree": 3, "coeffs": [
+        {"partition": [2, 1.5], "coeff": {"v": {"0": "1"}}}]},
+     "part 1.5 is not an integer"),
+], ids=["degree", "partition"])
+def test_json_non_integers_are_refused(payload, message):
+    with pytest.raises(ValueError, match=message):
+        SymFunc.from_json(payload)
+
+
+def test_float_coefficient_is_refused():
+    # a bare float used to be stored, and str() then failed
+    with pytest.raises(ValueError, match="coefficient 1.5 is not an"):
+        SymFunc("m", 3, {(3,): 1.5})
+    f = SymFunc("m", 3, {(3,): Fraction(3, 2), (2, 1): 2})
+    assert f.coeffs == {(3,): LaurentQ({0: Fraction(3, 2)}),
+                        (2, 1): LaurentQ({0: 2})}
 
 
 def test_json_and_rendering():
