@@ -43,7 +43,7 @@ from .coxeter import Perm, check_hessenberg, codominant_from_hessenberg, \
 from .hecke import kl_context
 from .laurentq import (
     ONE, Q, LaurentQ, from_q_coefficients, gauss_number, pack_signed,
-    unpack_signed,
+    signed_width, unpack_signed,
 )
 from .symfunc import (
     SymFunc, frobenius_character, omega, partitions,
@@ -70,9 +70,11 @@ class IndifferenceGraph:
         return IndifferenceGraph(n, edges)
 
 
-def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
-    """{composition of block sizes: {ascents: count}} over the weak orders
-    of the colorings of g, proper ones only if `proper`.
+def _coloring_sums(g: IndifferenceGraph, proper: bool) -> tuple:
+    """(width, {composition of block sizes: counts}) over the weak orders
+    of the colorings of g, proper ones only if `proper`; the count at a
+    ascents is field a of the int, and as none exceeds the n^n colorings,
+    width = bit length of n^n plus a sign bit holds it exactly.
 
     One sweep over the vertices counts the weak orders (blocks of equal
     colors, in color order) by ascents.  A state is the block sizes so
@@ -80,17 +82,19 @@ def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
     sees, one sorted tuple per departure value m(i) >= v: the lower
     neighbours of v are the i < v with m(i) >= v.  Vertex v joins a
     block (not a neighbour's, if proper) or opens one at a gap, and
-    gains an ascent per visible level below its own.  After the last
-    vertex nothing is seen, so the block sizes alone key a final state.
+    gains an ascent per visible level below its own (a shift by width).
+    After the last vertex nothing is seen, so the block sizes alone key
+    a final state.
     """
     n = g.n
+    width = (n ** n).bit_length() + 1
     m = [max((j for i, j in g.edges if i == v), default=v)
          for v in range(1, n + 1)]
-    states = {((), ((),) * n): {0: 1}}   # groups[k]: departure value v + k
+    states = {((), ((),) * n): 1}   # groups[k]: departure value v + k
     for v in range(1, n + 1):
         slot = m[v - 1] - v - 1        # v's group after groups[0] leaves
         nxt: dict = {}
-        for (sizes, groups), poly in states.items():
+        for (sizes, groups), counts in states.items():
             seen = sorted(x for grp in groups for x in grp)
             rest = groups[1:]
             moves = [(b, sizes[:b] + (sizes[b] + 1,) + sizes[b + 1:], rest)
@@ -107,35 +111,31 @@ def _coloring_sums(g: IndifferenceGraph, proper: bool) -> dict:
                                   + new_groups[slot + 1:])
                 up = bisect_left(seen, b)
                 key = (new_sizes, new_groups)
-                tgt = nxt.get(key)
-                if tgt is None:
-                    nxt[key] = {a + up: c for a, c in poly.items()}
-                else:
-                    for a, c in poly.items():
-                        tgt[a + up] = tgt.get(a + up, 0) + c
+                nxt[key] = nxt.get(key, 0) + (counts << width * up)
         states = nxt
-    return {sizes: poly for (sizes, _), poly in states.items()}
+    return width, {sizes: x for (sizes, _), x in states.items()}
 
 
-def _collect_monomials(n: int, sums: dict) -> SymFunc:
-    """Turn {composition: {ascents: count}} into a monomial-basis SymFunc
-    of degree n, asserting the data is symmetric: every rearrangement of
-    each partition is present, all with the same count."""
+def _collect_monomials(n: int, width: int, sums: dict) -> SymFunc:
+    """Turn the packed {composition: counts} of `_coloring_sums` into a
+    monomial-basis SymFunc of degree n, asserting the data is symmetric:
+    every rearrangement of each partition is present, all with the same
+    counts."""
     orbits: dict = {}
-    for sizes, d in sums.items():
-        orbits.setdefault(tuple(sorted(sizes, reverse=True)), []).append(d)
+    for sizes, x in sums.items():
+        orbits.setdefault(tuple(sorted(sizes, reverse=True)), []).append(x)
     coeffs = {}
     for lam, orbit in orbits.items():
         first = orbit[0]
-        if any(d != first for d in orbit[1:]):
+        if any(x != first for x in orbit[1:]):
             raise AssertionError(
                 f"coloring sum is not symmetric at shape {lam}; "
                 "this indicates a bug, not a mathematical possibility")
         if len(orbit) != math.factorial(len(lam)) // math.prod(
                 map(math.factorial, Counter(lam).values())):
             raise AssertionError(f"incomplete monomial orbit at {lam}")
-        if poly := LaurentQ({2 * e: c for e, c in first.items()}):
-            coeffs[lam] = poly
+        if first:
+            coeffs[lam] = from_q_coefficients(unpack_signed(first, width))
     return SymFunc("m", n)._like(coeffs)
 
 
@@ -143,7 +143,7 @@ def _coloring_function(g, budget: int | None, proper: bool) -> SymFunc:
     if not isinstance(g, IndifferenceGraph):
         g = IndifferenceGraph.from_hessenberg(g)
     config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
-    return _collect_monomials(g.n, _coloring_sums(g, proper))
+    return _collect_monomials(g.n, *_coloring_sums(g, proper))
 
 
 def csf_q(g, budget: int | None = None) -> SymFunc:
@@ -180,18 +180,17 @@ def _llt_map(n: int) -> tuple:
     because prod_i [lam_i]_q divides [n]_q!.  Each z_lam divides n!, so
     den = n! [n]_q! clears the rational a_lam too.
     """
-    den = LaurentQ({0: math.factorial(n)})
-    for k in range(2, n + 1):
-        den = den * gauss_number(k)
+    den = math.prod(map(gauss_number, range(2, n + 1)),
+                    start=LaurentQ({0: math.factorial(n)}))
     cols = {}
     for nu in partitions(n):
         scaled = {}
         for lam, a in omega(SymFunc.basis_element("m", nu)
                             .to_basis("p")).coeffs.items():
-            g = den * (Q - ONE) ** (n - len(lam)) * a
+            g = (den * (Q - ONE) ** (n - len(lam)) * a).q_coefficients()
             for k in lam:
-                g = g.exact_div(gauss_number(k))
-            scaled[lam] = g
+                g = _divide(g, [1] * k)   # by [k]_q
+            scaled[lam] = from_q_coefficients(g)
         cols[nu] = {mu: g.q_coefficients() for mu, g in
                     SymFunc("p", n, scaled).to_basis("s").coeffs.items()}
     top = max(abs(c) for col in cols.values() for g in col.values()
@@ -221,8 +220,7 @@ def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
     chq = {nu: c.q_coefficients() for nu, c in ch.coeffs.items()}
     # no coefficient of a numerator exceeds top * (sum of |ch coefficients|);
     # widths are multiples of 32 so that few packed maps get cached
-    bound = top * sum(abs(c) for cs in chq.values() for c in cs)
-    bits = 32 * (bound.bit_length() // 32 + 1)
+    bits = signed_width(top * sum(abs(c) for cs in chq.values() for c in cs))
     packed = _packed_cols(n, bits)
     nums: dict = {}
     for nu, cs in chq.items():

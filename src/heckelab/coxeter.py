@@ -58,7 +58,7 @@ def _ints(xs, what: str) -> tuple:
 
 
 def check_permutation(w) -> Perm:
-    w = tuple(w)
+    w = _ints(w, "entry")   # 1.0 reads as 1, 1.5 fails
     n = len(w)
     if n < 1 or sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation in one-line notation: {w}")

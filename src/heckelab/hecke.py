@@ -15,16 +15,16 @@ T_{w^{-1}}.  `KLContext` computes the integral Kazhdan-Lusztig elements
 by the classical recursion on a left descent, with mu-correction terms,
 on indices of a lazy `coxeter.PermTable` that numbers only the
 permutations it reaches (for B_w, the interval [e, w]) and interned
-integer q-coefficient tuples (no LaurentQ arithmetic); the leading 1, the
-constant terms and the degree bound
-deg P_{z,w} < (len(w)-len(z))/2 are checked as postconditions.  Elements
-are memoized per n behind a size guard.
+packed ints, one 32-bit field per q-coefficient (no LaurentQ
+arithmetic); the leading 1, the constant terms, the degree bound
+deg P_{z,w} < (len(w)-len(z))/2 and the field range are checked as
+postconditions.  Elements are memoized per n behind a size guard.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache
 
 from . import config
 from .coxeter import (
@@ -32,7 +32,8 @@ from .coxeter import (
     check_permutation, evaluate_word, identity, inverse, length, reduced_word,
 )
 from .laurentq import (
-    ONE, ZERO, LaurentQ, Q, Terms, from_q_coefficients, q_power, unpack_signed,
+    ONE, ZERO, LaurentQ, Q, Terms, from_q_coefficients, pack_signed, q_power,
+    signed_width, unpack_signed,
 )
 
 __all__ = [
@@ -41,6 +42,13 @@ __all__ = [
 ]
 
 _QM1 = Q - ONE  # q - 1
+
+# P_{z,w} is an int, its q^k coefficient in bits [W k, W (k+1)).  KL
+# coefficients are nonnegative (Kazhdan-Lusztig 1980) and stored ones are
+# below 2^30 (`KLContext._defect`), so the recursion's P_lo + q P_hi has
+# fields below 2^31, and the mu-corrections (mu >= 0) only lower them.
+W = signed_width((1 << 31) - 1)   # 32
+_FIELD = (1 << W) - 1
 
 
 class HeckeElement(Terms):
@@ -59,11 +67,11 @@ class HeckeElement(Terms):
         clean = {}
         if terms:
             for w, c in terms.items():
+                if len(w := check_permutation(w)) != n:
+                    raise ValueError(f"size mismatch: {w} in H_{n}")
                 if not isinstance(c, LaurentQ):
                     c = LaurentQ({0: c})
                 if c:
-                    if len(w) != n:
-                        raise ValueError(f"size mismatch: {w} in H_{n}")
                     clean[w] = c
         self.terms = clean
 
@@ -160,8 +168,8 @@ class HeckeElement(Terms):
             n, = _ints([data["n"]], "rank")
             terms = {}
             for item in data["terms"]:
-                w = check_permutation(_ints(item["perm"], "letter"))
-                terms[w] = LaurentQ.from_json(item["coeff"])
+                terms[_ints(item["perm"], "letter")] = \
+                    LaurentQ.from_json(item["coeff"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed Hecke element JSON ({exc!r}); "
                              'expected {"n": n, "terms": [{"perm": [...], '
@@ -231,11 +239,11 @@ class KLContext:
     B_w = q^(len(w)/2) C'_w expanded in the T-basis; `polynomial(u, w)`
     reads off P_{u,w}(q).  Each B_w is stored on indices of the context's
     own lazy `PermTable` (a point query numbers only [e, w]) as
-    {z: P_{z,w}}, P a tuple of integer q-coefficients (constant term first)
-    interned per context, and built by recursion on the smallest left
-    descent.  `element` returns a
-    `HeckeElement` view keyed by permutation; views share one `LaurentQ`
-    per interned polynomial.
+    {z: P_{z,w}}, P an int packing its q-coefficients in W-bit fields,
+    constant term lowest, interned per context, and built by recursion on
+    the smallest left descent.  `element` returns a `HeckeElement` view
+    keyed by permutation; views share one `LaurentQ` per interned
+    polynomial.
     """
 
     def __init__(self, n: int):
@@ -243,17 +251,19 @@ class KLContext:
         self.n = n
         self._index = PermTable(n)   # numbers only what queries reach
         self._table: dict = {}   # w index -> {z index: interned P_{z,w}}
-        self._polys: dict = {}   # q-coefficient tuple -> its interned copy
-        self._views: dict = {}   # interned tuple -> shared LaurentQ
+        self._polys: dict = {}   # packed polynomial -> its interned copy
+        self._views: dict = {}   # interned polynomial -> shared LaurentQ
+        # bits 30 and 31 of every field up to q^(n(n-1)/2), the top degree
+        self._high = sum(3 << 30 << W * k for k in range(n * (n - 1) // 2 + 1))
 
     def __len__(self):
         """Number of elements held (built or loaded)."""
         return len(self._table)
 
-    def _intern(self, p: tuple) -> tuple:
+    def _intern(self, p: int) -> int:
         if p not in self._polys:
             self._polys[p] = p
-            self._views[p] = from_q_coefficients(p)
+            self._views[p] = from_q_coefficients(unpack_signed(p, W))
         return self._polys[p]
 
     # -- core recursion -----------------------------------------------------
@@ -273,34 +283,31 @@ class KLContext:
         lengths, lmult, ldesc, left = ix.lengths, ix.lmult, ix.ldesc, ix.left
         bit = ldesc[w] & -ldesc[w]
         if not bit:
-            out = self._table[w] = {w: self._intern((1,))}
+            out = self._table[w] = {w: self._intern(1)}
             return out
         s = bit.bit_length() - 1
         wp = left(w, s)
         base = self._get(wp)
-        # B_s B_{w'} = (T_s + 1) B_{w'} gives x and sx the same
-        # coefficient P_{lo,w'} + q P_{hi,w'}, where {lo < hi} = {x, sx}
-        # (sx <= w; `left` fills a None entry and returns an index 0 as is)
+        # B_s B_{w'} = (T_s + 1) B_{w'} gives x and sx the same coefficient
+        # P_{lo,w'} + q P_{hi,w'}, {lo < hi} = {x, sx}, set from lo: B_{w'}
+        # lives on [e, w'], which holds lo with hi (`left` fills a None
+        # entry and returns an index 0 as is)
         out = {}
         for x, p in base.items():
-            sx = lmult[x][s] or left(x, s)
-            if lengths[sx] < lengths[x]:
-                if sx in base:
-                    continue   # the pair is filled in from sx
-                c = (0,) + p
-            else:
-                c = _axpy(p, 1, 1, base.get(sx, ()))
-            out[x] = out[sx] = c
+            if not ldesc[x] & bit:
+                sx = lmult[x][s] or left(x, s)
+                out[x] = out[sx] = p + (base.get(sx, 0) << W)
         # minus sum mu(z, w') q^((len(w)-len(z))/2) B_z over z < w' with s
         # a left descent of z
         lw = lengths[w]
         for z in [z for z in base if ldesc[z] & bit]:
             m = self._mu(base, z, wp)
             if m:
-                k = (lw - lengths[z]) // 2
+                k = W * ((lw - lengths[z]) // 2)
                 for x, p in self._get(z).items():
-                    out[x] = _axpy(out[x], -m, k, p)
-        out = {x: self._intern(c) for x, c in out.items()}
+                    out[x] -= m * p << k
+        polys = self._polys
+        out = {x: polys.get(p) or self._intern(p) for x, p in out.items()}
         if why := self._defect(w, out):
             raise AssertionError(why)
         self._table[w] = out
@@ -309,35 +316,44 @@ class KLContext:
     def _mu(self, terms: dict, z: int, w: int):
         """mu(z, w) = coefficient of q^((len(w)-len(z)-1)/2) in P_{z,w}."""
         lengths = self._index.lengths
-        d, p = lengths[w] - lengths[z] - 1, terms.get(z)
-        return p[d // 2] if p and d % 2 == 0 and d // 2 < len(p) else 0
+        d = lengths[w] - lengths[z] - 1
+        return 0 if d < 0 or d % 2 else terms.get(z, 0) >> W * d // 2 & _FIELD
 
     def _defect(self, w: int, terms: dict):
         """Why B_w breaks a postcondition (leading 1 at w, constant term 1,
-        deg P_{z,w} < (len(w)-len(z))/2 for z != w), or None."""
+        deg P_{z,w} < (len(w)-len(z))/2 for z != w, every coefficient in
+        [0, 2^30)), or None."""
         lengths, perms = self._index.lengths, self._index.perms
-        if terms.get(w) != (1,):
+        if terms.get(w) != 1:
             return f"leading coefficient of B_{perms[w]} is not 1"
+        lw, high = lengths[w], self._high
         for z, p in terms.items():
-            if not p or p[0] != 1 or (
-                    z != w and 2 * len(p) - 2 >= lengths[w] - lengths[z]):
-                return (f"constant term or degree bound fails for "
+            # fields below q^((lw - lengths[z]) / 2) only (a negative p
+            # shifts to -1), bits 30 and 31 of each clear
+            if p & high or p & _FIELD != 1 or (
+                    p >> W * ((lw - lengths[z] + 1) // 2) and z != w):
+                return (f"constant term, degree bound or range fails for "
                         f"P_({perms[z]},{perms[w]}) = {self._views[p]}")
         return None
 
     def _pair_defect(self, w: int, terms: dict):
         """Why B_w breaks P_{x,w} = P_{sx,w} (s in D_L(w) \\ D_L(x)) or
         P_{x,w} = P_{xs,w} (s in D_R(w) \\ D_R(x)), du Cloux's extremal pairs,
-        or None; for w != e these catch any single changed polynomial."""
+        or lacks sx < x for some x (B_w lives on [e, w]), or None; for
+        w != e these catch any single changed polynomial."""
         ix = self._index
         ldesc, rdesc, perms = ix.ldesc, ix.rdesc, ix.perms
         for x, p in terms.items():
-            for mask, mult in ((ldesc[w] & ~ldesc[x], ix.left),
-                               (rdesc[w] & ~rdesc[x], ix.right)):
+            for mask, mult, want in ((ldesc[x], ix.left, None),
+                                     (ldesc[w] & ~ldesc[x], ix.left, p),
+                                     (rdesc[w] & ~rdesc[x], ix.right, p)):
                 while mask:
                     s = (mask & -mask).bit_length() - 1
                     mask &= mask - 1
-                    if terms.get(y := mult(x, s)) != p:
+                    if (y := mult(x, s)) not in terms:
+                        return (f"B_{perms[w]} has a term at {perms[x]} "
+                                f"but none at {perms[y]}")
+                    if want and terms[y] != want:
                         return (f"P_({perms[x]},{perms[w]}) differs from "
                                 f"P_({perms[y]},{perms[w]})")
         return None
@@ -413,24 +429,13 @@ class KLContext:
             self._table.setdefault(w, terms)
         return len(loaded)
 
-    def _parse_poly(self, data: dict) -> tuple:
+    def _parse_poly(self, data: dict) -> int:
         p = LaurentQ.from_json(data)
-        if not p.is_integral():
-            raise ValueError(f"not an integer polynomial: {p}")
-        return self._intern(tuple(p.q_coefficients()))
-
-
-@lru_cache(maxsize=1 << 16)
-def _axpy(a: tuple, m: int, k: int, p: tuple) -> tuple:
-    """a + m*q^k*p on q-coefficient tuples, trailing zeros dropped; memoized,
-    since the full n=7 table makes 3.7 M calls on 2,710 distinct arguments."""
-    out = list(a)
-    out.extend([0] * (k + len(p) - len(a)))
-    for i, c in enumerate(p, k):
-        out[i] += m * c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+        cs = p.q_coefficients()
+        if any(type(c) is not int or not 0 <= c < 1 << 30 for c in cs):
+            raise ValueError(f"not a polynomial with integer coefficients "
+                             f"in [0, 2^30): {p}")
+        return self._intern(pack_signed(enumerate(cs), W))
 
 
 _contexts: dict = {}

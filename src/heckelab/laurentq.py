@@ -9,10 +9,16 @@ statement "f is a polynomial in q" means "all v-exponents of f are even
 and nonnegative".  Keeping a single integer exponent avoids half-integer
 bookkeeping: every formula we need becomes integral in v.
 
-There is no rational-function type: where a computation divides by a
-polynomial (the plethystic LLT in `chromatic`), it multiplies through
-by one known common denominator and ends with `chromatic._divide`, an
-exact division of integer coefficient lists that raises on a remainder.
+There is no rational-function type and no LaurentQ division: where a
+computation divides by a polynomial (the plethystic LLT in `chromatic`),
+it multiplies through by one known common denominator and ends with
+`chromatic._divide`, the library's one exact division, on integer
+coefficient lists; it raises on a remainder.
+
+Below LaurentQ the engines keep a q-polynomial as one int (Kronecker
+substitution), coefficient i in the signed field of bits [width i,
+width (i+1)); `signed_width` rounds a width up to 32 or 64 bits, which
+`unpack_signed` reads in one step, and `hecke` fixes 32 for KL data.
 
 `Terms` is the linear structure and display shared by Hecke elements and
 symmetric functions: finite sums of basis elements with LaurentQ
@@ -31,13 +37,17 @@ q^{-2}
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
+from sys import byteorder
+
+from .coxeter import _ints
 
 __all__ = [
     "LaurentQ", "Terms",
     "ZERO", "ONE", "Q", "V",
     "q_power", "v_power", "from_q_coefficients",
-    "pack_signed", "unpack_signed", "gauss_number",
+    "pack_signed", "unpack_signed", "signed_width", "gauss_number",
 ]
 
 
@@ -65,7 +75,7 @@ class LaurentQ:
             for e, c in coeffs.items():
                 c = _norm_coeff(c)
                 if c:
-                    d[int(e)] = c
+                    d[e if type(e) is int else _ints((e,), "exponent")[0]] = c
         self.c = d
 
     def __repr__(self):
@@ -178,9 +188,6 @@ class LaurentQ:
         """True iff all v-exponents are even and nonnegative."""
         return all(e >= 0 and e % 2 == 0 for e in self.c)
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.c.values())
-
     def q_coefficients(self) -> list:
         """Coefficient list [c0, c1, ...] in q, lowest degree first.
 
@@ -252,16 +259,6 @@ class LaurentQ:
         cs = self.q_coefficients()
         return all(cs[k] * cs[k] >= cs[k - 1] * cs[k + 1]
                    for k in range(1, len(cs) - 1))
-
-    # -- division -------------------------------------------------------
-
-    def exact_div(self, other) -> "LaurentQ":
-        """Divide exactly by another LaurentQ; raise if a remainder is left."""
-        other = self._coerce(other)
-        q, r = _divmod_laurent(self, other)
-        if r.c:
-            raise ValueError(f"inexact division: {self} by {other}")
-        return q
 
     # -- rendering and serialization -------------------------------------
 
@@ -336,29 +333,6 @@ def _raw(d: dict) -> LaurentQ:
     return out
 
 
-def _divmod_laurent(a: LaurentQ, b: LaurentQ):
-    """Long division a = q*b + r, working in v after clearing valuations."""
-    if not b.c:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a.c:
-        return ZERO, ZERO
-    sa, sb = a.min_vexp(), b.min_vexp()
-    ra = {e - sa: c for e, c in a.c.items()}
-    db = b.max_vexp() - sb
-    lead = b.c[db + sb]
-    rest = [(e - sb, c) for e, c in b.c.items() if e - sb != db]
-    quot = {}
-    for da in range(max(ra), db - 1, -1):
-        c = ra.pop(da, 0)
-        if c:
-            exact = isinstance(c, int) and isinstance(lead, int) \
-                and not c % lead
-            f = quot[da - db] = c // lead if exact else Fraction(c) / lead
-            for e, x in rest:
-                ra[e + da - db] = ra.get(e + da - db, 0) - f * x
-    return LaurentQ(quot).shift(sa - sb), LaurentQ(ra).shift(sa)
-
-
 def q_power(k: int) -> LaurentQ:
     """q^k as a LaurentQ (v-exponent 2k)."""
     return LaurentQ({2 * k: 1})
@@ -390,13 +364,41 @@ def pack_signed(fields, width: int) -> int:
 
 def unpack_signed(x: int, width: int) -> list:
     """The coefficients packed in x by `pack_signed`, lowest first and
-    without trailing zeros: `width`-bit fields read as signed."""
+    without trailing zeros: `width`-bit fields read as signed.
+
+    Fields of 32 or 64 bits are read in one step: |x| < 2^(width (k-1))
+    for k = bit_length // width + 2, so adding 2^(width-1) to each of k
+    fields (_bias) leaves every field in [0, 2^width) with no borrow; the
+    xor with the bias then holds each field in two's complement, and the
+    bytes are cast to C ints.  Other widths are read field by field."""
+    if ctype := {32: "i", 64: "q"}.get(width):   # memoryview formats
+        bias = _bias(width, x.bit_length() // width + 2)
+        y = (x + bias) ^ bias
+        return memoryview(y.to_bytes(-(-y.bit_length() // width) * width // 8,
+                                     byteorder)).cast(ctype).tolist()
     _check_width(width)
     out, mask, half = [], (1 << width) - 1, 1 << (width - 1)
     while x:
         out.append(c := ((x + half) & mask) - half)
         x = (x - c) >> width
     return out
+
+
+@cache
+def _bias(width: int, k: int) -> int:
+    """2^(width-1) in each of k fields (width a multiple of 8)."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * k, "little")
+
+
+def signed_width(bound: int) -> int:
+    """The least multiple of 32 bits whose signed fields hold every
+    |x| <= bound.  Rounding up lets a cache of packed maps keep few
+    widths, and `unpack_signed` reads them in one step.
+
+    >>> signed_width(0), signed_width(2**31 - 1), signed_width(2**31)
+    (32, 32, 64)
+    """
+    return 32 * (bound.bit_length() // 32 + 1)
 
 
 def _check_width(width: int) -> None:

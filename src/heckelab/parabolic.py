@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, compress, product
-from sys import byteorder
 
 from .coxeter import (
     Perm, Word, _ints, apply_s_left, cycle_type, identity,
@@ -64,8 +63,8 @@ from .coxeter import (
 )
 from .hecke import HeckeElement
 from .laurentq import (
-    ONE, ZERO, LaurentQ, _raw, from_q_coefficients, pack_signed,
-    unpack_signed,
+    ONE, ZERO, LaurentQ, _bias, _raw, from_q_coefficients, pack_signed,
+    signed_width, unpack_signed,
 )
 
 __all__ = [
@@ -284,9 +283,7 @@ class _ClassChars:
 
     def pack(self, width: int) -> list:
         """The class ints at one width, None until filled."""
-        if width not in self.packs:
-            self.packs[width] = [None] * len(self.rules)
-        return self.packs[width]
+        return self.packs.setdefault(width, [None] * len(self.rules))
 
     def fill(self, k: int, width: int) -> int:
         ints = self.pack(width)
@@ -302,21 +299,11 @@ class _ClassChars:
             x = (x1 + x2 << width) - x2
             bound = self.tops[sys_] + 2 * self.tops[sy]
         if bound >> width - 1:
-            self.width = max(self.width, _width(bound))
+            self.width = max(self.width, signed_width(bound))
             raise _Narrow
-        self.tops[k] = max(map(abs, self.fields(x, width, self.slots)))
+        self.tops[k] = max(map(abs, unpack_signed(x, width)))
         ints[k] = x
         return x
-
-    def fields(self, x: int, width: int, slots: int):
-        """The signed fields of x in a layout of `slots` per lam, lowest
-        first: adding _bias sets the top bit of each field, and the xor
-        leaves them in two's complement."""
-        if width != 32:
-            return unpack_signed(x, width)
-        bias = _bias(32, len(self.lams) * slots)
-        return memoryview(((x + bias) ^ bias).to_bytes(
-            4 * len(self.lams) * slots, byteorder)).cast("i")
 
     def respace(self, x: int, width: int, wide: int) -> int:
         """x moved to a layout of `wide` >= slots fields per lam."""
@@ -327,18 +314,6 @@ class _ClassChars:
 
 
 _class_chars = cache(_ClassChars)
-
-
-@cache
-def _bias(width: int, fields: int) -> int:
-    """2^(width-1) in each of `fields` fields."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * fields,
-                          "little")
-
-
-def _width(bound: int) -> int:
-    """The least multiple of 32 bits whose signed fields hold |x| <= bound."""
-    return 32 * (bound.bit_length() // 32 + 1)
 
 
 def _young_characters(a: HeckeElement) -> dict:
@@ -365,7 +340,7 @@ def _young_characters(a: HeckeElement) -> dict:
     """
     cc = _class_chars(a.n)
     cls, index, slots = cc.cls, perm_table(a.n).index, cc.slots
-    width = max(cc.width, _width(len(a.terms)))
+    width = max(cc.width, signed_width(len(a.terms)))
     while True:
         ints, fill, sums, coeffs = cc.pack(width), cc.fill, {}, {}
         try:
@@ -396,7 +371,7 @@ def _young_characters(a: HeckeElement) -> dict:
             terms.append((s, c))
         if (bound := max(cc.tops) * mass) < 1 << width - 1:
             break
-        width = _width(bound)
+        width = signed_width(bound)
     wide, accs = max(slots, hi), {}
     for s, c in terms:
         if wide > slots:
@@ -405,7 +380,7 @@ def _young_characters(a: HeckeElement) -> dict:
             accs[e & 1] = accs.get(e & 1, 0) + (x * s << width * (e >> 1))
     out: dict = {}
     for p, x in accs.items():
-        row = cc.fields(x, width, wide)
+        row = unpack_signed(x, width)
         exps = range(lo + p, lo + p + 2 * hi, 2)
         for i, lam in enumerate(cc.lams):
             ys = row[i * wide:i * wide + hi]

@@ -34,7 +34,7 @@ from .parabolic import _young_characters
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
     "z_mu", "class_size", "sign_partition", "dominates",
-    "CharacterTable", "character_table", "murnaghan_nakayama",
+    "murnaghan_nakayama",
     "SymFunc", "omega", "hall_inner_product", "frobenius_character",
     "multiply", "jacobi_trudi", "immanant", "z_matrix",
 ]
@@ -139,26 +139,6 @@ def murnaghan_nakayama(lam, mu) -> int:
     return _mn_beta(beta, mu)
 
 
-class CharacterTable:
-    """All chi^lam(mu) for one n, with rows and columns over
-    ``partitions(n)``."""
-
-    def __init__(self, n: int):
-        self.n = n
-        parts = partitions(n)
-        self.parts = parts
-        self.values = {(lam, mu): murnaghan_nakayama(lam, mu)
-                       for lam in parts for mu in parts}
-
-    def chi(self, lam, mu) -> int:
-        return self.values[(tuple(lam), tuple(mu))]
-
-
-@lru_cache(maxsize=None)
-def character_table(n: int) -> CharacterTable:
-    return CharacterTable(n)
-
-
 # -- Kostka numbers via Pieri ----------------------------------------------------
 
 def _pieri_row(nu: Partition, k: int):
@@ -209,8 +189,8 @@ def _schur_rows(n: int, basis: str) -> dict:
     if basis == "s":
         return {lam: {lam: 1} for lam in parts}
     if basis == "p":
-        chi = character_table(n).chi
-        return {mu: {lam: c for lam in parts if (c := chi(lam, mu))}
+        return {mu: {lam: c for lam in parts
+                     if (c := murnaghan_nakayama(lam, mu))}
                 for mu in parts}
     K = _kostka(n)
     if basis == "m":   # m_mu = s_mu - sum K[mu][nu] m_nu over nu after mu
@@ -270,6 +250,7 @@ class SymFunc(Terms):
     def __init__(self, basis: str, degree: int, coeffs=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
+        degree, = _ints((degree,), "degree")   # 3.0 reads as 3, 3.5 fails
         self.space = basis, degree
         clean = {}
         if coeffs:
@@ -345,17 +326,14 @@ class SymFunc(Terms):
     @staticmethod
     def from_json(data: dict) -> "SymFunc":
         try:
-            basis = data["basis"]
-            degree, = _ints([data["degree"]], "degree")
-            coeffs = {tuple(item["partition"]):
-                      LaurentQ.from_json(item["coeff"])
-                      for item in data["coeffs"]}
+            return SymFunc(data["basis"], data["degree"], {
+                tuple(item["partition"]): LaurentQ.from_json(item["coeff"])
+                for item in data["coeffs"]})
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed symmetric function JSON ({exc!r}); "
                              'expected {"basis": b, "degree": n, "coeffs": '
                              '[{"partition": [...], "coeff": {"v": {...}}}]}'
                              ) from None
-        return SymFunc(basis, degree, coeffs)
 
 
 def _acc(d: dict, key, val) -> None:

@@ -34,14 +34,12 @@ from heckelab.coxeter import (
     length, perm_table, right_descents,
 )
 from heckelab.hecke import HeckeElement, kl_context
-from heckelab.laurentq import (
-    ONE, Q, ZERO, LaurentQ, _divmod_laurent, q_power,
-)
+from heckelab.laurentq import ONE, Q, ZERO, LaurentQ, q_power
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import _young_trace, induced_character
 from heckelab.symfunc import (
-    SymFunc, _kostka, character_table, class_size, conjugate_partition,
-    frobenius_character, immanant, omega, partitions, sign_partition,
+    SymFunc, _kostka, class_size, conjugate_partition, frobenius_character,
+    immanant, murnaghan_nakayama, omega, partitions, sign_partition,
     z_matrix, z_mu,
 )
 
@@ -246,10 +244,9 @@ def _oracle_to_schur(f: SymFunc) -> SymFunc:
                     tgt = conjugate_partition(lam) if f.basis == "e" else lam
                     _acc(out, tgt, c * k)
     elif f.basis == "p":
-        chi = character_table(n)
         for mu, c in f.coeffs.items():
             for lam in parts:
-                k = chi.chi(lam, mu)
+                k = murnaghan_nakayama(lam, mu)
                 if k:
                     _acc(out, lam, c * k)
     elif f.basis == "m":
@@ -295,11 +292,10 @@ def _oracle_schur_to(f: SymFunc, target: str) -> SymFunc:
                 x[mu] = c
         out = x
     elif target == "p":
-        chi = character_table(n)
         for mu in parts:
             total = ZERO
             for lam, c in f.coeffs.items():
-                k = chi.chi(lam, mu)
+                k = murnaghan_nakayama(lam, mu)
                 if k:
                     total = total + c * k
             total = total * Fraction(1, z_mu(mu))
@@ -867,6 +863,37 @@ class TupleKL:
 
 # -- the plethystic LLT over rational functions ------------------------------
 
+def _divmod_laurent(a: LaurentQ, b: LaurentQ):
+    """Long division a = q*b + r, working in v after clearing valuations."""
+    if not b.c:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a.c:
+        return ZERO, ZERO
+    sa, sb = a.min_vexp(), b.min_vexp()
+    ra = {e - sa: c for e, c in a.c.items()}
+    db = b.max_vexp() - sb
+    lead = b.c[db + sb]
+    rest = [(e - sb, c) for e, c in b.c.items() if e - sb != db]
+    quot = {}
+    for da in range(max(ra), db - 1, -1):
+        c = ra.pop(da, 0)
+        if c:
+            exact = isinstance(c, int) and isinstance(lead, int) \
+                and not c % lead
+            f = quot[da - db] = c // lead if exact else Fraction(c) / lead
+            for e, x in rest:
+                ra[e + da - db] = ra.get(e + da - db, 0) - f * x
+    return LaurentQ(quot).shift(sa - sb), LaurentQ(ra).shift(sa)
+
+
+def exact_div(a: LaurentQ, b: LaurentQ) -> LaurentQ:
+    """a / b in Q[v, 1/v]; ValueError if a remainder is left."""
+    q, r = _divmod_laurent(a, b)
+    if r.c:
+        raise ValueError(f"inexact division: {a} by {b}")
+    return q
+
+
 def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     """Monic gcd over Q[v], up to units (v-powers are units here)."""
     if not a.c:
@@ -904,8 +931,8 @@ class LaurentFrac:
             raise ZeroDivisionError("zero denominator")
         g = poly_gcd(num, den)
         if g.c and g != ONE:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+            num = exact_div(num, g)
+            den = exact_div(den, g)
         shift = den.min_vexp() if den.c else 0
         if shift:
             den = den.shift(-shift)

@@ -157,6 +157,13 @@ def _on_palette(n: int, sums: dict) -> dict:
     return vectors
 
 
+def _decoded(g, proper: bool) -> dict:
+    """The sweep's packed sums as {composition: {ascents: count}}."""
+    width, sums = chromatic._coloring_sums(g, proper)
+    return {sizes: {a: c for a, c in enumerate(unpack_signed(x, width)) if c}
+            for sizes, x in sums.items()}
+
+
 def test_coloring_sums_match_enumeration():
     # the weak-order sweep, placed on the palette [n], gives the same
     # {content: {ascents: count}} as backtracking over proper colorings
@@ -165,9 +172,9 @@ def test_coloring_sums_match_enumeration():
     for m in [m for n in range(1, 6) for m in all_hessenberg_functions(n)] \
             + sample6:
         g = IndifferenceGraph.from_hessenberg(m)
-        assert _on_palette(g.n, chromatic._coloring_sums(g, proper=True)) \
+        assert _on_palette(g.n, _decoded(g, proper=True)) \
             == backtrack_coloring_sums(g.n, g.edges), m
-        assert _on_palette(g.n, chromatic._coloring_sums(g, proper=False)) \
+        assert _on_palette(g.n, _decoded(g, proper=False)) \
             == all_coloring_sums(g.n, g.edges), m
 
 
@@ -175,25 +182,26 @@ def test_coloring_sums_are_keyed_by_compositions():
     # the path 1-2-3: a proper weak order puts 1 and 3 together or apart;
     # {1,3} < {2} ascends on edge 12 only, {2} < {1,3} on edge 23 only
     g = IndifferenceGraph.from_hessenberg((2, 3, 3))
-    assert chromatic._coloring_sums(g, proper=True) == {
+    assert _decoded(g, proper=True) == {
         (2, 1): {1: 1}, (1, 2): {1: 1}, (1, 1, 1): {0: 1, 1: 4, 2: 1}}
-    assert set(chromatic._coloring_sums(g, proper=False)) == {
+    assert set(_decoded(g, proper=False)) == {
         (3,), (2, 1), (1, 2), (1, 1, 1)}
 
 
 def test_collect_monomials_rejects_tampered_sums():
     g = IndifferenceGraph.from_hessenberg((2, 3, 3))
-    sums = chromatic._coloring_sums(g, proper=False)
-    assert chromatic._collect_monomials(3, dict(sums)) == llt_direct(g)
+    width, sums = chromatic._coloring_sums(g, proper=False)
+    assert chromatic._collect_monomials(3, width, dict(sums)) == llt_direct(g)
     # one rearrangement of (2, 1) tampered, then one deleted
     lopsided = dict(sums)
-    lopsided[(2, 1)] = {a: c + 1 for a, c in sums[(2, 1)].items()}
+    lopsided[(2, 1)] = pack_signed(
+        ((a, c + 1) for a, c in _decoded(g, False)[(2, 1)].items()), width)
     with pytest.raises(AssertionError, match="not symmetric"):
-        chromatic._collect_monomials(3, lopsided)
+        chromatic._collect_monomials(3, width, lopsided)
     partial = dict(sums)
     del partial[(1, 2)]
     with pytest.raises(AssertionError, match="incomplete monomial orbit"):
-        chromatic._collect_monomials(3, partial)
+        chromatic._collect_monomials(3, width, partial)
 
 
 def test_llt_direct_complete_graph_n8_is_quick():

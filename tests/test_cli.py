@@ -143,6 +143,25 @@ def test_bad_literal_is_usage_error(capsys):
         main(["nonsense-verb"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("cprime-expand --word 1 --n 3 --json {}", "--word excludes --json"),
+    ("cprime-expand --word 1", "--word needs --n"),
+    ("good-words --n 4 --J 1 --word 1 --w 123", "--w does not match --n"),
+    ("bs-char --n 4 --J 7 --word 1", "generator set [7] invalid for n=4"),
+    ("bs-char --n 4 --J 1 --word 9", "word [9] has letters outside 1..3"),
+    ("bs-char --n 4 --J 1 --word 1,x", "bad word literal '1,x'"),
+    ("bs-char --n 4 --J 1,y --word 1", "bad generator set literal '1,y'"),
+    ("csf --m 2,x", "bad Hessenberg literal '2,x'"),
+], ids=["word-and-json", "word-without-n", "w-not-n", "bad-J", "bad-letter",
+        "word-literal", "generator-literal", "hessenberg-literal"])
+def test_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err, err
+
+
 def test_budget_guard_exit_code(capsys):
     code, out, err = run(capsys, "--max-n", "3", "kl-basis", "--w", "3412")
     assert code == 2
@@ -444,11 +463,20 @@ def _corrupt_cache_recomputes(tmp_path, capsys, corrupt):
 
 
 def test_tampered_cache_is_a_miss(tmp_path, capsys):
-    def tamper(text):
-        payload = json.loads(text)
-        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "7"}}
-        return json.dumps(payload)
-    _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+    edits = {
+        "constant-term": lambda b: b.update({"1,2,3,4": {"v": {"0": "7"}}}),
+        "negative": lambda b: b.update({"1,2,3,4": {"v": {"0": "1",
+                                                          "2": "-1"}}}),
+        "wide": lambda b: b.update({"1,2,3,4": {"v": {"0": "1",
+                                                      "2": str(1 << 30)}}}),
+        "lower-interval-term": lambda b: b.pop("1,2,3,4"),   # [e, 3412]
+    }
+    for name, edit in edits.items():
+        def tamper(text):
+            payload = json.loads(text)
+            edit(payload["elements"]["3,4,1,2"])
+            return json.dumps(payload)
+        _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
 
 
 def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):

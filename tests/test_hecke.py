@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from heckelab import config
 from heckelab.coxeter import (
-    all_permutations, apply_s_right, avoids_patterns, identity, length,
-    perm_table, reduced_word, right_descents,
+    all_permutations, apply_s_right, avoids_patterns, bruhat_leq, identity,
+    length, perm_table, reduced_word, right_descents,
 )
 from heckelab.hecke import (
     HeckeElement, KLContext, bott_samelson_product, kl_context,
@@ -270,6 +270,39 @@ def test_non_permutations_are_rejected():
             ctx.mu((1, 2, 3), bad)
 
 
+def test_hecke_element_keys_are_checked():
+    # unchecked, (1, 1, 1) printed T[1,1,1] and its induced character
+    # ended in a bare KeyError; (1.0, 2, 3) printed T[1.0,2,3]
+    with pytest.raises(ValueError, match=r"\(1, 1, 1\)"):
+        HeckeElement(3, {(1, 1, 1): 1})
+    with pytest.raises(ValueError, match="entry 1.5 is not an integer"):
+        HeckeElement(3, {(1.5, 2, 3): 1})
+    with pytest.raises(ValueError, match=r"size mismatch: \(2, 1\)"):
+        HeckeElement(3, {(2, 1): 1})
+    a = HeckeElement(3, {(1.0, 2, 3): 1})
+    assert str(a) == "T[1,2,3]" and a == HeckeElement.unit(3)
+    assert all(type(x) is int for w in a.terms for x in w)
+
+
+def test_mu_is_the_top_allowed_coefficient():
+    # mu(u, w) is the coefficient of q^((l(w)-l(u)-1)/2) in P_{u,w}, and
+    # 0 when l(w) - l(u) is even
+    ctx = KLContext(4)
+    nonzero = 0
+    for w in all_permutations(4):
+        for u in all_permutations(4):
+            if u == w or not bruhat_leq(u, w):
+                continue
+            d = length(w) - length(u) - 1
+            want = ctx.polynomial(u, w).coeff(d) if d % 2 == 0 else 0
+            assert ctx.mu(u, w) == want, (u, w)
+            nonzero += want != 0
+    assert nonzero > 0
+    assert ctx.mu((3, 4, 1, 2), (2, 1, 3, 4)) == 0   # u above w
+    assert ctx.mu((1, 2, 3, 4), (3, 4, 1, 2)) == 0   # even difference
+    assert ctx.mu((1, 3, 2, 4), (3, 4, 1, 2)) == 1   # P = 1 + q, d = 2
+
+
 def test_cprime_expand_examples():
     ctx = kl_context(3)
     # basis elements expand to themselves
@@ -464,12 +497,27 @@ def _tampered(edit):
     lambda d, b: b.update({"1,2,3,4": 7}),
     lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "2"}}}),
     lambda d, b: b.update({"1,3,2,4": {"v": {"0": "1", "2": "2"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "-1"}}}),
+    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": str(1 << 30)}}}),
+    lambda d, b: b.pop("1,2,3,4"),
 ])
 def test_load_json_rejects_bad_payloads(edit):
     ctx = KLContext(4)
     with pytest.raises(ValueError):
         ctx.load_json(_tampered(edit))
     assert len(ctx) == 0
+
+
+def test_defect_refuses_fields_outside_the_range():
+    # a stored field >= 2^30 or < 0 would let the next sum P_lo + q P_hi
+    # carry into, or borrow from, the field above it
+    ctx = KLContext(4)
+    w, e = ctx._index((3, 4, 1, 2)), ctx._index(E4)
+    terms = dict(ctx._get(w))
+    assert ctx._defect(w, terms) is None
+    for c in (1 << 30, (1 << 32) - 1, -1):
+        terms[e] = ctx._intern(1 + (c << 32))
+        assert "range fails for P_((1, 2, 3, 4)," in ctx._defect(w, terms)
 
 
 def _raised(n, w, xs, j):

@@ -9,7 +9,7 @@ from heckelab.laurentq import (
     LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number,
     pack_signed, q_power, unpack_signed,
 )
-from oracles import LaurentFrac, horner_q_shift, poly_gcd
+from oracles import LaurentFrac, exact_div, horner_q_shift, poly_gcd
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
 small_exps = st.integers(min_value=-6, max_value=6)
@@ -91,16 +91,16 @@ def test_gauss_number():
 
 def test_exact_div():
     a = (Q - ONE) * (Q + ONE) * LaurentQ({-2: 3})
-    assert a.exact_div(Q - ONE) == (Q + ONE) * LaurentQ({-2: 3})
+    assert exact_div(a, Q - ONE) == (Q + ONE) * LaurentQ({-2: 3})
     with pytest.raises(ValueError):
-        (Q + ONE).exact_div(Q - ONE)
+        exact_div(Q + ONE, Q - ONE)
 
 
 @given(laurents, laurents)
 def test_exact_div_undoes_mul(a, b):
     if not a or not b:
         return
-    assert (a * b).exact_div(b) == a
+    assert exact_div(a * b, b) == a
 
 
 def test_poly_gcd():
@@ -202,3 +202,41 @@ def test_packing_refuses_fields_below_two_bits(width):
     with pytest.raises(ValueError, match="below 2 bits"):
         pack_signed([(0, 1)], width)
     assert unpack_signed(pack_signed([(0, 1), (2, -1)], 2), 2) == [1, 0, -1]
+
+
+def _unpack_by_fields(x: int, width: int) -> list:
+    """`unpack_signed` one field at a time: the low field read as signed,
+    subtracted, and the rest shifted down."""
+    out, mask, half = [], (1 << width) - 1, 1 << (width - 1)
+    while x:
+        out.append(c := ((x + half) & mask) - half)
+        x = (x - c) >> width
+    return out
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@given(data=st.data())
+def test_unpack_in_one_step_matches_the_field_loop(width, data):
+    # any signed fields, the extremes among them, a negative top field
+    # and x = 0 (no fields) included
+    half = 1 << (width - 1)
+    field = st.one_of(st.integers(-half, half - 1),
+                      st.sampled_from([-half, half - 1, -1, 0, 1]))
+    fields = data.draw(st.lists(field, max_size=8))
+    if data.draw(st.booleans()):
+        fields.append(data.draw(st.integers(-half, -1)))   # negative top
+    x = pack_signed(enumerate(fields), width)
+    while fields and not fields[-1]:
+        fields.pop()
+    assert unpack_signed(x, width) == _unpack_by_fields(x, width) == fields
+    assert unpack_signed(0, width) == []
+
+
+@pytest.mark.parametrize("e", [0.5, 1.5, -0.25, "2"])
+def test_non_integral_exponents_are_refused(e):
+    # int() truncated them: {0.5: 1} printed 1 and {1.5: 2} 2q^{1/2}
+    with pytest.raises(ValueError, match=f"exponent {e!r} is not an integer"):
+        LaurentQ({e: 1})
+    assert LaurentQ({2.0: 3}) == LaurentQ({2: 3}) == 3 * Q
+    assert type(next(iter(LaurentQ({2.0: 3}).c))) is int
+
