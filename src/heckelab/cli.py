@@ -251,7 +251,7 @@ def run_frobenius(args, parser) -> str:
         elem = ctx.element(args.w)
     else:
         elem = HeckeElement.t_basis(n, args.w)
-    f = frobenius_character(elem).to_basis(args.basis)
+    f = frobenius_character(elem, args.basis)
     if args.of == "kl":
         _save_kl_cache(args.cache_dir, n)
     return _render(f, args.format)

@@ -11,7 +11,7 @@ command line flag.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = ["Budgets", "BudgetError", "max_n", "set_max_n", "check_n", "DEFAULTS"]
 
@@ -20,18 +20,11 @@ class BudgetError(ValueError):
     """A requested computation exceeds the configured size guard."""
 
 
-@dataclass(frozen=True)
-class Budgets:
-    # rank guard for tables, Hecke products, KL elements and coloring sums
-    hecke_max_n: int = 8
-    # rank guard for work over all of S_n (scans); an explicit guard
-    # (set_max_n, HECKE_LAB_MAX_N, --max-n) replaces it
-    group_max_n: int = 7
-    # symmetric-function degree guard for basis conversions
-    symfunc_max_degree: int = 12
-    # immanants cost n! products
-    immanant_max_n: int = 7
-
+# The default guards: the rank of tables, Hecke products, KL elements and
+# coloring sums; the rank of scans over all of S_n, which an explicit guard
+# replaces; the degree of basis changes; the size of immanants (n! terms).
+Budgets = namedtuple("Budgets", "hecke_max_n group_max_n symfunc_max_degree "
+                     "immanant_max_n", defaults=(8, 7, 12, 7))
 
 DEFAULTS = Budgets()
 

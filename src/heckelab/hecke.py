@@ -274,6 +274,13 @@ class KLContext:
         return HeckeElement._raw(self.n, {
             perms[z]: views[p] for z, p in self._get(self._index(w)).items()})
 
+    def terms(self, w: Perm) -> tuple:
+        """The terms of B_w as two iterators in step, the permutations z
+        and the shared P_{z,w}: `element` without building its dict."""
+        b = self._get(self._index(w))
+        return (map(self._index.perms.__getitem__, b),
+                map(self._views.__getitem__, b.values()))
+
     def _get(self, w: int) -> dict:
         """B_w as {z: P_{z,w}}, built on first use."""
         out = self._table.get(w)

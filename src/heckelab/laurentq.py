@@ -9,11 +9,9 @@ statement "f is a polynomial in q" means "all v-exponents of f are even
 and nonnegative".  Keeping a single integer exponent avoids half-integer
 bookkeeping: every formula we need becomes integral in v.
 
-There is no rational-function type and no LaurentQ division: where a
-computation divides by a polynomial (the plethystic LLT in `chromatic`),
-it multiplies through by one known common denominator and ends with
-`chromatic._divide`, the library's one exact division, on integer
-coefficient lists; it raises on a remainder.
+There is no rational-function type and no polynomial division: the
+plethystic LLT in `chromatic`, which divides by q^k - 1, is summed from
+closed polynomial values instead.
 
 Below LaurentQ the engines keep a q-polynomial as one int (Kronecker
 substitution), coefficient i in the signed field of bits [width i,
@@ -38,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import lcm
+from re import fullmatch
 from sys import byteorder
 
 from .coxeter import _ints
@@ -203,11 +202,24 @@ class LaurentQ:
 
     def substitute_q_shift(self) -> "LaurentQ":
         """The substitution q -> q + 1 (input must be a polynomial in q):
-        q-coefficients c_k become b_j = sum_k c_k C(k, j)."""
+        q-coefficients c_k become b_j = sum_k c_k C(k, j).
+
+        f(2^W + 1) by Horner's rule, cleared of denominators, packs the
+        b_j in W-bit fields; |b_j| <= sum_k |c_k| 2^k bounds them.
+
+        >>> print(from_q_coefficients([1, -2, 1]).substitute_q_shift())
+        q^2
+        """
         cs = self.q_coefficients()
-        return from_q_coefficients([
-            sum(c * comb(k, j) for k, c in enumerate(cs[j:], j))
-            for j in range(len(cs))])
+        scale = lcm(*(c.denominator for c in cs if type(c) is not int))
+        cs = cs if scale == 1 else [int(c * scale) for c in cs]
+        width = signed_width(sum(abs(c) << k for k, c in enumerate(cs)))
+        x = 0
+        for c in reversed(cs):
+            x += (x << width) + c
+        bs = unpack_signed(x, width)
+        return from_q_coefficients(
+            bs if scale == 1 else [Fraction(b, scale) for b in bs])
 
     # -- shape predicates ----------------------------------------------
 
@@ -310,17 +322,18 @@ class LaurentQ:
 
     @staticmethod
     def from_json(data: dict) -> "LaurentQ":
-        """The inverse of `to_json`.  A coefficient may also be a JSON
-        integer; anything but an int or a string of an integer or a
-        fraction is a ValueError naming the exponent and the value."""
+        """The inverse of `to_json`: exponent keys -?[0-9]+ (or ints),
+        coefficients ints or strings -?[0-9]+ or -?[0-9]+/[0-9]+.  Anything
+        else is a ValueError naming the key or the value."""
         out = {}
         for e, c in data["v"].items():
-            try:
-                if type(c) is not int:   # bools and floats fail below
-                    c = Fraction(c) if "/" in c else int(c)
-            except (TypeError, ValueError, ZeroDivisionError):
+            if type(e) not in (int, str) or not fullmatch(r"-?[0-9]+", str(e)):
+                raise ValueError(f"exponent key {e!r} is not an integer")
+            if type(c) is str and fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", c):
+                c = Fraction(c) if "/" in c else int(c)
+            elif type(c) is not int:   # bools and floats too
                 raise ValueError(f"coefficient {c!r} of v^{e} is not an "
-                                 "integer or a fraction") from None
+                                 "integer or a fraction")
             out[int(e)] = c
         return LaurentQ(out)
 

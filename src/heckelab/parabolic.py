@@ -52,10 +52,9 @@ indices from `coxeter.perm_table`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, compress, product
+from itertools import accumulate, product
 
 from .coxeter import (
     Perm, Word, _ints, apply_s_left, cycle_type, identity,
@@ -63,7 +62,7 @@ from .coxeter import (
 )
 from .hecke import HeckeElement
 from .laurentq import (
-    ONE, ZERO, LaurentQ, _bias, _raw, from_q_coefficients, pack_signed,
+    ONE, ZERO, LaurentQ, _raw, from_q_coefficients, pack_signed,
     signed_width, unpack_signed,
 )
 
@@ -97,13 +96,28 @@ def min_coset_rep(w: Perm, J) -> Perm:
     return w
 
 
-@dataclass(frozen=True)
 class ParabolicQuotient:
-    """The set JW of minimal right-coset representatives, in a fixed order."""
-    n: int
-    J: frozenset
-    reps: tuple
-    index: dict = field(repr=False)
+    """The set JW of minimal right-coset representatives, in a fixed order,
+    and the position of each (`index`); immutable, and equal to another
+    with the same reps (which fix n and J)."""
+
+    __slots__ = ("n", "J", "reps", "index")
+    __hash__ = None   # index is a dict
+
+    def __init__(self, n: int, J: frozenset, reps: tuple, index: dict):
+        for name, x in zip(self.__slots__, (n, J, reps, index)):
+            object.__setattr__(self, name, x)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.reps == self.reps
+
+    def __repr__(self):
+        return f"ParabolicQuotient(n={self.n}, J={self.J}, reps={self.reps})"
 
     def __len__(self):
         return len(self.reps)
@@ -168,13 +182,19 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 # blocks of the cycle type mu; `_classes` records which reduction gives
 # each class, and the characters follow it without forming f.
 #
-# ch(a) = sum_lam c_lam(a) m_lam is linear in a, so
-# ch(a) = sum_c c * sum_{z : a_z = c} ch(T_z): each class's ch(T_z) is one
-# int over all lam, the T-terms are summed per coefficient object (KL
-# views share one LaurentQ per polynomial) at one int add each, and each
-# sum is multiplied by its coefficient once, by shift-adds (Kronecker
-# substitution; Harvey, J. Symbolic Comput. 44, 2009).
+# ch(T_z) = sum_lam c_lam(T_z) m_lam follows the same rule, and so does any
+# Z[q]-linear image of it: the h-expansion, or the LLT image
+# (q-1)^n omega(ch)[X/(q-1)] in e, which is (q-1)^(n-len(mu)) e_mu on
+# T_{w_mu} (Ram's Coxeter-element values, Invent. Math. 106, 1991); at
+# q+1 the seeds become q^(n-len(mu)) e_mu and the rule (q+1, q).  So
+# `_ClassChars` takes the seeds and the rule as data.  In
+# L(a) = sum_c c * sum_{z : a_z = c} L(T_z) each class's L(T_z) is one int
+# over all lam, the T-terms are summed per coefficient (KL views share one
+# LaurentQ per polynomial) at one int add each, and each sum is multiplied
+# by its coefficient once, by shift-adds (Kronecker substitution; Harvey,
+# J. Symbolic Comput. 44, 2009).
 
+@cache
 def _classes(n: int) -> tuple:
     """(cls, rules, types): cls[z] numbers the cyclic-shift class of each
     perm_table index z; rules[k] is (class of sys, class of sy) for a y in
@@ -249,35 +269,44 @@ def _young_trace(content: tuple, mu: tuple) -> LaurentQ:
 
 
 class _Narrow(Exception):
-    """A class character does not fit the field width of a sum."""
+    """A class image does not fit the field width of a sum."""
 
 
 class _ClassChars:
-    """The packed ch(T_z) of the cyclic-shift classes of S_n.
+    """The packed images L(T_z) of the cyclic-shift classes of S_n under a
+    Z[q]-linear map L given as data: `seeds`, {mu: {lam: L(T_{w_mu}) at
+    lam}} over the cycle types mu, and `rule` (A, B), q-coefficient lists
+    with L(T_y) = A L(T_sys) + B L(T_sy).  By default L = ch in m: the
+    Young traces c_lam(T_{w_mu}) and (q, q-1).  `coeff`, if given, maps
+    the terms of each coefficient of a summed element.
 
-    Field i * slots + k of an int holds the q^k coefficient for lams[i],
-    the partitions in descending lexicographic order: lam = (n), where
-    c_lam(T_z) = q^l(z), takes the lowest block.  T_s has entries of
-    q-degree at most 1, so deg c_lam(T_z) <= l(z) <= N = n(n-1)/2 and
-    slots = N + 1 keeps each lam in its block.  The int of a class of
-    cycle type mu packs traces[i][mu] = c_lam(T_{w_mu}) over all lam; any
-    other class is q x_sys + (q-1) x_sy, filled on first use at a width.
+    Field k * m + i of an int holds the q^k coefficient at lams[i], the m
+    partitions in descending lexicographic order: times q is a shift by m
+    fields, and an int is as long as its degree.  A class of minimal
+    length packs its seed; any other is A x_sys + B x_sy, filled on first
+    use at a width.
 
-    Its fields are at most mtop, the largest |coefficient| of a trace, or
-    tops[sys] + 2 tops[sy], tops[k] the largest |field| of class k, read
-    off as it is filled (before the class is kept, so a kept class is
-    never missing from max(tops)).  A class whose bound reaches
-    2^(width-1) is not kept: `width` goes up and _Narrow is raised.
+    Its fields are at most mtop, the largest |coefficient| of a seed, or
+    |A| tops[sys] + |B| tops[sy], |.| the sum of |coefficients| and
+    tops[k] the largest |field| of class k, read off as it is filled
+    (before the class is kept, so a kept class is never missing from
+    max(tops)).  A class whose bound reaches 2^(width-1) is not kept:
+    `width` goes up and _Narrow is raised.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, seeds: dict | None = None,
+                 rule: tuple = ((0, 1), (-1, 1)), coeff=None):
         self.cls, self.rules, types = _classes(n)
+        self.index = perm_table(n).index
         self.lams = sorted(types, reverse=True)
-        self.slots = n * (n - 1) // 2 + 1
-        self.traces = [{mu: _young_trace(lam, mu) for mu in types}
-                       for lam in self.lams]
-        self.mtop = max(abs(c) for t in self.traces for g in t.values()
-                        for c in g.c.values())
+        self.seeds = seeds if seeds is not None else {
+            mu: {lam: _young_trace(lam, mu) for lam in self.lams}
+            for mu in types}
+        self.mtop = max((abs(c) for seed in self.seeds.values()
+                         for g in seed.values() for c in g.c.values()),
+                        default=0)
+        self.rule, self.norms = rule, [sum(map(abs, r)) for r in rule]
+        self.coeff = coeff
         self.tops = [0] * len(self.rules)
         self.width, self.packs = 32, {}
 
@@ -286,18 +315,22 @@ class _ClassChars:
         return self.packs.setdefault(width, [None] * len(self.rules))
 
     def fill(self, k: int, width: int) -> int:
-        ints = self.pack(width)
+        ints, m = self.pack(width), len(self.lams)
         sys_, sy = self.rules[k]
         if sys_ < 0:
-            x, bound = pack_signed(((i * self.slots + e // 2, c)
-                                    for i, t in enumerate(self.traces)
-                                    for e, c in t[sy].c.items()),
+            seed = self.seeds[sy]
+            x, bound = pack_signed(((e // 2 * m + i, c)
+                                    for i, lam in enumerate(self.lams)
+                                    for e, c in seed.get(lam, ZERO).c.items()),
                                    width), self.mtop
         else:
             x1 = ints[sys_] or self.fill(sys_, width)
             x2 = ints[sy] or self.fill(sy, width)
-            x = (x1 + x2 << width) - x2
-            bound = self.tops[sys_] + 2 * self.tops[sy]
+            a, b = (pack_signed(((j * m, c) for j, c in enumerate(r)), width)
+                    for r in self.rule)
+            x = a * x1 + b * x2
+            bound = (self.norms[0] * self.tops[sys_]
+                     + self.norms[1] * self.tops[sy])
         if bound >> width - 1:
             self.width = max(self.width, signed_width(bound))
             raise _Narrow
@@ -305,90 +338,89 @@ class _ClassChars:
         ints[k] = x
         return x
 
-    def respace(self, x: int, width: int, wide: int) -> int:
-        """x moved to a layout of `wide` >= slots fields per lam."""
-        x += _bias(width, len(self.lams) * self.slots)   # no borrows
-        block, mask = self.slots * width, (1 << self.slots * width) - 1
-        return sum(((x >> i * block & mask) - _bias(width, self.slots))
-                   << i * wide * width for i in range(len(self.lams)))
+    def total(self, ks: list, width: int) -> int:
+        """The sum of the ints of the classes ks at one width."""
+        ints = self.pack(width)
+        try:
+            return sum(map(ints.__getitem__, ks))
+        except TypeError:   # a class not filled at this width yet
+            for k in ks:
+                ints[k] or self.fill(k, width)
+            return self.total(ks, width)
 
 
 _class_chars = cache(_ClassChars)
 
 
+def _class_sum(cc: _ClassChars, ws, cs) -> dict:
+    """{lam: the coefficient of L(a) at lam} over the nonzero ones, for
+    the map L of cc and a = sum_i cs[i] T_{ws[i]} (ws and cs iterables in
+    step, as the keys and values of a.terms or `KLContext.terms`):
+    L(a) = sum_c c * S_c, S_c the sum of the class ints of the T-terms of
+    a with coefficient c.
+
+    The terms are grouped per coefficient object, and the groups of equal
+    coefficients in distinct objects merged.  Then c is shifted to
+    nonnegative v-exponents (from lo, the least one) and cleared of
+    denominators (times scale), and S_c times each of its terms goes into
+    one accumulator per v-parity.  A field of an accumulator is at most
+    max(tops) * sum_c terms(c) l1(c * scale), l1 the sum of
+    |coefficients|: below 2^(width-1) every field is exact; otherwise the
+    sum is redone wider.
+    """
+    cs, m = list(cs), len(cc.lams)
+    ids = list(map(id, cs))
+    ks = list(map(cc.cls.__getitem__, map(cc.index.__getitem__, ws)))
+    objs = dict(zip(ids, cs))
+    by_id: dict = {i: [] for i in objs}
+    for i, k in zip(ids, ks):
+        by_id[i].append(k)
+    groups: dict = {}   # equal coefficients in distinct objects
+    for i, c in objs.items():
+        key = tuple(c.c.items())
+        key = cc.coeff(key) if cc.coeff else key
+        groups[key] = groups.get(key, []) + by_id[i]
+    scale = math.lcm(*(x.denominator for key in groups for _, x in key
+                       if type(x) is not int))
+    lo = min((e for key in groups for e, _ in key), default=0)
+    terms = [(ks, [(e - lo, int(x * scale)) for e, x in key])
+             for key, ks in groups.items()]
+    mass = sum(len(ks) * sum(abs(x) for _, x in c) for ks, c in terms)
+    width = cc.width
+    while True:
+        try:
+            sums = [cc.total(ks, width) for ks, _ in terms]
+        except _Narrow:
+            width = cc.width
+            continue
+        if (bound := max(cc.tops) * mass) < 1 << width - 1:
+            break
+        width = signed_width(bound)
+    accs: dict = {}
+    for s, (_, c) in zip(sums, terms):
+        for e, x in c:
+            accs[e & 1] = accs.get(e & 1, 0) + (x * s << width * m * (e >> 1))
+    out: dict = {}
+    for p, x in accs.items():
+        row = unpack_signed(x, width)
+        for i, lam in enumerate(cc.lams):
+            if d := {lo + p + 2 * k: y for k, y in enumerate(row[i::m]) if y}:
+                out.setdefault(lam, {}).update(d)   # parities never meet
+    return {lam: _raw(d) if scale == 1 else
+            LaurentQ({e: Fraction(y, scale) for e, y in d.items()})
+            for lam, d in out.items()}
+
+
 def _young_characters(a: HeckeElement) -> dict:
     """{lam: c_lam(a)} for the partitions lam of a.n with c_lam(a) != 0:
-    the induced characters of a from the Young subgroups S_lam.
-
-    The T-terms are summed per coefficient object into S_c, and the sums
-    of equal coefficients c are added.  Then c is shifted to nonnegative
-    v-exponents (from lo, the least one) and cleared of denominators
-    (times scale), and S_c times each of its terms goes into one
-    accumulator per v-parity.  The lam = (n) block of S_c is
-    sum_z q^l(z), which nothing borrows from (width holds the number of
-    terms): it gives m, the longest l(z), and the number of terms,
-    S_c mod 2^width - 1.  A product then has q-degree below
-    hi = max(m + deg c) + 1; past `slots` every S_c is moved to a layout
-    of hi fields per lam first, so no product leaves its block.  A field
-    of an accumulator is at most max(tops) * sum_c terms(c) l1(c * scale),
-    l1 the sum of |coefficients|: below 2^(width-1) every field is exact;
-    otherwise the sum is redone wider.
+    the induced characters of a from the Young subgroups S_lam, one class
+    sum of the packed ch(T_z) in the monomial basis.
 
     >>> ch = _young_characters(HeckeElement.t_basis(3, (2, 1, 3)))
     >>> print(ch[(3,)], ch[(2, 1)], ch[(1, 1, 1)])
     q -1+2q -3+3q
     """
-    cc = _class_chars(a.n)
-    cls, index, slots = cc.cls, perm_table(a.n).index, cc.slots
-    width = max(cc.width, signed_width(len(a.terms)))
-    while True:
-        ints, fill, sums, coeffs = cc.pack(width), cc.fill, {}, {}
-        try:
-            for w, c in a.terms.items():
-                k = cls[index[w]]
-                x = ints[k] or fill(k, width)
-                if (i := id(c)) in sums:
-                    sums[i] += x
-                else:
-                    sums[i], coeffs[i] = x, c
-        except _Narrow:
-            width = cc.width
-            continue
-        by_value: dict = {}   # equal coefficients in distinct objects
-        for i, s in sums.items():
-            key = tuple(coeffs[i].c.items())
-            by_value[key] = by_value[key] + s if key in by_value else s
-        scale = math.lcm(*(x.denominator for key in by_value
-                           for _, x in key if type(x) is not int))
-        lo = min((e for key in by_value for e, _ in key), default=0)
-        terms, hi, mass = [], 0, 0
-        for key, s in by_value.items():
-            low = s & (1 << slots * width) - 1
-            m = (low.bit_length() - 1) // width
-            c = [(e - lo, int(x * scale)) for e, x in key]
-            mass += low % ((1 << width) - 1) * sum(abs(x) for _, x in c)
-            hi = max(hi, m + max((e for e, _ in c), default=0) // 2 + 1)
-            terms.append((s, c))
-        if (bound := max(cc.tops) * mass) < 1 << width - 1:
-            break
-        width = signed_width(bound)
-    wide, accs = max(slots, hi), {}
-    for s, c in terms:
-        if wide > slots:
-            s = cc.respace(s, width, wide)
-        for e, x in c:
-            accs[e & 1] = accs.get(e & 1, 0) + (x * s << width * (e >> 1))
-    out: dict = {}
-    for p, x in accs.items():
-        row = unpack_signed(x, width)
-        exps = range(lo + p, lo + p + 2 * hi, 2)
-        for i, lam in enumerate(cc.lams):
-            ys = row[i * wide:i * wide + hi]
-            if d := dict(zip(compress(exps, ys), filter(None, ys))):
-                out.setdefault(lam, {}).update(d)   # parities never meet
-    return {lam: _raw(d) if scale == 1 else
-            LaurentQ({e: Fraction(y, scale) for e, y in d.items()})
-            for lam, d in out.items()}
+    return _class_sum(_class_chars(a.n), a.terms, a.terms.values())
 
 
 def induced_characters(a: HeckeElement, Js) -> list:

@@ -29,7 +29,7 @@ from . import config
 from .coxeter import _ints, cycle_type
 from .hecke import HeckeElement
 from .laurentq import ONE, ZERO, LaurentQ, Terms, pack_signed, unpack_signed
-from .parabolic import _young_characters
+from .parabolic import _ClassChars, _class_chars, _class_sum
 
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
@@ -377,12 +377,24 @@ def hall_inner_product(f: SymFunc, g: SymFunc) -> LaurentQ:
     return total
 
 
-def frobenius_character(a: HeckeElement) -> SymFunc:
-    """ch(a) in the monomial basis: the m_lam coefficient is the induced
-    character of a from the Young subgroup S_lam (trivial module); in the
-    Schur basis the coefficients become the irreducible character values.
-    All of them come from one sum of packed class characters."""
-    return SymFunc("m", a.n)._like(_young_characters(a))
+def frobenius_character(a: HeckeElement, basis: str = "m") -> SymFunc:
+    """ch(a) in the monomial basis, or in h: the m_lam coefficient is the
+    induced character of a from the Young subgroup S_lam (trivial
+    module); in the Schur basis the coefficients become the irreducible
+    character values.  Either basis is one sum of packed class images;
+    any other goes through `SymFunc.to_basis` from m."""
+    b = "h" if basis == "h" else "m"
+    cc = _h_chars(a.n) if b == "h" else _class_chars(a.n)
+    return SymFunc(b, a.n)._like(_class_sum(cc, a.terms, a.terms.values())
+                                 ).to_basis(basis)
+
+
+@lru_cache(maxsize=None)
+def _h_chars(n: int) -> _ClassChars:
+    """The class kernel of ch in the h-basis: the seeds of ch in m, each
+    changed to h once."""
+    return _ClassChars(n, {mu: SymFunc("m", n, seed).to_basis("h").coeffs
+                           for mu, seed in _class_chars(n).seeds.items()})
 
 
 def _times(a: dict, b: dict) -> dict:

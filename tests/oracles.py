@@ -17,12 +17,16 @@ T_{w_mu} from the diagonal of its action and the class-sum route from
 dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
-normal forms by polynomial gcd), and the power-sum and determinantal
+normal forms by polynomial gcd) and from the per-n linear map on the
+monomial basis over n! [n]_q! with one exact division per Schur
+coefficient (`map_llt_plethysm`), the q -> q+1 shift by the Pascal
+transform (`binomial_q_shift`), and the power-sum and determinantal
 forms of n! e_n and n! h_n (`newton_check`), and skew Schur functions
 from the Jacobi-Trudi determinant expanded term by term
 (`direct_jacobi_trudi`).
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -34,7 +38,10 @@ from heckelab.coxeter import (
     length, perm_table, right_descents,
 )
 from heckelab.hecke import HeckeElement, kl_context
-from heckelab.laurentq import ONE, Q, ZERO, LaurentQ, q_power
+from heckelab.laurentq import (
+    ONE, Q, ZERO, LaurentQ, from_q_coefficients, gauss_number, pack_signed,
+    q_power, signed_width, unpack_signed,
+)
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import _young_trace, induced_character
 from heckelab.symfunc import (
@@ -302,6 +309,15 @@ def _oracle_schur_to(f: SymFunc, target: str) -> SymFunc:
             if total:
                 out[mu] = total
     return SymFunc(target, n, out)
+
+
+def binomial_q_shift(f: LaurentQ) -> LaurentQ:
+    """f(q + 1) by the Pascal transform b_j = sum_k c_k C(k, j) of the
+    q-coefficients c_k of f (f must be a polynomial in q)."""
+    cs = f.q_coefficients()
+    return from_q_coefficients([
+        sum(c * math.comb(k, j) for k, c in enumerate(cs[j:], j))
+        for j in range(len(cs))])
 
 
 def horner_q_shift(f: LaurentQ) -> LaurentQ:
@@ -1050,6 +1066,84 @@ def frac_llt_plethysm(w) -> SymFunc:
         lambda c: (c * qm1n).clear() if isinstance(c, LaurentFrac)
         else c * qm1n)
     return oracle_to_basis(cleared, "s")
+
+
+@lru_cache(maxsize=None)
+def _llt_map(n: int) -> tuple:
+    """(cols, top, den): f -> (q-1)^n omega(f)[x/(q-1)] from the m-basis
+    to the Schur basis over one denominator.  The image of m_nu is
+    sum_mu cols[nu][mu] s_mu / den, cols[nu][mu] a list of integer
+    q-coefficients (constant term first) whose absolute values are at
+    most top.
+
+    omega(m_nu) = sum_lam a_lam p_lam, and the substitution sends p_lam to
+    p_lam (q-1)^n / prod_i (q^lam_i - 1) = p_lam g_lam / [n]_q! with
+    g_lam = [n]_q! (q-1)^(n - len(lam)) / prod_i [lam_i]_q, a polynomial
+    because prod_i [lam_i]_q divides [n]_q!.  Each z_lam divides n!, so
+    den = n! [n]_q! clears the rational a_lam too.
+    """
+    den = math.prod(map(gauss_number, range(2, n + 1)),
+                    start=LaurentQ({0: math.factorial(n)}))
+    cols = {}
+    for nu in partitions(n):
+        scaled = {}
+        for lam, a in omega(SymFunc.basis_element("m", nu)
+                            .to_basis("p")).coeffs.items():
+            g = (den * (Q - ONE) ** (n - len(lam)) * a).q_coefficients()
+            for k in lam:
+                g = _divide(g, [1] * k)   # by [k]_q
+            scaled[lam] = from_q_coefficients(g)
+        cols[nu] = {mu: g.q_coefficients() for mu, g in
+                    SymFunc("p", n, scaled).to_basis("s").coeffs.items()}
+    top = max(abs(c) for col in cols.values() for g in col.values()
+              for c in g)
+    return cols, top, den
+
+
+@lru_cache(maxsize=None)
+def _packed_cols(n: int, bits: int) -> dict:
+    """The columns of `_llt_map(n)`, each packed into one int."""
+    return {nu: {mu: pack_signed(enumerate(g), bits)
+                  for mu, g in col.items()}
+            for nu, col in _llt_map(n)[0].items()}
+
+
+def map_llt_plethysm(a: HeckeElement) -> SymFunc:
+    """(q-1)^n omega(ch(a))[x/(q-1)] in the Schur basis: ch(a) pushed
+    through the linear map `_llt_map(n)` on packed integer columns, then
+    one exact division of each Schur coefficient by the common
+    denominator (ValueError if a remainder is left).  The route the class
+    sum from closed seeds replaced."""
+    n = a.n
+    ch = frobenius_character(a)
+    _, top, den = _llt_map(n)
+    chq = {nu: c.q_coefficients() for nu, c in ch.coeffs.items()}
+    # no coefficient of a numerator exceeds top * (sum of |ch coefficients|)
+    bits = signed_width(top * sum(abs(c) for cs in chq.values() for c in cs))
+    packed = _packed_cols(n, bits)
+    nums: dict = {}
+    for nu, cs in chq.items():
+        x = pack_signed(enumerate(cs), bits)
+        for mu, y in packed[nu].items():
+            nums[mu] = nums.get(mu, 0) + x * y
+    dcs = den.q_coefficients()
+    return SymFunc("s", n)._like({
+        mu: from_q_coefficients(_divide(unpack_signed(x, bits), dcs))
+        for mu, x in nums.items() if x})
+
+
+def _divide(num: list, den: list) -> list:
+    """num / den on integer q-coefficient lists; ValueError on a remainder."""
+    rem, quot, top = list(num), [], len(den) - 1
+    for i in reversed(range(len(num) - top)):
+        t = rem[i + top] // den[-1]   # an inexact step leaves a remainder
+        quot.append(t)
+        for j, d in enumerate(den):
+            rem[i + j] -= t * d
+    if any(rem):
+        raise ValueError(f"inexact division: {from_q_coefficients(num)} "
+                         f"by {from_q_coefficients(den)}")
+    return quot[::-1]
 
 
 def direct_jacobi_trudi(lam, mu=()) -> SymFunc:

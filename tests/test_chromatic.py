@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,19 +14,23 @@ from heckelab.chromatic import (
     IndifferenceGraph, ScanRow, chss_check, conjecture_scan, csf_q,
     llt_direct, llt_plethysm,
 )
+from heckelab.chromatic import _llt_chars
 from heckelab.coxeter import (
     all_hessenberg_functions, all_permutations, codominant_from_hessenberg,
-    identity,
+    cycle_type, identity, perm_table,
 )
+from heckelab.hecke import HeckeElement, kl_context
+from heckelab.parabolic import _class_sum, _classes
 from heckelab.laurentq import (
     LaurentQ, ONE, Q, from_q_coefficients, gauss_number, pack_signed,
     unpack_signed,
 )
-from heckelab.symfunc import SymFunc, omega, partitions
+from heckelab.symfunc import SymFunc, frobenius_character, omega, partitions
+import oracles
 from oracles import (
     LaurentFrac, all_coloring_sums, backtrack_coloring_sums,
-    count_proper_colorings, frac_llt_plethysm, monomials_of_shape,
-    oracle_to_basis, plethysm_scale,
+    count_proper_colorings, frac_llt_plethysm, map_llt_plethysm,
+    monomials_of_shape, oracle_to_basis, plethysm_scale,
 )
 
 
@@ -105,6 +110,20 @@ def test_chss_exhaustive_small():
     for n in range(1, 5):
         for m in all_hessenberg_functions(n):
             assert chss_check(m)[0], m
+
+
+def test_graph_and_scan_row_are_immutable_values():
+    g = IndifferenceGraph.from_hessenberg((2, 3, 3))
+    assert g == IndifferenceGraph(3, frozenset({(2, 3), (1, 2)}))
+    assert hash(g) == hash(IndifferenceGraph(3, g.edges))
+    assert repr(g) == f"IndifferenceGraph(n=3, edges={g.edges!r})"
+    r = ScanRow((2, 1), "shifted-e", True, "ok")
+    assert r == ScanRow((2, 1), "shifted-e", True, "ok") and hash(r)
+    assert repr(r) == \
+        "ScanRow(w=(2, 1), kind='shifted-e', ok=True, detail='ok')"
+    for x, name in ((g, "n"), (r, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
 
 
 def test_llt_direct_edgeless():
@@ -228,7 +247,7 @@ def test_llt_map_columns_match_frac_oracle():
     # column nu is the image of m_nu, with rational-function Schur
     # coefficients; compare them in LaurentFrac normal form
     for n in range(1, 6):
-        cols, top, den = chromatic._llt_map(n)
+        cols, top, den = oracles._llt_map(n)
         d = LaurentQ({0: math.factorial(n)})
         for k in range(2, n + 1):
             d = d * gauss_number(k)
@@ -246,13 +265,132 @@ def test_llt_map_columns_match_frac_oracle():
 
 def test_llt_plethysm_remainder_is_value_error(monkeypatch):
     # a polynomial remainder, and a quotient that is rational but not
-    # integral: the integer division refuses both
-    cols, top, den = chromatic._llt_map(4)
+    # integral: the integer division of the map route refuses both
+    cols, top, den = oracles._llt_map(4)
     for bad in (den * (Q + 2), den * 2):
-        monkeypatch.setattr(chromatic, "_llt_map",
+        monkeypatch.setattr(oracles, "_llt_map",
                             lambda n, bad=bad: (cols, top, bad))
         with pytest.raises(ValueError, match="inexact division"):
-            llt_plethysm((3, 4, 1, 2))
+            map_llt_plethysm(kl_context(4).element((3, 4, 1, 2)))
+
+
+# -- the class kernels against the map route ----------------------------------
+
+def _llt(a, shifted: bool = False) -> dict:
+    """The class kernel's LLT of a in e, at q+1 if shifted."""
+    return _class_sum(_llt_chars(a.n, shifted), a.terms, a.terms.values())
+
+
+def _e_seed(n: int, mu: tuple) -> SymFunc:
+    return SymFunc("e", n, {mu: (Q - ONE) ** (n - len(mu))})
+
+
+def test_llt_of_minimal_length_class_elements_is_the_seed():
+    # LLT(T_{w_mu}) = (q-1)^(n-len(mu)) e_mu on every element of minimal
+    # length in its conjugacy class, by the map route and by the kernel
+    count = 0
+    for n in range(2, 7):
+        cls, rules, _ = _classes(n)
+        for z, w in enumerate(perm_table(n).perms):
+            if rules[cls[z]][0] < 0:
+                count += 1
+                seed = _e_seed(n, cycle_type(w))
+                a = HeckeElement.t_basis(n, w)
+                assert map_llt_plethysm(a) == seed.to_basis("s"), w
+                assert _llt(a) == seed.coeffs, w
+    assert count == 143
+
+
+def _llt_cases():
+    rng = random.Random(16)
+    cases = [w for n in range(1, 6) for w in all_permutations(n)]
+    return cases + rng.sample(perm_table(6).perms, 60) \
+        + rng.sample(perm_table(7).perms, 8)
+
+
+def test_llt_kernel_matches_map_oracle():
+    # every w up to n = 5 and seeded samples at n = 6 and 7; for a
+    # codominant w the coloring sum is a third route
+    codominant = {codominant_from_hessenberg(m): m
+                  for n in range(1, 8) for m in all_hessenberg_functions(n)}
+    for w in _llt_cases():
+        a, f = kl_context(len(w)).element(w), llt_plethysm(w)
+        assert f == map_llt_plethysm(a), w
+        assert f.to_basis("e").coeffs == _llt(a), w
+        if w in codominant:
+            assert f == llt_direct(codominant[w]).to_basis("s"), w
+
+
+def test_h_and_shifted_kernels_match_basis_changes():
+    # ch in h against to_basis("h"), and the LLT at q+1 against
+    # to_basis("e") followed by q -> q+1, on KL and T-basis elements
+    shift = LaurentQ.substitute_q_shift
+    for w in _llt_cases()[:153 + 30]:   # all of S_1..S_5, 30 of S_6
+        n = len(w)
+        for a in (kl_context(n).element(w), HeckeElement.t_basis(n, w)):
+            assert frobenius_character(a, "h") == \
+                frobenius_character(a).to_basis("h"), w
+            e = SymFunc("e", n)._like(_llt(a))
+            assert _llt(a, shifted=True) == e.map_coeffs(shift).coeffs, w
+        assert llt_plethysm(w).to_basis("e").map_coeffs(shift).coeffs == \
+            _class_sum(_llt_chars(n, True), *kl_context(n).terms(w)), w
+
+
+def test_h_kernel_on_any_coefficients():
+    # Fractions, odd v-exponents and wide values go through the same sum
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        perms = perm_table(n).perms
+        for _ in range(10):
+            a = HeckeElement(n, {w: LaurentQ({rng.randint(-7, 7): rng.choice(
+                [1, -3, Fraction(2, 5), 9 * 2 ** 50])})
+                for w in rng.sample(perms, rng.randint(1, len(perms)))})
+            assert frobenius_character(a, "h") == \
+                frobenius_character(a).to_basis("h")
+
+
+def _per_w_row(kind: str, w, sign: int = 1) -> ScanRow:
+    """The verdict of one w from ch(B_w).to_basis("h"), or from the map
+    route's LLT of B_w to_basis("e") at q+1, coefficients times sign."""
+    n = len(w)
+    if kind == "shifted-e":
+        f = map_llt_plethysm(kl_context(n).element(w)).to_basis("e")
+        f = f.map_coeffs(
+            lambda c: c.substitute_q_shift() * sign)
+        bad = [lam for lam, c in f.coeffs.items()
+               if any(x < 0 for x in c.q_coefficients())]
+        text = ("all shifted e-coefficients nonnegative",
+                "negative shifted e-coefficient at ")
+    else:
+        h = frobenius_character(kl_context(n).element(w)).to_basis("h")
+        h = h.map_coeffs(lambda c: c * sign)
+        if kind == "h-positivity":
+            bad = [lam for lam, c in h.coeffs.items()
+                   if any(x < 0 for x in c.q_coefficients())]
+            text = "h-positive", "negative h-coefficient at "
+        else:
+            bad = [lam for lam, c in h.coeffs.items()
+                   if not c.is_log_concave()]
+            text = "all h-coefficients log-concave", "not log-concave at "
+    detail = text[1] + ", ".join(
+        "(" + ",".join(map(str, lam)) + ")"
+        for lam in sorted(bad, reverse=True)) if bad else text[0]
+    return ScanRow(w, kind, not bad, detail)
+
+
+@pytest.mark.parametrize("kind", ["h-positivity", "log-concavity",
+                                  "shifted-e"])
+def test_scan_rows_match_per_w_route(kind, monkeypatch):
+    for n in range(1, 6):
+        assert conjecture_scan(kind, n) == \
+            [_per_w_row(kind, w) for w in perm_table(n).perms]
+    # every verdict holds, so negate the kernel's coefficients to reach
+    # the failure texts: a negated h-coefficient c is log-concave iff c is
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: {
+        lam: -c for lam, c in _class_sum(cc, zs, cs).items()})
+    rows = conjecture_scan(kind, 4)
+    assert rows == [_per_w_row(kind, w, -1) for w in perm_table(4).perms]
+    assert (kind == "log-concavity") == all(r.ok for r in rows)
 
 
 @given(st.integers(min_value=2, max_value=80), st.data())

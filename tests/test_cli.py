@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelab import chromatic, cli
+from heckelab import chromatic, cli, parabolic, symfunc
 from heckelab.cli import main
 from heckelab.coxeter import all_hessenberg_functions, all_permutations
 from heckelab.hecke import HeckeElement, KLContext, bott_samelson_product
@@ -71,11 +71,17 @@ def _sweep_argvs():
                 yield "llt", "--m", lit, "--basis", b, "--format", fmt
 
 
+def _clear_kernels():
+    for kernel in (parabolic._class_chars, symfunc._h_chars,
+                   chromatic._llt_chars):
+        kernel.cache_clear()
+
+
 def test_basis_changes_match_oracle_route_byte_for_byte(capsys,
                                                         monkeypatch):
     # stdout of the packed integer-matrix route against the term-by-term
-    # route through the Schur basis, with the cached LLT map rebuilt on
-    # each side; one parser serves every call, since building it would
+    # route through the Schur basis, with the cached class kernels rebuilt
+    # on each side; one parser serves every call, since building it would
     # take most of the time
     argvs = list(_sweep_argvs())
     parser = cli.build_parser()
@@ -87,11 +93,9 @@ def test_basis_changes_match_oracle_route_byte_for_byte(capsys,
                 SymFunc, "to_basis",
                 lambda self, target, budget=None: oracle_to_basis(self,
                                                                   target))
-        chromatic._llt_map.cache_clear()
-        chromatic._packed_cols.cache_clear()
+        _clear_kernels()
         outputs.append([run(capsys, *argv)[:2] for argv in argvs])
-    chromatic._llt_map.cache_clear()
-    chromatic._packed_cols.cache_clear()
+    _clear_kernels()
     new, old = outputs
     assert all(code == 0 for code, _ in new)
     diffs = [argv for argv, a, b in zip(argvs, new, old) if a != b]
@@ -166,6 +170,17 @@ def test_budget_guard_exit_code(capsys):
     code, out, err = run(capsys, "--max-n", "3", "kl-basis", "--w", "3412")
     assert code == 2
     assert "size guard" in err
+
+
+def test_budgets_are_an_immutable_record():
+    from heckelab.config import DEFAULTS, Budgets
+    assert DEFAULTS == Budgets() == Budgets(8, 7, 12, 7)
+    assert hash(DEFAULTS) == hash(Budgets())
+    assert repr(DEFAULTS) == ("Budgets(hecke_max_n=8, group_max_n=7, "
+                              "symfunc_max_degree=12, immanant_max_n=7)")
+    assert Budgets(group_max_n=6).group_max_n == 6
+    with pytest.raises(AttributeError):
+        DEFAULTS.hecke_max_n = 9
 
 
 def test_whole_group_scan_guard(capsys, monkeypatch):
@@ -524,6 +539,47 @@ def test_json_number_coefficients_on_the_command_line(capsys):
         assert (code, out) == (1, "")
         assert err.startswith("heckelab: coefficient ") and \
             "of v^0 is not an integer" in err and err.count("\n") == 1
+
+
+def test_loose_integer_strings_in_json_are_refused(capsys):
+    # int() read "1_0" as 10, and induced-char printed 10q with exit 0;
+    # like every malformed element, it is now a domain error naming the
+    # offending key or value
+    elem = '{"n": 2, "terms": [{"perm": [2, 1], "coeff": {"v": {%s}}}]}'
+    for body, name in (('"0": "1_0"', "coefficient '1_0' of v^0"),
+                       ('"1_0": "1"', "exponent key '1_0'"),
+                       ('"0": " 1"', "coefficient ' 1' of v^0")):
+        code, out, err = run(capsys, "induced-char", "--J", "1",
+                             "--json", elem % body)
+        assert (code, out) == (1, ""), body
+        assert err.startswith("heckelab: ") and name in err and \
+            err.count("\n") == 1, err
+
+
+def test_loose_integer_strings_in_cache_are_a_miss(tmp_path, capsys):
+    # "0_2" and "0_1" read as 2 and 1, so both entries passed as 1+q
+    # without a warning
+    for name, v in (("key", {"0": "1", "0_2": "1"}),
+                    ("value", {"0": "1", "2": "0_1"})):
+        def tamper(text, v=v):
+            payload = json.loads(text)
+            payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": v}
+            return json.dumps(payload)
+        err = _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
+        assert "'0_2'" in err or "'0_1' of v^2" in err, err
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses and the inspect module it imports took about a third of
+    # the import time of heckelab.cli, which every CLI process pays
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, heckelab.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_truncated_cache_is_a_miss(tmp_path, capsys):

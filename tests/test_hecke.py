@@ -563,3 +563,15 @@ def test_t_basis_products_respect_lengths(n, data):
     # coefficient of the full product survives when the word is reduced
     if length(w) == len(word):
         assert elem.coeff(w) == ONE
+
+
+def test_terms_are_the_element_without_its_dict():
+    # KLContext.terms gives the permutations and the shared coefficient
+    # objects of element(w), in step
+    ctx = kl_context(4)
+    for w in all_permutations(4):
+        ws, cs = ctx.terms(w)
+        pairs = list(zip(ws, cs))
+        assert dict(pairs) == ctx.element(w).terms and \
+            len(pairs) == len(ctx.element(w).terms), w
+        assert all(c is ctx.element(w).terms[z] for z, c in pairs), w

@@ -9,7 +9,9 @@ from heckelab.laurentq import (
     LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number,
     pack_signed, q_power, unpack_signed,
 )
-from oracles import LaurentFrac, exact_div, horner_q_shift, poly_gcd
+from oracles import (
+    LaurentFrac, binomial_q_shift, exact_div, horner_q_shift, poly_gcd,
+)
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
 small_exps = st.integers(min_value=-6, max_value=6)
@@ -147,6 +149,17 @@ def test_q_shift_matches_horner(cs):
     assert f.substitute_q_shift() == horner_q_shift(f)
 
 
+@given(st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                          st.integers(-2 ** 70, 2 ** 70)), max_size=25),
+       st.integers(1, 7))
+def test_q_shift_matches_binomial_sum(cs, den):
+    # the packed Horner evaluation at 2^W + 1 against the Pascal
+    # transform, on negative, zero and wide coefficients, also over a
+    # common denominator
+    f = from_q_coefficients([Fraction(c, den) for c in cs])
+    assert f.substitute_q_shift() == binomial_q_shift(f)
+
+
 def test_rendering():
     assert str(from_q_coefficients([2, 6, 2])) == "2+6q+2q^2"
     assert str(V ** 3) == "q^{3/2}"
@@ -175,6 +188,33 @@ def test_json_refuses_non_integer_coefficients(value):
             as info:
         LaurentQ.from_json({"v": {"0": "1", "2": value}})
     assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["1_0", " 1", "1 ", "+1", "1\n", "１",
+                                   "1/0", "1/00", "1/-2", "1_0/3", "1/2/3"])
+def test_json_refuses_loose_integer_strings(value):
+    # int() reads "1_0" as 10 and " 1" as 1; only -?[0-9]+ and
+    # -?[0-9]+/[0-9]+ are coefficients
+    with pytest.raises(ValueError, match=r"of v\^2 is not an integer") \
+            as info:
+        LaurentQ.from_json({"v": {"0": "1", "2": value}})
+    assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "+2", "2.0", "２", "",
+                                 "-", 2.0, True, None])
+def test_json_refuses_loose_exponent_keys(key):
+    # {"1_0": "1"} used to read as q^5
+    with pytest.raises(ValueError, match="exponent key .* is not an "
+                                         "integer") as info:
+        LaurentQ.from_json({"v": {"0": "1", key: "1"}})
+    assert repr(key) in str(info.value)
+
+
+def test_json_reads_plain_integer_strings():
+    assert LaurentQ.from_json({"v": {"-3": "-12", "0": "007", "4": "-3/6",
+                                     "10": "0", 6: 1}}) == \
+        LaurentQ({-3: -12, 0: 7, 4: Fraction(-1, 2), 6: 1})
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, 1e30, "1", None])

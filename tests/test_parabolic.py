@@ -52,6 +52,23 @@ def test_quotient_example():
                        (3, 1, 2, 4), (3, 1, 4, 2), (3, 4, 1, 2))
 
 
+def test_quotient_is_an_immutable_value():
+    a = parabolic_quotient(4, J13)
+    assert a == parabolic_quotient(4, {3, 1}) != parabolic_quotient(4, {1})
+    assert a != a.reps
+    assert repr(a).startswith("ParabolicQuotient(n=4, J=frozenset({1, 3}), "
+                              "reps=((1, 2, 3, 4), (1, 3, 2, 4), ")
+    assert "index" not in repr(a) and a.index[(3, 4, 1, 2)] == 5
+    assert len(a) == 6 and [3, 4, 1, 2] in a and (2, 1, 3, 4) not in a
+    for name in ("n", "reps", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        del a.J
+    with pytest.raises(TypeError):
+        hash(a)   # its index is a dict
+
+
 def test_quotient_sizes_and_minimality():
     for n in range(1, 6):
         fact = math.factorial(n)
@@ -625,9 +642,9 @@ def test_young_traces_match_quotient_module_traces():
               for lam in partitions(7)]
     assert len(cases) == 63 + 15
     for n, J in cases:
-        cc = _class_chars(n)
-        assert cc.traces[cc.lams.index(_young_type(n, J))] == \
-            quotient_class_traces(n, J), (n, sorted(J))
+        lam = _young_type(n, J)
+        assert {mu: seed[lam] for mu, seed in _class_chars(n).seeds.items()} \
+            == quotient_class_traces(n, J), (n, sorted(J))
 
 
 def test_character_route_builds_no_quotient_module(monkeypatch, capsys):

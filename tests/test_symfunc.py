@@ -465,3 +465,14 @@ def test_non_integral_degrees_are_refused(degree):
     f = SymFunc("m", 3.0, {(3,): 1})
     assert f.space == ("m", 3) and type(f.degree) is int
     assert f == SymFunc("m", 3, {(3,): 1})
+
+
+def test_frobenius_character_in_every_basis():
+    # m and h are class sums of their own; the others go through to_basis
+    ctx = kl_context(4)
+    for w in ((3, 4, 1, 2), (4, 3, 2, 1), (2, 1, 4, 3)):
+        for a in (ctx.element(w), HeckeElement.t_basis(4, w)):
+            ch = frobenius_character(a)
+            for basis in "ehmps":
+                got = frobenius_character(a, basis)
+                assert got.basis == basis and got == ch.to_basis(basis)
