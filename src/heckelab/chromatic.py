@@ -137,31 +137,31 @@ def _collect_monomials(n: int, width: int, sums: dict) -> SymFunc:
     return SymFunc("m", n)._like(coeffs)
 
 
-def _coloring_function(g, budget: int | None, proper: bool) -> SymFunc:
+def _coloring_function(g, proper: bool) -> SymFunc:
     if not isinstance(g, IndifferenceGraph):
         g = IndifferenceGraph.from_hessenberg(g)
-    config.check_n(g.n, budget)   # budget None: the rank guard, max_n()
+    config.check_n(g.n)
     return _collect_monomials(g.n, *_coloring_sums(g, proper))
 
 
-def csf_q(g, budget: int | None = None) -> SymFunc:
+def csf_q(g) -> SymFunc:
     """The proper-coloring sum with ascent statistic, in the monomial
     basis: sum over proper kappa: [n] -> [n] of q^(ascents) x_kappa.
 
     >>> print(csf_q((2, 3, 4, 4)).to_basis("e"))
     (1+q+q^2+q^3)*e[4] + (q+q^2)*e[3,1] + (q+q^2)*e[2,2]
     """
-    return _coloring_function(g, budget, proper=True)
+    return _coloring_function(g, proper=True)
 
 
-def llt_direct(g, budget: int | None = None) -> SymFunc:
+def llt_direct(g) -> SymFunc:
     """The all-colorings sum with ascent statistic: sum over all
     kappa: [n] -> [n] of q^(ascents) x_kappa, in the monomial basis.
 
     >>> print(llt_direct((2, 3, 3)))
     m[3] + (1+2q)*m[2,1] + (1+4q+q^2)*m[1,1,1]
     """
-    return _coloring_function(g, budget, proper=False)
+    return _coloring_function(g, proper=False)
 
 
 @cache
@@ -178,24 +178,24 @@ def _llt_chars(n: int, shifted: bool = False) -> _ClassChars:
     return _ClassChars(n, seeds)
 
 
-def llt_plethysm(w: Perm, budget: int | None = None) -> SymFunc:
+def llt_plethysm(w: Perm) -> SymFunc:
     """(q-1)^n omega(ch(B_w))[x/(q-1)] in the Schur basis, where B_w is
     the integral Kazhdan-Lusztig element of w: sum_z P_{z,w} LLT(T_z),
     one class sum in the e-basis (`_llt_chars`), then `to_basis`."""
     w = tuple(w)
     n = len(w)
-    config.check_n(n, budget, what="n")
+    config.check_n(n)
     return SymFunc("e", n)._like(_class_sum(
         _llt_chars(n), *kl_context(n).terms(w))).to_basis("s")
 
 
-def chss_check(m, budget: int | None = None):
+def chss_check(m):
     """Compare ch(B_(w_m)) with omega(csf_q(G_m)) through independent
     pipelines; returns (equal, lhs, rhs) in the monomial basis."""
     m = check_hessenberg(m)
     w = codominant_from_hessenberg(m)
     lhs = frobenius_character(kl_context(len(m)).element(w))
-    rhs = omega(csf_q(m, budget=budget)).to_basis("m")
+    rhs = omega(csf_q(m)).to_basis("m")
     return lhs == rhs, lhs, rhs
 
 
@@ -214,7 +214,7 @@ _SCANS = {   # kind: (shifted LLT?, verdict per coefficient, ok, not ok at)
 }
 
 
-def conjecture_scan(kind: str, n: int, budget: int | None = None) -> list:
+def conjecture_scan(kind: str, n: int) -> list:
     """Scan all of S_n and report one row per permutation; verdicts are
     reported, never asserted.
 
@@ -235,8 +235,7 @@ def conjecture_scan(kind: str, n: int, budget: int | None = None) -> list:
     """
     if kind not in _SCANS:
         raise ValueError(f"unknown scan kind {kind!r}")
-    config.check_n(n, budget if budget is not None
-                   else config.max_n(config.DEFAULTS.group_max_n),
+    config.check_n(n, config.max_n(config.DEFAULTS.group_max_n),
                    what=f"scan over S_{n} ({n}! = {math.factorial(n):,} "
                         "KL elements): n")
     shifted, good, yes, no = _SCANS[kind]

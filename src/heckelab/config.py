@@ -3,9 +3,10 @@ Size guards and defaults.
 
 Everything in this package is exact, so the practical limits are time and
 memory, not precision.  The guards below stop accidental n=9 blowups, and
-scans over all n! elements of S_8; all of them can be raised deliberately,
-either per call, via the HECKE_LAB_MAX_N environment variable, or with the
-command line flag.
+scans over all n! elements of S_8.  An explicit guard (`set_max_n`, the
+HECKE_LAB_MAX_N environment variable or the command line flag) replaces
+the rank guard and the scan guard; the degree of basis changes and the
+size of immanants are fixed.
 """
 
 from __future__ import annotations

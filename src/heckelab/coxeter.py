@@ -27,21 +27,19 @@ from itertools import combinations, permutations, product
 from . import config
 
 __all__ = [
-    "Perm", "Word", "Transposition",
+    "Perm", "Word",
     "identity", "check_permutation", "multiply", "inverse", "length",
-    "apply_s_right", "apply_s_left", "apply_transposition_left",
+    "apply_s_right", "apply_s_left",
     "left_inversions", "left_descents", "right_descents",
-    "right_inversions", "bruhat_leq", "rank_matrix", "weak_left_leq",
-    "reduced_word", "evaluate_word", "is_reduced",
+    "bruhat_leq", "rank_matrix", "reduced_word", "evaluate_word",
     "avoids_patterns", "cycle_type",
-    "check_hessenberg", "codominant_from_hessenberg", "hessenberg_from_skew",
-    "all_hessenberg_functions", "all_permutations", "transpositions",
+    "check_hessenberg", "codominant_from_hessenberg",
+    "all_hessenberg_functions", "all_permutations",
     "PermTable", "perm_table",
 ]
 
 Perm = tuple
 Word = tuple
-Transposition = tuple
 
 
 def identity(n: int) -> Perm:
@@ -101,12 +99,6 @@ def apply_s_left(w: Perm, i: int) -> Perm:
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
 
 
-def apply_transposition_left(w: Perm, t: Transposition) -> Perm:
-    """(a b) * w for a transposition t = (a, b): swap the values a, b."""
-    a, b = t
-    return tuple(b if x == a else a if x == b else x for x in w)
-
-
 def left_inversions(w: Perm) -> frozenset:
     """All (i, j), i < j, whose values appear out of order in w.
 
@@ -156,22 +148,6 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
                for i in range(1, n + 1) for j in range(1, n + 1))
 
 
-def right_inversions(w: Perm) -> frozenset:
-    """All position pairs (i, j), i < j, with w(i) > w(j); these are the
-    transpositions t with length(w*t) < length(w)."""
-    n = len(w)
-    return frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)
-                     if w[i - 1] > w[j - 1])
-
-
-def weak_left_leq(u: Perm, w: Perm) -> bool:
-    """Weak left order: u <=_L w iff w = x*u with lengths adding.
-
-    Equivalent to containment of right inversion sets.
-    """
-    return right_inversions(u) <= right_inversions(w)
-
-
 def reduced_word(w: Perm) -> Word:
     """A reduced word for w, deterministic: repeatedly strip the
     smallest-index left descent, so w = s_{i1} s_{i2} ... s_{ik}.
@@ -197,10 +173,6 @@ def evaluate_word(word: Word, n: int) -> Perm:
             raise ValueError(f"generator index out of range: {i} (n={n})")
         w = apply_s_right(w, i)
     return w
-
-
-def is_reduced(word: Word, n: int) -> bool:
-    return length(evaluate_word(word, n)) == len(word)
 
 
 def avoids_patterns(w: Perm, patterns) -> bool:
@@ -282,32 +254,6 @@ def codominant_from_hessenberg(m) -> Perm:
     return tuple(out)
 
 
-def hessenberg_from_skew(lam, mu, n: int):
-    """The column-wise bound m(j) = max{i : i - lam_i + mu_j - j <= 0}
-    attached to a skew shape, zero-padding both partitions to length n.
-
-    Returns the Hessenberg function, or None in the degenerate case where
-    the bound fails m(j) >= j (which signals that no permutation fits the
-    shape; with mu contained in lam this does not occur).
-    """
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    mu = tuple(mu) + (0,) * (n - len(mu))
-    if len(lam) != n or len(mu) != n:
-        raise ValueError(f"partitions too long for n={n}: {lam}, {mu}")
-    if any(mu[i] > lam[i] for i in range(n)):
-        raise ValueError(f"mu is not contained in lam: {mu} vs {lam}")
-    m = []
-    for j in range(1, n + 1):
-        fits = [i for i in range(1, n + 1) if i - lam[i - 1] + mu[j - 1] - j <= 0]
-        if not fits:
-            return None
-        m.append(max(fits))
-    try:
-        return check_hessenberg(m)
-    except ValueError:
-        return None
-
-
 def all_hessenberg_functions(n: int):
     """All Hessenberg functions on [n], lexicographically (Catalan many)."""
     def rec(prefix, j):
@@ -324,11 +270,6 @@ def all_hessenberg_functions(n: int):
 
 def all_permutations(n: int):
     return (tuple(p) for p in permutations(range(1, n + 1)))
-
-
-def transpositions(n: int):
-    """All (i, j) with 1 <= i < j <= n."""
-    return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
 
 # -- indexed tables ---------------------------------------------------------

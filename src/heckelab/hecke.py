@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from re import fullmatch
 
 from . import config
 from .coxeter import (
@@ -415,12 +416,18 @@ class KLContext:
         and n match and every element has integer q-coefficients and passes
         `_defect` (constant terms 1, leading 1 at w, degree bound) and
         `_pair_defect` (equal polynomials on extremal pairs).  Element
-        names are parsed and checked as permutations of 1..n."""
+        names must have the form `to_json` writes, digits separated by
+        single commas, and are checked as permutations of 1..n."""
         if (not isinstance(data, dict) or data.get("n") != self.n
                 or data.get("format") != "heckelab-kl-cache"
                 or data.get("version") != 1):
             raise ValueError("unrecognized KL cache payload")
-        index = cache(lambda name: self._index(map(int, name.split(","))))
+
+        @cache
+        def index(name):
+            if not fullmatch(r"[0-9]+(,[0-9]+)*", name):
+                raise ValueError(f"malformed KL cache element name {name!r}")
+            return self._index(map(int, name.split(",")))
         loaded = {}
         try:
             for ws, terms in data["elements"].items():
@@ -449,7 +456,8 @@ _contexts: dict = {}
 
 
 def kl_context(n: int) -> KLContext:
-    """Shared per-n context (insert-if-absent discipline)."""
+    """The shared per-n context, behind the rank guard on every call."""
+    config.check_n(n)
     ctx = _contexts.get(n)
     if ctx is None:
         ctx = _contexts.setdefault(n, KLContext(n))

@@ -46,7 +46,7 @@ __all__ = [
     "LaurentQ", "Terms",
     "ZERO", "ONE", "Q", "V",
     "q_power", "v_power", "from_q_coefficients",
-    "pack_signed", "unpack_signed", "signed_width", "gauss_number",
+    "pack_signed", "unpack_signed", "signed_width",
 ]
 
 
@@ -161,9 +161,6 @@ class LaurentQ:
 
     def coeff(self, vexp: int):
         return self.c.get(vexp, 0)
-
-    def min_vexp(self) -> int:
-        return min(self.c)
 
     def max_vexp(self) -> int:
         return max(self.c)
@@ -418,11 +415,6 @@ def _check_width(width: int) -> None:
     # a 1-bit signed field holds only 0 and -1, and 1 would never unpack
     if width < 2:
         raise ValueError(f"field width {width} is below 2 bits")
-
-
-def gauss_number(k: int) -> LaurentQ:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    return from_q_coefficients([1] * k)
 
 
 ZERO = LaurentQ()

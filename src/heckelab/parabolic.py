@@ -57,8 +57,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, product
 
 from .coxeter import (
-    Perm, Word, _ints, apply_s_left, cycle_type, identity,
-    left_descents, left_inversions, perm_table,
+    Perm, Word, _ints, cycle_type, left_inversions, perm_table,
 )
 from .hecke import HeckeElement
 from .laurentq import (
@@ -67,7 +66,7 @@ from .laurentq import (
 )
 
 __all__ = [
-    "ParabolicQuotient", "parabolic_quotient", "min_coset_rep",
+    "ParabolicQuotient", "parabolic_quotient",
     "induced_character", "induced_characters",
     "bott_samelson_character", "phi", "bin_set",
     "good_words", "good_word_character", "good_word_characters_all_j",
@@ -86,14 +85,6 @@ def _valid_j(n: int, J: frozenset) -> frozenset:
     if any(not 1 <= j <= n - 1 for j in J):
         raise ValueError(f"invalid generator indices for n={n}: {sorted(J)}")
     return J
-
-
-def min_coset_rep(w: Perm, J) -> Perm:
-    """The minimal-length element of W_J w (strip left descents in J)."""
-    J = _check_j(len(w), J)
-    while ds := left_descents(w) & J:
-        w = apply_s_left(w, min(ds))
-    return w
 
 
 class ParabolicQuotient:
@@ -704,8 +695,9 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
     inversion set there is an index where g - a occurs in delta with no
     earlier occurrence of a.
 
-    J restricts the ambient group: u must lie in W_J (for roots g inside
-    W_J the relevant simple roots stay inside W_J automatically).
+    J restricts the ambient group: u must lie in W_J, that is, every
+    inversion root (i, j) of u has {i, ..., j-1} inside J (for roots g
+    inside W_J the relevant simple roots stay inside W_J automatically).
     """
     u = tuple(u)
     n = len(u)
@@ -713,11 +705,10 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
     for i, j in delta:
         if not 1 <= i < j <= n:
             raise ValueError(f"not a positive root for n={n}: {(i, j)}")
-    if J is not None:
-        J = _check_j(n, J)
-        if min_coset_rep(u, J) != identity(n):
-            raise ValueError(f"{u} does not lie in the parabolic subgroup")
+    J = frozenset(range(1, n)) if J is None else _check_j(n, J)
     inv = left_inversions(u)
+    if any(not J.issuperset(range(i, j)) for i, j in inv):
+        raise ValueError(f"{u} does not lie in the parabolic subgroup")
 
     def witnessed(rem, alpha):
         for idx, d in enumerate(delta):

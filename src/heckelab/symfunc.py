@@ -33,10 +33,10 @@ from .parabolic import _ClassChars, _class_chars, _class_sum
 
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
-    "z_mu", "class_size", "sign_partition", "dominates",
+    "z_mu", "sign_partition", "dominates",
     "murnaghan_nakayama",
     "SymFunc", "omega", "hall_inner_product", "frobenius_character",
-    "multiply", "jacobi_trudi", "immanant", "z_matrix",
+    "multiply", "jacobi_trudi", "immanant",
 ]
 
 Partition = tuple
@@ -89,11 +89,6 @@ def z_mu(mu) -> int:
         m = mu.count(a)
         z *= a ** m * factorial(m)
     return z
-
-
-def class_size(mu) -> int:
-    """Number of permutations of cycle type mu: n!/z_mu."""
-    return factorial(sum(mu)) // z_mu(mu)
 
 
 def sign_partition(mu) -> int:
@@ -271,7 +266,7 @@ class SymFunc(Terms):
 
     # -- basis conversion -------------------------------------------------------
 
-    def to_basis(self, target: str, budget: int | None = None) -> "SymFunc":
+    def to_basis(self, target: str) -> "SymFunc":
         """The same function in the target basis, by the cached integer
         matrix `_basis_map` acting on packed coefficients."""
         if target not in BASES:
@@ -279,8 +274,7 @@ class SymFunc(Terms):
         if target == self.basis:
             return self
         n = self.degree
-        config.check_n(n, budget if budget is not None
-                       else config.DEFAULTS.symfunc_max_degree, what="degree")
+        config.check_n(n, config.DEFAULTS.symfunc_max_degree, what="degree")
         rows, den, top = _basis_map(n, self.basis, target)
         polys = [c.c for c in self.coeffs.values()]
         # field i of a packed coefficient: its v^(lo + step i) term * scale
@@ -428,7 +422,7 @@ def _entry_terms(entry) -> dict:
     raise ValueError(f"unsupported matrix entry: {entry!r}")
 
 
-def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
+def immanant(chi_label, matrix) -> SymFunc:
     """Imm_chi(A) = sum_w chi(w) prod_i A[i][w(i)] for the irreducible
     character labelled by a partition of the matrix size.
 
@@ -437,12 +431,18 @@ def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
     homogeneous.  The product is expanded row by row over the unused
     columns, a zero partial product ending its branch; rows and columns
     are first conjugated (cycle types stay) to put the sparsest rows first.
+    Matrices above `config.DEFAULTS.immanant_max_n` rows are refused.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix is not square")
-    config.check_n(k, budget if budget is not None
-                   else config.DEFAULTS.immanant_max_n, what="matrix size")
+    config.check_n(k, config.DEFAULTS.immanant_max_n, what="matrix size")
+    return _immanant(chi_label, matrix)
+
+
+def _immanant(chi_label, matrix) -> SymFunc:
+    """`immanant` of a square matrix, without the size guard."""
+    k = len(matrix)
     chi_label = check_partition(chi_label)
     if sum(chi_label) != k:
         raise ValueError(f"character label {chi_label} does not match size {k}")
@@ -475,7 +475,7 @@ def immanant(chi_label, matrix, budget: int | None = None) -> SymFunc:
 def jacobi_trudi(lam, mu=()) -> SymFunc:
     """The skew Schur function as the h-determinant
     det(h_(lam_i - mu_j + j - i)), returned in the h-basis: the sign
-    immanant of that matrix."""
+    immanant of that matrix, with no size guard."""
     lam, mu = check_partition(lam), check_partition(mu)
     k = len(lam)
     if len(mu) > k or any(a < b for a, b in zip(lam, mu)):
@@ -486,23 +486,5 @@ def jacobi_trudi(lam, mu=()) -> SymFunc:
     matrix = [[h[d] if (d := lam[i] - mu[j] + j - i) >= 0 else 0
                for j in range(k)] for i in range(k)]
     return SymFunc("h", sum(lam) - sum(mu),
-                   immanant((1,) * k, matrix, budget=k).coeffs)
-
-
-def z_matrix(n: int):
-    """The n x n matrix with p_(j-i+1) on and above the diagonal, the
-    integers 1..n-1 on the subdiagonal, zeros below; its determinant is
-    n! e_n and its permanent n! h_n."""
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j >= i:
-                row.append(SymFunc.basis_element("p", (j - i + 1,)))
-            elif j == i - 1:
-                row.append(i - 1)
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
+                   _immanant((1,) * k, matrix).coeffs)
 

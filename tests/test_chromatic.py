@@ -22,15 +22,14 @@ from heckelab.coxeter import (
 from heckelab.hecke import HeckeElement, kl_context
 from heckelab.parabolic import _class_sum, _classes
 from heckelab.laurentq import (
-    LaurentQ, ONE, Q, from_q_coefficients, gauss_number, pack_signed,
-    unpack_signed,
+    LaurentQ, ONE, Q, from_q_coefficients, pack_signed, unpack_signed,
 )
 from heckelab.symfunc import SymFunc, frobenius_character, omega, partitions
 import oracles
 from oracles import (
     LaurentFrac, all_coloring_sums, backtrack_coloring_sums,
-    count_proper_colorings, frac_llt_plethysm, map_llt_plethysm,
-    monomials_of_shape, oracle_to_basis, plethysm_scale,
+    count_proper_colorings, frac_llt_plethysm, gauss_number,
+    map_llt_plethysm, monomials_of_shape, oracle_to_basis, plethysm_scale,
 )
 
 

@@ -91,8 +91,7 @@ def test_basis_changes_match_oracle_route_byte_for_byte(capsys,
         if patch:
             monkeypatch.setattr(
                 SymFunc, "to_basis",
-                lambda self, target, budget=None: oracle_to_basis(self,
-                                                                  target))
+                lambda self, target: oracle_to_basis(self, target))
         _clear_kernels()
         outputs.append([run(capsys, *argv)[:2] for argv in argvs])
     _clear_kernels()
@@ -502,6 +501,19 @@ def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):
         payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "1", "2": "2"}}
         return json.dumps(payload)
     _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+
+
+@pytest.mark.parametrize("name", [" 3, 4,1 ,2 ", "+3,4,1,2", "3,4,1,0_2"],
+                         ids=["blanks", "sign", "underscore"])
+def test_loose_element_names_in_cache_are_a_miss(tmp_path, capsys, name):
+    # int() read each name as 3412, so the renamed file loaded without a
+    # warning; only the digits-and-commas names that to_json writes load
+    def tamper(text):
+        payload = json.loads(text)
+        payload["elements"][name] = payload["elements"].pop("3,4,1,2")
+        return json.dumps(payload)
+    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+    assert f"malformed KL cache element name {name!r}" in err
 
 
 def test_float_coefficient_in_cache_is_a_miss(tmp_path, capsys):

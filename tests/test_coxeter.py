@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 from heckelab.coxeter import (
     all_hessenberg_functions, all_permutations, apply_s_left, apply_s_right,
     avoids_patterns, bruhat_leq, check_hessenberg, codominant_from_hessenberg,
-    cycle_type, evaluate_word, hessenberg_from_skew, identity, inverse,
-    left_descents, left_inversions, length, multiply, perm_table,
-    reduced_word, right_descents, transpositions, weak_left_leq,
+    cycle_type, evaluate_word, identity, inverse, left_descents,
+    left_inversions, length, multiply, perm_table, reduced_word,
+    right_descents,
 )
-from oracles import eager_perm_table, subword_bruhat_leq
+from oracles import (
+    apply_transposition_left, eager_perm_table, subword_bruhat_leq,
+    transpositions, weak_left_leq,
+)
 
 SMOOTH_PATTERNS = [(3, 4, 1, 2), (4, 2, 3, 1)]
 
@@ -66,7 +69,6 @@ def test_inversion_count_matches_length():
 
 def test_left_inversions_are_length_droppers():
     # defining property: t is a left inversion iff t*w is shorter
-    from heckelab.coxeter import apply_transposition_left
     for n in range(1, 5):
         for w in all_permutations(n):
             expected = frozenset(
@@ -200,34 +202,6 @@ def test_non_integer_hessenberg_value_is_refused():
     # int() would read (2.5, 3, 3) as the valid (2, 3, 3)
     with pytest.raises(ValueError, match="Hessenberg value 2.5 is not an"):
         check_hessenberg((2.5, 3, 3))
-
-
-def test_hessenberg_from_skew_examples():
-    # oracle: direct evaluation of max{i : i - lam_i + mu_j - j <= 0}
-    assert hessenberg_from_skew((2, 2), (1,), 2) == (2, 2)
-    assert hessenberg_from_skew((3, 1), (), 2) == (2, 2)
-    for lam in [(3, 2), (4, 1, 1), (2, 2, 2)]:
-        n = len(lam)
-        assert hessenberg_from_skew(lam, lam, n) == tuple(range(1, n + 1))
-    with pytest.raises(ValueError):
-        hessenberg_from_skew((2, 2), (3,), 2)
-    with pytest.raises(ValueError):
-        hessenberg_from_skew((2, 2, 2), (), 2)
-
-
-def test_hessenberg_from_skew_matches_fitting_set():
-    # m encodes exactly the permutation bound w^(-1)(j) <= m(j) defining
-    # the skew-shape row condition lam_i - mu_w(i) + w(i) - i >= 0
-    for lam, mu, n in [((2, 2), (1,), 2), ((3, 1), (), 2),
-                       ((3, 2, 1), (1, 1), 3), ((4, 2), (2, 1), 3)]:
-        m = hessenberg_from_skew(lam, mu, n)
-        lamp = tuple(lam) + (0,) * (n - len(lam))
-        mup = tuple(mu) + (0,) * (n - len(mu))
-        for w in all_permutations(n):
-            fits = all(lamp[i] - mup[w[i] - 1] + w[i] - (i + 1) >= 0
-                       for i in range(n))
-            bound = all(inverse(w)[j] <= m[j] for j in range(n))
-            assert fits == bound, (lam, mu, w)
 
 
 def test_cycle_type_examples():

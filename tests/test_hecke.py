@@ -446,6 +446,23 @@ def test_budget_guard():
         KLContext(9)
 
 
+def test_shared_context_is_guarded_on_every_call(monkeypatch):
+    # the shared context existed before the guard was lowered, and it
+    # still built elements until the guard was checked on every call
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    kl_context(5)
+    previous = config._override
+    config.set_max_n(4)
+    try:
+        with pytest.raises(config.BudgetError) as exc:
+            kl_context(5).element((2, 1, 3, 4, 5))
+        assert str(exc.value) == (
+            "n=5 exceeds the size guard 4; raise it explicitly "
+            "(HECKE_LAB_MAX_N or --max-n) if this is intentional")
+    finally:
+        config.set_max_n(previous)
+
+
 def test_json_round_trip():
     ctx = kl_context(4)
     B = ctx.element((3, 4, 1, 2))

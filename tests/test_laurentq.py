@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckelab.laurentq import (
-    LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, gauss_number,
-    pack_signed, q_power, unpack_signed,
+    LaurentQ, ONE, Q, V, ZERO, from_q_coefficients, pack_signed, q_power,
+    unpack_signed,
 )
 from oracles import (
-    LaurentFrac, binomial_q_shift, exact_div, horner_q_shift, poly_gcd,
+    LaurentFrac, binomial_q_shift, exact_div, gauss_number, horner_q_shift,
+    poly_gcd,
 )
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
@@ -124,7 +125,7 @@ def test_fraction_normal_form():
     # monic denominator with valuation zero
     h = LaurentFrac(V, LaurentQ({3: 2, 1: -2}))
     assert h.den.c[h.den.max_vexp()] == 1
-    assert h.den.min_vexp() == 0
+    assert min(h.den.c) == 0
 
 
 def test_q_shift_substitution():

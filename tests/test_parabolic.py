@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.coxeter import (
-    all_permutations, apply_s_left, cycle_type, identity, length, multiply,
-    perm_table, weak_left_leq,
+    all_permutations, apply_s_left, cycle_type, identity, left_inversions,
+    length, multiply, perm_table,
 )
 from heckelab.hecke import HeckeElement, bott_samelson_product, kl_context
 from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
-    gauss_number, q_power
+    q_power
 from heckelab import cli, parabolic
 from heckelab.parabolic import (
     _ClassChars, _class_chars, _young_characters, _young_type,
@@ -30,15 +30,16 @@ from heckelab.parabolic import (
     bott_samelson_character, derive_root_sequence, good_word_character,
     good_word_characters_all_j, good_words, induced_character,
     induced_characters,
-    is_good_sequence, kappa, min_coset_rep, parabolic_quotient, phi,
+    is_good_sequence, kappa, parabolic_quotient, phi,
     young_subgroup_generators,
 )
 from heckelab.symfunc import SymFunc, frobenius_character, partitions
 from oracles import (
     build_trace_table, dfs_bin_set, dfs_bott_samelson_character,
     dfs_good_word_characters_all_j, dfs_good_words, dot_action,
-    hecke_dot_matrix, mac_class_polys, mac_young_characters,
-    quotient_class_traces, trace_route_character, trace_table,
+    gauss_number, hecke_dot_matrix, mac_class_polys, mac_young_characters,
+    min_coset_rep, quotient_class_traces, trace_route_character,
+    trace_table, weak_left_leq,
 )
 
 J13 = frozenset({1, 3})
@@ -484,6 +485,23 @@ def test_is_good_sequence_basics():
         is_good_sequence(((1, 2),), (2, 1, 3), frozenset({2}))
     with pytest.raises(ValueError):
         is_good_sequence(((2, 1),), (2, 1, 3))
+
+
+def test_subgroup_check_matches_coset_minima():
+    # u lies in W_J iff its coset minimum is e; a sequence holding every
+    # inversion root of u is good, so only the W_J check can fail
+    for n in range(1, 6):
+        for J in all_parabolic_subsets(n):
+            for u in all_permutations(n):
+                delta = sorted(left_inversions(u))
+                if min_coset_rep(u, J) == identity(n):
+                    assert is_good_sequence(delta, u, J), (u, sorted(J))
+                else:
+                    with pytest.raises(ValueError, match="does not lie"):
+                        is_good_sequence(delta, u, J)
+        for bad in ({0}, {n}, {1.5}):
+            with pytest.raises(ValueError, match="generator ind"):
+                is_good_sequence((), identity(n), bad)
 
 
 def test_derived_sequences_are_good():
