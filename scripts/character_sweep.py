@@ -8,9 +8,9 @@ character of each product is also checked against the monomial
 expansion sum_lam c_{J_lam} m_lam read off the all-J good-word counts.
 
 With the defaults (n=4, 200 cases, words up to 12 letters) a run takes
-under 1 s with Python 3.11 on one core of a 2-vCPU x86-64 virtual
-machine; the n=5 example below takes about 1.8 s there and the n=6 one
-about 3 s.
+about 0.5 s with Python 3.11 on one core of a 2-vCPU x86-64 virtual
+machine; the n=5 example below takes about 1 s there and the n=6 one
+1.2-1.7 s.
 
 Examples:
     python scripts/character_sweep.py --n 5 --cases 100 --max-len 12

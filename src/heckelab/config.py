@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
-__all__ = ["Budgets", "BudgetError", "max_n", "set_max_n", "check_n", "DEFAULTS"]
+__all__ = ["Budgets", "BudgetError", "max_n", "set_max_n", "check_n",
+           "check_fixed", "DEFAULTS"]
 
 
 class BudgetError(ValueError):
@@ -59,3 +60,10 @@ def check_n(n: int, limit: int | None = None, what: str = "n") -> None:
         raise BudgetError(
             f"{what}={n} exceeds the size guard {cap}; raise it explicitly "
             "(HECKE_LAB_MAX_N or --max-n) if this is intentional")
+
+
+def check_fixed(n: int, name: str, what: str) -> None:
+    """Refuse n above DEFAULTS.<name>, a limit no setting moves."""
+    if n > (cap := getattr(DEFAULTS, name)):
+        raise BudgetError(f"{what}={n} exceeds the fixed limit {name}={cap}; "
+                          "HECKE_LAB_MAX_N and --max-n do not change it")

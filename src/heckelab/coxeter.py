@@ -351,9 +351,9 @@ _tables: dict = {}
 def perm_table(n: int) -> PermTable:
     """The shared complete table of S_n: (length, one-line) order, every
     entry filled, and `inv` (index -> index of the inverse permutation)."""
+    config.check_n(n)
     table = _tables.get(n)
     if table is None:
-        config.check_n(n)
         table = PermTable(n)
         for lw, w in sorted((length(w), w) for w in all_permutations(n)):
             table._add(w, lw)

@@ -39,8 +39,8 @@ All binary-word routes step through one up/down kernel per quotient
 table (the absolute dynamics is the table at J = {}); the tables serve
 only these routes and `parabolic_quotient`.  The fixed-point
 and good-word *counts* merge the paths that meet at the same state, so
-they cost O(k * |states|) per start for a word of length k, where a
-state is a quotient element or a pair (permutation, witness mask).
+they cost O(k * |states|) per orbit of the first letter, k the word's
+length and a state a quotient element or a (permutation, witness mask).
 `bin_set` and `good_words` keep only the states some word passes, so
 they cost O(k * (states + words found)) per start; `kappa` checks and
 projects one pair on indices in O(k + len(w)) steps.
@@ -432,8 +432,10 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 #
 # Every route below steps through the kernel `steps` of a quotient table;
 # the absolute dynamics on all of W is the table at J = {}.  Counts sweep
-# the word once per start and merge the paths that meet at the same state
-# (a transfer matrix), so a start costs at most k * |states| steps.  The
+# the word once per orbit {u, us} or {u} of the first letter s and merge
+# the paths that meet at the same state (a transfer matrix): u and us step
+# to the same up and down with the same witness bits, as
+# (us)s(us)^-1 = usu^-1, so one sweep is read at both.  The
 # count vector over the number of 1s rides in one int, `width` bits per
 # coefficient (Kronecker packing): a 1-bit shifts by `width`, and merging
 # two paths is an int add.  One start counts each word at most once and
@@ -482,11 +484,22 @@ def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length() + 1
 
 
-def _sweep(steps: list, sig: tuple, start: int, need: int,
+def _orbits(qt: _QuotientTable, sig: tuple) -> list:
+    """The orbits of the first letter s of sig on the states: pairs
+    (u, u.s) and fixed points (u,); each state alone for no letter."""
+    if not sig:
+        return [(u,) for u in range(len(qt.reps))]
+    return [(u,) if up == u else (u, up)
+            for u, (up, down, _) in enumerate(qt.steps[sig[0]]) if down == u]
+
+
+def _sweep(steps: list, sig: tuple, orbit: tuple, need: int,
            width: int) -> dict:
-    """Packed counts of the words whose composite returns to start, keyed
-    by the set of witness bits inside need that they collect."""
-    vec = {(start, 0): 1}
+    """Packed counts of the words whose composite returns to a start of
+    the orbit, keyed by (start, the set of witness bits inside need that
+    they collect).  The starts of an orbit of the first letter share its
+    step and witness bits, so one sweep from orbit[0] serves them all."""
+    vec = {(orbit[0], 0): 1}
     for s in sig:
         row = steps[s]
         nxt: dict = {}
@@ -499,7 +512,7 @@ def _sweep(steps: list, sig: tuple, start: int, need: int,
             key = (down, mask)
             nxt[key] = get(key, 0) + x
         vec = nxt
-    return {mask: x for (u, mask), x in vec.items() if u == start}
+    return {key: x for key, x in vec.items() if key[0] in orbit}
 
 
 def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
@@ -540,8 +553,8 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     sig = _word_indices(sigma, n)
     width = _count_width(len(sig), len(qt.reps))
     total = 0
-    for start in range(len(qt.reps)):
-        total += _sweep(qt.steps, sig, start, 0, width).get(0, 0)
+    for orbit in _orbits(qt, sig):
+        total += sum(_sweep(qt.steps, sig, orbit, 0, width).values())
     return from_q_coefficients(unpack_signed(total, width))
 
 
@@ -591,40 +604,39 @@ def good_words(w: Perm, sigma: Word, J) -> set:
 
 def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
     """Sum of q^(number of 1s) over all good pairs (w, b), w in S_n."""
-    jmask = _gen_mask(_check_j(n, J))
-    qt = _quotient_table(n, frozenset())
-    sig = _word_indices(sigma, n)
-    width = _count_width(len(sig), len(qt.reps))
-    total = 0
-    for start in range(len(qt.reps)):
-        need = qt.tbl.ldesc[start] & jmask
-        total += _sweep(qt.steps, sig, start, need, width).get(need, 0)
-    return from_q_coefficients(unpack_signed(total, width))
+    J = _check_j(n, J)
+    return _good_characters(sigma, n, [J])[J]
 
 
 def good_word_characters_all_j(sigma: Word, n: int) -> dict:
-    """The good-word character for every subset J at once.
+    """The good-word character for every subset J at once: {frozenset J:
+    LaurentQ}."""
+    return _good_characters(sigma, n, all_parabolic_subsets(n))
 
-    One sweep per starting permutation tracks witness bits for all its
-    left descents; each J then reads off the words whose witnessed set
-    covers its own descents.  Returns {frozenset J: LaurentQ}.
-    """
+
+def _good_characters(sigma: Word, n: int, Js: list) -> dict:
+    """{J: the good-word character} for J in Js.  One sweep per orbit of
+    the first letter tracks witness bits for the left descents of its
+    starts inside some J; each J then reads off the words whose witnessed
+    set covers a start's own descents in J."""
     qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
     width = _count_width(len(sig), len(qt.reps))
-    totals = {J: 0 for J in all_parabolic_subsets(n)}
+    totals = {J: 0 for J in Js}
     jmasks = [(J, _gen_mask(J)) for J in totals]
-    for start in range(len(qt.reps)):
-        desc = qt.tbl.ldesc[start]
-        counts = _sweep(qt.steps, sig, start, desc, width)
-        # many J share one need: sum the covering masks once per need
-        covering: dict = {}
-        for J, jmask in jmasks:
-            need = desc & jmask
-            if need not in covering:
-                covering[need] = sum(x for mask, x in counts.items()
-                                     if mask & need == need)
-            totals[J] += covering[need]
+    ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
+    for orbit in _orbits(qt, sig):
+        counts = _sweep(qt.steps, sig, orbit,
+                        (ldesc[orbit[0]] | ldesc[orbit[-1]]) & track, width)
+        for start in orbit:
+            mine = [(m, x) for (t, m), x in counts.items() if t == start]
+            # many J share one need: sum the covering masks once per need
+            covering: dict = {}
+            for J, jmask in jmasks:
+                need = ldesc[start] & jmask
+                if need not in covering:
+                    covering[need] = sum(x for m, x in mine if not need & ~m)
+                totals[J] += covering[need]
     return {J: from_q_coefficients(unpack_signed(x, width))
             for J, x in totals.items()}
 
@@ -639,7 +651,7 @@ def all_parabolic_subsets(n: int) -> list:
 
 def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
     """Validate that b is good for w; return b as ints, the path
-    w_0..w_k as perm_table indices, and the table."""
+    w_0..w_k as perm_table indices, the table and the mask of J."""
     qt, b, path, witnessed = _run(w, sigma, b, ())
     w, jmask = tuple(w), _gen_mask(_check_j(len(w), J))
     if path[-1] != path[0]:
@@ -648,7 +660,7 @@ def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
         raise ValueError(f"{b} is not good for {w}: descent "
                          f"{(missing & -missing).bit_length()} has no "
                          "witness step")
-    return b, path, qt.tbl
+    return b, path, qt.tbl, jmask
 
 
 def kappa(w: Perm, b, sigma: Word, J):
@@ -660,8 +672,8 @@ def kappa(w: Perm, b, sigma: Word, J):
     >>> kappa((4, 3, 1, 2), (1, 1), (1, 2), {1, 3})
     ((3, 4, 1, 2), (1, 1))
     """
-    b, path, tbl = _check_good(w, sigma, b, J)
-    u, jmask = path[0], _gen_mask(_check_j(len(w), J))
+    b, path, tbl, jmask = _check_good(w, sigma, b, J)
+    u = path[0]
     while d := tbl.ldesc[u] & jmask:   # strip the lowest descent in J
         u = tbl.lmult[u][(d & -d).bit_length() - 1]
     return tbl.perms[u], b
@@ -675,7 +687,7 @@ def derive_root_sequence(w: Perm, sigma: Word, b, J) -> tuple:
     one swapping the values at positions s_i, s_i + 1 of w_(i-1); the
     sequence of those t (as sorted pairs) is returned.
     """
-    b, path, tbl = _check_good(w, sigma, b, J)
+    b, path, tbl, _ = _check_good(w, sigma, b, J)
     out = []
     for i, (s, bit) in enumerate(zip(sigma, b)):
         if bit:

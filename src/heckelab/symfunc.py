@@ -274,7 +274,7 @@ class SymFunc(Terms):
         if target == self.basis:
             return self
         n = self.degree
-        config.check_n(n, config.DEFAULTS.symfunc_max_degree, what="degree")
+        config.check_fixed(n, "symfunc_max_degree", what="degree")
         rows, den, top = _basis_map(n, self.basis, target)
         polys = [c.c for c in self.coeffs.values()]
         # field i of a packed coefficient: its v^(lo + step i) term * scale
@@ -436,7 +436,7 @@ def immanant(chi_label, matrix) -> SymFunc:
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix is not square")
-    config.check_n(k, config.DEFAULTS.immanant_max_n, what="matrix size")
+    config.check_fixed(k, "immanant_max_n", what="matrix size")
     return _immanant(chi_label, matrix)
 
 

@@ -232,6 +232,22 @@ def test_perm_table_consistency():
         assert tbl.perms[tbl.inv[gi]] == inverse(w)
 
 
+def test_shared_perm_table_is_guarded_on_every_call(monkeypatch):
+    from heckelab import config
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    perm_table(5)
+    previous = config._override
+    config.set_max_n(4)
+    try:
+        with pytest.raises(config.BudgetError, match="n=5 exceeds the "
+                           "size guard 4"):
+            perm_table(5)
+        assert len(perm_table(4)) == 24
+    finally:
+        config.set_max_n(previous)
+    assert len(perm_table(5)) == 120
+
+
 def test_perm_table_matches_the_eager_oracle():
     for n in range(1, 8):
         tbl, ref = perm_table(n), eager_perm_table(n)

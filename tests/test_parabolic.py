@@ -609,6 +609,55 @@ def test_count_width_holds_binomial_coefficients():
                                          for j in range(k + 1)]), route
 
 
+def test_word_counts_match_dfs_and_trace_on_every_short_word():
+    # every word of up to 4 letters, the empty one included, and every J:
+    # first letters that fix every start (n=3, J={1,2}), some or none
+    for n in range(1, 5):
+        for k in range(5 if n > 1 else 1):
+            for sigma in product(range(1, n), repeat=k):
+                by_j = good_word_characters_all_j(sigma, n)
+                dfs_by_j = dfs_good_word_characters_all_j(sigma, n)
+                element = bott_samelson_product(sigma, n)
+                for J in all_parabolic_subsets(n):
+                    trace = induced_character(element, J)
+                    assert dfs_bott_samelson_character(sigma, J, n) == \
+                        dfs_by_j[J] == trace, (sigma, sorted(J))
+                    assert bott_samelson_character(sigma, J, n) == trace, \
+                        (sigma, sorted(J))
+                    assert good_word_character(sigma, J, n) == trace, \
+                        (sigma, sorted(J))
+                    assert by_j[J] == trace, (sigma, sorted(J))
+
+
+def test_one_sweep_per_orbit_of_the_first_letter(monkeypatch):
+    # s_1 pairs u with u s_1 (or fixes u) and both starts of a pair share
+    # their first step, so the counts sweep once per orbit: 60, not 120,
+    # on all of S_5, and once per start for the empty word
+    sweeps = []
+    sweep = parabolic._sweep
+    monkeypatch.setattr(parabolic, "_sweep",
+                        lambda *args: sweeps.append(args[2]) or sweep(*args))
+    sigma, empty = (2, 1, 3, 4, 2, 3), frozenset()
+    quot = parabolic_quotient(5, J13)
+    fixed = sum(dot_action(w, 2, quot) == w for w in quot.reps)
+    assert (len(quot), fixed) == (30, 6)
+    for count, expected in (
+            (lambda: bott_samelson_character(sigma, empty, 5), 60),
+            (lambda: good_word_character(sigma, J13, 5), 60),
+            (lambda: good_word_characters_all_j(sigma, 5), 60),
+            (lambda: bott_samelson_character((), empty, 5), 120),
+            (lambda: good_word_characters_all_j((), 5), 120),
+            # s_2 fixes 6 of the 30 cosets of W_{1,3} and pairs the rest
+            (lambda: bott_samelson_character(sigma, J13, 5), 6 + 12),
+            # one coset, fixed by every letter
+            (lambda: bott_samelson_character((1, 2), {1, 2}, 3), 1)):
+        sweeps.clear()
+        count()
+        assert len(sweeps) == expected, sweeps
+        starts = [t for orbit in sweeps for t in orbit]
+        assert sorted(starts) == list(range(len(starts)))
+
+
 def test_long_word_count_matches_trace():
     sigma = tuple(random.Random(30).choice((1, 2, 3, 4)) for _ in range(30))
     assert bott_samelson_character(sigma, frozenset(), 5) == \

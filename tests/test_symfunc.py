@@ -409,6 +409,23 @@ def test_budget_guard_on_conversions():
         f.to_basis("s")
 
 
+def test_fixed_guards_name_their_limit(monkeypatch):
+    # the degree and matrix-size limits follow neither HECKE_LAB_MAX_N nor
+    # --max-n, so their messages name the fixed limit and advise neither
+    from heckelab.config import BudgetError
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "20")
+    with pytest.raises(BudgetError) as exc:
+        SymFunc.basis_element("h", (13,)).to_basis("s")
+    assert str(exc.value) == (
+        "degree=13 exceeds the fixed limit symfunc_max_degree=12; "
+        "HECKE_LAB_MAX_N and --max-n do not change it")
+    with pytest.raises(BudgetError) as exc:
+        immanant((8,), [[1] * 8] * 8)
+    assert str(exc.value) == (
+        "matrix size=8 exceeds the fixed limit immanant_max_n=7; "
+        "HECKE_LAB_MAX_N and --max-n do not change it")
+
+
 @pytest.mark.parametrize("make", [
     lambda: check_partition((2.7, 1)),
     lambda: SymFunc("m", 3, {(2.7, 1): 1}),
