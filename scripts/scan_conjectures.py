@@ -7,9 +7,11 @@ Example:
     python scripts/scan_conjectures.py --kinds shifted-e --max-n 4
     python scripts/scan_conjectures.py --kinds shifted-e --min-n 6 --max-n 6
 
-The default run (n <= 5, all three kinds) takes under a second; the n=6
-shifted-e scan (720 permutations) about 3 s, on a 2-vCPU Xeon VM with
-Python 3.11.
+The default run (n <= 5, all three kinds) takes under a second.  The
+n=6 shifted-e scan (720 permutations, 230 class sums, one per symmetry
+orbit) reports 0.07-0.10 s, KL table included, over three runs on a
+2-vCPU Xeon VM with Python 3.11.7 (0.17-0.19 s with one class sum per
+permutation).
 """
 
 import argparse

@@ -28,7 +28,8 @@ from . import config
 
 __all__ = [
     "Perm", "Word",
-    "identity", "check_permutation", "multiply", "inverse", "length",
+    "identity", "check_permutation", "multiply", "inverse", "w0_conjugate",
+    "length",
     "apply_s_right", "apply_s_left",
     "left_inversions", "left_descents", "right_descents",
     "bruhat_leq", "rank_matrix", "reduced_word", "evaluate_word",
@@ -75,6 +76,16 @@ def inverse(w: Perm) -> Perm:
     for i, x in enumerate(w):
         out[x - 1] = i + 1
     return tuple(out)
+
+
+def w0_conjugate(w: Perm) -> Perm:
+    """w0 w w0, w0 the longest element: reverse positions and values.
+
+    >>> w0_conjugate((2, 3, 1, 4))
+    (1, 4, 2, 3)
+    """
+    n = len(w) + 1
+    return tuple(n - x for x in reversed(w))
 
 
 def length(w: Perm) -> int:
@@ -350,7 +361,8 @@ _tables: dict = {}
 
 def perm_table(n: int) -> PermTable:
     """The shared complete table of S_n: (length, one-line) order, every
-    entry filled, and `inv` (index -> index of the inverse permutation)."""
+    entry filled, `inv` (index -> index of the inverse permutation) and
+    `conj` (index -> index of its conjugate by w0)."""
     config.check_n(n)
     table = _tables.get(n)
     if table is None:
@@ -361,5 +373,6 @@ def perm_table(n: int) -> PermTable:
             table.left(x, s)
             table.right(x, s)
         table.inv = [table.index[inverse(w)] for w in table.perms]
+        table.conj = [table.index[w0_conjugate(w)] for w in table.perms]
         table = _tables.setdefault(n, table)
     return table

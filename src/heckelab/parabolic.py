@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, product
 
+from . import config
 from .coxeter import (
     Perm, Word, _ints, cycle_type, left_inversions, perm_table,
 )
@@ -147,9 +148,13 @@ class _QuotientTable:
             self.steps.append(row)
 
 
-@cache
+_quotient_tables = cache(_QuotientTable)
+
+
 def _quotient_table(n: int, J: frozenset) -> _QuotientTable:
-    return _QuotientTable(n, J)
+    """The shared table of (n, J), behind the rank guard on every call."""
+    config.check_n(n)
+    return _quotient_tables(n, J)
 
 
 def parabolic_quotient(n: int, J) -> ParabolicQuotient:

@@ -21,12 +21,13 @@ normal forms by polynomial gcd) and from the per-n linear map on the
 monomial basis over n! [n]_q! with one exact division per Schur
 coefficient (`map_llt_plethysm`), the q -> q+1 shift by the Pascal
 transform (`binomial_q_shift`), and the power-sum and determinantal
-forms of n! e_n and n! h_n (`newton_check`), and skew Schur functions
+forms of n! e_n and n! h_n (`newton_check`), skew Schur functions
 from the Jacobi-Trudi determinant expanded term by term
-(`direct_jacobi_trudi`).  The helpers only tests need live here too:
-right inversions and the weak order, transpositions and their left
-action, coset minima (`min_coset_rep`), Gauss numbers, class sizes and
-`z_matrix`.
+(`direct_jacobi_trudi`), and conjecture scans with one class sum per
+permutation (`per_w_conjecture_scan`).  The helpers only tests need
+live here too: right inversions and the weak order, transpositions and
+their left action, coset minima (`min_coset_rep`), Gauss numbers, class
+sizes and `z_matrix`.
 """
 
 import math
@@ -35,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
-from heckelab import config
+from heckelab import chromatic, config
 from heckelab.coxeter import (
     apply_s_left, apply_s_right, evaluate_word, inverse, left_descents,
     length, perm_table, right_descents,
@@ -48,8 +49,8 @@ from heckelab.laurentq import (
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import _young_trace, induced_character
 from heckelab.symfunc import (
-    SymFunc, _kostka, conjugate_partition, frobenius_character, immanant,
-    murnaghan_nakayama, omega, partitions, sign_partition, z_mu,
+    SymFunc, _h_chars, _kostka, conjugate_partition, frobenius_character,
+    immanant, murnaghan_nakayama, omega, partitions, sign_partition, z_mu,
 )
 
 
@@ -128,6 +129,7 @@ def eager_perm_table(n: int) -> SimpleNamespace:
         rmult=[[index[apply_s_right(w, i)] for i in range(1, n)]
                for w in perms],
         inv=[index[inverse(w)] for w in perms],
+        conj=[index[tuple(n + 1 - x for x in reversed(w))] for w in perms],
         ldesc=[sum(1 << t for t, sw in enumerate(row) if lengths[sw] < lw)
                for row, lw in zip(lmult, lengths)])
 
@@ -1191,6 +1193,21 @@ def _divide(num: list, den: list) -> list:
         raise ValueError(f"inexact division: {from_q_coefficients(num)} "
                          f"by {from_q_coefficients(den)}")
     return quot[::-1]
+
+
+def per_w_conjecture_scan(kind: str, n: int) -> list:
+    """`conjecture_scan` with its own class sum for every permutation,
+    reading the kernel through the module (so a test can replace it)."""
+    shifted, good, yes, no = chromatic._SCANS[kind]
+    ctx = kl_context(n)
+    cc = chromatic._llt_chars(n, True) if shifted else _h_chars(n)
+    rows = []
+    for w in perm_table(n).perms:
+        bad = [lam for lam, c in
+               chromatic._class_sum(cc, *ctx.terms(w)).items() if not good(c)]
+        rows.append(chromatic.ScanRow(
+            w, kind, not bad, no + chromatic._plist(bad) if bad else yes))
+    return rows
 
 
 def direct_jacobi_trudi(lam, mu=()) -> SymFunc:

@@ -29,7 +29,8 @@ import oracles
 from oracles import (
     LaurentFrac, all_coloring_sums, backtrack_coloring_sums,
     count_proper_colorings, frac_llt_plethysm, gauss_number,
-    map_llt_plethysm, monomials_of_shape, oracle_to_basis, plethysm_scale,
+    map_llt_plethysm, monomials_of_shape, oracle_to_basis,
+    per_w_conjecture_scan, plethysm_scale,
 )
 
 
@@ -390,6 +391,29 @@ def test_scan_rows_match_per_w_route(kind, monkeypatch):
     rows = conjecture_scan(kind, 4)
     assert rows == [_per_w_row(kind, w, -1) for w in perm_table(4).perms]
     assert (kind == "log-concavity") == all(r.ok for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["h-positivity", "log-concavity",
+                                  "shifted-e"])
+def test_scan_per_orbit_matches_per_w_oracle(kind, monkeypatch):
+    # one class sum per orbit of w -> w^-1, w0 w w0 gives the rows of one
+    # class sum per w, in the same order
+    for n in range(1, 7):
+        assert conjecture_scan(kind, n) == per_w_conjecture_scan(kind, n), n
+    # with the kernel negated, failing verdicts are shared the same way
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: {
+        lam: -c for lam, c in _class_sum(cc, zs, cs).items()})
+    assert conjecture_scan(kind, 5) == per_w_conjecture_scan(kind, 5)
+
+
+def test_scan_sums_once_per_orbit(monkeypatch):
+    sums = []
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: (
+        sums.append(1), _class_sum(cc, zs, cs))[1])
+    for n, orbits in ((4, 13), (5, 45), (6, 230)):
+        sums.clear()
+        assert len(conjecture_scan("h-positivity", n)) == math.factorial(n)
+        assert len(sums) == orbits, n
 
 
 @given(st.integers(min_value=2, max_value=80), st.data())

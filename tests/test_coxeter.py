@@ -8,7 +8,7 @@ from heckelab.coxeter import (
     avoids_patterns, bruhat_leq, check_hessenberg, codominant_from_hessenberg,
     cycle_type, evaluate_word, identity, inverse, left_descents,
     left_inversions, length, multiply, perm_table, reduced_word,
-    right_descents,
+    right_descents, w0_conjugate,
 )
 from oracles import (
     apply_transposition_left, eager_perm_table, subword_bruhat_leq,
@@ -230,6 +230,9 @@ def test_perm_table_consistency():
             assert tbl.perms[tbl.rmult[gi][s - 1]] == apply_s_right(w, s)
             assert tbl.perms[tbl.lmult[gi][s - 1]] == apply_s_left(w, s)
         assert tbl.perms[tbl.inv[gi]] == inverse(w)
+        w0 = tuple(range(4, 0, -1))
+        assert tbl.perms[tbl.conj[gi]] == w0_conjugate(w) == \
+            multiply(multiply(w0, w), w0)
 
 
 def test_shared_perm_table_is_guarded_on_every_call(monkeypatch):
@@ -252,7 +255,7 @@ def test_perm_table_matches_the_eager_oracle():
     for n in range(1, 8):
         tbl, ref = perm_table(n), eager_perm_table(n)
         for name in ("perms", "index", "lengths", "lmult", "rmult", "ldesc",
-                     "inv"):
+                     "inv", "conj"):
             assert getattr(tbl, name) == getattr(ref, name), (n, name)
         assert tbl.rdesc == [sum(1 << (i - 1) for i in right_descents(w))
                              for w in tbl.perms], n

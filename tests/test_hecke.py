@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from heckelab import config
 from heckelab.coxeter import (
     all_permutations, apply_s_right, avoids_patterns, bruhat_leq, identity,
-    length, perm_table, reduced_word, right_descents,
+    inverse, length, perm_table, reduced_word, right_descents,
 )
 from heckelab.hecke import (
     HeckeElement, KLContext, bott_samelson_product, kl_context,
@@ -182,6 +183,85 @@ def test_index_core_matches_tuple_oracle(n, total):
         assert B.terms == oracle.element(w).terms, w
         terms += len(B.terms)
     assert terms == total
+
+
+_oracle = cache(TupleKL)   # one memoized tuple oracle per n
+
+
+def _by_length(n):
+    return sorted(all_permutations(n), key=lambda u: (length(u), u))
+
+
+def _counting(ctx):
+    """ctx with its recursion counted in ctx.recursions."""
+    ctx.recursions, recurse = 0, ctx._recurse
+
+    def counted(w):
+        ctx.recursions += 1
+        return recurse(w)
+
+    ctx._recurse = counted
+    return ctx
+
+
+@pytest.mark.parametrize("order", ["length-lex", "reversed", "shuffled"])
+def test_relabeled_elements_match_tuple_oracle(order):
+    # an element is relabeled whenever an image under x -> x^-1, w0 x w0
+    # or w0 x^-1 w0 is held, which depends on the build order
+    for n in range(1, 7):
+        ws = _by_length(n)
+        if order == "reversed":
+            ws.reverse()
+        elif order == "shuffled":
+            random.Random(n).shuffle(ws)
+        ctx = _counting(KLContext(n))
+        for w in ws:
+            assert ctx.element(w).terms == _oracle(n).element(w).terms, w
+        assert len(ctx) == math.factorial(n)
+        assert ctx.recursions < len(ctx) or n < 3, n
+
+
+def test_full_table_recurses_once_per_orbit():
+    for n, orbits in ((4, 13), (5, 45), (6, 230)):
+        tbl = perm_table(n)
+        assert len({min(x, tbl.inv[x], tbl.conj[x], tbl.conj[tbl.inv[x]])
+                    for x in range(len(tbl))}) == orbits
+        ctx = _counting(KLContext(n))
+        for w in _by_length(n):
+            ctx.element(w)
+        assert ctx.recursions == orbits, n
+
+
+def test_relabeled_from_a_cache_of_the_inverse_only():
+    # a loaded B_{w^-1} alone gives B_w with no recursion and no other
+    # element built
+    def name(u):
+        return ",".join(map(str, u))
+
+    for n in (4, 5):
+        full = KLContext(n)
+        for w in _by_length(n):
+            full.element(w)
+        data = full.to_json()
+        for w in all_permutations(n):
+            if inverse(w) == w:
+                continue
+            ctx = _counting(KLContext(n))
+            ctx.load_json(dict(data, elements={
+                name(inverse(w)): data["elements"][name(inverse(w))]}))
+            assert ctx.element(w).terms == _oracle(n).element(w).terms, w
+            assert ctx.recursions == 0 and len(ctx) == 2, w
+
+
+def test_relabeled_element_is_checked():
+    ctx = KLContext(4)
+    u, w = (3, 1, 4, 2), (2, 4, 1, 3)   # w = u^-1
+    src = ctx._get(ctx._index(u))
+    src[ctx._index(E4)] = ctx._intern(1 + (1 << 30))
+    held = len(ctx)
+    with pytest.raises(AssertionError, match="range fails"):
+        ctx.element(w)
+    assert len(ctx) == held   # the relabeled copy is refused, not stored
 
 
 def test_cold_point_query_matches_full_table():

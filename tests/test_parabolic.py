@@ -366,6 +366,33 @@ def test_kappa_keeps_its_error_messages():
         kappa((1, 2, 4, 3), (0, 0), SIGMA, J13)
 
 
+def test_quotient_tables_are_guarded_on_every_call(monkeypatch):
+    # the shared quotient tables existed before the guard was lowered, and
+    # they still answered at n=5 until the guard was checked on every call
+    from heckelab import config
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    e = identity(5)
+    calls = [lambda: bott_samelson_character((1, 2, 3, 4), (), 5),
+             lambda: good_word_character((1, 2), {1}, 5),
+             lambda: good_word_characters_all_j((1, 2), 5),
+             lambda: bin_set(e, (1, 2), {3}, 5),
+             lambda: kappa(e, (0, 0), (1, 2), {1})]
+    before = [f() for f in calls]
+    assert str(before[1]) == "13+46q+13q^2"
+    previous = config._override
+    config.set_max_n(4)
+    try:
+        for f in calls:
+            with pytest.raises(config.BudgetError) as exc:
+                f()
+            assert str(exc.value) == (
+                "n=5 exceeds the size guard 4; raise it explicitly "
+                "(HECKE_LAB_MAX_N or --max-n) if this is intentional")
+    finally:
+        config.set_max_n(previous)
+    assert [f() for f in calls] == before
+
+
 def test_binary_words_are_checked():
     e, empty = (1, 2, 3), frozenset()
     for b in ((0, 1), ()):
