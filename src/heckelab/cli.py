@@ -165,7 +165,6 @@ def run_kl_poly(args, parser) -> str:
         parser.error(f"size mismatch: |u|={len(u)} but |w|={len(w)}")
     if args.n is not None and args.n != len(w):
         parser.error(f"--n {args.n} does not match the literals (n={len(w)})")
-    config.check_n(len(w))
     ctx = _load_kl_cache(args.cache_dir, len(w))
     p = ctx.polynomial(u, w)
     _save_kl_cache(args.cache_dir, len(w))
@@ -174,7 +173,6 @@ def run_kl_poly(args, parser) -> str:
 
 def run_kl_basis(args, parser) -> str:
     n = len(args.w)
-    config.check_n(n)
     ctx = _load_kl_cache(args.cache_dir, n)
     elem = ctx.element(args.w)
     _save_kl_cache(args.cache_dir, n)
@@ -245,7 +243,6 @@ def run_good_words(args, parser) -> str:
 
 def run_frobenius(args, parser) -> str:
     n = len(args.w)
-    config.check_n(n)
     if args.of == "kl":
         ctx = _load_kl_cache(args.cache_dir, n)
         elem = ctx.element(args.w)
@@ -278,7 +275,6 @@ def run_llt(args, parser) -> str:
         parser.error("provide exactly one of --w (plethysm route) or "
                      "--m (direct coloring route)")
     if args.w is not None:
-        config.check_n(len(args.w))
         f = llt_plethysm(args.w)
     else:
         f = llt_direct(args.m)

@@ -176,7 +176,8 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 # So chi(T_z) = sum_mu f_{z,mu} chi(T_{w_mu}) with integer class
 # polynomials f_{z,mu}, w_mu the product of the Coxeter elements of the
 # blocks of the cycle type mu; `_classes` records which reduction gives
-# each class, and the characters follow it without forming f.
+# each class, and the characters follow it without forming f: every class
+# is filled once, when the kernel is built, and shorter classes first.
 #
 # ch(T_z) = sum_lam c_lam(T_z) m_lam follows the same rule, and so does any
 # Z[q]-linear image of it: the h-expansion, or the LLT image
@@ -187,8 +188,8 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 # L(a) = sum_c c * sum_{z : a_z = c} L(T_z) each class's L(T_z) is one int
 # over all lam, the T-terms are summed per coefficient (KL views share one
 # LaurentQ per polynomial) at one int add each, and each sum is multiplied
-# by its coefficient once, by shift-adds (Kronecker substitution; Harvey,
-# J. Symbolic Comput. 44, 2009).
+# by its coefficient once, by shift-adds, at one field width per sum
+# (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
 
 @cache
 def _classes(n: int) -> tuple:
@@ -264,10 +265,6 @@ def _young_trace(content: tuple, mu: tuple) -> LaurentQ:
     return out
 
 
-class _Narrow(Exception):
-    """A class image does not fit the field width of a sum."""
-
-
 class _ClassChars:
     """The packed images L(T_z) of the cyclic-shift classes of S_n under a
     Z[q]-linear map L given as data: `seeds`, {mu: {lam: L(T_{w_mu}) at
@@ -278,71 +275,64 @@ class _ClassChars:
 
     Field k * m + i of an int holds the q^k coefficient at lams[i], the m
     partitions in descending lexicographic order: times q is a shift by m
-    fields, and an int is as long as its degree.  A class of minimal
-    length packs its seed; any other is A x_sys + B x_sy, filled on first
-    use at a width.
-
-    Its fields are at most mtop, the largest |coefficient| of a seed, or
-    |A| tops[sys] + |B| tops[sy], |.| the sum of |coefficients| and
-    tops[k] the largest |field| of class k, read off as it is filled
-    (before the class is kept, so a kept class is never missing from
-    max(tops)).  A class whose bound reaches 2^(width-1) is not kept:
-    `width` goes up and _Narrow is raised.
+    fields, and an int is as long as its degree.  Every class is filled
+    once, at construction and in table order: a class of minimal length
+    packs its seed, any other is A x_sys + B x_sy of two shorter classes.
+    Its fields are at most the largest |coefficient| of its seed, or
+    |A| top(sys) + |B| top(sy), |.| the sum of |coefficients| and top(k)
+    the largest |field| of class k as filled; when that bound reaches
+    2^(width-1) the fill starts over at the width the bound needs.  The
+    fill's `width`, `top` (the largest |field| of any class) and the ints
+    never change; `packs` {width: ints} also keeps what `at` repacks.
     """
 
     def __init__(self, n: int, seeds: dict | None = None,
                  rule: tuple = ((0, 1), (-1, 1)), coeff=None):
-        self.cls, self.rules, types = _classes(n)
+        self.cls, rules, types = _classes(n)
         self.index = perm_table(n).index
         self.lams = sorted(types, reverse=True)
         self.seeds = seeds if seeds is not None else {
             mu: {lam: _young_trace(lam, mu) for lam in self.lams}
             for mu in types}
-        self.mtop = max((abs(c) for seed in self.seeds.values()
-                         for g in seed.values() for c in g.c.values()),
-                        default=0)
-        self.rule, self.norms = rule, [sum(map(abs, r)) for r in rule]
         self.coeff = coeff
-        self.tops = [0] * len(self.rules)
-        self.width, self.packs = 32, {}
+        self.width, ints, tops = self._fill(rules, rule, 32)
+        self.top, self.packs = max(tops), {self.width: ints}
 
-    def pack(self, width: int) -> list:
-        """The class ints at one width, None until filled."""
-        return self.packs.setdefault(width, [None] * len(self.rules))
+    def _fill(self, rules: list, rule: tuple, width: int) -> tuple:
+        """(width, ints, tops) of every class, filled at `width` or at the
+        width the first class that does not fit needs."""
+        m = len(self.lams)
+        a, b = ([(j * m * width, c) for j, c in enumerate(r) if c]
+                for r in rule)   # times q^j is a shift by j * m fields
+        na, nb = (sum(map(abs, r)) for r in rule)
+        ints, tops = [], []
+        for sys_, sy in rules:
+            if sys_ < 0:
+                fields = [(e // 2 * m + i, c)
+                          for i, lam in enumerate(self.lams)
+                          for e, c in self.seeds[sy].get(lam, ZERO).c.items()]
+                x = pack_signed(fields, width)
+                bound = max((abs(c) for _, c in fields), default=0)
+            else:
+                x = (sum(c * ints[sys_] << j for j, c in a)
+                     + sum(c * ints[sy] << j for j, c in b))
+                bound = na * tops[sys_] + nb * tops[sy]
+            if bound >> width - 1:
+                return self._fill(rules, rule, signed_width(bound))
+            ints.append(x)
+            row = unpack_signed(x, width) or [0]
+            tops.append(max(max(row), -min(row)))
+        return width, ints, tops
 
-    def fill(self, k: int, width: int) -> int:
-        ints, m = self.pack(width), len(self.lams)
-        sys_, sy = self.rules[k]
-        if sys_ < 0:
-            seed = self.seeds[sy]
-            x, bound = pack_signed(((e // 2 * m + i, c)
-                                    for i, lam in enumerate(self.lams)
-                                    for e, c in seed.get(lam, ZERO).c.items()),
-                                   width), self.mtop
-        else:
-            x1 = ints[sys_] or self.fill(sys_, width)
-            x2 = ints[sy] or self.fill(sy, width)
-            a, b = (pack_signed(((j * m, c) for j, c in enumerate(r)), width)
-                    for r in self.rule)
-            x = a * x1 + b * x2
-            bound = (self.norms[0] * self.tops[sys_]
-                     + self.norms[1] * self.tops[sy])
-        if bound >> width - 1:
-            self.width = max(self.width, signed_width(bound))
-            raise _Narrow
-        self.tops[k] = max(map(abs, unpack_signed(x, width)))
-        ints[k] = x
-        return x
-
-    def total(self, ks: list, width: int) -> int:
-        """The sum of the ints of the classes ks at one width."""
-        ints = self.pack(width)
-        try:
-            return sum(map(ints.__getitem__, ks))
-        except TypeError:   # a class not filled at this width yet
-            for k in ks:
-                ints[k] or self.fill(k, width)
-            return self.total(ks, width)
+    def at(self, width: int) -> list:
+        """The class ints at `width`, no less than the fill's: repacked
+        from the fill on first use."""
+        ints = self.packs.get(width)
+        if ints is None:
+            ints = self.packs[width] = [
+                pack_signed(enumerate(unpack_signed(x, self.width)), width)
+                for x in self.packs[self.width]]
+        return ints
 
 
 _class_chars = cache(_ClassChars)
@@ -360,9 +350,9 @@ def _class_sum(cc: _ClassChars, ws, cs) -> dict:
     nonnegative v-exponents (from lo, the least one) and cleared of
     denominators (times scale), and S_c times each of its terms goes into
     one accumulator per v-parity.  A field of an accumulator is at most
-    max(tops) * sum_c terms(c) l1(c * scale), l1 the sum of
-    |coefficients|: below 2^(width-1) every field is exact; otherwise the
-    sum is redone wider.
+    cc.top * sum_c terms(c) l1(c * scale), l1 the sum of |coefficients|,
+    so the sum runs at the least width that holds this bound and the
+    classes, chosen once, and every field is exact.
     """
     cs, m = list(cs), len(cc.lams)
     ids = list(map(id, cs))
@@ -382,16 +372,9 @@ def _class_sum(cc: _ClassChars, ws, cs) -> dict:
     terms = [(ks, [(e - lo, int(x * scale)) for e, x in key])
              for key, ks in groups.items()]
     mass = sum(len(ks) * sum(abs(x) for _, x in c) for ks, c in terms)
-    width = cc.width
-    while True:
-        try:
-            sums = [cc.total(ks, width) for ks, _ in terms]
-        except _Narrow:
-            width = cc.width
-            continue
-        if (bound := max(cc.tops) * mass) < 1 << width - 1:
-            break
-        width = signed_width(bound)
+    width = max(cc.width, signed_width(cc.top * mass))
+    ints = cc.at(width)
+    sums = [sum(map(ints.__getitem__, ks)) for ks, _ in terms]
     accs: dict = {}
     for s, (_, c) in zip(sums, terms):
         for e, x in c:

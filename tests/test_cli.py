@@ -171,6 +171,25 @@ def test_budget_guard_exit_code(capsys):
     assert "size guard" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "kl-poly --u 123456789 --w 213456789",
+    "kl-basis --w 213456789",
+    "frobenius --w 213456789",
+    "frobenius --w 213456789 --of t --basis h",
+    "llt --w 213456789",
+])
+def test_rank_guard_comes_from_the_first_library_call(capsys, monkeypatch,
+                                                      argv):
+    # these verbs leave the guard to the KL context, the class kernel or
+    # the LLT route, which each check it before any work
+    from heckelab import coxeter, hecke
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    assert run(capsys, *argv.split()) == (
+        2, "", "heckelab: n=9 exceeds the size guard 8; raise it explicitly "
+        "(HECKE_LAB_MAX_N or --max-n) if this is intentional\n")
+    assert 9 not in hecke._contexts and 9 not in coxeter._tables
+
+
 def test_budgets_are_an_immutable_record():
     from heckelab.config import DEFAULTS, Budgets
     assert DEFAULTS == Budgets() == Budgets(8, 7, 12, 7)

@@ -25,7 +25,7 @@ from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
     q_power
 from heckelab import cli, parabolic
 from heckelab.parabolic import (
-    _ClassChars, _class_chars, _young_characters, _young_type,
+    _ClassChars, _class_chars, _classes, _young_characters, _young_type,
     all_parabolic_subsets, bin_set,
     bott_samelson_character, derive_root_sequence, good_word_character,
     good_word_characters_all_j, good_words, induced_character,
@@ -870,29 +870,30 @@ def test_class_sums_are_exact_on_any_coefficients():
 
 
 def test_class_too_wide_for_the_fields_widens_the_sum(monkeypatch):
-    # with a trace bound of 2^40 no class fits 32-bit fields: the fill
-    # refuses, the width goes up and the sum is redone
-    cc = _ClassChars(5)
-    cc.mtop = 2 ** 40
+    # with seeds of 2^40 times the Young traces no class fits 32-bit
+    # fields: the fill starts over at 64 bits, and the sums run there
+    seeds = {mu: {lam: c * 2 ** 40 for lam, c in seed.items()}
+             for mu, seed in _class_chars(5).seeds.items()}
+    cc = _ClassChars(5, seeds)
     monkeypatch.setattr(parabolic, "_class_chars", lambda n: cc)
     ctx = kl_context(5)
     for w in perm_table(5).perms[::7]:
         assert _young_characters(ctx.element(w)) == \
-            _mac_chars(ctx.element(w)), w
-    assert cc.width == 64 and set(cc.packs) == {32, 64}
-    assert all(x is None for x in cc.packs[32])
-    # a class of the form q x_sys + (q-1) x_sy is bounded by the measured
-    # largest fields of the two classes it comes from
-    cc = _ClassChars(5)
-    k = next(k for k, (a, b) in enumerate(cc.rules) if a >= 0)
-    a, b = cc.rules[k]
-    cc.fill(a, 32), cc.fill(b, 32)
-    cc.tops[a], cc.tops[b] = 2 ** 30 - 1, 2 ** 29   # 2^31 - 1 still fits
-    assert cc.fill(k, 32) == cc.packs[32][k] and cc.width == 32
-    cc.packs[32][k], cc.tops[a] = None, 2 ** 30
-    with pytest.raises(parabolic._Narrow):
-        cc.fill(k, 32)
-    assert cc.width == 64 and cc.packs[32][k] is None
+            _mac_chars(ctx.element(w).scale(2 ** 40)), w
+    assert cc.width == 64 and set(cc.packs) == {64}
+    # the longest class of S_3 is q x_sys + (q-1) x_sy, sys of type (2,1)
+    # and sy of type (3): its bound is top(sys) + 2 top(sy) from the
+    # measured largest fields of the two, not its own fields (at most
+    # 2^30 + 2^29 here)
+    assert _classes(3)[1][-1] == (1, 3)
+
+    def kernel(top_sys):
+        return _ClassChars(3, {(1, 1, 1): {},
+                               (2, 1): {(3,): LaurentQ({0: top_sys})},
+                               (3,): {(3,): LaurentQ({0: 2 ** 29})}})
+
+    assert (kernel(2 ** 30 - 1).width, kernel(2 ** 30).width) == (32, 64)
+    assert kernel(2 ** 30).top < 2 ** 31
 
 
 def test_induced_characters_repeated_and_every_j():
@@ -908,9 +909,9 @@ def test_induced_characters_repeated_and_every_j():
 
 
 def test_class_sums_from_many_threads(monkeypatch):
-    # the class ints, their largest fields and the width are filled
-    # lazily on a shared object: threads racing through the same classes
-    # must still get exact sums
+    # the class ints are fixed at construction, and the only shared state
+    # left is the cache of ints repacked wider (`at`): threads racing to
+    # repack must still get exact sums
     cc = _ClassChars(6)
     monkeypatch.setattr(parabolic, "_class_chars", lambda n: cc)
     ctx = kl_context(6)
