@@ -38,9 +38,11 @@ fixed-point pairs.  Good pairs also carry a sequence of positive roots
 All binary-word routes step through one up/down kernel per quotient
 table (the absolute dynamics is the table at J = {}); the tables serve
 only these routes and `parabolic_quotient`.  The fixed-point
-and good-word *counts* merge the paths that meet at the same state, so
-they cost O(k * |states|) per orbit of the first letter, k the word's
-length and a state a quotient element or a (permutation, witness mask).
+and good-word *counts* merge the paths that meet at the same state and
+sweep a chunk of orbits of the first letter at once, each orbit's
+counts in its own block of every state's int: O(k * |states|) shift-adds
+per chunk, k the word's length and a state a quotient element or a
+(permutation, witness mask) that some orbit of the chunk reaches.
 `bin_set` and `good_words` keep only the states some word passes, so
 they cost O(k * (states + words found)) per start; `kappa` checks and
 projects one pair on indices in O(k + len(w)) steps.
@@ -419,19 +421,26 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 # -- binary words --------------------------------------------------------------
 #
 # Every route below steps through the kernel `steps` of a quotient table;
-# the absolute dynamics on all of W is the table at J = {}.  Counts sweep
-# the word once per orbit {u, us} or {u} of the first letter s and merge
+# the absolute dynamics on all of W is the table at J = {}.  Counts follow
+# each orbit {u, us} or {u} of the first letter s from one start and merge
 # the paths that meet at the same state (a transfer matrix): u and us step
 # to the same up and down with the same witness bits, as
 # (us)s(us)^-1 = usu^-1, so one sweep is read at both.  The
 # count vector over the number of 1s rides in one int, `width` bits per
 # coefficient (Kronecker packing): a 1-bit shifts by `width`, and merging
-# two paths is an int add.  One start counts each word at most once and
-# there are binom(k, e) words with e ones, so over m starts every
+# two paths is an int add.  A sweep carries a chunk of orbits: orbit p
+# starts as 1 << p * F, F = (k + 1) * width, so each state's int holds
+# every orbit's vector in its own block, and the orbits share the steps
+# at the states they all reach.  One start counts each word at most once
+# and there are binom(k, e) words with e ones, so over m starts every
 # coefficient is at most m * binom(k, k // 2); `width` is the bit length
-# of that bound plus a sign bit (`unpack_signed` reads signed fields), and
-# no field carries into the next.  The bound is reached (n = 3,
-# J = {1, 2}), so one bit less would read it as negative.
+# of that bound for all the quotient's starts plus a sign bit
+# (`unpack_signed` reads signed fields), so no field carries into the
+# next, nor a block into the next, and blocks add straight into the
+# total.  The bound is reached (n = 3, J = {1, 2}), so one bit less would
+# read it as negative.  Blocks as narrow as one orbit's 2 starts fit more
+# orbits into a chunk, but each must then be unpacked before the sum,
+# which cost more than it saved on the n = 5 words of the benchmark.
 # Enumeration keeps only the states from which some word returns, so a
 # start costs O(k * (states + words found)).
 
@@ -472,6 +481,10 @@ def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length() + 1
 
 
+# a chunk's int size in bits: fastest overall in BENCH_word_packing.json
+BITS = 4096
+
+
 def _orbits(qt: _QuotientTable, sig: tuple) -> list:
     """The orbits of the first letter s of sig on the states: pairs
     (u, u.s) and fixed points (u,); each state alone for no letter."""
@@ -481,26 +494,50 @@ def _orbits(qt: _QuotientTable, sig: tuple) -> list:
             for u, (up, down, _) in enumerate(qt.steps[sig[0]]) if down == u]
 
 
-def _sweep(steps: list, sig: tuple, orbit: tuple, need: int,
-           width: int) -> dict:
-    """Packed counts of the words whose composite returns to a start of
-    the orbit, keyed by (start, the set of witness bits inside need that
-    they collect).  The starts of an orbit of the first letter share its
-    step and witness bits, so one sweep from orbit[0] serves them all."""
-    vec = {(orbit[0], 0): 1}
+def _sweeps(qt: _QuotientTable, sig: tuple, orbits: list, need: int,
+            width: int):
+    """(orbit, its counts) for each of the orbits, all with the same need,
+    swept BITS // F orbits at a time (at least one)."""
+    size = max(1, BITS // ((len(sig) + 1) * width))
+    for i in range(0, len(orbits), size):
+        chunk = orbits[i:i + size]
+        yield from zip(chunk, _sweep(qt, sig, chunk, need, width))
+
+
+def _sweep(qt: _QuotientTable, sig: tuple, chunk: list, need: int,
+           width: int) -> list:
+    """For each orbit of the chunk, the packed counts of the words whose
+    composite returns to a start of the orbit, keyed by (start, the set of
+    witness bits inside need that they collect).  The starts of an orbit
+    of the first letter share its step and witness bits, so one sweep
+    from orbit[0] serves them all; orbit p rides in block p, the fields
+    p * F .. p * F + F - 1 of each state's int, F = (k + 1) * width."""
+    shift, block = need.bit_length(), (len(sig) + 1) * width
+    low = (1 << shift) - 1
+    # the state (u, mask) is the int u << shift | mask, as mask lies in need
+    vec = {orbit[0] << shift: 1 << p * block for p, orbit in enumerate(chunk)}
     for s in sig:
-        row = steps[s]
-        nxt: dict = {}
+        row, nxt = qt.steps[s], {}
         get = nxt.get
-        for (u, mask), x in vec.items():
-            up, down, wit = row[u]
-            mask |= wit & need
-            key = (up, mask)
-            nxt[key] = get(key, 0) + (x << width)
-            key = (down, mask)
-            nxt[key] = get(key, 0) + x
+        if not need:   # every mask is 0 and a state is u
+            for u, x in vec.items():
+                up, down, _ = row[u]
+                nxt[up] = get(up, 0) + (x << width)
+                nxt[down] = get(down, 0) + x
+        else:
+            for key, x in vec.items():
+                up, down, wit = row[key >> shift]
+                mask = key & low | wit & need
+                key = up << shift | mask
+                nxt[key] = get(key, 0) + (x << width)
+                key = down << shift | mask
+                nxt[key] = get(key, 0) + x
         vec = nxt
-    return {key: x for key, x in vec.items() if key[0] in orbit}
+    subs = [m for m in range(need + 1) if not m & ~need]
+    full = (1 << block) - 1
+    return [{(t, m): y for t in orbit for m in subs
+             if (y := vec.get(t << shift | m, 0) >> p * block & full)}
+            for p, orbit in enumerate(chunk)]
 
 
 def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
@@ -535,14 +572,18 @@ def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
 def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     """c_J of the product (1+T_{s_1})...(1+T_{s_k}), by counting binary
     words fixing each quotient element under the up/down composites,
-    weighted by q^(number of 1s)."""
+    weighted by q^(number of 1s).
+
+    >>> bott_samelson_character((1, 2), {1, 3}, 4)
+    LaurentQ({0: 2, 2: 6, 4: 2})
+    """
     J = _check_j(n, J)
     qt = _quotient_table(n, J)
     sig = _word_indices(sigma, n)
     width = _count_width(len(sig), len(qt.reps))
     total = 0
-    for orbit in _orbits(qt, sig):
-        total += sum(_sweep(qt.steps, sig, orbit, 0, width).values())
+    for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
+        total += sum(counts.values())
     return from_q_coefficients(unpack_signed(total, width))
 
 
@@ -603,28 +644,33 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
 
 
 def _good_characters(sigma: Word, n: int, Js: list) -> dict:
-    """{J: the good-word character} for J in Js.  One sweep per orbit of
-    the first letter tracks witness bits for the left descents of its
-    starts inside some J; each J then reads off the words whose witnessed
-    set covers a start's own descents in J."""
+    """{J: the good-word character} for J in Js.  The orbits of the first
+    letter are swept in groups of one need, the left descents of their
+    starts inside some J, whose witness bits the sweep tracks; each J
+    then reads off the words whose witnessed set covers a start's own
+    descents in J."""
     qt = _quotient_table(n, frozenset())
     sig = _word_indices(sigma, n)
     width = _count_width(len(sig), len(qt.reps))
     totals = {J: 0 for J in Js}
     jmasks = [(J, _gen_mask(J)) for J in totals]
     ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
+    groups: dict = {}
     for orbit in _orbits(qt, sig):
-        counts = _sweep(qt.steps, sig, orbit,
-                        (ldesc[orbit[0]] | ldesc[orbit[-1]]) & track, width)
-        for start in orbit:
-            mine = [(m, x) for (t, m), x in counts.items() if t == start]
-            # many J share one need: sum the covering masks once per need
-            covering: dict = {}
-            for J, jmask in jmasks:
-                need = ldesc[start] & jmask
-                if need not in covering:
-                    covering[need] = sum(x for m, x in mine if not need & ~m)
-                totals[J] += covering[need]
+        groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,
+                          []).append(orbit)
+    for need, orbits in groups.items():
+        for orbit, counts in _sweeps(qt, sig, orbits, need, width):
+            for start in orbit:
+                mine = [(m, x) for (t, m), x in counts.items() if t == start]
+                # many J share one descent set: sum the covering masks once
+                covering: dict = {}
+                for J, jmask in jmasks:
+                    own = ldesc[start] & jmask
+                    if own not in covering:
+                        covering[own] = sum(x for m, x in mine
+                                            if not own & ~m)
+                    totals[J] += covering[own]
     return {J: from_q_coefficients(unpack_signed(x, width))
             for J, x in totals.items()}
 

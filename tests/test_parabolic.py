@@ -656,33 +656,89 @@ def test_word_counts_match_dfs_and_trace_on_every_short_word():
                     assert by_j[J] == trace, (sigma, sorted(J))
 
 
+def _record_chunks(monkeypatch) -> list:
+    """Patch the count kernel to log (chunk, the most orbits a chunk may
+    hold at the BITS of the call) for every sweep."""
+    chunks = []
+    sweep = parabolic._sweep
+
+    def record(qt, sig, chunk, need, width):
+        most = max(1, parabolic.BITS // ((len(sig) + 1) * width))
+        chunks.append((chunk, most))
+        return sweep(qt, sig, chunk, need, width)
+
+    monkeypatch.setattr(parabolic, "_sweep", record)
+    return chunks
+
+
 def test_one_sweep_per_orbit_of_the_first_letter(monkeypatch):
     # s_1 pairs u with u s_1 (or fixes u) and both starts of a pair share
-    # their first step, so the counts sweep once per orbit: 60, not 120,
-    # on all of S_5, and once per start for the empty word
-    sweeps = []
-    sweep = parabolic._sweep
-    monkeypatch.setattr(parabolic, "_sweep",
-                        lambda *args: sweeps.append(args[2]) or sweep(*args))
+    # their first step, so the counts sweep each orbit once: 60 orbits,
+    # not 120 starts, on all of S_5, and each start alone for the empty
+    # word; the orbits ride in chunks of at most BITS // F
+    chunks = _record_chunks(monkeypatch)
     sigma, empty = (2, 1, 3, 4, 2, 3), frozenset()
     quot = parabolic_quotient(5, J13)
     fixed = sum(dot_action(w, 2, quot) == w for w in quot.reps)
     assert (len(quot), fixed) == (30, 6)
-    for count, expected in (
-            (lambda: bott_samelson_character(sigma, empty, 5), 60),
-            (lambda: good_word_character(sigma, J13, 5), 60),
-            (lambda: good_word_characters_all_j(sigma, 5), 60),
-            (lambda: bott_samelson_character((), empty, 5), 120),
-            (lambda: good_word_characters_all_j((), 5), 120),
-            # s_2 fixes 6 of the 30 cosets of W_{1,3} and pairs the rest
-            (lambda: bott_samelson_character(sigma, J13, 5), 6 + 12),
-            # one coset, fixed by every letter
-            (lambda: bott_samelson_character((1, 2), {1, 2}, 3), 1)):
-        sweeps.clear()
-        count()
-        assert len(sweeps) == expected, sweeps
-        starts = [t for orbit in sweeps for t in orbit]
-        assert sorted(starts) == list(range(len(starts)))
+    for bits in (parabolic.BITS, 1000, 1):
+        monkeypatch.setattr(parabolic, "BITS", bits)
+        for count, expected in (
+                (lambda: bott_samelson_character(sigma, empty, 5), 60),
+                (lambda: good_word_character(sigma, J13, 5), 60),
+                (lambda: good_word_characters_all_j(sigma, 5), 60),
+                (lambda: bott_samelson_character((), empty, 5), 120),
+                (lambda: good_word_characters_all_j((), 5), 120),
+                # s_2 fixes 6 of the 30 cosets of W_{1,3} and pairs the rest
+                (lambda: bott_samelson_character(sigma, J13, 5), 6 + 12),
+                # one coset, fixed by every letter
+                (lambda: bott_samelson_character((1, 2), {1, 2}, 3), 1)):
+            chunks.clear()
+            count()
+            orbits = [orbit for chunk, _ in chunks for orbit in chunk]
+            assert len(orbits) == expected, (bits, chunks)
+            starts = [t for orbit in orbits for t in orbit]
+            assert sorted(starts) == list(range(len(starts))), bits
+            assert all(1 <= len(chunk) <= most for chunk, most in chunks)
+            if bits == 1:
+                assert len(chunks) == expected
+
+
+def test_word_counts_match_the_oracles_across_chunks(monkeypatch):
+    # one orbit per chunk (BITS = 1), and chunks of a few orbits that end
+    # inside the orbit list of S_5 and S_6, read at blocks p > 0
+    chunks = _record_chunks(monkeypatch)
+    rng = random.Random(22)
+    words = [(n, tuple(rng.randint(1, n - 1) for _ in range(k)))
+             for n, k in ((2, 3), (3, 6), (4, 8), (5, 7), (5, 10))]
+    long_word = tuple(rng.randint(1, 5) for _ in range(12))
+    long_trace = induced_character(bott_samelson_product(long_word, 6),
+                                   frozenset())
+    for bits in (1, 1500):
+        monkeypatch.setattr(parabolic, "BITS", bits)
+        chunks.clear()
+        for n, sigma in words:
+            element = bott_samelson_product(sigma, n)
+            by_j = good_word_characters_all_j(sigma, n)
+            dfs_by_j = dfs_good_word_characters_all_j(sigma, n)
+            for J in all_parabolic_subsets(n):
+                trace = induced_character(element, J)
+                assert bott_samelson_character(sigma, J, n) == trace == \
+                    dfs_bott_samelson_character(sigma, J, n), (sigma, J)
+                assert good_word_character(sigma, J, n) == by_j[J] == \
+                    dfs_by_j[J] == trace, (sigma, sorted(J))
+        # a chunk holds 2-start orbits and fixed points (J != {})
+        assert any(len({len(orbit) for orbit in chunk}) == 2
+                   for chunk, _ in chunks) == (bits > 1)
+        chunks.clear()
+        assert bott_samelson_character(long_word, (), 6) == long_trace
+        assert good_word_character(long_word, (), 6) == long_trace
+        # 360 orbits of s_1 for each route: one chunk each, or a few each
+        if bits == 1:
+            assert len(chunks) == 2 * 360
+        else:
+            assert 4 <= len(chunks) < 2 * 360
+    assert long_trace == dfs_bott_samelson_character(long_word, (), 6)
 
 
 def test_long_word_count_matches_trace():
