@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from functools import lru_cache
 
 __all__ = ["Budgets", "BudgetError", "max_n", "set_max_n", "check_n",
            "check_fixed", "DEFAULTS"]
@@ -31,6 +32,7 @@ Budgets = namedtuple("Budgets", "hecke_max_n group_max_n symfunc_max_degree "
 DEFAULTS = Budgets()
 
 _override: int | None = None
+_ENV_KEY = os.environ.encodekey("HECKE_LAB_MAX_N")
 
 
 def set_max_n(value: int | None) -> None:
@@ -44,14 +46,25 @@ def max_n(default: int | None = None) -> int:
     A HECKE_LAB_MAX_N that is not an integer raises BudgetError."""
     if _override is not None:
         return _override
-    env = os.environ.get("HECKE_LAB_MAX_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise BudgetError(f"HECKE_LAB_MAX_N={env!r} is not an "
-                              "integer") from None
-    return DEFAULTS.hecke_max_n if default is None else default
+    # os.environ keeps its values in the dict _data, which every change
+    # through os.environ updates: one lookup there (os.environ.get raises
+    # and catches a KeyError while the variable is unset, and decodes the
+    # value on every call)
+    raw = os.environ._data.get(_ENV_KEY)
+    if raw is None:
+        return DEFAULTS.hecke_max_n if default is None else default
+    return _env_guard(raw)
+
+
+@lru_cache(maxsize=4)
+def _env_guard(raw) -> int:
+    """The guard a raw HECKE_LAB_MAX_N sets, parsed once per value."""
+    env = os.environ.decodevalue(raw)
+    try:
+        return int(env)
+    except ValueError:
+        raise BudgetError(f"HECKE_LAB_MAX_N={env!r} is not an "
+                          "integer") from None
 
 
 def check_n(n: int, limit: int | None = None, what: str = "n") -> None:

@@ -45,7 +45,9 @@ per chunk, k the word's length and a state a quotient element or a
 (permutation, witness mask) that some orbit of the chunk reaches.
 `bin_set` and `good_words` keep only the states some word passes, so
 they cost O(k * (states + words found)) per start; `kappa` checks and
-projects one pair on indices in O(k + len(w)) steps.
+projects one pair on indices in O(k + len(w)) steps.  The word and J of
+a call are checked once per (n, word, J) (`_scan`); every call checks
+the rank guard, its w and b, and walks.
 
 Everything here is exact and deterministic; the hot loops run on integer
 indices from `coxeter.perm_table`.
@@ -444,20 +446,35 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 # Enumeration keeps only the states from which some word returns, so a
 # start costs O(k * (states + words found)).
 
-def _word_indices(sigma: Word, n: int) -> tuple:
-    return _valid_word(tuple(sigma), n)
+def _scan(n: int, sigma: Word, J, quotient: bool = False) -> tuple:
+    """(letter indices, table, mask of J) for a word scan at rank n: the
+    quotient table of J if quotient, else the absolute one.  The rank guard
+    is checked on every call, the rest once per (n, word, J)."""
+    config.check_n(n)
+    return _checked(n, tuple(sigma), frozenset(J), quotient)
 
 
-@lru_cache(maxsize=1 << 12)
-def _valid_word(sigma: tuple, n: int) -> tuple:
+@lru_cache(maxsize=1 << 10)
+def _checked(n: int, sigma: tuple, J: frozenset, quotient: bool) -> tuple:
+    J = _valid_j(n, J)
     sigma = _ints(sigma, "letter")
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
-    return tuple(s - 1 for s in sigma)
+    qt = _quotient_table(n, J if quotient else frozenset())
+    return tuple(s - 1 for s in sigma), qt, _gen_mask(J)
 
 
 def _bits(b, k: int) -> tuple:
-    """b as a tuple of ints, checked to be a binary word of length k."""
+    """b as a tuple of ints, checked to be a binary word of length k.  A
+    word of ints and bools is read as bytes in one step; anything else
+    takes the full check, where 1.0 reads as 1 and 1.5 or "1" fail."""
+    b = tuple(b)
+    try:
+        raw = bytes(b)
+    except (TypeError, ValueError):   # an entry is not an int in 0..255
+        raw = b"\2"
+    if len(raw) == k and not raw.translate(None, b"\0\1"):
+        return tuple(raw)
     b = _ints(b, "bit")
     if len(b) != k:
         raise ValueError("binary word and letter word differ in length")
@@ -577,9 +594,7 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     >>> bott_samelson_character((1, 2), {1, 3}, 4)
     LaurentQ({0: 2, 2: 6, 4: 2})
     """
-    J = _check_j(n, J)
-    qt = _quotient_table(n, J)
-    sig = _word_indices(sigma, n)
+    sig, qt, _ = _scan(n, sigma, J, True)
     width = _count_width(len(sig), len(qt.reps))
     total = 0
     for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
@@ -587,26 +602,30 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     return from_q_coefficients(unpack_signed(total, width))
 
 
-def _run(w: Perm, sigma: Word, b, J) -> tuple:
-    """Check the input and follow b from w in the quotient table qt of J:
-    (qt, b as ints, the path w_0..w_k as local indices, witness bits)."""
-    w = tuple(w)
-    sig = _word_indices(sigma, len(w))
-    b = _bits(b, len(sig))
-    qt = _quotient_table(len(w), _check_j(len(w), J))
-    path, witnessed = [_state(qt, w)], 0
+def _path(qt: _QuotientTable, sig: tuple, w: Perm, b: tuple) -> tuple:
+    """Follow b from w in qt: (the path w_0..w_k as local indices, the
+    witness bits of its steps)."""
+    path, witnessed = [u := _state(qt, w)], 0
+    steps, add = qt.steps, path.append
     for s, bit in zip(sig, b):
-        up, down, wit = qt.steps[s][path[-1]]
+        up, down, wit = steps[s][u]
         witnessed |= wit
-        path.append(up if bit else down)
-    return qt, b, path, witnessed
+        u = up if bit else down
+        add(u)
+    return path, witnessed
 
 
 def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     """Apply the up/down composite to w: at step i go to
     max(w ._J s_i, w) when b_i = 1, to the min when b_i = 0.  With J
-    absent the absolute version on all of W is used (every ws counts)."""
-    qt, _, path, _ = _run(w, sigma, b, () if J is None else J)
+    absent the absolute version on all of W is used (every ws counts).
+
+    >>> phi((1, 2, 3), (1, 2), (1, 1)), phi((1, 2, 3), (1, 2), (1, 1), {1})
+    ((2, 3, 1), (1, 3, 2))
+    """
+    w = tuple(w)
+    sig, qt, _ = _scan(len(w), sigma, () if J is None else J, True)
+    path, _ = _path(qt, sig, w, _bits(b, len(sig)))
     return qt.tbl.perms[qt.reps[path[-1]]]
 
 
@@ -614,9 +633,8 @@ def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     """All binary words whose quotient composite fixes w (w must lie in
     JW), in O(k * (states + words found)) for a word of length k."""
     w = tuple(w)
-    n = len(w) if n is None else n
-    qt = _quotient_table(n, _check_j(n, J))
-    return _walk(qt.steps, _word_indices(sigma, n), _state(qt, w), 0)
+    sig, qt, _ = _scan(len(w) if n is None else n, sigma, J, True)
+    return _walk(qt.steps, sig, _state(qt, w), 0)
 
 
 # -- good words ---------------------------------------------------------------
@@ -625,10 +643,9 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     """All binary words good for w: the absolute composite fixes w and
     every left descent of w lying in J is witnessed at some step."""
     w = tuple(w)
-    qt = _quotient_table(len(w), frozenset())
+    sig, qt, jmask = _scan(len(w), sigma, J)
     start = _state(qt, w)
-    need = qt.tbl.ldesc[start] & _gen_mask(_check_j(len(w), J))
-    return _walk(qt.steps, _word_indices(sigma, len(w)), start, need)
+    return _walk(qt.steps, sig, start, qt.tbl.ldesc[start] & jmask)
 
 
 def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
@@ -646,33 +663,35 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
 def _good_characters(sigma: Word, n: int, Js: list) -> dict:
     """{J: the good-word character} for J in Js.  The orbits of the first
     letter are swept in groups of one need, the left descents of their
-    starts inside some J, whose witness bits the sweep tracks; each J
-    then reads off the words whose witnessed set covers a start's own
-    descents in J."""
-    qt = _quotient_table(n, frozenset())
-    sig = _word_indices(sigma, n)
+    starts inside some J, whose witness bits the sweep tracks.  The counts
+    are summed per (descent set d of the start inside those J, witnessed
+    set m); J then reads, for each d, the words whose m covers d & J, and
+    each (d, d & J) is summed once for all the J that share it."""
+    sig, qt, _ = _scan(n, sigma, ())
     width = _count_width(len(sig), len(qt.reps))
-    totals = {J: 0 for J in Js}
-    jmasks = [(J, _gen_mask(J)) for J in totals]
     ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
     groups: dict = {}
     for orbit in _orbits(qt, sig):
         groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,
                           []).append(orbit)
+    by_d: dict = {}   # {d: {m: packed counts}}
     for need, orbits in groups.items():
-        for orbit, counts in _sweeps(qt, sig, orbits, need, width):
-            for start in orbit:
-                mine = [(m, x) for (t, m), x in counts.items() if t == start]
-                # many J share one descent set: sum the covering masks once
-                covering: dict = {}
-                for J, jmask in jmasks:
-                    own = ldesc[start] & jmask
-                    if own not in covering:
-                        covering[own] = sum(x for m, x in mine
-                                            if not own & ~m)
-                    totals[J] += covering[own]
-    return {J: from_q_coefficients(unpack_signed(x, width))
-            for J, x in totals.items()}
+        for _, counts in _sweeps(qt, sig, orbits, need, width):
+            for (t, m), x in counts.items():
+                row = by_d.setdefault(ldesc[t] & track, {})
+                row[m] = row.get(m, 0) + x
+    covering: dict = {}   # {(d, own): the counts whose m covers own}
+    totals = {}
+    for J in Js:
+        jmask, total = _gen_mask(J), 0
+        for d, row in by_d.items():
+            own = d & jmask
+            if (d, own) not in covering:
+                covering[d, own] = sum(x for m, x in row.items()
+                                       if not own & ~m)
+            total += covering[d, own]
+        totals[J] = from_q_coefficients(unpack_signed(total, width))
+    return totals
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -684,17 +703,20 @@ def all_parabolic_subsets(n: int) -> list:
 
 
 def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
-    """Validate that b is good for w; return b as ints, the path
-    w_0..w_k as perm_table indices, the table and the mask of J."""
-    qt, b, path, witnessed = _run(w, sigma, b, ())
-    w, jmask = tuple(w), _gen_mask(_check_j(len(w), J))
+    """Validate that b is good for w; return the letter indices, b as
+    ints, the path w_0..w_k as perm_table indices, the table and the mask
+    of J."""
+    w, sigma = tuple(w), tuple(sigma)
+    sig, qt, jmask = _scan(len(w), sigma, J)
+    b = _bits(b, len(sig))
+    path, witnessed = _path(qt, sig, w, b)
     if path[-1] != path[0]:
-        raise ValueError(f"{b} does not fix {w} along {tuple(sigma)}")
+        raise ValueError(f"{b} does not fix {w} along {sigma}")
     if missing := qt.tbl.ldesc[path[0]] & jmask & ~witnessed:
         raise ValueError(f"{b} is not good for {w}: descent "
                          f"{(missing & -missing).bit_length()} has no "
                          "witness step")
-    return b, path, qt.tbl, jmask
+    return sig, b, path, qt.tbl, jmask
 
 
 def kappa(w: Perm, b, sigma: Word, J):
@@ -706,7 +728,7 @@ def kappa(w: Perm, b, sigma: Word, J):
     >>> kappa((4, 3, 1, 2), (1, 1), (1, 2), {1, 3})
     ((3, 4, 1, 2), (1, 1))
     """
-    b, path, tbl, jmask = _check_good(w, sigma, b, J)
+    _, b, path, tbl, jmask = _check_good(w, sigma, b, J)
     u = path[0]
     while d := tbl.ldesc[u] & jmask:   # strip the lowest descent in J
         u = tbl.lmult[u][(d & -d).bit_length() - 1]
@@ -720,13 +742,16 @@ def derive_root_sequence(w: Perm, sigma: Word, b, J) -> tuple:
     t * w_(i-1) = w_(i-1) * s_i for a unique transposition t, namely the
     one swapping the values at positions s_i, s_i + 1 of w_(i-1); the
     sequence of those t (as sorted pairs) is returned.
+
+    >>> derive_root_sequence((2, 1, 3), (1, 2, 1), (1, 0, 1), {1})
+    ((1, 2), (1, 2))
     """
-    b, path, tbl, _ = _check_good(w, sigma, b, J)
+    sig, b, path, tbl, _ = _check_good(w, sigma, b, J)
     out = []
-    for i, (s, bit) in enumerate(zip(sigma, b)):
+    for i, (s, bit) in enumerate(zip(sig, b)):
         if bit:
             u = tbl.perms[path[i]]
-            a, c = u[s - 1], u[s]
+            a, c = u[s], u[s + 1]
             out.append((a, c) if a < c else (c, a))
     return tuple(out)
 

@@ -28,7 +28,8 @@ from numbers import Number
 from . import config
 from .coxeter import _ints, cycle_type
 from .hecke import HeckeElement
-from .laurentq import ONE, ZERO, LaurentQ, Terms, pack_signed, unpack_signed
+from .laurentq import (ONE, ZERO, LaurentQ, Terms, pack_signed,
+                       signed_width, unpack_signed)
 from .parabolic import _ClassChars, _class_chars, _class_sum
 
 __all__ = [
@@ -285,9 +286,9 @@ class SymFunc(Terms):
                       if type(x) is not int))
         fields = [[((e - lo) // step, int(x * scale)) for e, x in d.items()]
                   for d in polys]
-        # no field of the result exceeds top times the l1 norm of the input
-        width = (top * sum(abs(x) for d in fields for _, x in d)
-                 ).bit_length() + 1
+        # no field of the result exceeds top times the l1 norm of the input;
+        # a multiple of 32 bits, which `unpack_signed` reads in one step
+        width = signed_width(top * sum(abs(x) for d in fields for _, x in d))
         acc: dict = {}
         for mu, d in zip(self.coeffs, fields):
             x = pack_signed(d, width)

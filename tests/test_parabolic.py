@@ -393,6 +393,106 @@ def test_quotient_tables_are_guarded_on_every_call(monkeypatch):
     assert [f() for f in calls] == before
 
 
+def test_warm_word_scans_follow_every_change_of_the_guard(monkeypatch):
+    # the checked (n, word, J) and the parsed HECKE_LAB_MAX_N are cached
+    # between calls, the guard is read on every call
+    from heckelab import config
+    monkeypatch.setattr(config, "_override", None)
+    monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
+    e = identity(5)
+    calls = [lambda: kappa(e, (0, 0), (1, 2), {1}),
+             lambda: good_words(e, (1, 2), {1}),
+             lambda: bott_samelson_character((1, 2), {1}, 5),
+             lambda: kl_context(5)]
+    before = [f() for f in calls]
+
+    def refused(match):
+        for f in calls:
+            with pytest.raises(config.BudgetError, match=match):
+                f()
+
+    def answered():
+        assert [f() for f in calls] == before
+
+    guard4 = "n=5 exceeds the size guard 4;"
+    for value, check in (("5", answered), ("4", lambda: refused(guard4)),
+                         ("6", answered), (None, answered),
+                         ("4", lambda: refused(guard4)),
+                         ("nine", lambda: refused(
+                             "HECKE_LAB_MAX_N='nine' is not an integer")),
+                         ("5", answered)):
+        if value is None:
+            monkeypatch.delenv("HECKE_LAB_MAX_N")
+        else:
+            monkeypatch.setenv("HECKE_LAB_MAX_N", value)
+        check()
+    # an explicit guard wins over the variable, in both directions
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "nine")
+    config.set_max_n(5)
+    answered()
+    monkeypatch.setenv("HECKE_LAB_MAX_N", "9")
+    config.set_max_n(4)
+    refused(guard4)
+    config.set_max_n(None)
+    answered()
+
+
+def test_warm_word_scans_keep_every_check():
+    # a valid call caches the checked (n, word, J); the pair, the word
+    # and J are still checked on every later call
+    w = (2, 1, 3, 4)
+    assert kappa(w, (1, 0), SIGMA, J13) == ((1, 2, 3, 4), (1, 0))
+    assert kappa((1, 2, 3, 4), (), (), J13) == ((1, 2, 3, 4), ())
+    for args, message in (
+            (((1, 2, 3, 4), (1, 1), SIGMA, J13),
+             r"\(1, 1\) does not fix \(1, 2, 3, 4\) along \(1, 2\)"),
+            ((w, (), (), J13), r"\(\) is not good for \(2, 1, 3, 4\): "
+             "descent 1 has no witness step"),
+            (((1, 2, 4, 3), (0, 0), SIGMA, J13),
+             "descent 3 has no witness step"),
+            ((w, (1.5, 0), SIGMA, J13), "bit 1.5 is not an integer"),
+            ((w, ("1", 0), SIGMA, J13), "bit '1' is not an integer"),
+            ((w, (2, 0), SIGMA, J13), r"not a binary word: \(2, 0\)"),
+            ((w, (-1, 0), SIGMA, J13), r"not a binary word: \(-1, 0\)"),
+            ((w, (1,), SIGMA, J13), "differ in length"),
+            ((w, (1, 0, 0), SIGMA, J13), "differ in length"),
+            ((w, (2, 0, 0), SIGMA, J13), "differ in length"),
+            (((2, 2, 3, 4), (1, 0), SIGMA, J13),
+             r"not a permutation of 1\.\.4: \(2, 2, 3, 4\)"),
+            ((w, (1, 0), (1, 4), J13),
+             r"word \(1, 4\) has letters outside 1\.\.3"),
+            ((w, (1, 0), (1.5, 2), J13), "letter 1.5 is not an integer"),
+            ((w, (1, 0), SIGMA, {1, 4}),
+             r"invalid generator indices for n=4: \[1, 4\]"),
+            ((w, (1, 0), SIGMA, {1.5}), "generator index 1.5 is not an "
+             "integer")):
+        with pytest.raises(ValueError, match=message):
+            kappa(*args)
+    assert kappa(w, (1, 0), SIGMA, J13) == ((1, 2, 3, 4), (1, 0))
+    with pytest.raises(ValueError, match="not a minimal coset representative"):
+        bin_set((2, 1, 3, 4), SIGMA, J13)
+
+
+def test_bits_read_as_ints():
+    # 1.0 and True are the bit 1, and come back as the int
+    w, J = (2, 1, 3, 4), J13
+    for b in ((1.0, 0), (True, False), (1, 0.0), [True, 0]):
+        wbar, bits = kappa(w, b, SIGMA, J)
+        assert (wbar, bits) == ((1, 2, 3, 4), (1, 0)), b
+        assert all(type(x) is int for x in bits), b
+        assert derive_root_sequence(w, SIGMA, b, J) == ((1, 2),), b
+        assert phi(w, SIGMA, b) == phi(w, SIGMA, (1, 0)), b
+
+
+def test_derive_root_sequence_walks_the_checked_letters():
+    # the letters are read once, as checked ints: an iterator is not
+    # walked a second time, and 1.0 is the letter 1
+    expected = ((1, 2), (1, 2))
+    for sigma in (iter((1, 2, 1)), (1.0, 2, 1), [1, 2, True], (1, 2, 1)):
+        assert derive_root_sequence((2, 1, 3), sigma, (1, 0, 1), {1}) == \
+            expected
+
+
 def test_binary_words_are_checked():
     e, empty = (1, 2, 3), frozenset()
     for b in ((0, 1), ()):
@@ -608,6 +708,20 @@ def test_word_sets_match_the_exhaustive_walk(n, data):
         assert good_words(w, sigma, J) == dfs_good_words(w, sigma, J), w
     for w in parabolic_quotient(n, J).reps:
         assert bin_set(w, sigma, J) == dfs_bin_set(w, sigma, J, n), w
+
+
+def test_all_j_counts_match_each_j_at_n6():
+    # the per-descent-set sums of the all-J route against one J at a time;
+    # one J costs about as much as all 32 at n = 6, so the words stay short
+    rng = random.Random(6)
+    subsets = all_parabolic_subsets(6)
+    for _ in range(5):
+        sigma = tuple(rng.randint(1, 5) for _ in range(rng.randint(8, 10)))
+        by_j = good_word_characters_all_j(sigma, 6)
+        assert list(by_j) == subsets
+        for J in subsets:
+            assert by_j[J] == good_word_character(sigma, J, 6), \
+                (sigma, sorted(J))
 
 
 def test_word_sets_match_the_exhaustive_walk_at_k16():
