@@ -23,10 +23,9 @@ the same object as `llt_direct` for codominant permutations through the
 plethystic substitution x -> x/(q-1), and is defined for every
 permutation.  It is linear in the Hecke element and is
 (q-1)^(n-len(mu)) e_mu on the minimal-length T_{w_mu}, so
-LLT(B_w) = sum_z P_{z,w} LLT(T_z) is one class sum in the e-basis from
-those seeds, with no plethysm map and no division: 0.12 ms per w at n=5
-and 1.3 ms at n=7 once the KL table is built (2-vCPU Xeon VM, Python
-3.11; 0.31 and 2.3 ms by the former map route).  `conjecture_scan`
+LLT(B_w) = sum_z P_{z,w} LLT(T_z) is one class sum from those seeds,
+each changed to the Schur basis once per n, with no plethysm map, no
+division and no basis change per w.  `conjecture_scan`
 reports (never asserts) positivity and log-concavity of the
 h-expansions, and the sign of the e-coefficients of the LLT at q+1,
 each read off its own class sum, once per orbit of the symmetries of
@@ -168,26 +167,27 @@ def llt_direct(g) -> SymFunc:
 @cache
 def _llt_chars(n: int, shifted: bool = False) -> _ClassChars:
     """The class kernel of LLT(T_z) = (q-1)^n omega(ch(T_z))[X/(q-1)] in
-    e: seeds (q-1)^(n-len(mu)) e_mu and the rule of ch, (q, q-1).
-    Shifted, all at q+1: seeds q^(n-len(mu)) e_mu, the rule (q+1, q) and
-    each coefficient of a summed element through `substitute_q_shift`."""
+    s: seeds (q-1)^(n-len(mu)) e_mu changed to s, the rule of ch (q, q-1).
+    Shifted, in e and at q+1: seeds q^(n-len(mu)) e_mu, the rule (q+1, q)
+    and each coefficient of a summed element through `substitute_q_shift`."""
     x = Q if shifted else Q - ONE
     seeds = {mu: {mu: x ** (n - len(mu))} for mu in partitions(n)}
     if shifted:   # one substitution per coefficient value
         return _ClassChars(n, seeds, ((1, 1), (0, 1)), cache(
             lambda t: tuple(_raw(dict(t)).substitute_q_shift().c.items())))
-    return _ClassChars(n, seeds)
+    return _ClassChars(n, {mu: SymFunc("e", n, seed).to_basis("s").coeffs
+                           for mu, seed in seeds.items()})
 
 
 def llt_plethysm(w: Perm) -> SymFunc:
     """(q-1)^n omega(ch(B_w))[x/(q-1)] in the Schur basis, where B_w is
     the integral Kazhdan-Lusztig element of w: sum_z P_{z,w} LLT(T_z),
-    one class sum in the e-basis (`_llt_chars`), then `to_basis`."""
+    one class sum read in s (`_llt_chars`)."""
     w = tuple(w)
     n = len(w)
     config.check_n(n)
-    return SymFunc("e", n)._like(_class_sum(
-        _llt_chars(n), *kl_context(n).terms(w))).to_basis("s")
+    return SymFunc("s", n)._like(_class_sum(
+        _llt_chars(n), *kl_context(n).terms(w)))
 
 
 def chss_check(m):

@@ -175,8 +175,9 @@ class HeckeElement(Terms):
             n, = _ints([data["n"]], "rank")
             terms = {}
             for item in data["terms"]:
-                terms[_ints(item["perm"], "letter")] = \
-                    LaurentQ.from_json(item["coeff"])
+                if (w := _ints(item["perm"], "letter")) in terms:
+                    raise ValueError(f"repeated permutation {list(w)}")
+                terms[w] = LaurentQ.from_json(item["coeff"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed Hecke element JSON ({exc!r}); "
                              'expected {"n": n, "terms": [{"perm": [...], '

@@ -319,13 +319,15 @@ class LaurentQ:
 
     @staticmethod
     def from_json(data: dict) -> "LaurentQ":
-        """The inverse of `to_json`: exponent keys -?[0-9]+ (or ints),
-        coefficients ints or strings -?[0-9]+ or -?[0-9]+/[0-9]+.  Anything
-        else is a ValueError naming the key or the value."""
+        """The inverse of `to_json`: exponent keys -?[0-9]+ (or ints), one per
+        exponent, coefficients ints or strings -?[0-9]+ or -?[0-9]+/[0-9]+.
+        Anything else is a ValueError naming the key or the value."""
         out = {}
         for e, c in data["v"].items():
             if type(e) not in (int, str) or not fullmatch(r"-?[0-9]+", str(e)):
                 raise ValueError(f"exponent key {e!r} is not an integer")
+            if int(e) in out:
+                raise ValueError(f"exponent key {e!r} repeats v^{int(e)}")
             if type(c) is str and fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", c):
                 c = Fraction(c) if "/" in c else int(c)
             elif type(c) is not int:   # bools and floats too

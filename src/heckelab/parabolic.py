@@ -185,7 +185,7 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 #
 # ch(T_z) = sum_lam c_lam(T_z) m_lam follows the same rule, and so does any
 # Z[q]-linear image of it: the h-expansion, or the LLT image
-# (q-1)^n omega(ch)[X/(q-1)] in e, which is (q-1)^(n-len(mu)) e_mu on
+# (q-1)^n omega(ch)[X/(q-1)], which is (q-1)^(n-len(mu)) e_mu on
 # T_{w_mu} (Ram's Coxeter-element values, Invent. Math. 106, 1991); at
 # q+1 the seeds become q^(n-len(mu)) e_mu and the rule (q+1, q).  So
 # `_ClassChars` takes the seeds and the rule as data.  In

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, compress, count, zip_longest
 from math import factorial, gcd, lcm
 from numbers import Number
+from operator import mul
 
 from . import config
 from .coxeter import _ints, cycle_type
 from .hecke import HeckeElement
-from .laurentq import (ONE, ZERO, LaurentQ, Terms, pack_signed,
-                       signed_width, unpack_signed)
+from .laurentq import (ONE, ZERO, LaurentQ, Terms, _raw, signed_width,
+                       unpack_signed)
 from .parabolic import _ClassChars, _class_chars, _class_sum
 
 __all__ = [
@@ -278,27 +279,28 @@ class SymFunc(Terms):
         config.check_fixed(n, "symfunc_max_degree", what="degree")
         rows, den, top = _basis_map(n, self.basis, target)
         polys = [c.c for c in self.coeffs.values()]
+        xs = [x for d in polys for x in d.values()]
+        l1 = sum(map(abs, xs))   # an int unless some x is a Fraction
+        scale = 1 if type(l1) is int else lcm(*(x.denominator for x in xs))
         # field i of a packed coefficient: its v^(lo + step i) term * scale
-        exps = {e for d in polys for e in d}
-        lo = min(exps, default=0)
+        lo = min(exps := set().union(*polys), default=0)
         step = gcd(*(e - lo for e in exps)) or 1
-        scale = lcm(*(x.denominator for d in polys for x in d.values()
-                      if type(x) is not int))
-        fields = [[((e - lo) // step, int(x * scale)) for e, x in d.items()]
-                  for d in polys]
         # no field of the result exceeds top times the l1 norm of the input;
         # a multiple of 32 bits, which `unpack_signed` reads in one step
-        width = signed_width(top * sum(abs(x) for d in fields for _, x in d))
+        width = signed_width(top * int(scale * l1))
+        place = {e: scale << (e - lo) // step * width for e in exps}
         acc: dict = {}
-        for mu, d in zip(self.coeffs, fields):
-            x = pack_signed(d, width)
+        for mu, d in zip(self.coeffs, polys):
+            x = int(sum(map(mul, d.values(), map(place.__getitem__, d))))
             for lam, k in rows[mu]:
                 acc[lam] = acc.get(lam, 0) + k * x
-        div = den * scale
-        return SymFunc(target, n)._like({lam: LaurentQ({
-            lo + step * i: c if div == 1 else Fraction(c, div)
-            for i, c in enumerate(unpack_signed(x, width))})
-            for lam, x in acc.items() if x})
+        div, out = den * scale, {}
+        for lam, x in acc.items():
+            if row := x and unpack_signed(x, width):
+                d = dict(compress(zip(count(lo, step), row), row))
+                out[lam] = _raw(d) if div == 1 else LaurentQ(
+                    {e: Fraction(c, div) for e, c in d.items()})
+        return SymFunc(target, n)._like(out)
 
     # -- rendering / serialization -----------------------------------------------
 
@@ -321,9 +323,12 @@ class SymFunc(Terms):
     @staticmethod
     def from_json(data: dict) -> "SymFunc":
         try:
-            return SymFunc(data["basis"], data["degree"], {
-                tuple(item["partition"]): LaurentQ.from_json(item["coeff"])
-                for item in data["coeffs"]})
+            basis, degree, coeffs = data["basis"], data["degree"], {}
+            for item in data["coeffs"]:
+                if (lam := tuple(item["partition"])) in coeffs:
+                    raise ValueError(f"repeated partition {list(lam)}")
+                coeffs[lam] = LaurentQ.from_json(item["coeff"])
+            return SymFunc(basis, degree, coeffs)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed symmetric function JSON ({exc!r}); "
                              'expected {"basis": b, "degree": n, "coeffs": '

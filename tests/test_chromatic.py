@@ -1,5 +1,6 @@
 """Coloring generating functions and their Hecke-character counterparts."""
 
+import functools
 import math
 import random
 import time
@@ -20,7 +21,7 @@ from heckelab.coxeter import (
     cycle_type, identity, perm_table,
 )
 from heckelab.hecke import HeckeElement, kl_context
-from heckelab.parabolic import _class_sum, _classes
+from heckelab.parabolic import _ClassChars, _class_sum, _classes
 from heckelab.laurentq import (
     LaurentQ, ONE, Q, from_q_coefficients, pack_signed, unpack_signed,
 )
@@ -277,7 +278,7 @@ def test_llt_plethysm_remainder_is_value_error(monkeypatch):
 # -- the class kernels against the map route ----------------------------------
 
 def _llt(a, shifted: bool = False) -> dict:
-    """The class kernel's LLT of a in e, at q+1 if shifted."""
+    """The class kernel's LLT of a: in s, or at q+1 in e if shifted."""
     return _class_sum(_llt_chars(a.n, shifted), a.terms, a.terms.values())
 
 
@@ -297,7 +298,7 @@ def test_llt_of_minimal_length_class_elements_is_the_seed():
                 seed = _e_seed(n, cycle_type(w))
                 a = HeckeElement.t_basis(n, w)
                 assert map_llt_plethysm(a) == seed.to_basis("s"), w
-                assert _llt(a) == seed.coeffs, w
+                assert _llt(a) == seed.to_basis("s").coeffs, w
     assert count == 143
 
 
@@ -308,6 +309,26 @@ def _llt_cases():
         + rng.sample(perm_table(7).perms, 8)
 
 
+@functools.cache
+def _e_chars(n: int) -> _ClassChars:
+    """The LLT class kernel seeded in e: (q-1)^(n-len(mu)) e_mu."""
+    return _ClassChars(n, {mu: _e_seed(n, mu).coeffs for mu in partitions(n)})
+
+
+def test_schur_seeded_kernel_matches_e_seeded_sum():
+    # the kernel seeded in s against a kernel seeded in e, (q-1)^(n-len(mu))
+    # e_mu, whose class sum is changed to s afterwards, and the map oracle
+    for w in _llt_cases()[:153 + 30]:   # all of S_1..S_5, 30 of S_6
+        n = len(w)
+        e_chars = _e_chars(n)
+        for a in (kl_context(n).element(w), HeckeElement.t_basis(n, w)):
+            e = SymFunc("e", n)._like(_class_sum(e_chars, a.terms,
+                                                 a.terms.values()))
+            assert _llt(a) == e.to_basis("s").coeffs, w
+            assert _llt(a) == map_llt_plethysm(a).coeffs, w
+        assert llt_plethysm(w).coeffs == _llt(kl_context(n).element(w)), w
+
+
 def test_llt_kernel_matches_map_oracle():
     # every w up to n = 5 and seeded samples at n = 6 and 7; for a
     # codominant w the coloring sum is a third route
@@ -316,7 +337,7 @@ def test_llt_kernel_matches_map_oracle():
     for w in _llt_cases():
         a, f = kl_context(len(w)).element(w), llt_plethysm(w)
         assert f == map_llt_plethysm(a), w
-        assert f.to_basis("e").coeffs == _llt(a), w
+        assert f.coeffs == _llt(a), w
         if w in codominant:
             assert f == llt_direct(codominant[w]).to_basis("s"), w
 
@@ -330,7 +351,7 @@ def test_h_and_shifted_kernels_match_basis_changes():
         for a in (kl_context(n).element(w), HeckeElement.t_basis(n, w)):
             assert frobenius_character(a, "h") == \
                 frobenius_character(a).to_basis("h"), w
-            e = SymFunc("e", n)._like(_llt(a))
+            e = SymFunc("s", n)._like(_llt(a)).to_basis("e")
             assert _llt(a, shifted=True) == e.map_coeffs(shift).coeffs, w
         assert llt_plethysm(w).to_basis("e").map_coeffs(shift).coeffs == \
             _class_sum(_llt_chars(n, True), *kl_context(n).terms(w)), w

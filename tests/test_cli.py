@@ -587,6 +587,31 @@ def test_loose_integer_strings_in_json_are_refused(capsys):
             err.count("\n") == 1, err
 
 
+def test_repeated_terms_in_json_are_refused(capsys):
+    # the last of two terms on T[2,1] won, and induced-char printed 5q
+    # with exit 0; so did the last of two keys of one exponent
+    elem = '{"n": 2, "terms": [%s]}'
+    term = '{"perm": [2, 1], "coeff": {"v": {%s}}}'
+    for body, name in (
+            (term % '"0": "1"' + ", " + term % '"0": "5"',
+             "repeated permutation [2, 1]"),
+            (term % '"0": "1", "-0": "5"', "exponent key '-0' repeats v^0")):
+        code, out, err = run(capsys, "induced-char", "--J", "1",
+                             "--json", elem % body)
+        assert (code, out, err) == (1, "", f"heckelab: {name}\n"), body
+
+
+def test_repeated_exponent_in_cache_is_a_miss(tmp_path, capsys):
+    # {"0": "1", "2": "1", "00": "1"} read as 1+q and loaded silently
+    def tamper(text):
+        payload = json.loads(text)
+        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {
+            "v": {"0": "1", "2": "1", "00": "1"}}
+        return json.dumps(payload)
+    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
+    assert "exponent key '00' repeats v^0" in err
+
+
 def test_loose_integer_strings_in_cache_are_a_miss(tmp_path, capsys):
     # "0_2" and "0_1" read as 2 and 1, so both entries passed as 1+q
     # without a warning

@@ -572,6 +572,13 @@ def test_json_non_integers_are_refused(edit, message):
         HeckeElement.from_json(data)
 
 
+def test_json_repeated_permutation_is_refused():
+    # the last of two terms on T[2,1] used to win
+    term = {"perm": [2, 1], "coeff": {"v": {"0": "1"}}}
+    with pytest.raises(ValueError, match=r"repeated permutation \[2, 1\]"):
+        HeckeElement.from_json({"n": 2, "terms": [term, dict(term)]})
+
+
 def _tampered(edit):
     ctx = KLContext(4)
     ctx.element((3, 4, 1, 2))

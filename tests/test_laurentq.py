@@ -212,6 +212,15 @@ def test_json_refuses_loose_exponent_keys(key):
     assert repr(key) in str(info.value)
 
 
+@pytest.mark.parametrize("key", ["-0", "00", 0])
+def test_json_refuses_repeated_exponents(key):
+    # {"0": "1", "-0": "2"} used to read as 2: the last key won
+    with pytest.raises(ValueError, match=r"exponent key .* repeats v\^0") \
+            as info:
+        LaurentQ.from_json({"v": {"0": "1", key: "2"}})
+    assert repr(key) in str(info.value)
+
+
 def test_json_reads_plain_integer_strings():
     assert LaurentQ.from_json({"v": {"-3": "-12", "0": "007", "4": "-3/6",
                                      "10": "0", 6: 1}}) == \

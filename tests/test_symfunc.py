@@ -6,6 +6,7 @@ for Schur functions), so the Kostka/character machinery is validated
 end-to-end against first principles.
 """
 
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -162,6 +163,36 @@ def test_to_basis_matches_oracle_random(n, b1, b2, data):
     assert got == oracle_to_basis(f, b2)
     assert (got.basis, got.degree) == (b2, n)
     assert all(got.coeffs.values())
+
+
+def test_to_basis_all_pairs_against_oracle():
+    # all 20 ordered pairs at degrees 0-6 on seeded random functions: the
+    # empty one, odd, mixed-parity, even and negative v-exponents, small,
+    # wide and Fraction coefficients; each result coefficient has the
+    # oracle's type, an int where it is integral and a Fraction otherwise
+    rng = random.Random(24)
+    scalars = (1, -1, 7, -30, 2 ** 40, Fraction(1, 2), Fraction(-5, 6),
+               Fraction(7, 24))
+    for n in range(7):
+        parts = partitions(n)
+        for b1 in "ehpms":
+            fs = [SymFunc(b1, n)]
+            for exps in (range(-7, 8, 2), range(-6, 7), range(-4, 9, 2)):
+                for k in {1, min(3, len(parts)), len(parts)}:
+                    fs.append(SymFunc(b1, n, {lam: LaurentQ({
+                        e: rng.choice(scalars)
+                        for e in rng.sample(exps, rng.randint(1, 4))})
+                        for lam in rng.sample(parts, k)}))
+            for b2 in "ehpms".replace(b1, ""):
+                for f in fs:
+                    got, want = f.to_basis(b2), oracle_to_basis(f, b2)
+                    assert got == want, (b1, b2, f)
+                    assert _types(got) == _types(want), (b1, b2, f)
+
+
+def _types(f: SymFunc) -> dict:
+    return {(lam, e): type(x) for lam, c in f.coeffs.items()
+            for e, x in c.c.items()}
 
 
 def test_to_basis_keeps_scalar_forms():
@@ -446,6 +477,14 @@ def test_non_integer_part_is_refused(make):
 def test_json_non_integers_are_refused(payload, message):
     with pytest.raises(ValueError, match=message):
         SymFunc.from_json(payload)
+
+
+def test_json_repeated_partition_is_refused():
+    # the last of two terms on m[2,1] used to win; 2.0 reads as 2
+    term = {"partition": [2, 1], "coeff": {"v": {"0": "1"}}}
+    with pytest.raises(ValueError, match=r"repeated partition \[2\.0, 1\]"):
+        SymFunc.from_json({"basis": "m", "degree": 3,
+                           "coeffs": [term, {**term, "partition": [2.0, 1]}]})
 
 
 def test_float_coefficient_is_refused():
