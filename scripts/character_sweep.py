@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Cross-validate the induced-character pipelines on random words: the
-class-sum route (`induced_character`, from the closed Young-subgroup
-class traces), the quotient fixed-point count, the good-word count over
-the full group, and the all-J good-word count, which is compared with
-the class-sum route for every J.  The Frobenius
-character of each product is also checked against the monomial
-expansion sum_lam c_{J_lam} m_lam read off the all-J good-word counts.
+"""Cross-validate the induced-character pipelines on random words.  The
+library's class-sum route (`induced_character` of the Bott-Samelson
+product, from the closed Young-subgroup class traces) and its three word
+counts (`bott_samelson_character`, `good_word_character`,
+`good_word_characters_all_j`, which by the paper's theorem take that
+same product and class sum) are compared with the combinatorial counts
+in `tests/oracles.py`: the transfer-matrix sweeps of the quotient
+fixed points and of the good words, for one J and for all J, and the
+depth-first walks over all 2^k words.  The all-J counts are compared for
+every J.  The Frobenius character of each product is also checked
+against the monomial expansion sum_lam c_{J_lam} m_lam read off the
+all-J good-word sweeps.
 
 With the defaults (n=4, 200 cases, words up to 12 letters) a run takes
-about 0.5 s with Python 3.11 on one core of a 2-vCPU x86-64 virtual
-machine; the n=5 example below takes about 1 s there and the n=6 one
-1.2-1.7 s.
+about 2.3 s with Python 3.11 on one core of a 2-vCPU x86-64 virtual
+machine, most of it in the 2^k walks; the n=5 example below takes about
+6.6 s there and the n=6 one about 5.5 s.
 
 Examples:
     python scripts/character_sweep.py --n 5 --cases 100 --max-len 12
@@ -24,7 +29,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from heckelab.hecke import bott_samelson_product  # noqa: E402
 from heckelab.parabolic import (  # noqa: E402
@@ -33,6 +39,11 @@ from heckelab.parabolic import (  # noqa: E402
 )
 from heckelab.symfunc import (  # noqa: E402
     SymFunc, frobenius_character, partitions,
+)
+from oracles import (  # noqa: E402
+    dfs_bott_samelson_character, dfs_good_word_characters_all_j,
+    sweep_bott_samelson_character, sweep_good_word_character,
+    sweep_good_word_characters_all_j,
 )
 
 
@@ -54,21 +65,29 @@ def run(cfg: SweepConfig) -> int:
         sigma = tuple(rng.choice(gens) for _ in range(k))
         J = frozenset(rng.sample(gens, rng.randint(0, cfg.n - 1)))
         product = bott_samelson_product(sigma, cfg.n)
-        fixed = bott_samelson_character(sigma, J, cfg.n)
-        good = good_word_character(sigma, J, cfg.n)
         trace = induced_character(product, J)
-        by_j = good_word_characters_all_j(sigma, cfg.n)
-        wrong_j = [sorted(K) for K in all_parabolic_subsets(cfg.n)
-                   if by_j[K] != induced_character(product, K)]
+        routes = {
+            "fixed": bott_samelson_character(sigma, J, cfg.n),
+            "good": good_word_character(sigma, J, cfg.n),
+            "sweep-fixed": sweep_bott_samelson_character(sigma, J, cfg.n),
+            "sweep-good": sweep_good_word_character(sigma, J, cfg.n),
+            "dfs-fixed": dfs_bott_samelson_character(sigma, J, cfg.n)}
+        wrong = [f"{name}={c}" for name, c in routes.items() if c != trace]
+        by_j = {"all-J": good_word_characters_all_j(sigma, cfg.n),
+                "sweep-all-J": sweep_good_word_characters_all_j(sigma, cfg.n),
+                "dfs-all-J": dfs_good_word_characters_all_j(sigma, cfg.n)}
+        wrong_j = [(name, sorted(K)) for name, counts in by_j.items()
+                   for K in all_parabolic_subsets(cfg.n)
+                   if counts[K] != induced_character(product, K)]
         words_ch = SymFunc("m", cfg.n, {
-            lam: by_j[young_subgroup_generators(lam, cfg.n)]
+            lam: by_j["sweep-all-J"][young_subgroup_generators(lam, cfg.n)]
             for lam in partitions(cfg.n)})
         frob_ok = frobenius_character(product) == words_ch
-        if not (fixed == good == trace) or wrong_j or not frob_ok:
+        if wrong or wrong_j or not frob_ok:
             bad += 1
-            print(f"MISMATCH sigma={sigma} J={sorted(J)}: "
-                  f"fixed={fixed} good={good} trace={trace} "
-                  f"all-J wrong at {wrong_j} frobenius ok={frob_ok}")
+            print(f"MISMATCH sigma={sigma} J={sorted(J)}: trace={trace} "
+                  f"wrong routes {wrong}, all-J wrong at {wrong_j}, "
+                  f"frobenius ok={frob_ok}")
     elapsed = time.perf_counter() - start
     print(f"{cfg.cases} cases over S_{cfg.n}, words up to {cfg.max_len}: "
           f"{cfg.cases - bad} agree ({elapsed:.2f}s)")

@@ -83,6 +83,19 @@ def parse_values(text: str) -> tuple:
             f"bad Hessenberg literal {text!r}: {exc}") from None
 
 
+def _read_json(text: str):
+    """The JSON value of text; an object that repeats a key is refused
+    (json.loads would keep the last value)."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    if len(out := dict(pairs)) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"repeated key {key!r} in a JSON object")
+    return out
+
+
 # -- shared rendering -----------------------------------------------------------
 
 def _emit_json(payload) -> str:
@@ -115,7 +128,7 @@ def _load_kl_cache(cache_dir, n: int):
         _on_disk.pop(path, None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                _on_disk[path] = ctx.load_json(json.load(fh))
+                _on_disk[path] = ctx.load_json(_read_json(fh.read()))
         except FileNotFoundError:
             pass
         except (OSError, ValueError) as exc:
@@ -154,9 +167,9 @@ def _element_from_args(args, parser) -> HeckeElement:
     if args.kl:
         return _load_kl_cache(args.cache_dir, len(args.kl)).element(args.kl)
     if args.json_elem:
-        return HeckeElement.from_json(json.loads(args.json_elem))
+        return HeckeElement.from_json(_read_json(args.json_elem))
     with open(args.file, "r", encoding="utf-8") as fh:
-        return HeckeElement.from_json(json.load(fh))
+        return HeckeElement.from_json(_read_json(fh.read()))
 
 
 def run_kl_poly(args, parser) -> str:

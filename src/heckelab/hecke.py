@@ -206,7 +206,9 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     and each factor doubles their sum at q = 1, so none exceeds 2^k, and
     a term rides in one int as signed (k + 2)-bit fields, one per power
     of q, that never carry.  The support lies below the word's Demazure
-    product; when that is w0 (n! terms) the guard for all of S_n applies.
+    product; when that is w0 (n! terms) the guard for all of S_n applies
+    to the KL expansion its callers do next (the word characters of
+    `parabolic` take the product on table indices, without this rule).
 
     >>> print(bott_samelson_product((1,), 2))
     T[1,2] + T[2,1]

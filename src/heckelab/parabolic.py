@@ -9,45 +9,29 @@ extends to an action of H_n on the free module over JW, and the trace of
 right multiplication by a is the induced character c_J(a).  It depends
 only on the sorted block sizes lam of J (W_J is conjugate to S_lam).
 
-Two independent routes to c_J are implemented:
+c_J(a) comes from class polynomials: c_J is fixed by its values on
+T_{w_mu}, w_mu of minimal length in the class of cycle type mu, which
+have a closed formula in lam and mu (no quotient module is built); the
+class reduction gives every cyclic-shift class one packed int, and
+c_J(a) = sum_c c * sum_{z : a_z = c} c_J(T_z).
 
-  * class polynomials, for any a: c_J is fixed by its values on T_{w_mu},
-    w_mu of minimal length in the class of cycle type mu, which come from
-    a closed formula in lam and mu, with no quotient module built; the
-    characters of every cyclic-shift class follow from them by the class
-    reduction, one packed int per class, and
-    c_J(a) = sum_c c * sum_{z : a_z = c} c_J(T_z); and
-  * binary words, for a product (1+T_{s_1})...(1+T_{s_k}): the fixed
-    points of the up/down maps phi_{J,s,1}(w) = max(w ._J s, w),
-    phi_{J,s,0}(w) = min(w ._J s, w) composed along the word, weighted by
-    q^(number of 1s).
+For a = (1+T_{s_1})...(1+T_{s_k}), c_J(a) counts binary words, each
+weighing q^(number of 1s): those whose composite of the up/down maps
+phi_{J,s,1}(w) = max(w ._J s, w), phi_{J,s,0}(w) = min(w ._J s, w) fixes
+some w in JW, or, over all of W, the *good* words of w: the absolute
+composite fixes w and every left descent of w in J is witnessed by a
+step where right multiplication by the letter equals left multiplication
+by the descent (the paper's theorem).  The counts are computed as c_J(a);
+the words are listed and checked through one up/down kernel per quotient
+table, in O(k * (states + words found)) per start and O(k + len(w)) per
+pair, the word and J of a call checked once per (n, word, J) (`_scan`).
+Good pairs project to coset minima bijectively onto the quotient
+fixed-point pairs, and carry positive roots certifying an affine cell.
 
-The trace route (traces of T_z from sparse matrix products on the
-quotient module) and the class sums by dict convolutions are kept as
-cross-checks in `tests/oracles.py`.
-
-A third route runs over all of W rather than JW: a binary word b is
-*good* for w if the composite of the absolute up/down maps fixes w and
-every left descent of w inside J is witnessed by a step where right
-multiplication by the letter equals left multiplication by the descent.
-Summing q^(number of 1s) over good pairs gives the same character, and
-projecting good pairs to coset minima is a bijection onto the quotient
-fixed-point pairs.  Good pairs also carry a sequence of positive roots
-(one per 1-bit) certifying an affine cell of that dimension.
-
-All binary-word routes step through one up/down kernel per quotient
-table (the absolute dynamics is the table at J = {}); the tables serve
-only these routes and `parabolic_quotient`.  The fixed-point
-and good-word *counts* merge the paths that meet at the same state and
-sweep a chunk of orbits of the first letter at once, each orbit's
-counts in its own block of every state's int: O(k * |states|) shift-adds
-per chunk, k the word's length and a state a quotient element or a
-(permutation, witness mask) that some orbit of the chunk reaches.
-`bin_set` and `good_words` keep only the states some word passes, so
-they cost O(k * (states + words found)) per start; `kappa` checks and
-projects one pair on indices in O(k + len(w)) steps.  The word and J of
-a call are checked once per (n, word, J) (`_scan`); every call checks
-the rank guard, its w and b, and walks.
+The trace route (traces of T_z on the quotient module), the class sums
+by dict convolutions and the word counts by transfer-matrix sweeps and
+by walks over all 2^k words are kept as cross-checks in
+`tests/oracles.py`.
 
 Everything here is exact and deterministic; the hot loops run on integer
 indices from `coxeter.perm_table`.
@@ -66,7 +50,7 @@ from .coxeter import (
 )
 from .hecke import HeckeElement
 from .laurentq import (
-    ONE, ZERO, LaurentQ, _raw, from_q_coefficients, pack_signed,
+    ONE, ZERO, LaurentQ, _raw, pack_signed,
     signed_width, unpack_signed,
 )
 
@@ -188,12 +172,8 @@ def parabolic_quotient(n: int, J) -> ParabolicQuotient:
 # (q-1)^n omega(ch)[X/(q-1)], which is (q-1)^(n-len(mu)) e_mu on
 # T_{w_mu} (Ram's Coxeter-element values, Invent. Math. 106, 1991); at
 # q+1 the seeds become q^(n-len(mu)) e_mu and the rule (q+1, q).  So
-# `_ClassChars` takes the seeds and the rule as data.  In
-# L(a) = sum_c c * sum_{z : a_z = c} L(T_z) each class's L(T_z) is one int
-# over all lam, the T-terms are summed per coefficient (KL views share one
-# LaurentQ per polynomial) at one int add each, and each sum is multiplied
-# by its coefficient once, by shift-adds, at one field width per sum
-# (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
+# `_ClassChars` takes the seeds and the rule as data, and `_class_total`
+# sums each class's L(T_z), one int over all lam, per coefficient.
 
 @cache
 def _classes(n: int) -> tuple:
@@ -343,22 +323,10 @@ _class_chars = cache(_ClassChars)
 
 
 def _class_sum(cc: _ClassChars, ws, cs) -> dict:
-    """{lam: the coefficient of L(a) at lam} over the nonzero ones, for
-    the map L of cc and a = sum_i cs[i] T_{ws[i]} (ws and cs iterables in
-    step, as the keys and values of a.terms or `KLContext.terms`):
-    L(a) = sum_c c * S_c, S_c the sum of the class ints of the T-terms of
-    a with coefficient c.
-
-    The terms are grouped per coefficient object, and the groups of equal
-    coefficients in distinct objects merged.  Then c is shifted to
-    nonnegative v-exponents (from lo, the least one) and cleared of
-    denominators (times scale), and S_c times each of its terms goes into
-    one accumulator per v-parity.  A field of an accumulator is at most
-    cc.top * sum_c terms(c) l1(c * scale), l1 the sum of |coefficients|,
-    so the sum runs at the least width that holds this bound and the
-    classes, chosen once, and every field is exact.
-    """
-    cs, m = list(cs), len(cc.lams)
+    """`_class_total` of a = sum_i cs[i] T_{ws[i]} (ws and cs in step, as
+    the keys and values of a.terms or `KLContext.terms`), grouped per
+    coefficient object, then per equal coefficient after cc.coeff."""
+    cs = list(cs)
     ids = list(map(id, cs))
     ks = list(map(cc.cls.__getitem__, map(cc.index.__getitem__, ws)))
     objs = dict(zip(ids, cs))
@@ -370,6 +338,25 @@ def _class_sum(cc: _ClassChars, ws, cs) -> dict:
         key = tuple(c.c.items())
         key = cc.coeff(key) if cc.coeff else key
         groups[key] = groups.get(key, []) + by_id[i]
+    return _class_total(cc, groups)
+
+
+def _class_total(cc: _ClassChars, groups: dict) -> dict:
+    """{lam: the coefficient of L(a) at lam} over the nonzero ones, for
+    the map L of cc and a = sum_c c * sum_{z in groups[c]} T_z, each c a
+    tuple of (v-exponent, value) pairs and each z given by its class:
+    L(a) = sum_c c * S_c, S_c the sum of the class ints of groups[c]
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
+
+    Each c is shifted to nonnegative v-exponents (from lo, the least one)
+    and cleared of denominators (times scale), and S_c times each of its
+    terms goes into one accumulator per v-parity.  A field of an
+    accumulator is at most cc.top * sum_c |groups[c]| l1(c * scale), l1
+    the sum of |coefficients|, so the sum runs at the least width that
+    holds this bound and the classes, chosen once, and every field is
+    exact.
+    """
+    m = len(cc.lams)
     scale = math.lcm(*(x.denominator for key in groups for _, x in key
                        if type(x) is not int))
     lo = min((e for key in groups for e, _ in key), default=0)
@@ -420,47 +407,79 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
     return induced_characters(a, [J])[0]
 
 
-# -- binary words --------------------------------------------------------------
-#
-# Every route below steps through the kernel `steps` of a quotient table;
-# the absolute dynamics on all of W is the table at J = {}.  Counts follow
-# each orbit {u, us} or {u} of the first letter s from one start and merge
-# the paths that meet at the same state (a transfer matrix): u and us step
-# to the same up and down with the same witness bits, as
-# (us)s(us)^-1 = usu^-1, so one sweep is read at both.  The
-# count vector over the number of 1s rides in one int, `width` bits per
-# coefficient (Kronecker packing): a 1-bit shifts by `width`, and merging
-# two paths is an int add.  A sweep carries a chunk of orbits: orbit p
-# starts as 1 << p * F, F = (k + 1) * width, so each state's int holds
-# every orbit's vector in its own block, and the orbits share the steps
-# at the states they all reach.  One start counts each word at most once
-# and there are binom(k, e) words with e ones, so over m starts every
-# coefficient is at most m * binom(k, k // 2); `width` is the bit length
-# of that bound for all the quotient's starts plus a sign bit
-# (`unpack_signed` reads signed fields), so no field carries into the
-# next, nor a block into the next, and blocks add straight into the
-# total.  The bound is reached (n = 3, J = {1, 2}), so one bit less would
-# read it as negative.  Blocks as narrow as one orbit's 2 starts fit more
-# orbits into a chunk, but each must then be unpacked before the sum,
-# which cost more than it saved on the n = 5 words of the benchmark.
-# Enumeration keeps only the states from which some word returns, so a
-# start costs O(k * (states + words found)).
+# -- Bott-Samelson characters --------------------------------------------------
 
-def _scan(n: int, sigma: Word, J, quotient: bool = False) -> tuple:
-    """(letter indices, table, mask of J) for a word scan at rank n: the
-    quotient table of J if quotient, else the absolute one.  The rank guard
-    is checked on every call, the rest once per (n, word, J)."""
+def _word_characters(n: int, sigma: Word, J) -> dict:
+    """{lam: c_lam((1+T_{s_1})...(1+T_{s_k}))} over the nonzero ones, the
+    word and J checked as by the word scans: by the paper's theorem, the
+    word counts of every J from one product and one class sum.
+
+    T_z (1 + T_s) is T_z + T_zs when zs is longer, q T_z + q T_zs when
+    shorter, so a step gives both members of a pair {z, zs}, z the shorter
+    (lower) index, x_z + q x_zs.  The q-fields are k + 2 bits wide, as in
+    `bott_samelson_product`, whose w0 rule guards a KL expansion, not this
+    sum over at most n! terms."""
+    sig, _, _ = _scan(n, sigma, J, None)
+    rmult, cc, width = perm_table(n).rmult, _class_chars(n), len(sig) + 2
+    terms = {0: 1}
+    for s in sig:
+        nxt: dict = {}
+        for z, x in terms.items():
+            if (zs := rmult[z][s]) not in nxt:
+                y = terms.get(zs, 0)
+                nxt[z] = nxt[zs] = (x + (y << width) if zs > z
+                                    else y + (x << width))
+        terms = nxt
+    groups: dict = {}   # equal coefficients share one group
+    for z, x in terms.items():
+        groups.setdefault(x, []).append(cc.cls[z])
+    return _class_total(cc, {
+        tuple((2 * j, c) for j, c in enumerate(unpack_signed(x, width)) if c):
+        ks for x, ks in groups.items()})
+
+
+def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
+    """c_J of the product (1+T_{s_1})...(1+T_{s_k}): the number of binary
+    words fixing each quotient element under the up/down composites,
+    weighted by q^(number of 1s).
+
+    >>> bott_samelson_character((1, 2), {1, 3}, 4)
+    LaurentQ({0: 2, 2: 6, 4: 2})
+    """
+    chars = _word_characters(n, sigma, J)
+    return chars.get(_young_type(n, _check_j(n, J)), ZERO)
+
+
+def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
+    """Sum of q^(number of 1s) over all good pairs (w, b), w in S_n."""
+    return bott_samelson_character(sigma, J, n)
+
+
+def good_word_characters_all_j(sigma: Word, n: int) -> dict:
+    """{frozenset J: the good-word character} for every subset J."""
+    chars = _word_characters(n, sigma, ())
+    return {J: chars.get(_young_type(n, J), ZERO)
+            for J in all_parabolic_subsets(n)}
+
+
+# -- binary words --------------------------------------------------------------
+
+def _scan(n: int, sigma: Word, J, quotient: bool | None = False) -> tuple:
+    """(letter indices, table, mask of J) for a word scan at rank n, the
+    table that of J if quotient, the absolute one if False, None if None;
+    the rank guard is checked every call, the rest once per (n, word, J)."""
     config.check_n(n)
     return _checked(n, tuple(sigma), frozenset(J), quotient)
 
 
 @lru_cache(maxsize=1 << 10)
-def _checked(n: int, sigma: tuple, J: frozenset, quotient: bool) -> tuple:
+def _checked(n: int, sigma: tuple, J: frozenset, quotient) -> tuple:
     J = _valid_j(n, J)
     sigma = _ints(sigma, "letter")
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
-    qt = _quotient_table(n, J if quotient else frozenset())
+    qt = None if quotient is None else \
+        _quotient_table(n, J if quotient else frozenset())
     return tuple(s - 1 for s in sigma), qt, _gen_mask(J)
 
 
@@ -494,69 +513,6 @@ def _gen_mask(J: frozenset) -> int:
     return sum(1 << (j - 1) for j in J)
 
 
-def _count_width(k: int, starts: int) -> int:
-    return (starts * math.comb(k, k // 2)).bit_length() + 1
-
-
-# a chunk's int size in bits: fastest overall in BENCH_word_packing.json
-BITS = 4096
-
-
-def _orbits(qt: _QuotientTable, sig: tuple) -> list:
-    """The orbits of the first letter s of sig on the states: pairs
-    (u, u.s) and fixed points (u,); each state alone for no letter."""
-    if not sig:
-        return [(u,) for u in range(len(qt.reps))]
-    return [(u,) if up == u else (u, up)
-            for u, (up, down, _) in enumerate(qt.steps[sig[0]]) if down == u]
-
-
-def _sweeps(qt: _QuotientTable, sig: tuple, orbits: list, need: int,
-            width: int):
-    """(orbit, its counts) for each of the orbits, all with the same need,
-    swept BITS // F orbits at a time (at least one)."""
-    size = max(1, BITS // ((len(sig) + 1) * width))
-    for i in range(0, len(orbits), size):
-        chunk = orbits[i:i + size]
-        yield from zip(chunk, _sweep(qt, sig, chunk, need, width))
-
-
-def _sweep(qt: _QuotientTable, sig: tuple, chunk: list, need: int,
-           width: int) -> list:
-    """For each orbit of the chunk, the packed counts of the words whose
-    composite returns to a start of the orbit, keyed by (start, the set of
-    witness bits inside need that they collect).  The starts of an orbit
-    of the first letter share its step and witness bits, so one sweep
-    from orbit[0] serves them all; orbit p rides in block p, the fields
-    p * F .. p * F + F - 1 of each state's int, F = (k + 1) * width."""
-    shift, block = need.bit_length(), (len(sig) + 1) * width
-    low = (1 << shift) - 1
-    # the state (u, mask) is the int u << shift | mask, as mask lies in need
-    vec = {orbit[0] << shift: 1 << p * block for p, orbit in enumerate(chunk)}
-    for s in sig:
-        row, nxt = qt.steps[s], {}
-        get = nxt.get
-        if not need:   # every mask is 0 and a state is u
-            for u, x in vec.items():
-                up, down, _ = row[u]
-                nxt[up] = get(up, 0) + (x << width)
-                nxt[down] = get(down, 0) + x
-        else:
-            for key, x in vec.items():
-                up, down, wit = row[key >> shift]
-                mask = key & low | wit & need
-                key = up << shift | mask
-                nxt[key] = get(key, 0) + (x << width)
-                key = down << shift | mask
-                nxt[key] = get(key, 0) + x
-        vec = nxt
-    subs = [m for m in range(need + 1) if not m & ~need]
-    full = (1 << block) - 1
-    return [{(t, m): y for t in orbit for m in subs
-             if (y := vec.get(t << shift | m, 0) >> p * block & full)}
-            for p, orbit in enumerate(chunk)]
-
-
 def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
     """The words whose composite returns to start and that collect every
     witness bit in need.  A forward sweep finds the states (u, mask) at
@@ -584,22 +540,6 @@ def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
                 tails[u, mask] = ([(1,) + t for t in hi]
                                   + [(0,) + t for t in lo])
     return set(tails.get((start, 0), ()))
-
-
-def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
-    """c_J of the product (1+T_{s_1})...(1+T_{s_k}), by counting binary
-    words fixing each quotient element under the up/down composites,
-    weighted by q^(number of 1s).
-
-    >>> bott_samelson_character((1, 2), {1, 3}, 4)
-    LaurentQ({0: 2, 2: 6, 4: 2})
-    """
-    sig, qt, _ = _scan(n, sigma, J, True)
-    width = _count_width(len(sig), len(qt.reps))
-    total = 0
-    for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
-        total += sum(counts.values())
-    return from_q_coefficients(unpack_signed(total, width))
 
 
 def _path(qt: _QuotientTable, sig: tuple, w: Perm, b: tuple) -> tuple:
@@ -646,52 +586,6 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     sig, qt, jmask = _scan(len(w), sigma, J)
     start = _state(qt, w)
     return _walk(qt.steps, sig, start, qt.tbl.ldesc[start] & jmask)
-
-
-def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
-    """Sum of q^(number of 1s) over all good pairs (w, b), w in S_n."""
-    J = _check_j(n, J)
-    return _good_characters(sigma, n, [J])[J]
-
-
-def good_word_characters_all_j(sigma: Word, n: int) -> dict:
-    """The good-word character for every subset J at once: {frozenset J:
-    LaurentQ}."""
-    return _good_characters(sigma, n, all_parabolic_subsets(n))
-
-
-def _good_characters(sigma: Word, n: int, Js: list) -> dict:
-    """{J: the good-word character} for J in Js.  The orbits of the first
-    letter are swept in groups of one need, the left descents of their
-    starts inside some J, whose witness bits the sweep tracks.  The counts
-    are summed per (descent set d of the start inside those J, witnessed
-    set m); J then reads, for each d, the words whose m covers d & J, and
-    each (d, d & J) is summed once for all the J that share it."""
-    sig, qt, _ = _scan(n, sigma, ())
-    width = _count_width(len(sig), len(qt.reps))
-    ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
-    groups: dict = {}
-    for orbit in _orbits(qt, sig):
-        groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,
-                          []).append(orbit)
-    by_d: dict = {}   # {d: {m: packed counts}}
-    for need, orbits in groups.items():
-        for _, counts in _sweeps(qt, sig, orbits, need, width):
-            for (t, m), x in counts.items():
-                row = by_d.setdefault(ldesc[t] & track, {})
-                row[m] = row.get(m, 0) + x
-    covering: dict = {}   # {(d, own): the counts whose m covers own}
-    totals = {}
-    for J in Js:
-        jmask, total = _gen_mask(J), 0
-        for d, row in by_d.items():
-            own = d & jmask
-            if (d, own) not in covering:
-                covering[d, own] = sum(x for m, x in row.items()
-                                       if not own & ~m)
-            total += covering[d, own]
-        totals[J] = from_q_coefficients(unpack_signed(total, width))
-    return totals
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -747,13 +641,8 @@ def derive_root_sequence(w: Perm, sigma: Word, b, J) -> tuple:
     ((1, 2), (1, 2))
     """
     sig, b, path, tbl, _ = _check_good(w, sigma, b, J)
-    out = []
-    for i, (s, bit) in enumerate(zip(sig, b)):
-        if bit:
-            u = tbl.perms[path[i]]
-            a, c = u[s], u[s + 1]
-            out.append((a, c) if a < c else (c, a))
-    return tuple(out)
+    return tuple(tuple(sorted(tbl.perms[u][s:s + 2]))
+                 for u, s, bit in zip(path, sig, b) if bit)
 
 
 def is_good_sequence(delta, u: Perm, J=None) -> bool:
@@ -781,12 +670,6 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
     if any(not J.issuperset(range(i, j)) for i, j in inv):
         raise ValueError(f"{u} does not lie in the parabolic subgroup")
 
-    def witnessed(rem, alpha):
-        for idx, d in enumerate(delta):
-            if d == rem:
-                return alpha not in delta[:idx]
-        return False
-
     for g in inv:
         if g in delta:
             continue
@@ -794,7 +677,9 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
         if j - i == 1:
             return False
         for alpha, rem in (((i, i + 1), (i + 1, j)), ((j - 1, j), (i, j - 1))):
-            if rem not in inv and not witnessed(rem, alpha):
+            # rem must occur, with no alpha before its first occurrence
+            if rem not in inv and (rem not in delta or
+                                   alpha in delta[:delta.index(rem)]):
                 return False
     return True
 

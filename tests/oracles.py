@@ -10,8 +10,9 @@ enumeration (all n^n colorings, or backtracking over the proper ones),
 changes of basis from term-by-term LaurentQ arithmetic through the Schur
 basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
 the library's packed route cannot), binary-word counts and word sets
-from depth-first walks over all 2^k
-words, Bott-Samelson products from LaurentQ products, induced characters
+from depth-first walks over all 2^k words, the counts also from
+transfer-matrix sweeps over the library's quotient tables (`sweep_*`),
+Bott-Samelson products from LaurentQ products, induced characters
 from per-z trace matrices on the quotient module, the traces of the
 T_{w_mu} from the diagonal of its action and the class-sum route from
 dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
@@ -47,7 +48,9 @@ from heckelab.laurentq import (
     signed_width, unpack_signed,
 )
 from heckelab.coxeter import cycle_type
-from heckelab.parabolic import _young_trace, induced_character
+from heckelab.parabolic import (
+    _gen_mask, _scan, _young_trace, all_parabolic_subsets, induced_character,
+)
 from heckelab.symfunc import (
     SymFunc, _h_chars, _kostka, conjugate_partition, frobenius_character,
     immanant, murnaghan_nakayama, omega, partitions, sign_partition, z_mu,
@@ -604,6 +607,144 @@ def dfs_good_words(w, sigma, J) -> set:
     return {b for b, end, mask in _word_walk(n, frozenset(), tuple(sigma),
                                              start)
             if end == start and mask & need == need}
+
+
+# -- binary-word counts by transfer-matrix sweeps ------------------------------
+#
+# The combinatorial side of the paper's identity, which the library computes
+# as one product and one class sum; these count the words on the library's
+# quotient tables (`parabolic._scan`).  Counts follow each orbit {u, us} or
+# {u} of the first letter s from one start and merge the paths that meet at
+# the same state (a transfer matrix): u and us step to the same up and down
+# with the same witness bits, as (us)s(us)^-1 = usu^-1, so one sweep is read
+# at both.  The count vector over the number of 1s rides in one int, `width`
+# bits per coefficient (Kronecker packing): a 1-bit shifts by `width`, and
+# merging two paths is an int add.  A sweep carries a chunk of orbits: orbit
+# p starts as 1 << p * F, F = (k + 1) * width, so each state's int holds
+# every orbit's vector in its own block, and the orbits share the steps at
+# the states they all reach.  One start counts each word at most once and
+# there are binom(k, e) words with e ones, so over m starts every coefficient
+# is at most m * binom(k, k // 2); `width` is the bit length of that bound
+# for all the quotient's starts plus a sign bit (`unpack_signed` reads signed
+# fields), so no field carries into the next, nor a block into the next, and
+# blocks add straight into the total.  The bound is reached (n = 3,
+# J = {1, 2}), so one bit less would read it as negative.
+
+def _count_width(k: int, starts: int) -> int:
+    return (starts * math.comb(k, k // 2)).bit_length() + 1
+
+
+# a chunk's int size in bits: fastest overall in BENCH_word_packing.json
+BITS = 4096
+
+
+def _orbits(qt, sig: tuple) -> list:
+    """The orbits of the first letter s of sig on the states: pairs
+    (u, u.s) and fixed points (u,); each state alone for no letter."""
+    if not sig:
+        return [(u,) for u in range(len(qt.reps))]
+    return [(u,) if up == u else (u, up)
+            for u, (up, down, _) in enumerate(qt.steps[sig[0]]) if down == u]
+
+
+def _sweeps(qt, sig: tuple, orbits: list, need: int, width: int):
+    """(orbit, its counts) for each of the orbits, all with the same need,
+    swept BITS // F orbits at a time (at least one)."""
+    size = max(1, BITS // ((len(sig) + 1) * width))
+    for i in range(0, len(orbits), size):
+        chunk = orbits[i:i + size]
+        yield from zip(chunk, _sweep(qt, sig, chunk, need, width))
+
+
+def _sweep(qt, sig: tuple, chunk: list, need: int, width: int) -> list:
+    """For each orbit of the chunk, the packed counts of the words whose
+    composite returns to a start of the orbit, keyed by (start, the set of
+    witness bits inside need that they collect).  The starts of an orbit
+    of the first letter share its step and witness bits, so one sweep
+    from orbit[0] serves them all; orbit p rides in block p, the fields
+    p * F .. p * F + F - 1 of each state's int, F = (k + 1) * width."""
+    shift, block = need.bit_length(), (len(sig) + 1) * width
+    low = (1 << shift) - 1
+    # the state (u, mask) is the int u << shift | mask, as mask lies in need
+    vec = {orbit[0] << shift: 1 << p * block for p, orbit in enumerate(chunk)}
+    for s in sig:
+        row, nxt = qt.steps[s], {}
+        get = nxt.get
+        if not need:   # every mask is 0 and a state is u
+            for u, x in vec.items():
+                up, down, _ = row[u]
+                nxt[up] = get(up, 0) + (x << width)
+                nxt[down] = get(down, 0) + x
+        else:
+            for key, x in vec.items():
+                up, down, wit = row[key >> shift]
+                mask = key & low | wit & need
+                key = up << shift | mask
+                nxt[key] = get(key, 0) + (x << width)
+                key = down << shift | mask
+                nxt[key] = get(key, 0) + x
+        vec = nxt
+    subs = [m for m in range(need + 1) if not m & ~need]
+    full = (1 << block) - 1
+    return [{(t, m): y for t in orbit for m in subs
+             if (y := vec.get(t << shift | m, 0) >> p * block & full)}
+            for p, orbit in enumerate(chunk)]
+
+
+def sweep_bott_samelson_character(sigma, J, n: int) -> LaurentQ:
+    """c_J of prod (1+T_s) over sigma: the binary words fixing each
+    quotient element under the up/down composites, counted by sweeps."""
+    sig, qt, _ = _scan(n, sigma, J, True)
+    width = _count_width(len(sig), len(qt.reps))
+    total = 0
+    for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
+        total += sum(counts.values())
+    return from_q_coefficients(unpack_signed(total, width))
+
+
+def sweep_good_word_character(sigma, J, n: int) -> LaurentQ:
+    """Sum of q^(number of 1s) over all good pairs (w, b), by sweeps."""
+    J = frozenset(J)
+    return _good_characters(sigma, n, [J])[J]
+
+
+def sweep_good_word_characters_all_j(sigma, n: int) -> dict:
+    """The good-word character for every subset J, by sweeps."""
+    return _good_characters(sigma, n, all_parabolic_subsets(n))
+
+
+def _good_characters(sigma, n: int, Js: list) -> dict:
+    """{J: the good-word character} for J in Js.  The orbits of the first
+    letter are swept in groups of one need, the left descents of their
+    starts inside some J, whose witness bits the sweep tracks.  The counts
+    are summed per (descent set d of the start inside those J, witnessed
+    set m); J then reads, for each d, the words whose m covers d & J, and
+    each (d, d & J) is summed once for all the J that share it."""
+    sig, qt, _ = _scan(n, sigma, ())
+    width = _count_width(len(sig), len(qt.reps))
+    ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
+    groups: dict = {}
+    for orbit in _orbits(qt, sig):
+        groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,
+                          []).append(orbit)
+    by_d: dict = {}   # {d: {m: packed counts}}
+    for need, orbits in groups.items():
+        for _, counts in _sweeps(qt, sig, orbits, need, width):
+            for (t, m), x in counts.items():
+                row = by_d.setdefault(ldesc[t] & track, {})
+                row[m] = row.get(m, 0) + x
+    covering: dict = {}   # {(d, own): the counts whose m covers own}
+    totals = {}
+    for J in Js:
+        jmask, total = _gen_mask(J), 0
+        for d, row in by_d.items():
+            own = d & jmask
+            if (d, own) not in covering:
+                covering[d, own] = sum(x for m, x in row.items()
+                                       if not own & ~m)
+            total += covering[d, own]
+        totals[J] = from_q_coefficients(unpack_signed(total, width))
+    return totals
 
 
 # -- the quotient module -------------------------------------------------------

@@ -612,6 +612,32 @@ def test_repeated_exponent_in_cache_is_a_miss(tmp_path, capsys):
     assert "exponent key '00' repeats v^0" in err
 
 
+def test_repeated_keys_in_json_are_refused(capsys, tmp_path):
+    # json.loads kept the last of two identical keys: induced-char printed
+    # 5q for the first element and read the second as n=3, with exit 0
+    for elem, key in (
+            '{"n": 2, "terms": [{"perm": [2, 1], "coeff": '
+            '{"v": {"0": "1", "0": "5"}}}]}', "'0'"), (
+            '{"n": 2, "n": 3, "terms": [{"perm": [2, 1, 3], "coeff": '
+            '{"v": {"0": "1"}}}]}', "'n'"):
+        path = tmp_path / "elem.json"
+        path.write_text(elem)
+        for source in (("--json", elem), ("--file", str(path))):
+            assert run(capsys, "induced-char", "--J", "1", *source) == (
+                1, "", f"heckelab: repeated key {key} in a JSON object\n")
+
+
+def test_repeated_key_in_cache_is_a_miss(tmp_path, capsys):
+    for name, old, new in (
+            ("n", '"n": 4', '"n": 4, "n": 4'),
+            ("exponent", '{"v": {"0": "1"}}', '{"v": {"0": "1", "0": "1"}}')):
+        def tamper(text, old=old, new=new):
+            assert old in text
+            return text.replace(old, new, 1)
+        err = _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
+        assert "repeated key " in err, err
+
+
 def test_loose_integer_strings_in_cache_are_a_miss(tmp_path, capsys):
     # "0_2" and "0_1" read as 2 and 1, so both entries passed as 1+q
     # without a warning

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.coxeter import (
-    all_permutations, apply_s_left, cycle_type, identity, left_inversions,
-    length, multiply, perm_table,
+    all_permutations, apply_s_left, cycle_type, evaluate_word, identity,
+    left_inversions, length, multiply, perm_table,
 )
 from heckelab.hecke import HeckeElement, bott_samelson_product, kl_context
 from heckelab.laurentq import LaurentQ, ONE, Q, ZERO, from_q_coefficients, \
@@ -34,12 +34,14 @@ from heckelab.parabolic import (
     young_subgroup_generators,
 )
 from heckelab.symfunc import SymFunc, frobenius_character, partitions
+import oracles
 from oracles import (
     build_trace_table, dfs_bin_set, dfs_bott_samelson_character,
     dfs_good_word_characters_all_j, dfs_good_words, dot_action,
     gauss_number, hecke_dot_matrix, mac_class_polys, mac_young_characters,
-    min_coset_rep, quotient_class_traces, trace_route_character,
-    trace_table, weak_left_leq,
+    min_coset_rep, quotient_class_traces, sweep_bott_samelson_character,
+    sweep_good_word_character, sweep_good_word_characters_all_j,
+    trace_route_character, trace_table, weak_left_leq,
 )
 
 J13 = frozenset({1, 3})
@@ -682,11 +684,13 @@ def test_trace_table_values_small():
 @settings(max_examples=30)
 @given(st.integers(min_value=2, max_value=5), st.data())
 def test_word_counts_match_dfs_and_trace(n, data):
-    # the transfer-matrix counts against the 2^k walks and the trace route
+    # the library's counts (one product, one class sum) against the
+    # transfer-matrix sweeps, the 2^k walks and the trace route
     gens = list(range(1, n))
     sigma = tuple(data.draw(st.lists(st.sampled_from(gens), max_size=10)))
     by_j = good_word_characters_all_j(sigma, n)
     dfs_by_j = dfs_good_word_characters_all_j(sigma, n)
+    sweep_by_j = sweep_good_word_characters_all_j(sigma, n)
     element = bott_samelson_product(sigma, n)
     for J in all_parabolic_subsets(n):
         trace = induced_character(element, J)
@@ -695,6 +699,9 @@ def test_word_counts_match_dfs_and_trace(n, data):
         assert by_j[J] == trace, sorted(J)
         assert dfs_bott_samelson_character(sigma, J, n) == trace, sorted(J)
         assert dfs_by_j[J] == trace, sorted(J)
+        assert sweep_bott_samelson_character(sigma, J, n) == trace, sorted(J)
+        assert sweep_good_word_character(sigma, J, n) == trace, sorted(J)
+        assert sweep_by_j[J] == trace, sorted(J)
 
 
 @settings(max_examples=30)
@@ -711,17 +718,20 @@ def test_word_sets_match_the_exhaustive_walk(n, data):
 
 
 def test_all_j_counts_match_each_j_at_n6():
-    # the per-descent-set sums of the all-J route against one J at a time;
-    # one J costs about as much as all 32 at n = 6, so the words stay short
+    # the per-descent-set sums of the all-J sweeps against one J at a
+    # time, and both against the library; one J costs the sweeps about as
+    # much as all 32 at n = 6, so the words stay short
     rng = random.Random(6)
     subsets = all_parabolic_subsets(6)
     for _ in range(5):
         sigma = tuple(rng.randint(1, 5) for _ in range(rng.randint(8, 10)))
         by_j = good_word_characters_all_j(sigma, 6)
-        assert list(by_j) == subsets
+        sweep_by_j = sweep_good_word_characters_all_j(sigma, 6)
+        assert list(by_j) == list(sweep_by_j) == subsets
         for J in subsets:
-            assert by_j[J] == good_word_character(sigma, J, 6), \
-                (sigma, sorted(J))
+            assert by_j[J] == sweep_by_j[J] == \
+                sweep_good_word_character(sigma, J, 6) == \
+                good_word_character(sigma, J, 6), (sigma, sorted(J))
 
 
 def test_word_sets_match_the_exhaustive_walk_at_k16():
@@ -743,7 +753,9 @@ def test_count_width_holds_binomial_coefficients():
     # sign bit of its 58-bit field: a field one bit narrower reads it as
     # negative
     J = frozenset({1, 2})
-    for route, k in ((bott_samelson_character, 60),
+    for route, k in ((sweep_bott_samelson_character, 60),
+                     (sweep_good_word_character, 40),
+                     (bott_samelson_character, 60),
                      (good_word_character, 40)):
         c = route((1, 2) * (k // 2), J, 3)
         assert c == from_q_coefficients([math.comb(k, j)
@@ -771,44 +783,53 @@ def test_word_counts_match_dfs_and_trace_on_every_short_word():
 
 
 def _record_chunks(monkeypatch) -> list:
-    """Patch the count kernel to log (chunk, the most orbits a chunk may
-    hold at the BITS of the call) for every sweep."""
+    """Patch the oracles' count kernel to log (chunk, the most orbits a
+    chunk may hold at the BITS of the call) for every sweep."""
     chunks = []
-    sweep = parabolic._sweep
+    sweep = oracles._sweep
 
     def record(qt, sig, chunk, need, width):
-        most = max(1, parabolic.BITS // ((len(sig) + 1) * width))
+        most = max(1, oracles.BITS // ((len(sig) + 1) * width))
         chunks.append((chunk, most))
         return sweep(qt, sig, chunk, need, width)
 
-    monkeypatch.setattr(parabolic, "_sweep", record)
+    monkeypatch.setattr(oracles, "_sweep", record)
     return chunks
 
 
 def test_one_sweep_per_orbit_of_the_first_letter(monkeypatch):
     # s_1 pairs u with u s_1 (or fixes u) and both starts of a pair share
-    # their first step, so the counts sweep each orbit once: 60 orbits,
-    # not 120 starts, on all of S_5, and each start alone for the empty
-    # word; the orbits ride in chunks of at most BITS // F
+    # their first step, so the oracles' sweeps visit each orbit once: 60
+    # orbits, not 120 starts, on all of S_5, and each start alone for the
+    # empty word; the orbits ride in chunks of at most BITS // F, and the
+    # counts equal the library's
     chunks = _record_chunks(monkeypatch)
     sigma, empty = (2, 1, 3, 4, 2, 3), frozenset()
     quot = parabolic_quotient(5, J13)
     fixed = sum(dot_action(w, 2, quot) == w for w in quot.reps)
     assert (len(quot), fixed) == (30, 6)
-    for bits in (parabolic.BITS, 1000, 1):
-        monkeypatch.setattr(parabolic, "BITS", bits)
-        for count, expected in (
-                (lambda: bott_samelson_character(sigma, empty, 5), 60),
-                (lambda: good_word_character(sigma, J13, 5), 60),
-                (lambda: good_word_characters_all_j(sigma, 5), 60),
-                (lambda: bott_samelson_character((), empty, 5), 120),
-                (lambda: good_word_characters_all_j((), 5), 120),
+    for bits in (oracles.BITS, 1000, 1):
+        monkeypatch.setattr(oracles, "BITS", bits)
+        for count, library, expected in (
+                ((sweep_bott_samelson_character, sigma, empty, 5),
+                 bott_samelson_character, 60),
+                ((sweep_good_word_character, sigma, J13, 5),
+                 good_word_character, 60),
+                ((sweep_good_word_characters_all_j, sigma, 5),
+                 good_word_characters_all_j, 60),
+                ((sweep_bott_samelson_character, (), empty, 5),
+                 bott_samelson_character, 120),
+                ((sweep_good_word_characters_all_j, (), 5),
+                 good_word_characters_all_j, 120),
                 # s_2 fixes 6 of the 30 cosets of W_{1,3} and pairs the rest
-                (lambda: bott_samelson_character(sigma, J13, 5), 6 + 12),
+                ((sweep_bott_samelson_character, sigma, J13, 5),
+                 bott_samelson_character, 6 + 12),
                 # one coset, fixed by every letter
-                (lambda: bott_samelson_character((1, 2), {1, 2}, 3), 1)):
+                ((sweep_bott_samelson_character, (1, 2), {1, 2}, 3),
+                 bott_samelson_character, 1)):
             chunks.clear()
-            count()
+            route, *args = count
+            assert route(*args) == library(*args), (bits, route)
             orbits = [orbit for chunk, _ in chunks for orbit in chunk]
             assert len(orbits) == expected, (bits, chunks)
             starts = [t for orbit in orbits for t in orbit]
@@ -819,8 +840,9 @@ def test_one_sweep_per_orbit_of_the_first_letter(monkeypatch):
 
 
 def test_word_counts_match_the_oracles_across_chunks(monkeypatch):
-    # one orbit per chunk (BITS = 1), and chunks of a few orbits that end
-    # inside the orbit list of S_5 and S_6, read at blocks p > 0
+    # the oracles' sweeps at one orbit per chunk (BITS = 1), and at chunks
+    # of a few orbits that end inside the orbit list of S_5 and S_6, read
+    # at blocks p > 0, against the walks and the library
     chunks = _record_chunks(monkeypatch)
     rng = random.Random(22)
     words = [(n, tuple(rng.randint(1, n - 1) for _ in range(k)))
@@ -829,30 +851,69 @@ def test_word_counts_match_the_oracles_across_chunks(monkeypatch):
     long_trace = induced_character(bott_samelson_product(long_word, 6),
                                    frozenset())
     for bits in (1, 1500):
-        monkeypatch.setattr(parabolic, "BITS", bits)
+        monkeypatch.setattr(oracles, "BITS", bits)
         chunks.clear()
         for n, sigma in words:
             element = bott_samelson_product(sigma, n)
             by_j = good_word_characters_all_j(sigma, n)
+            sweep_by_j = sweep_good_word_characters_all_j(sigma, n)
             dfs_by_j = dfs_good_word_characters_all_j(sigma, n)
             for J in all_parabolic_subsets(n):
                 trace = induced_character(element, J)
-                assert bott_samelson_character(sigma, J, n) == trace == \
+                assert sweep_bott_samelson_character(sigma, J, n) == \
+                    bott_samelson_character(sigma, J, n) == trace == \
                     dfs_bott_samelson_character(sigma, J, n), (sigma, J)
-                assert good_word_character(sigma, J, n) == by_j[J] == \
-                    dfs_by_j[J] == trace, (sigma, sorted(J))
+                assert sweep_good_word_character(sigma, J, n) == \
+                    sweep_by_j[J] == good_word_character(sigma, J, n) == \
+                    by_j[J] == dfs_by_j[J] == trace, (sigma, sorted(J))
         # a chunk holds 2-start orbits and fixed points (J != {})
         assert any(len({len(orbit) for orbit in chunk}) == 2
                    for chunk, _ in chunks) == (bits > 1)
         chunks.clear()
-        assert bott_samelson_character(long_word, (), 6) == long_trace
-        assert good_word_character(long_word, (), 6) == long_trace
+        assert sweep_bott_samelson_character(long_word, (), 6) == \
+            bott_samelson_character(long_word, (), 6) == long_trace
+        assert sweep_good_word_character(long_word, (), 6) == \
+            good_word_character(long_word, (), 6) == long_trace
         # 360 orbits of s_1 for each route: one chunk each, or a few each
         if bits == 1:
             assert len(chunks) == 2 * 360
         else:
             assert 4 <= len(chunks) < 2 * 360
     assert long_trace == dfs_bott_samelson_character(long_word, (), 6)
+
+
+def test_full_j_counts_are_binomial_rows():
+    # J = {1..n-1}: W_J = W, the quotient module is the trivial one, where
+    # T_s acts as q, so c_J of any k-letter product is (1 + q)^k; the
+    # binomial row shares no code with the class kernel
+    def row(k):
+        return from_q_coefficients([math.comb(k, j) for j in range(k + 1)])
+
+    w0_word = tuple(j for i in range(6, 0, -1) for j in range(1, i + 1))
+    assert len(w0_word) == 21 and \
+        evaluate_word(w0_word, 7) == (7, 6, 5, 4, 3, 2, 1)
+    rng = random.Random(26)
+    cases = [(7, w0_word)] + [
+        (n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 14))))
+        for n in (2, 3, 4, 5, 6) for _ in range(4)]
+    for n, sigma in cases:
+        full = frozenset(range(1, n))
+        expected = row(len(sigma))
+        assert bott_samelson_character(sigma, full, n) == expected, sigma
+        assert good_word_character(sigma, full, n) == expected, sigma
+        assert good_word_characters_all_j(sigma, n)[full] == expected, sigma
+
+
+def test_word_counts_build_no_quotient_table(monkeypatch):
+    def refuse(n, J):
+        raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
+
+    monkeypatch.setattr(parabolic, "_quotient_table", refuse)
+    sigma = (4, 1, 3, 2, 4, 1, 3)   # a word no other test checks at n=5
+    assert good_word_characters_all_j(sigma, 5)[J13] == \
+        bott_samelson_character(sigma, J13, 5) == \
+        good_word_character(sigma, J13, 5) == \
+        induced_character(bott_samelson_product(sigma, 5), J13)
 
 
 def test_long_word_count_matches_trace():
