@@ -90,9 +90,11 @@ def _read_json(text: str):
 
 
 def _unique_keys(pairs: list) -> dict:
-    if len(out := dict(pairs)) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ValueError(f"repeated key {key!r} in a JSON object")
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
     return out
 
 

@@ -50,8 +50,7 @@ from .coxeter import (
 )
 from .hecke import HeckeElement
 from .laurentq import (
-    ONE, ZERO, LaurentQ, _raw, pack_signed,
-    signed_width, unpack_signed,
+    ONE, ZERO, LaurentQ, _raw, pack_signed, signed_width, unpack_signed,
 )
 
 __all__ = [
@@ -62,10 +61,6 @@ __all__ = [
     "kappa", "derive_root_sequence", "is_good_sequence",
     "young_subgroup_generators", "all_parabolic_subsets",
 ]
-
-
-def _check_j(n: int, J) -> frozenset:
-    return _valid_j(n, frozenset(J))
 
 
 @cache
@@ -147,7 +142,7 @@ def _quotient_table(n: int, J: frozenset) -> _QuotientTable:
 
 def parabolic_quotient(n: int, J) -> ParabolicQuotient:
     """The quotient JW with reps sorted by (length, one-line notation)."""
-    J = _check_j(n, J)
+    J = _valid_j(n, frozenset(J))
     qt = _quotient_table(n, J)
     reps = tuple(qt.tbl.perms[gi] for gi in qt.reps)
     return ParabolicQuotient(n, J, reps, {w: i for i, w in enumerate(reps)})
@@ -398,7 +393,8 @@ def induced_characters(a: HeckeElement, Js) -> list:
     quotient module, which is the character induced from S_lam for lam
     the block sizes of J."""
     chars = _young_characters(a)
-    return [chars.get(_young_type(a.n, _check_j(a.n, J)), ZERO) for J in Js]
+    return [chars.get(_young_type(a.n, _valid_j(a.n, frozenset(J))), ZERO)
+            for J in Js]
 
 
 def induced_character(a: HeckeElement, J) -> LaurentQ:
@@ -409,17 +405,16 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 
 # -- Bott-Samelson characters --------------------------------------------------
 
-def _word_characters(n: int, sigma: Word, J) -> dict:
-    """{lam: c_lam((1+T_{s_1})...(1+T_{s_k}))} over the nonzero ones, the
-    word and J checked as by the word scans: by the paper's theorem, the
-    word counts of every J from one product and one class sum.
+def _word_characters(n: int, sig: tuple) -> dict:
+    """{lam: c_lam((1+T_{s_1})...(1+T_{s_k}))} over the nonzero ones, for
+    the checked letter indices sig: by the paper's theorem, the word counts
+    of every J from one product and one class sum.
 
     T_z (1 + T_s) is T_z + T_zs when zs is longer, q T_z + q T_zs when
     shorter, so a step gives both members of a pair {z, zs}, z the shorter
     (lower) index, x_z + q x_zs.  The q-fields are k + 2 bits wide, as in
     `bott_samelson_product`, whose w0 rule guards a KL expansion, not this
     sum over at most n! terms."""
-    sig, _, _ = _scan(n, sigma, J, None)
     rmult, cc, width = perm_table(n).rmult, _class_chars(n), len(sig) + 2
     terms = {0: 1}
     for s in sig:
@@ -446,8 +441,8 @@ def bott_samelson_character(sigma: Word, J, n: int) -> LaurentQ:
     >>> bott_samelson_character((1, 2), {1, 3}, 4)
     LaurentQ({0: 2, 2: 6, 4: 2})
     """
-    chars = _word_characters(n, sigma, J)
-    return chars.get(_young_type(n, _check_j(n, J)), ZERO)
+    sig, J, _ = _scan(n, sigma, J)
+    return _word_characters(n, sig).get(_young_type(n, J), ZERO)
 
 
 def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
@@ -457,30 +452,28 @@ def good_word_character(sigma: Word, J, n: int) -> LaurentQ:
 
 def good_word_characters_all_j(sigma: Word, n: int) -> dict:
     """{frozenset J: the good-word character} for every subset J."""
-    chars = _word_characters(n, sigma, ())
+    chars = _word_characters(n, _scan(n, sigma, ())[0])
     return {J: chars.get(_young_type(n, J), ZERO)
             for J in all_parabolic_subsets(n)}
 
 
 # -- binary words --------------------------------------------------------------
 
-def _scan(n: int, sigma: Word, J, quotient: bool | None = False) -> tuple:
-    """(letter indices, table, mask of J) for a word scan at rank n, the
-    table that of J if quotient, the absolute one if False, None if None;
-    the rank guard is checked every call, the rest once per (n, word, J)."""
+def _scan(n: int, sigma: Word, J) -> tuple:
+    """(letter indices, J checked, mask of J) at rank n, sigma and J read
+    once: the rank guard every call (so a caller may take its table from
+    `_quotient_tables`), the rest once per (n, word, J)."""
     config.check_n(n)
-    return _checked(n, tuple(sigma), frozenset(J), quotient)
+    return _checked(n, tuple(sigma), frozenset(J))
 
 
 @lru_cache(maxsize=1 << 10)
-def _checked(n: int, sigma: tuple, J: frozenset, quotient) -> tuple:
+def _checked(n: int, sigma: tuple, J: frozenset) -> tuple:
     J = _valid_j(n, J)
     sigma = _ints(sigma, "letter")
     if any(not 1 <= s <= n - 1 for s in sigma):
         raise ValueError(f"word {sigma} has letters outside 1..{n - 1}")
-    qt = None if quotient is None else \
-        _quotient_table(n, J if quotient else frozenset())
-    return tuple(s - 1 for s in sigma), qt, _gen_mask(J)
+    return tuple(s - 1 for s in sigma), J, _gen_mask(J)
 
 
 def _bits(b, k: int) -> tuple:
@@ -564,7 +557,8 @@ def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     ((2, 3, 1), (1, 3, 2))
     """
     w = tuple(w)
-    sig, qt, _ = _scan(len(w), sigma, () if J is None else J, True)
+    sig, J, _ = _scan(len(w), sigma, () if J is None else J)
+    qt = _quotient_tables(len(w), J)
     path, _ = _path(qt, sig, w, _bits(b, len(sig)))
     return qt.tbl.perms[qt.reps[path[-1]]]
 
@@ -573,7 +567,9 @@ def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     """All binary words whose quotient composite fixes w (w must lie in
     JW), in O(k * (states + words found)) for a word of length k."""
     w = tuple(w)
-    sig, qt, _ = _scan(len(w) if n is None else n, sigma, J, True)
+    n = len(w) if n is None else n
+    sig, J, _ = _scan(n, sigma, J)
+    qt = _quotient_tables(n, J)
     return _walk(qt.steps, sig, _state(qt, w), 0)
 
 
@@ -583,7 +579,8 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     """All binary words good for w: the absolute composite fixes w and
     every left descent of w lying in J is witnessed at some step."""
     w = tuple(w)
-    sig, qt, jmask = _scan(len(w), sigma, J)
+    sig, _, jmask = _scan(len(w), sigma, J)
+    qt = _quotient_tables(len(w), frozenset())
     start = _state(qt, w)
     return _walk(qt.steps, sig, start, qt.tbl.ldesc[start] & jmask)
 
@@ -601,7 +598,8 @@ def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
     ints, the path w_0..w_k as perm_table indices, the table and the mask
     of J."""
     w, sigma = tuple(w), tuple(sigma)
-    sig, qt, jmask = _scan(len(w), sigma, J)
+    sig, _, jmask = _scan(len(w), sigma, J)
+    qt = _quotient_tables(len(w), frozenset())
     b = _bits(b, len(sig))
     path, witnessed = _path(qt, sig, w, b)
     if path[-1] != path[0]:
@@ -665,7 +663,7 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
     for i, j in delta:
         if not 1 <= i < j <= n:
             raise ValueError(f"not a positive root for n={n}: {(i, j)}")
-    J = frozenset(range(1, n)) if J is None else _check_j(n, J)
+    J = frozenset(range(1, n)) if J is None else _valid_j(n, frozenset(J))
     inv = left_inversions(u)
     if any(not J.issuperset(range(i, j)) for i, j in inv):
         raise ValueError(f"{u} does not lie in the parabolic subgroup")

@@ -49,7 +49,8 @@ from heckelab.laurentq import (
 )
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import (
-    _gen_mask, _scan, _young_trace, all_parabolic_subsets, induced_character,
+    _gen_mask, _quotient_table, _scan, _young_trace, all_parabolic_subsets,
+    induced_character,
 )
 from heckelab.symfunc import (
     SymFunc, _h_chars, _kostka, conjugate_partition, frobenius_character,
@@ -611,24 +612,24 @@ def dfs_good_words(w, sigma, J) -> set:
 
 # -- binary-word counts by transfer-matrix sweeps ------------------------------
 #
-# The combinatorial side of the paper's identity, which the library computes
-# as one product and one class sum; these count the words on the library's
-# quotient tables (`parabolic._scan`).  Counts follow each orbit {u, us} or
-# {u} of the first letter s from one start and merge the paths that meet at
-# the same state (a transfer matrix): u and us step to the same up and down
-# with the same witness bits, as (us)s(us)^-1 = usu^-1, so one sweep is read
-# at both.  The count vector over the number of 1s rides in one int, `width`
-# bits per coefficient (Kronecker packing): a 1-bit shifts by `width`, and
-# merging two paths is an int add.  A sweep carries a chunk of orbits: orbit
-# p starts as 1 << p * F, F = (k + 1) * width, so each state's int holds
-# every orbit's vector in its own block, and the orbits share the steps at
-# the states they all reach.  One start counts each word at most once and
-# there are binom(k, e) words with e ones, so over m starts every coefficient
-# is at most m * binom(k, k // 2); `width` is the bit length of that bound
-# for all the quotient's starts plus a sign bit (`unpack_signed` reads signed
-# fields), so no field carries into the next, nor a block into the next, and
-# blocks add straight into the total.  The bound is reached (n = 3,
-# J = {1, 2}), so one bit less would read it as negative.
+# The combinatorial side of the paper's identity, which the library computes as
+# one product and one class sum; these count the words on the library's
+# quotient tables (`parabolic._quotient_table`).  Counts follow each orbit
+# {u, us} or {u} of the first letter s from one start and merge the paths that
+# meet at the same state (a transfer matrix): u and us step to the same up and
+# down with the same witness bits, as (us)s(us)^-1 = usu^-1, so one sweep is
+# read at both.  The count vector over the number of 1s rides in one int,
+# `width` bits per coefficient (Kronecker packing): a 1-bit shifts by `width`,
+# and merging two paths is an int add.  A sweep carries a chunk of orbits:
+# orbit p starts as 1 << p * F, F = (k + 1) * width, so each state's int holds
+# every orbit's vector in its own block, and the orbits share the steps at the
+# states they all reach.  One start counts each word at most once and there are
+# binom(k, e) words with e ones, so over m starts every coefficient is at most
+# m * binom(k, k // 2); `width` is the bit length of that bound for all the
+# quotient's starts plus a sign bit (`unpack_signed` reads signed fields), so
+# no field carries into the next, nor a block into the next, and blocks add
+# straight into the total.  The bound is reached (n = 3, J = {1, 2}), so one
+# bit less would read it as negative.
 
 def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length() + 1
@@ -694,7 +695,8 @@ def _sweep(qt, sig: tuple, chunk: list, need: int, width: int) -> list:
 def sweep_bott_samelson_character(sigma, J, n: int) -> LaurentQ:
     """c_J of prod (1+T_s) over sigma: the binary words fixing each
     quotient element under the up/down composites, counted by sweeps."""
-    sig, qt, _ = _scan(n, sigma, J, True)
+    sig, J, _ = _scan(n, sigma, J)
+    qt = _quotient_table(n, J)
     width = _count_width(len(sig), len(qt.reps))
     total = 0
     for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
@@ -720,7 +722,8 @@ def _good_characters(sigma, n: int, Js: list) -> dict:
     are summed per (descent set d of the start inside those J, witnessed
     set m); J then reads, for each d, the words whose m covers d & J, and
     each (d, d & J) is summed once for all the J that share it."""
-    sig, qt, _ = _scan(n, sigma, ())
+    sig, _, _ = _scan(n, sigma, ())
+    qt = _quotient_table(n, frozenset())
     width = _count_width(len(sig), len(qt.reps))
     ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
     groups: dict = {}

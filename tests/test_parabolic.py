@@ -495,6 +495,18 @@ def test_derive_root_sequence_walks_the_checked_letters():
             expected
 
 
+def test_word_counts_read_j_once():
+    # J and the word are read once: a one-shot iterator for J gives c_J,
+    # not the c_{} a second, empty read would give
+    expected = LaurentQ({0: 2, 2: 6, 4: 2})
+    for f in (bott_samelson_character, good_word_character):
+        assert f((1, 2), iter({1, 3}), 4) == expected, f
+        assert f(iter((1, 2)), (j for j in (1, 3)), 4) == expected, f
+    e = identity(4)
+    assert bin_set(e, (1, 2), iter({1, 3})) == bin_set(e, (1, 2), {1, 3})
+    assert good_words(e, (1, 2), iter({1})) == good_words(e, (1, 2), {1})
+
+
 def test_binary_words_are_checked():
     e, empty = (1, 2, 3), frozenset()
     for b in ((0, 1), ()):
@@ -908,7 +920,7 @@ def test_word_counts_build_no_quotient_table(monkeypatch):
     def refuse(n, J):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
-    monkeypatch.setattr(parabolic, "_quotient_table", refuse)
+    monkeypatch.setattr(parabolic, "_quotient_tables", refuse)
     sigma = (4, 1, 3, 2, 4, 1, 3)   # a word no other test checks at n=5
     assert good_word_characters_all_j(sigma, 5)[J13] == \
         bott_samelson_character(sigma, J13, 5) == \
@@ -976,7 +988,7 @@ def test_character_route_builds_no_quotient_module(monkeypatch, capsys):
     def refuse(n, J):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
-    monkeypatch.setattr(parabolic, "_quotient_table", refuse)
+    monkeypatch.setattr(parabolic, "_quotient_tables", refuse)
     _class_chars.cache_clear()
     w = (3, 5, 1, 4, 2)
     for a in (kl_context(5).element(w), HeckeElement.t_basis(5, w),
