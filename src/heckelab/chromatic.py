@@ -186,8 +186,8 @@ def llt_plethysm(w: Perm) -> SymFunc:
     w = tuple(w)
     n = len(w)
     config.check_n(n)
-    return SymFunc("s", n)._like(_class_sum(
-        _llt_chars(n), *kl_context(n).terms(w)))
+    return SymFunc("s", n)._like(_class_sum(_llt_chars(n),
+                                            kl_context(n).terms(w)))
 
 
 def chss_check(m):
@@ -255,7 +255,7 @@ def conjecture_scan(kind: str, n: int) -> list:
         if least < x:
             verdicts.append(verdicts[least])
             continue
-        bad = [lam for lam, c in _class_sum(cc, *ctx.terms(w)).items()
+        bad = [lam for lam, c in _class_sum(cc, ctx.terms(w)).items()
                if not good(c)]
         verdicts.append((not bad, no + _plist(bad) if bad else yes))
     return [ScanRow(w, kind, *v) for w, v in zip(tbl.perms, verdicts)]

@@ -4,7 +4,9 @@ Batch command surface: every computation as a reproducible command.
 Output conventions: results go to stdout, diagnostics to stderr; output
 bytes are a pure function of the arguments and the chosen format.  Exit
 codes: 0 success, 1 domain error (e.g. incomparable permutations), 2
-usage error (bad literals, unknown verbs, size guard).
+usage error (bad literals, unknown verbs, size guard).  A verb checks
+n, J and its word in one call (`_check_args`); `main` saves the KL cache
+of each rank the verb opened (`_load_kl_cache`) once it has returned.
 
 Permutation literals are contiguous digits for n <= 9 ("3412") and
 comma-separated entries for larger n ("10,3,2,...").  Partitions, words
@@ -55,24 +57,22 @@ def parse_permutation(text: str) -> tuple:
             f"bad permutation literal {text!r}: {exc}") from None
 
 
-def parse_word(text: str) -> tuple:
-    if text.strip() == "":
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad word literal {text!r}") from None
+def _int_list(kind: str, build):
+    """The parser of a comma-separated integer literal, possibly empty,
+    into build(ints)."""
+    def parse(text: str):
+        if text.strip() == "":
+            return build(())
+        try:
+            return build(int(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {kind} literal {text!r}") from None
+    return parse
 
 
-def parse_generators(text: str) -> frozenset:
-    if text.strip() == "":
-        return frozenset()
-    try:
-        return frozenset(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad generator set literal {text!r}") from None
+parse_word = _int_list("word", tuple)
+parse_generators = _int_list("generator set", frozenset)
 
 
 def parse_values(text: str) -> tuple:
@@ -119,6 +119,7 @@ def _cache_path(cache_dir: str, n: int) -> str:
 
 
 _on_disk: dict = {}   # cache path -> elements in it when last read or written
+_opened: set = set()   # ranks whose cache `main` saves after the verb
 
 
 def _load_kl_cache(cache_dir, n: int):
@@ -126,6 +127,7 @@ def _load_kl_cache(cache_dir, n: int):
     or inconsistent file is a cache miss with a warning."""
     ctx = kl_context(n)
     if cache_dir:
+        _opened.add(n)
         path = _cache_path(cache_dir, n)
         _on_disk.pop(path, None)
         try:
@@ -140,8 +142,6 @@ def _load_kl_cache(cache_dir, n: int):
 
 
 def _save_kl_cache(cache_dir, n: int) -> None:
-    if not cache_dir:
-        return
     ctx, path = kl_context(n), _cache_path(cache_dir, n)
     if _on_disk.get(path) == len(ctx):
         return   # nothing new since the file was read or written
@@ -180,17 +180,12 @@ def run_kl_poly(args, parser) -> str:
         parser.error(f"size mismatch: |u|={len(u)} but |w|={len(w)}")
     if args.n is not None and args.n != len(w):
         parser.error(f"--n {args.n} does not match the literals (n={len(w)})")
-    ctx = _load_kl_cache(args.cache_dir, len(w))
-    p = ctx.polynomial(u, w)
-    _save_kl_cache(args.cache_dir, len(w))
+    p = _load_kl_cache(args.cache_dir, len(w)).polynomial(u, w)
     return _render(p, args.format)
 
 
 def run_kl_basis(args, parser) -> str:
-    n = len(args.w)
-    ctx = _load_kl_cache(args.cache_dir, n)
-    elem = ctx.element(args.w)
-    _save_kl_cache(args.cache_dir, n)
+    elem = _load_kl_cache(args.cache_dir, len(args.w)).element(args.w)
     return _render(elem, args.format)
 
 
@@ -200,40 +195,29 @@ def run_cprime_expand(args, parser) -> str:
             parser.error("--word excludes --json/--file")
         if args.n is None:
             parser.error("--word needs --n")
-        config.check_n(args.n)
-        _validate_word(args.word, args.n, parser)
+        _check_args(args, parser, args.n)
         elem = bott_samelson_product(args.word, args.n)
     else:
         elem = _element_from_args(args, parser)
-        config.check_n(elem.n)
-    ctx = _load_kl_cache(args.cache_dir, elem.n)
-    expansion = ctx.expand_cprime(elem)
-    _save_kl_cache(args.cache_dir, elem.n)
+        _check_args(args, parser, elem.n)
+    expansion = _load_kl_cache(args.cache_dir, elem.n).expand_cprime(elem)
     return _render(HeckeElement(elem.n, expansion), args.format, label="B")
 
 
 def run_induced_char(args, parser) -> str:
     elem = _element_from_args(args, parser)
-    config.check_n(elem.n)
-    _validate_j(args.J, elem.n, parser)
-    value = induced_character(elem, args.J)
-    if args.kl:
-        _save_kl_cache(args.cache_dir, elem.n)
-    return _render(value, args.format)
+    _check_args(args, parser, elem.n, args.J)
+    return _render(induced_character(elem, args.J), args.format)
 
 
 def run_bs_char(args, parser) -> str:
-    config.check_n(args.n)
-    _validate_j(args.J, args.n, parser)
-    _validate_word(args.word, args.n, parser)
+    _check_args(args, parser, args.n, args.J)
     return _render(bott_samelson_character(args.word, args.J, args.n),
                    args.format)
 
 
 def run_good_words(args, parser) -> str:
-    config.check_n(args.n)
-    _validate_j(args.J, args.n, parser)
-    _validate_word(args.word, args.n, parser)
+    _check_args(args, parser, args.n, args.J)
     if args.w is not None:
         if len(args.w) != args.n:
             parser.error("--w does not match --n")
@@ -259,14 +243,10 @@ def run_good_words(args, parser) -> str:
 def run_frobenius(args, parser) -> str:
     n = len(args.w)
     if args.of == "kl":
-        ctx = _load_kl_cache(args.cache_dir, n)
-        elem = ctx.element(args.w)
+        elem = _load_kl_cache(args.cache_dir, n).element(args.w)
     else:
         elem = HeckeElement.t_basis(n, args.w)
-    f = frobenius_character(elem, args.basis)
-    if args.of == "kl":
-        _save_kl_cache(args.cache_dir, n)
-    return _render(f, args.format)
+    return _render(frobenius_character(elem, args.basis), args.format)
 
 
 def run_csf(args, parser) -> str:
@@ -297,11 +277,9 @@ def run_llt(args, parser) -> str:
 
 
 def run_springer(args, parser) -> str:
-    config.check_n(args.n)
-    _validate_word(args.word, args.n, parser)
-    ctx = _load_kl_cache(args.cache_dir, args.n)
-    expansion = springer_decomposition(args.word, args.n, ctx)
-    _save_kl_cache(args.cache_dir, args.n)
+    _check_args(args, parser, args.n)
+    expansion = springer_decomposition(
+        args.word, args.n, _load_kl_cache(args.cache_dir, args.n))
     if args.normalization == "classical":
         # divide out v^(len(top) - len(u)): the multiplicity series P_u(v)
         top = evaluate_word(args.word, args.n)
@@ -313,13 +291,10 @@ def run_springer(args, parser) -> str:
 
 def run_ih_poincare(args, parser) -> str:
     n = len(args.w)
-    config.check_n(n)
     J = args.J if args.J is not None else frozenset(range(1, n))
-    _validate_j(J, n, parser)
-    ctx = _load_kl_cache(args.cache_dir, n)
-    value = induced_character(ctx.element(args.w), J)
-    _save_kl_cache(args.cache_dir, n)
-    return _render(value, args.format)
+    _check_args(args, parser, n, J)
+    elem = _load_kl_cache(args.cache_dir, n).element(args.w)
+    return _render(induced_character(elem, J), args.format)
 
 
 def run_scan(args, parser) -> str:
@@ -343,12 +318,13 @@ def run_scan(args, parser) -> str:
     return "\n".join(lines)
 
 
-def _validate_j(J, n: int, parser) -> None:
+def _check_args(args, parser, n: int, J=()) -> None:
+    """The rank guard on n, then the generator set J, then the letters of
+    args.word if the verb has one."""
+    config.check_n(n)
     if any(not 1 <= j <= n - 1 for j in J):
         parser.error(f"generator set {sorted(J)} invalid for n={n}")
-
-
-def _validate_word(word, n: int, parser) -> None:
+    word = getattr(args, "word", None) or ()
     if any(not 1 <= s <= n - 1 for s in word):
         parser.error(f"word {list(word)} has letters outside 1..{n - 1}")
 
@@ -472,6 +448,8 @@ def main(argv=None) -> int:
         config.set_max_n(args.max_n)
     try:
         out = args.func(args, parser)
+        for n in sorted(_opened):
+            _save_kl_cache(args.cache_dir, n)
     except config.BudgetError as exc:
         print(f"heckelab: {exc}", file=sys.stderr)
         return 2
@@ -479,6 +457,7 @@ def main(argv=None) -> int:
         print(f"heckelab: {exc}", file=sys.stderr)
         return 1
     finally:
+        _opened.clear()
         config.set_max_n(previous_guard)
     print(out)
     return 0

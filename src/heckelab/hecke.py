@@ -289,12 +289,12 @@ class KLContext:
         return HeckeElement._raw(self.n, {
             perms[z]: views[p] for z, p in self._get(self._index(w)).items()})
 
-    def terms(self, w: Perm) -> tuple:
-        """The terms of B_w as two iterators in step, the permutations z
-        and the shared P_{z,w}: `element` without building its dict."""
-        b = self._get(self._index(w))
-        return (map(self._index.perms.__getitem__, b),
-                map(self._views.__getitem__, b.values()))
+    def terms(self, w: Perm):
+        """The terms of B_w as an iterator of (z, P_{z,w}) pairs, each P
+        the shared view: `element` without building its dict."""
+        perms, views = self._index.perms, self._views
+        return ((perms[z], views[p])
+                for z, p in self._get(self._index(w)).items())
 
     def _get(self, w: int) -> dict:
         """B_w as {z: P_{z,w}}, built on first use."""

@@ -317,22 +317,20 @@ class _ClassChars:
 _class_chars = cache(_ClassChars)
 
 
-def _class_sum(cc: _ClassChars, ws, cs) -> dict:
-    """`_class_total` of a = sum_i cs[i] T_{ws[i]} (ws and cs in step, as
-    the keys and values of a.terms or `KLContext.terms`), grouped per
+def _class_sum(cc: _ClassChars, terms) -> dict:
+    """`_class_total` of a = sum c T_w over the (w, c) pairs of terms (the
+    items of a.terms, or `KLContext.terms`), grouped in one pass per
     coefficient object, then per equal coefficient after cc.coeff."""
-    cs = list(cs)
-    ids = list(map(id, cs))
-    ks = list(map(cc.cls.__getitem__, map(cc.index.__getitem__, ws)))
-    objs = dict(zip(ids, cs))
-    by_id: dict = {i: [] for i in objs}
-    for i, k in zip(ids, ks):
-        by_id[i].append(k)
+    cls, index = cc.cls, cc.index
+    by_id: dict = {}   # id(c) -> (c, the classes of its w)
+    for w, c in terms:
+        if (g := by_id.get(id(c))) is None:
+            g = by_id[id(c)] = c, []
+        g[1].append(cls[index[w]])
     groups: dict = {}   # equal coefficients in distinct objects
-    for i, c in objs.items():
+    for c, ks in by_id.values():
         key = tuple(c.c.items())
-        key = cc.coeff(key) if cc.coeff else key
-        groups[key] = groups.get(key, []) + by_id[i]
+        groups.setdefault(cc.coeff(key) if cc.coeff else key, []).extend(ks)
     return _class_total(cc, groups)
 
 
@@ -385,7 +383,7 @@ def _young_characters(a: HeckeElement) -> dict:
     >>> print(ch[(3,)], ch[(2, 1)], ch[(1, 1, 1)])
     q -1+2q -3+3q
     """
-    return _class_sum(_class_chars(a.n), a.terms, a.terms.values())
+    return _class_sum(_class_chars(a.n), a.terms.items())
 
 
 def induced_characters(a: HeckeElement, Js) -> list:

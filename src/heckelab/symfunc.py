@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, count, zip_longest
+from itertools import compress, count
 from math import factorial, gcd, lcm
 from numbers import Number
 from operator import mul
@@ -35,7 +35,7 @@ from .parabolic import _ClassChars, _class_chars, _class_sum
 
 __all__ = [
     "Partition", "partitions", "check_partition", "conjugate_partition",
-    "z_mu", "sign_partition", "dominates",
+    "z_mu", "sign_partition",
     "murnaghan_nakayama",
     "SymFunc", "omega", "hall_inner_product", "frobenius_character",
     "multiply", "jacobi_trudi", "immanant",
@@ -96,12 +96,6 @@ def z_mu(mu) -> int:
 def sign_partition(mu) -> int:
     """(-1)^(n - number of parts)."""
     return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
-def dominates(lam, mu) -> bool:
-    """lam >= mu in dominance order (partial sums dominate)."""
-    return all(d >= 0 for d in accumulate(
-        a - b for a, b in zip_longest(lam, mu, fillvalue=0)))
 
 
 # -- character table -----------------------------------------------------------
@@ -385,7 +379,7 @@ def frobenius_character(a: HeckeElement, basis: str = "m") -> SymFunc:
     any other goes through `SymFunc.to_basis` from m."""
     b = "h" if basis == "h" else "m"
     cc = _h_chars(a.n) if b == "h" else _class_chars(a.n)
-    return SymFunc(b, a.n)._like(_class_sum(cc, a.terms, a.terms.values())
+    return SymFunc(b, a.n)._like(_class_sum(cc, a.terms.items())
                                  ).to_basis(basis)
 
 

@@ -34,7 +34,9 @@ sizes and `z_matrix`.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import (
+    accumulate, combinations, permutations, product, zip_longest,
+)
 from types import SimpleNamespace
 
 from heckelab import chromatic, config
@@ -265,6 +267,12 @@ def gauss_number(k: int) -> LaurentQ:
 def class_size(mu) -> int:
     """Number of permutations of cycle type mu: n!/z_mu."""
     return math.factorial(sum(mu)) // z_mu(mu)
+
+
+def dominates(lam, mu) -> bool:
+    """lam >= mu in dominance order (partial sums dominate)."""
+    return all(d >= 0 for d in accumulate(
+        a - b for a, b in zip_longest(lam, mu, fillvalue=0)))
 
 
 # -- basis changes ------------------------------------------------------------
@@ -1348,7 +1356,7 @@ def per_w_conjecture_scan(kind: str, n: int) -> list:
     rows = []
     for w in perm_table(n).perms:
         bad = [lam for lam, c in
-               chromatic._class_sum(cc, *ctx.terms(w)).items() if not good(c)]
+               chromatic._class_sum(cc, ctx.terms(w)).items() if not good(c)]
         rows.append(chromatic.ScanRow(
             w, kind, not bad, no + chromatic._plist(bad) if bad else yes))
     return rows

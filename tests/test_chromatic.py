@@ -279,7 +279,7 @@ def test_llt_plethysm_remainder_is_value_error(monkeypatch):
 
 def _llt(a, shifted: bool = False) -> dict:
     """The class kernel's LLT of a: in s, or at q+1 in e if shifted."""
-    return _class_sum(_llt_chars(a.n, shifted), a.terms, a.terms.values())
+    return _class_sum(_llt_chars(a.n, shifted), a.terms.items())
 
 
 def _e_seed(n: int, mu: tuple) -> SymFunc:
@@ -322,8 +322,7 @@ def test_schur_seeded_kernel_matches_e_seeded_sum():
         n = len(w)
         e_chars = _e_chars(n)
         for a in (kl_context(n).element(w), HeckeElement.t_basis(n, w)):
-            e = SymFunc("e", n)._like(_class_sum(e_chars, a.terms,
-                                                 a.terms.values()))
+            e = SymFunc("e", n)._like(_class_sum(e_chars, a.terms.items()))
             assert _llt(a) == e.to_basis("s").coeffs, w
             assert _llt(a) == map_llt_plethysm(a).coeffs, w
         assert llt_plethysm(w).coeffs == _llt(kl_context(n).element(w)), w
@@ -354,7 +353,7 @@ def test_h_and_shifted_kernels_match_basis_changes():
             e = SymFunc("s", n)._like(_llt(a)).to_basis("e")
             assert _llt(a, shifted=True) == e.map_coeffs(shift).coeffs, w
         assert llt_plethysm(w).to_basis("e").map_coeffs(shift).coeffs == \
-            _class_sum(_llt_chars(n, True), *kl_context(n).terms(w)), w
+            _class_sum(_llt_chars(n, True), kl_context(n).terms(w)), w
 
 
 def test_h_kernel_on_any_coefficients():
@@ -407,8 +406,8 @@ def test_scan_rows_match_per_w_route(kind, monkeypatch):
             [_per_w_row(kind, w) for w in perm_table(n).perms]
     # every verdict holds, so negate the kernel's coefficients to reach
     # the failure texts: a negated h-coefficient c is log-concave iff c is
-    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: {
-        lam: -c for lam, c in _class_sum(cc, zs, cs).items()})
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, terms: {
+        lam: -c for lam, c in _class_sum(cc, terms).items()})
     rows = conjecture_scan(kind, 4)
     assert rows == [_per_w_row(kind, w, -1) for w in perm_table(4).perms]
     assert (kind == "log-concavity") == all(r.ok for r in rows)
@@ -422,15 +421,15 @@ def test_scan_per_orbit_matches_per_w_oracle(kind, monkeypatch):
     for n in range(1, 7):
         assert conjecture_scan(kind, n) == per_w_conjecture_scan(kind, n), n
     # with the kernel negated, failing verdicts are shared the same way
-    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: {
-        lam: -c for lam, c in _class_sum(cc, zs, cs).items()})
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, terms: {
+        lam: -c for lam, c in _class_sum(cc, terms).items()})
     assert conjecture_scan(kind, 5) == per_w_conjecture_scan(kind, 5)
 
 
 def test_scan_sums_once_per_orbit(monkeypatch):
     sums = []
-    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, zs, cs: (
-        sums.append(1), _class_sum(cc, zs, cs))[1])
+    monkeypatch.setattr(chromatic, "_class_sum", lambda cc, terms: (
+        sums.append(1), _class_sum(cc, terms))[1])
     for n, orbits in ((4, 13), (5, 45), (6, 230)):
         sums.clear()
         assert len(conjecture_scan("h-positivity", n)) == math.factorial(n)

@@ -13,7 +13,7 @@ REMOVED = {
               "apply_transposition_left", "transpositions"),
     laurentq: ("gauss_number",),
     parabolic: ("min_coset_rep",),
-    symfunc: ("class_size", "z_matrix"),
+    symfunc: ("class_size", "z_matrix", "dominates"),
 }
 ALL_REMOVED = {name for names in REMOVED.values() for name in names}
 

@@ -670,12 +670,11 @@ def test_t_basis_products_respect_lengths(n, data):
 
 
 def test_terms_are_the_element_without_its_dict():
-    # KLContext.terms gives the permutations and the shared coefficient
-    # objects of element(w), in step
+    # KLContext.terms gives the (permutation, shared coefficient object)
+    # pairs of element(w)
     ctx = kl_context(4)
     for w in all_permutations(4):
-        ws, cs = ctx.terms(w)
-        pairs = list(zip(ws, cs))
+        pairs = list(ctx.terms(w))
         assert dict(pairs) == ctx.element(w).terms and \
             len(pairs) == len(ctx.element(w).terms), w
         assert all(c is ctx.element(w).terms[z] for z, c in pairs), w

@@ -1,6 +1,7 @@
 """The experiment scripts in scripts/ run end to end on small inputs, so
 an API change that breaks one of them fails here."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -20,3 +22,29 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def _compare_cli(old, new):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "compare_cli.py"), str(old), str(new),
+         "--cases", "2"], capture_output=True, text=True, timeout=120)
+
+
+def test_compare_cli_finds_no_difference_on_one_tree():
+    done = _compare_cli(SRC, SRC)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith(": 0 differences\n")
+
+
+def test_compare_cli_reports_a_changed_output(tmp_path):
+    # a tree whose CLI appends a blank line to every result
+    shutil.copytree(SRC / "heckelab", tmp_path / "heckelab")
+    cli = tmp_path / "heckelab" / "cli.py"
+    text = cli.read_text()
+    assert text.count("    print(out)\n") == 1
+    cli.write_text(text.replace("    print(out)\n",
+                                '    print(out + "\\n")\n'))
+    done = _compare_cli(SRC, tmp_path)
+    assert done.returncode == 1
+    assert "kl-poly --u 1234 --w 3412 --format plain (run 1): stdout " \
+        "differs" in done.stdout

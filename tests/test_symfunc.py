@@ -21,13 +21,12 @@ from heckelab.laurentq import (
     LaurentQ, ONE, Q, ZERO, from_q_coefficients, q_power,
 )
 from heckelab.symfunc import (
-    SymFunc, check_partition, conjugate_partition, dominates,
-    frobenius_character, hall_inner_product, immanant, jacobi_trudi,
-    multiply, murnaghan_nakayama, omega, partitions,
-    sign_partition, z_mu,
+    SymFunc, check_partition, conjugate_partition, frobenius_character,
+    hall_inner_product, immanant, jacobi_trudi, multiply,
+    murnaghan_nakayama, omega, partitions, sign_partition, z_mu,
 )
 from oracles import (
-    LaurentFrac, class_size, count_syt, direct_jacobi_trudi,
+    LaurentFrac, class_size, count_syt, direct_jacobi_trudi, dominates,
     expand_basis_element, newton_check, oracle_to_basis, plethysm_scale,
     z_matrix,
 )
