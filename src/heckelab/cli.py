@@ -448,7 +448,7 @@ def main(argv=None) -> int:
         config.set_max_n(args.max_n)
     try:
         out = args.func(args, parser)
-        for n in sorted(_opened):
+        for n in _opened:
             _save_kl_cache(args.cache_dir, n)
     except config.BudgetError as exc:
         print(f"heckelab: {exc}", file=sys.stderr)

@@ -330,7 +330,8 @@ def _class_sum(cc: _ClassChars, terms) -> dict:
     groups: dict = {}   # equal coefficients in distinct objects
     for c, ks in by_id.values():
         key = tuple(c.c.items())
-        groups.setdefault(cc.coeff(key) if cc.coeff else key, []).extend(ks)
+        key = cc.coeff(key) if cc.coeff else key
+        groups.setdefault(key, []).extend(ks)
     return _class_total(cc, groups)
 
 
