@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the command line of two source trees byte for byte.
 
-    python scripts/compare_cli.py OLD_SRC NEW_SRC [--cases N] [--jobs J]
+    python scripts/compare_cli.py OLD_SRC NEW_SRC [--cases N]
 
 OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
 `src` directory of two checkouts).  Each command runs in a fresh
@@ -12,8 +12,9 @@ OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
   same path on both sides, whose files are compared after each run.
 Every difference in exit code, stdout, stderr or cache bytes is printed,
 and the exit code is 1 if there is any.  --cases N keeps the first N
-commands of each group.  HECKE_LAB_MAX_N is unset in the child processes,
-so the default size guard applies on both sides.
+commands of each group.  Four commands run at once.  HECKE_LAB_MAX_N is
+unset in the child processes, so the default size guard applies on both
+sides.
 
 Example, against a clone of the parent commit:
     git clone -q . /tmp/parent
@@ -111,8 +112,6 @@ def main(argv=None) -> int:
     ap.add_argument("new", help="source tree holding the heckelab package")
     ap.add_argument("--cases", type=int, default=None,
                     help="keep the first N commands of each group")
-    ap.add_argument("--jobs", type=int, default=4,
-                    help="commands compared at once (default 4)")
     args = ap.parse_args(argv)
     for src in (args.old, args.new):
         if not os.path.isfile(os.path.join(src, "heckelab", "cli.py")):
@@ -125,9 +124,9 @@ def main(argv=None) -> int:
     tasks += [(argv, False) for argv in errors[:args.cases]]
     tasks += [(argv, True) for argv in cached[:args.cases]]
     old, new = (os.path.abspath(src) for src in (args.old, args.new))
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        diffs = [d for found in pool.map(lambda t: compare(old, new, *t), tasks)
-                 for d in found]
+    with ThreadPoolExecutor(4) as pool:
+        found = pool.map(lambda task: compare(old, new, *task), tasks)
+        diffs = [d for ds in found for d in ds]
     for line in diffs:
         print(line)
     print(f"{len(tasks)} commands ({len(golden[:args.cases])} golden, "
