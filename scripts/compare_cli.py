@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Compare the command line of two source trees byte for byte.
 
-    python scripts/compare_cli.py OLD_SRC NEW_SRC [--cases N]
+    python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
 `src` directory of two checkouts).  Each command runs in a fresh
 `python -m heckelab.cli` process on both trees:
 - every argv of tests/data/cli_golden.json;
-- the usage and guard errors in ERRORS;
-- each verb in CACHED twice against one empty --cache-dir per tree, at the
-  same path on both sides, whose files are compared after each run.
+- the usage and rank-guard errors of tests/data/cli_cases.json;
+- each verb of its "caching" and "not_caching" lists twice against one
+  empty --cache-dir per tree, at the same path on both sides, whose files
+  are compared after each run.
 Every difference in exit code, stdout, stderr or cache bytes is printed,
-and the exit code is 1 if there is any.  --cases N keeps the first N
-commands of each group.  Four commands run at once.  HECKE_LAB_MAX_N is
-unset in the child processes, so the default size guard applies on both
-sides.
+and the exit code is 1 if there is any.  Four commands run at once.
+HECKE_LAB_MAX_N is unset in the child processes, so the default size
+guard applies on both sides.
 
 Example, against a clone of the parent commit:
     git clone -q . /tmp/parent
@@ -32,43 +32,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests/data/cli_golden.json"
-
-ERRORS = [
-    "cprime-expand --word 1 --n 3 --json {}",
-    "cprime-expand --word 1",
-    "cprime-expand --word 1,4 --n 4",
-    "good-words --n 4 --J 1 --word 1 --w 123",
-    "good-words --n 4 --J 0 --word 1",
-    "bs-char --n 4 --J 7 --word 1",
-    "bs-char --n 4 --J 1 --word 9",
-    "bs-char --n 4 --J 1 --word 1,x",
-    "bs-char --n 4 --J 1,y --word 1",
-    "bs-char --n 9 --J 9 --word 1",
-    "ih-poincare --w 3412 --J 9",
-    "springer --n 4 --word 1,5",
-    "induced-char --w 1234 --J 5",
-    "csf --m 2,x",
-    "--max-n 3 kl-basis --w 3412",
-    "kl-basis --w 213456789",
-]
-
-# the verbs that read and write the KL cache, then some that use none
-CACHED = [
-    "kl-poly --u 1234 --w 3412",
-    "kl-basis --w 4231",
-    "cprime-expand --word 2,1,3,2 --n 4",
-    "induced-char --kl 3412 --J 1,3",
-    "frobenius --w 3412 --of kl",
-    "springer --n 4 --word 1,2,1,3,2",
-    "ih-poincare --w 4231",
-    "kl-poly --u 2134 --w 1234",
-    "frobenius --w 3412 --of t",
-    "induced-char --w 3412 --J 1",
-    "llt --w 3412",
-    "chss-check --m 2,3,3",
-    "scan --kind h-positivity --n 3",
-]
+DATA = Path(__file__).resolve().parent.parent / "tests/data"
+GOLDEN, CASES = DATA / "cli_golden.json", DATA / "cli_cases.json"
 
 FIELDS = ("exit code", "stdout", "stderr", "cache files")
 
@@ -110,28 +75,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old", help="source tree holding the heckelab package")
     ap.add_argument("new", help="source tree holding the heckelab package")
-    ap.add_argument("--cases", type=int, default=None,
-                    help="keep the first N commands of each group")
     args = ap.parse_args(argv)
     for src in (args.old, args.new):
         if not os.path.isfile(os.path.join(src, "heckelab", "cli.py")):
             ap.error(f"{src} holds no heckelab package")
     golden = [case["argv"]
               for case in json.loads(GOLDEN.read_text("utf-8"))["cases"]]
-    errors, cached = ([shlex.split(c) for c in group]
-                      for group in (ERRORS, CACHED))
-    tasks = [(argv, False) for argv in golden[:args.cases]]
-    tasks += [(argv, False) for argv in errors[:args.cases]]
-    tasks += [(argv, True) for argv in cached[:args.cases]]
+    cases = json.loads(CASES.read_text("utf-8"))
+    errors = [shlex.split(argv) for argv in (
+        *(argv for argv, _ in cases["usage_errors"].values()),
+        *cases["rank_guard"], cases["rank_guard_before_bad_j"])]
+    cached = [shlex.split(argv)
+              for argv in (*cases["caching"], *cases["not_caching"])]
+    tasks = [(argv, False) for argv in golden + errors]
+    tasks += [(argv, True) for argv in cached]
     old, new = (os.path.abspath(src) for src in (args.old, args.new))
     with ThreadPoolExecutor(4) as pool:
         found = pool.map(lambda task: compare(old, new, *task), tasks)
         diffs = [d for ds in found for d in ds]
     for line in diffs:
         print(line)
-    print(f"{len(tasks)} commands ({len(golden[:args.cases])} golden, "
-          f"{len(errors[:args.cases])} errors, {len(cached[:args.cases])} "
-          f"run twice through a cache): {len(diffs)} differences")
+    print(f"{len(tasks)} commands ({len(golden)} golden, {len(errors)} "
+          f"errors, {len(cached)} run twice through a cache): "
+          f"{len(diffs)} differences")
     return 1 if diffs else 0
 
 

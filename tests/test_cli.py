@@ -27,6 +27,9 @@ def run(capsys, *argv):
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+# error and cache cases, shared with scripts/compare_cli.py
+CASES = json.loads((Path(__file__).parent / "data" / "cli_cases.json")
+                   .read_text(encoding="utf-8"))
 
 
 def test_golden_output(capsys):
@@ -146,25 +149,8 @@ def test_bad_literal_is_usage_error(capsys):
         main(["nonsense-verb"])
 
 
-@pytest.mark.parametrize("argv, message", [
-    ("cprime-expand --word 1 --n 3 --json {}", "--word excludes --json"),
-    ("cprime-expand --word 1", "--word needs --n"),
-    ("good-words --n 4 --J 1 --word 1 --w 123", "--w does not match --n"),
-    ("bs-char --n 4 --J 7 --word 1", "generator set [7] invalid for n=4"),
-    ("bs-char --n 4 --J 1 --word 9", "word [9] has letters outside 1..3"),
-    ("bs-char --n 4 --J 1 --word 1,x", "bad word literal '1,x'"),
-    ("bs-char --n 4 --J 1,y --word 1", "bad generator set literal '1,y'"),
-    ("csf --m 2,x", "bad Hessenberg literal '2,x'"),
-    ("ih-poincare --w 3412 --J 9", "generator set [9] invalid for n=4"),
-    ("springer --n 4 --word 1,5", "word [1, 5] has letters outside 1..3"),
-    ("cprime-expand --word 1,4 --n 4",
-     "word [1, 4] has letters outside 1..3"),
-    ("induced-char --w 1234 --J 5", "generator set [5] invalid for n=4"),
-    ("good-words --n 4 --J 0 --word 1", "generator set [0] invalid for n=4"),
-], ids=["word-and-json", "word-without-n", "w-not-n", "bad-J", "bad-letter",
-        "word-literal", "generator-literal", "hessenberg-literal",
-        "ih-poincare-J", "springer-letter", "cprime-letter",
-        "induced-char-J", "good-words-J"])
+@pytest.mark.parametrize("argv, message", list(CASES["usage_errors"].values()),
+                         ids=list(CASES["usage_errors"]))
 def test_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
@@ -175,7 +161,7 @@ def test_usage_errors_exit_2(capsys, argv, message):
 
 def test_rank_guard_comes_before_a_bad_j(capsys, monkeypatch):
     monkeypatch.delenv("HECKE_LAB_MAX_N", raising=False)
-    assert run(capsys, "bs-char", "--n", "9", "--J", "9", "--word", "1") == (
+    assert run(capsys, *CASES["rank_guard_before_bad_j"].split()) == (
         2, "", "heckelab: n=9 exceeds the size guard 8; raise it explicitly "
         "(HECKE_LAB_MAX_N or --max-n) if this is intentional\n")
 
@@ -186,13 +172,7 @@ def test_budget_guard_exit_code(capsys):
     assert "size guard" in err
 
 
-@pytest.mark.parametrize("argv", [
-    "kl-poly --u 123456789 --w 213456789",
-    "kl-basis --w 213456789",
-    "frobenius --w 213456789",
-    "frobenius --w 213456789 --of t --basis h",
-    "llt --w 213456789",
-])
+@pytest.mark.parametrize("argv", CASES["rank_guard"])
 def test_rank_guard_comes_from_the_first_library_call(capsys, monkeypatch,
                                                       argv):
     # these verbs leave the guard to the KL context, the class kernel or
@@ -479,15 +459,7 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     assert [p.name for p in cache.iterdir()] == ["kl_n4.json"]
 
 
-@pytest.mark.parametrize("argv, name", [
-    ("kl-poly --u 1234 --w 3412", "kl_n4.json"),
-    ("kl-basis --w 4231", "kl_n4.json"),
-    ("cprime-expand --word 1,2,1 --n 3", "kl_n3.json"),
-    ("induced-char --kl 3412 --J 1", "kl_n4.json"),
-    ("frobenius --w 3412 --of kl", "kl_n4.json"),
-    ("springer --n 4 --word 1,2,1,3,2", "kl_n4.json"),
-    ("ih-poincare --w 4231", "kl_n4.json"),
-])
+@pytest.mark.parametrize("argv, name", CASES["caching"].items())
 def test_caching_verbs_write_then_read_the_cache(tmp_path, capsys, argv,
                                                  name):
     argv = ["--cache-dir", str(tmp_path), *argv.split()]
@@ -497,15 +469,9 @@ def test_caching_verbs_write_then_read_the_cache(tmp_path, capsys, argv,
     assert run(capsys, *argv) == (0, out, "")
 
 
-@pytest.mark.parametrize("argv, code", [
-    ("frobenius --w 3412 --of t", 0),
-    ("induced-char --w 3412 --J 1", 0),
-    ("llt --w 3412", 0),
-    ("chss-check --m 2,3,3", 0),
-    ("scan --kind h-positivity --n 3", 0),
-    ("kl-poly --u 2134 --w 1234", 1),   # the cache is saved on success only
-])
+@pytest.mark.parametrize("argv, code", CASES["not_caching"].items())
 def test_other_verbs_write_no_cache(tmp_path, capsys, argv, code):
+    # a verb that fails (exit code 1) saves no cache either
     assert run(capsys, "--cache-dir", str(tmp_path), *argv.split())[0] == code
     assert list(tmp_path.iterdir()) == []
 

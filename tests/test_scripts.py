@@ -1,6 +1,7 @@
 """The experiment scripts in scripts/ run end to end on small inputs, so
 an API change that breaks one of them fails here."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -24,16 +25,19 @@ def test_script_runs(script, args):
     assert done.stdout.strip()
 
 
-def _compare_cli(old, new):
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / "compare_cli.py"), str(old), str(new),
-         "--cases", "2"], capture_output=True, text=True, timeout=120)
+def _compare_cli():
+    spec = importlib.util.spec_from_file_location(
+        "compare_cli", SCRIPTS / "compare_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
 
 
 def test_compare_cli_finds_no_difference_on_one_tree():
-    done = _compare_cli(SRC, SRC)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.endswith(": 0 differences\n")
+    compare = _compare_cli()
+    for argv, cached in ((["kl-poly", "--u", "1234", "--w", "3412"], True),
+                         (["ih-poincare", "--w", "3412", "--J", "9"], False)):
+        assert compare(str(SRC), str(SRC), argv, cached) == []
 
 
 def test_compare_cli_reports_a_changed_output(tmp_path):
@@ -44,7 +48,10 @@ def test_compare_cli_reports_a_changed_output(tmp_path):
     assert text.count("    print(out)\n") == 1
     cli.write_text(text.replace("    print(out)\n",
                                 '    print(out + "\\n")\n'))
-    done = _compare_cli(SRC, tmp_path)
-    assert done.returncode == 1
-    assert "kl-poly --u 1234 --w 3412 --format plain (run 1): stdout " \
-        "differs" in done.stdout
+    argv = ["kl-poly", "--u", "1234", "--w", "3412"]
+    diffs = _compare_cli()(str(SRC), str(tmp_path), argv, True)
+    assert [d.split(": ")[0] for d in diffs] == [
+        "kl-poly --u 1234 --w 3412 (run 1)",
+        "kl-poly --u 1234 --w 3412 (run 2)"]
+    assert all(": stdout differs: b'1+q\\n' against b'1+q\\n\\n'" in d
+               for d in diffs)
