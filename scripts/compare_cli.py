@@ -7,7 +7,8 @@ OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
 `src` directory of two checkouts).  Each command runs in a fresh
 `python -m heckelab.cli` process on both trees:
 - every argv of tests/data/cli_golden.json;
-- the usage and rank-guard errors of tests/data/cli_cases.json;
+- the usage, rank-guard and rank-below-one errors of
+  tests/data/cli_cases.json;
 - each verb of its "caching" and "not_caching" lists twice against one
   empty --cache-dir per tree, at the same path on both sides, whose files
   are compared after each run.
@@ -84,7 +85,8 @@ def main(argv=None) -> int:
     cases = json.loads(CASES.read_text("utf-8"))
     errors = [shlex.split(argv) for argv in (
         *(argv for argv, _ in cases["usage_errors"].values()),
-        *cases["rank_guard"], cases["rank_guard_before_bad_j"])]
+        *cases["rank_guard"], cases["rank_guard_before_bad_j"],
+        *(argv for argv, _ in cases["rank_below_one"].values()))]
     cached = [shlex.split(argv)
               for argv in (*cases["caching"], *cases["not_caching"])]
     tasks = [(argv, False) for argv in golden + errors]

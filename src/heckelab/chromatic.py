@@ -243,8 +243,8 @@ def conjecture_scan(kind: str, n: int) -> list:
     if kind not in _SCANS:
         raise ValueError(f"unknown scan kind {kind!r}")
     config.check_n(n, config.max_n(config.DEFAULTS.group_max_n),
-                   what=f"scan over S_{n} ({n}! = {math.factorial(n):,} "
-                        "KL elements): n")
+                   what=lambda: f"scan over S_{n} ({n}! = "
+                   f"{math.factorial(n):,} KL elements): n")
     shifted, good, yes, no = _SCANS[kind]
     ctx, cc = kl_context(n), _llt_chars(n, True) if shifted else _h_chars(n)
     tbl = perm_table(n)

@@ -67,9 +67,15 @@ def _env_guard(raw) -> int:
                           "integer") from None
 
 
-def check_n(n: int, limit: int | None = None, what: str = "n") -> None:
+def check_n(n: int, limit: int | None = None, what="n") -> None:
+    """Refuse a rank below 1 (ValueError), then one above limit, by default
+    the rank guard (BudgetError).  `what` names n in the guard's message:
+    a string, or a function that builds it, called only on refusal."""
+    if n < 1:
+        raise ValueError(f"n={n} is not a rank: ranks start at 1")
     cap = limit if limit is not None else max_n()
     if n > cap:
+        what = what if isinstance(what, str) else what()
         raise BudgetError(
             f"{what}={n} exceeds the size guard {cap}; raise it explicitly "
             "(HECKE_LAB_MAX_N or --max-n) if this is intentional")

@@ -222,8 +222,9 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
             top[i - 1], top[i] = top[i], top[i - 1]
     if top == list(range(n, 0, -1)):
         config.check_n(n, config.max_n(config.DEFAULTS.group_max_n),
-                       what=f"product over a word whose Demazure product "
-                            f"is w0 ({n}! = {math.factorial(n):,} terms): n")
+                       what=lambda: f"product over a word whose Demazure "
+                       f"product is w0 ({n}! = {math.factorial(n):,} "
+                       "terms): n")
     width = len(word) + 2   # 2^k needs k + 1 bits plus the sign bit
     terms = {identity(n): 1}
     for i in word:

@@ -22,9 +22,10 @@ some w in JW, or, over all of W, the *good* words of w: the absolute
 composite fixes w and every left descent of w in J is witnessed by a
 step where right multiplication by the letter equals left multiplication
 by the descent (the paper's theorem).  The counts are computed as c_J(a);
-the words are listed and checked through one up/down kernel per quotient
-table, in O(k * (states + words found)) per start and O(k + len(w)) per
-pair, the word and J of a call checked once per (n, word, J) (`_scan`).
+the words are listed and checked through the up/down kernel of the
+shared quotient of (n, J), in O(k * (states + words found)) per start and
+O(k + len(w)) per pair, the word and J of a call checked once per
+(n, word, J) (`_scan`).
 Good pairs project to coset minima bijectively onto the quotient
 fixed-point pairs, and carry positive roots certifying an affine cell.
 
@@ -43,6 +44,7 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, product
+from types import MappingProxyType
 
 from . import config
 from .coxeter import (
@@ -72,15 +74,41 @@ def _valid_j(n: int, J: frozenset) -> frozenset:
 
 
 class ParabolicQuotient:
-    """The set JW of minimal right-coset representatives, in a fixed order,
-    and the position of each (`index`); immutable, and equal to another
-    with the same reps (which fix n and J)."""
+    """The set JW of minimal right-coset representatives of S_n: `reps` in
+    (length, one-line) order and the position of each (`index`, read-only).
+    One immutable value per (n, J), shared (`_quotients`), and equal to
+    another with the same reps (which fix n and J).
 
-    __slots__ = ("n", "J", "reps", "index")
-    __hash__ = None   # index is a dict
+    For the binary-word routes it keeps `_tbl`, the shared `perm_table(n)`,
+    and `_steps[s-1][i] = (up, down, wit)`, the up/down step kernel of the
+    dot action on positions.  up = max(w ._J s, w) and down = the min; the
+    two differ in length unless they coincide, and positions refine length,
+    so max/min on positions are max/min in the Bruhat order.  Bit t-1 of
+    wit is set when s_t w = w s (the witness condition of good words); at
+    J = {} this is the absolute dynamics on all of W, on table indices."""
 
-    def __init__(self, n: int, J: frozenset, reps: tuple, index: dict):
-        for name, x in zip(self.__slots__, (n, J, reps, index)):
+    __slots__ = ("n", "J", "reps", "index", "_tbl", "_steps")
+    __hash__ = None   # its index is a mapping
+
+    def __init__(self, n: int, J):
+        J = _valid_j(n, frozenset(J))
+        tbl, jmask = perm_table(n), _gen_mask(J)
+        # no left descent in J; table order is (length, lex) already
+        ids = [gi for gi in range(len(tbl)) if not tbl.ldesc[gi] & jmask]
+        loc = {gi: i for i, gi in enumerate(ids)}
+        steps = []
+        for s in range(n - 1):
+            row = []
+            for i, gi in enumerate(ids):
+                ws = tbl.rmult[gi][s]
+                j = loc.get(ws, i)
+                wit = sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
+                          if tw == ws)
+                row.append((max(i, j), min(i, j), wit))
+            steps.append(tuple(row))
+        reps = tuple(tbl.perms[gi] for gi in ids)
+        index = MappingProxyType({w: i for i, w in enumerate(reps)})
+        for name, x in zip(self.__slots__, (n, J, reps, index, tbl, steps)):
             object.__setattr__(self, name, x)
 
     def _frozen(self, name, *value):
@@ -101,51 +129,14 @@ class ParabolicQuotient:
         return tuple(w) in self.index
 
 
-class _QuotientTable:
-    """Index-level data for one (n, J) for the binary-word routes: local
-    numbering of JW and the up/down step kernel of the dot action."""
-
-    def __init__(self, n: int, J: frozenset):
-        tbl = perm_table(n)
-        self.tbl, self.n, self.J = tbl, n, J
-        # no left descent in J; table order is (length, lex) already
-        jmask = _gen_mask(J)
-        reps = self.reps = [gi for gi in range(len(tbl))
-                            if not tbl.ldesc[gi] & jmask]
-        self.loc = {gi: i for i, gi in enumerate(reps)}
-        # steps[s-1][i] = (up, down, wit): the up/down step kernel on local
-        # indices.  up = max(w ._J s, w) and down = the min; the two differ
-        # in length unless they coincide, and local order refines length,
-        # so max/min on indices are max/min in the Bruhat order.  Bit t-1
-        # of wit is set when s_t w = w s (the witness condition of good
-        # words); at J = {} this is the absolute dynamics on all of W.
-        self.steps = []
-        for s in range(n - 1):
-            row = []
-            for i, gi in enumerate(reps):
-                ws = tbl.rmult[gi][s]
-                j = self.loc.get(ws, i)
-                wit = sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
-                          if tw == ws)
-                row.append((max(i, j), min(i, j), wit))
-            self.steps.append(row)
-
-
-_quotient_tables = cache(_QuotientTable)
-
-
-def _quotient_table(n: int, J: frozenset) -> _QuotientTable:
-    """The shared table of (n, J), behind the rank guard on every call."""
-    config.check_n(n)
-    return _quotient_tables(n, J)
+_quotients = cache(ParabolicQuotient)
 
 
 def parabolic_quotient(n: int, J) -> ParabolicQuotient:
-    """The quotient JW with reps sorted by (length, one-line notation)."""
+    """The shared quotient JW, behind the J check and the rank guard."""
     J = _valid_j(n, frozenset(J))
-    qt = _quotient_table(n, J)
-    reps = tuple(qt.tbl.perms[gi] for gi in qt.reps)
-    return ParabolicQuotient(n, J, reps, {w: i for i, w in enumerate(reps)})
+    config.check_n(n)
+    return _quotients(n, J)
 
 
 # -- characters from class polynomials ---------------------------------------
@@ -342,34 +333,42 @@ def _class_total(cc: _ClassChars, groups: dict) -> dict:
     L(a) = sum_c c * S_c, S_c the sum of the class ints of groups[c]
     (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
 
-    Each c is shifted to nonnegative v-exponents (from lo, the least one)
-    and cleared of denominators (times scale), and S_c times each of its
-    terms goes into one accumulator per v-parity.  A field of an
-    accumulator is at most cc.top * sum_c |groups[c]| l1(c * scale), l1
-    the sum of |coefficients|, so the sum runs at the least width that
-    holds this bound and the classes, chosen once, and every field is
-    exact.
+    The c are cleared of denominators (times scale), and S_c times each of
+    their terms goes into one accumulator per run and v-parity, shifted
+    from its least v-exponent there: a run holds the exponents closer
+    together than the span of the S_c, so runs never share a field and an
+    int is as long as its run.  A field of an accumulator is at most
+    cc.top * sum_c |groups[c]| l1(c * scale), l1 the sum of |coefficients|,
+    so the sum runs at the least width that holds this bound and the
+    classes, chosen once, and every field is exact.
     """
     m = len(cc.lams)
     scale = math.lcm(*(x.denominator for key in groups for _, x in key
                        if type(x) is not int))
-    lo = min((e for key in groups for e, _ in key), default=0)
-    terms = [(ks, [(e - lo, int(x * scale)) for e, x in key])
+    terms = [(ks, [(e, int(x * scale)) for e, x in key])
              for key, ks in groups.items()]
     mass = sum(len(ks) * sum(abs(x) for _, x in c) for ks, c in terms)
     width = max(cc.width, signed_width(cc.top * mass))
     ints = cc.at(width)
     sums = [sum(map(ints.__getitem__, ks)) for ks, _ in terms]
+    # S_c has no field past its bit length // width: at e, it spans e..e+span
+    span = 2 * (max(map(int.bit_length, sums), default=0) // width // m)
+    # first[e]: the least exponent of e's run that has e's parity
+    first, lo, last = {}, 0, -math.inf
+    for e in sorted({e for _, c in terms for e, _ in c}):
+        lo, last = e if e - last > span else lo, e
+        first[e] = lo + (e - lo & 1)
     accs: dict = {}
     for s, (_, c) in zip(sums, terms):
         for e, x in c:
-            accs[e & 1] = accs.get(e & 1, 0) + (x * s << width * m * (e >> 1))
+            b = first[e]
+            accs[b] = accs.get(b, 0) + (x * s << width * m * (e - b >> 1))
     out: dict = {}
-    for p, x in accs.items():
+    for b, x in accs.items():
         row = unpack_signed(x, width)
         for i, lam in enumerate(cc.lams):
-            if d := {lo + p + 2 * k: y for k, y in enumerate(row[i::m]) if y}:
-                out.setdefault(lam, {}).update(d)   # parities never meet
+            if d := {b + 2 * k: y for k, y in enumerate(row[i::m]) if y}:
+                out.setdefault(lam, {}).update(d)   # keys never meet
     return {lam: _raw(d) if scale == 1 else
             LaurentQ({e: Fraction(y, scale) for e, y in d.items()})
             for lam, d in out.items()}
@@ -460,8 +459,8 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
 
 def _scan(n: int, sigma: Word, J) -> tuple:
     """(letter indices, J checked, mask of J) at rank n, sigma and J read
-    once: the rank guard every call (so a caller may take its table from
-    `_quotient_tables`), the rest once per (n, word, J)."""
+    once: the rank guard every call (so a caller may take its quotient
+    from `_quotients`), the rest once per (n, word, J)."""
     config.check_n(n)
     return _checked(n, tuple(sigma), frozenset(J))
 
@@ -494,13 +493,13 @@ def _bits(b, k: int) -> tuple:
     return b
 
 
-def _state(qt: _QuotientTable, w: Perm) -> int:
-    if (i := qt.loc.get(qt.tbl(w))) is None:   # tbl(w) checks w
+def _state(qt: ParabolicQuotient, w: Perm) -> int:
+    if (i := qt.index.get(w)) is None:
+        qt._tbl(w)   # refuses what is not a permutation of 1..n
         raise ValueError(f"{w} is not a minimal coset representative")
     return i
 
 
-@cache
 def _gen_mask(J: frozenset) -> int:
     return sum(1 << (j - 1) for j in J)
 
@@ -534,11 +533,11 @@ def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
     return set(tails.get((start, 0), ()))
 
 
-def _path(qt: _QuotientTable, sig: tuple, w: Perm, b: tuple) -> tuple:
-    """Follow b from w in qt: (the path w_0..w_k as local indices, the
+def _path(qt: ParabolicQuotient, sig: tuple, w: Perm, b: tuple) -> tuple:
+    """Follow b from w in qt: (the path w_0..w_k as positions in qt, the
     witness bits of its steps)."""
     path, witnessed = [u := _state(qt, w)], 0
-    steps, add = qt.steps, path.append
+    steps, add = qt._steps, path.append
     for s, bit in zip(sig, b):
         up, down, wit = steps[s][u]
         witnessed |= wit
@@ -557,9 +556,9 @@ def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     """
     w = tuple(w)
     sig, J, _ = _scan(len(w), sigma, () if J is None else J)
-    qt = _quotient_tables(len(w), J)
+    qt = _quotients(len(w), J)
     path, _ = _path(qt, sig, w, _bits(b, len(sig)))
-    return qt.tbl.perms[qt.reps[path[-1]]]
+    return qt.reps[path[-1]]
 
 
 def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
@@ -568,8 +567,8 @@ def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     w = tuple(w)
     n = len(w) if n is None else n
     sig, J, _ = _scan(n, sigma, J)
-    qt = _quotient_tables(n, J)
-    return _walk(qt.steps, sig, _state(qt, w), 0)
+    qt = _quotients(n, J)
+    return _walk(qt._steps, sig, _state(qt, w), 0)
 
 
 # -- good words ---------------------------------------------------------------
@@ -579,9 +578,9 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     every left descent of w lying in J is witnessed at some step."""
     w = tuple(w)
     sig, _, jmask = _scan(len(w), sigma, J)
-    qt = _quotient_tables(len(w), frozenset())
+    qt = _quotients(len(w), frozenset())
     start = _state(qt, w)
-    return _walk(qt.steps, sig, start, qt.tbl.ldesc[start] & jmask)
+    return _walk(qt._steps, sig, start, qt._tbl.ldesc[start] & jmask)
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -598,16 +597,16 @@ def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
     of J."""
     w, sigma = tuple(w), tuple(sigma)
     sig, _, jmask = _scan(len(w), sigma, J)
-    qt = _quotient_tables(len(w), frozenset())
+    qt = _quotients(len(w), frozenset())
     b = _bits(b, len(sig))
     path, witnessed = _path(qt, sig, w, b)
     if path[-1] != path[0]:
         raise ValueError(f"{b} does not fix {w} along {sigma}")
-    if missing := qt.tbl.ldesc[path[0]] & jmask & ~witnessed:
+    if missing := qt._tbl.ldesc[path[0]] & jmask & ~witnessed:
         raise ValueError(f"{b} is not good for {w}: descent "
                          f"{(missing & -missing).bit_length()} has no "
                          "witness step")
-    return sig, b, path, qt.tbl, jmask
+    return sig, b, path, qt._tbl, jmask
 
 
 def kappa(w: Perm, b, sigma: Word, J):

@@ -11,7 +11,7 @@ changes of basis from term-by-term LaurentQ arithmetic through the Schur
 basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
 the library's packed route cannot), binary-word counts and word sets
 from depth-first walks over all 2^k words, the counts also from
-transfer-matrix sweeps over the library's quotient tables (`sweep_*`),
+transfer-matrix sweeps over the library's shared quotients (`sweep_*`),
 Bott-Samelson products from LaurentQ products, induced characters
 from per-z trace matrices on the quotient module, the traces of the
 T_{w_mu} from the diagonal of its action and the class-sum route from
@@ -51,7 +51,7 @@ from heckelab.laurentq import (
 )
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import (
-    _gen_mask, _quotient_table, _scan, _young_trace, all_parabolic_subsets,
+    _gen_mask, _quotients, _scan, _young_trace, all_parabolic_subsets,
     induced_character,
 )
 from heckelab.symfunc import (
@@ -622,7 +622,7 @@ def dfs_good_words(w, sigma, J) -> set:
 #
 # The combinatorial side of the paper's identity, which the library computes as
 # one product and one class sum; these count the words on the library's
-# quotient tables (`parabolic._quotient_table`).  Counts follow each orbit
+# shared quotients (`parabolic._quotients`).  Counts follow each orbit
 # {u, us} or {u} of the first letter s from one start and merge the paths that
 # meet at the same state (a transfer matrix): u and us step to the same up and
 # down with the same witness bits, as (us)s(us)^-1 = usu^-1, so one sweep is
@@ -653,7 +653,8 @@ def _orbits(qt, sig: tuple) -> list:
     if not sig:
         return [(u,) for u in range(len(qt.reps))]
     return [(u,) if up == u else (u, up)
-            for u, (up, down, _) in enumerate(qt.steps[sig[0]]) if down == u]
+            for u, (up, down, _) in enumerate(qt._steps[sig[0]])
+            if down == u]
 
 
 def _sweeps(qt, sig: tuple, orbits: list, need: int, width: int):
@@ -677,7 +678,7 @@ def _sweep(qt, sig: tuple, chunk: list, need: int, width: int) -> list:
     # the state (u, mask) is the int u << shift | mask, as mask lies in need
     vec = {orbit[0] << shift: 1 << p * block for p, orbit in enumerate(chunk)}
     for s in sig:
-        row, nxt = qt.steps[s], {}
+        row, nxt = qt._steps[s], {}
         get = nxt.get
         if not need:   # every mask is 0 and a state is u
             for u, x in vec.items():
@@ -704,7 +705,7 @@ def sweep_bott_samelson_character(sigma, J, n: int) -> LaurentQ:
     """c_J of prod (1+T_s) over sigma: the binary words fixing each
     quotient element under the up/down composites, counted by sweeps."""
     sig, J, _ = _scan(n, sigma, J)
-    qt = _quotient_table(n, J)
+    qt = _quotients(n, J)
     width = _count_width(len(sig), len(qt.reps))
     total = 0
     for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
@@ -731,9 +732,9 @@ def _good_characters(sigma, n: int, Js: list) -> dict:
     set m); J then reads, for each d, the words whose m covers d & J, and
     each (d, d & J) is summed once for all the J that share it."""
     sig, _, _ = _scan(n, sigma, ())
-    qt = _quotient_table(n, frozenset())
+    qt = _quotients(n, frozenset())
     width = _count_width(len(sig), len(qt.reps))
-    ldesc, track = qt.tbl.ldesc, _gen_mask(frozenset().union(*Js))
+    ldesc, track = qt._tbl.ldesc, _gen_mask(frozenset().union(*Js))
     groups: dict = {}
     for orbit in _orbits(qt, sig):
         groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,

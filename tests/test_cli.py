@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -164,6 +165,52 @@ def test_rank_guard_comes_before_a_bad_j(capsys, monkeypatch):
     assert run(capsys, *CASES["rank_guard_before_bad_j"].split()) == (
         2, "", "heckelab: n=9 exceeds the size guard 8; raise it explicitly "
         "(HECKE_LAB_MAX_N or --max-n) if this is intentional\n")
+
+
+# Inputs that once ended in a traceback or asked for tens of GB run in a
+# child process under a 1 GB address-space limit, set in the child only.
+_LIMITED = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); ")
+
+
+def _limited(code: str, *args: str) -> tuple:
+    """(exit code, stdout, stderr) of python -c code args under the limit."""
+    env = {k: v for k, v in os.environ.items() if k != "HECKE_LAB_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _LIMITED + code, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+_CLI = "from heckelab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv, message",
+                         list(CASES["rank_below_one"].values()),
+                         ids=list(CASES["rank_below_one"]))
+def test_ranks_below_one_are_refused(argv, message):
+    # these printed a value for S_n with n < 1, or ended in a traceback
+    # from the guard message's n!, before the rank check refused them
+    assert _limited(_CLI, *shlex.split(argv)) == (
+        1, "", f"heckelab: {message}\n")
+
+
+@pytest.mark.parametrize("e, shown", [
+    ("20000000000", "3+3q^10000000000"),
+    ("-20000000000", "3q^{-10000000000}+3")])
+def test_sparse_v_exponents_in_a_class_sum(e, shown):
+    # a class sum once shifted by the whole exponent span, and ran out of
+    # memory; it must agree with the library route, run under the limit too
+    payload = json.dumps({"n": 3, "terms": [
+        {"perm": [1, 2, 3], "coeff": {"v": {"0": "1", e: "1"}}}]})
+    library = _limited(
+        "import json; from heckelab.hecke import HeckeElement; "
+        "from heckelab.parabolic import induced_character; "
+        "print(induced_character(HeckeElement.from_json("
+        "json.loads(sys.argv[1])), {1}))", payload)
+    assert library == (0, shown + "\n", "")
+    assert _limited(_CLI, "induced-char", "--J", "1", "--json",
+                    payload) == library
 
 
 def test_budget_guard_exit_code(capsys):

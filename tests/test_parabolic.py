@@ -72,6 +72,17 @@ def test_quotient_is_an_immutable_value():
         hash(a)   # its index is a dict
 
 
+def test_one_shared_quotient_per_n_and_j():
+    a = parabolic_quotient(4, {1, 3})
+    assert a is parabolic_quotient(4, {3, 1}) is parabolic._quotients(4, J13)
+    with pytest.raises(TypeError):
+        a.index[(1, 2, 3, 4)] = 1
+    assert a.index[(1, 2, 3, 4)] == 0
+    with pytest.raises(ValueError,
+                       match=r"invalid generator indices for n=4: \[5\]"):
+        parabolic.ParabolicQuotient(4, {5})
+
+
 def test_quotient_sizes_and_minimality():
     for n in range(1, 6):
         fact = math.factorial(n)
@@ -393,6 +404,23 @@ def test_quotient_tables_are_guarded_on_every_call(monkeypatch):
     finally:
         config.set_max_n(previous)
     assert [f() for f in calls] == before
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_ranks_below_one_are_refused(n):
+    # a ValueError, not a size guard, raised before any guard message
+    # (whose n! failed for n < 0) is formatted
+    from heckelab.chromatic import conjecture_scan
+    calls = [lambda: perm_table(n), lambda: kl_context(n),
+             lambda: parabolic_quotient(n, ()),
+             lambda: bott_samelson_character((), (), n),
+             lambda: bott_samelson_product((), n),
+             lambda: conjecture_scan("h-positivity", n)]
+    for f in calls:
+        with pytest.raises(ValueError) as exc:
+            f()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"n={n} is not a rank: ranks start at 1"
 
 
 def test_warm_word_scans_follow_every_change_of_the_guard(monkeypatch):
@@ -920,12 +948,32 @@ def test_word_counts_build_no_quotient_table(monkeypatch):
     def refuse(n, J):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
-    monkeypatch.setattr(parabolic, "_quotient_tables", refuse)
+    monkeypatch.setattr(parabolic, "_quotients", refuse)
     sigma = (4, 1, 3, 2, 4, 1, 3)   # a word no other test checks at n=5
     assert good_word_characters_all_j(sigma, 5)[J13] == \
         bott_samelson_character(sigma, J13, 5) == \
         good_word_character(sigma, J13, 5) == \
         induced_character(bott_samelson_product(sigma, 5), J13)
+
+
+def test_class_sums_over_spread_v_exponents():
+    # v-exponents further apart than the span of the summed class ints
+    # pack from their own bases: T_w0 spans q^0..q^6 at n=4, so gaps up to
+    # 12 share a run and longer ones do not.  Checked against the dense
+    # sums by linearity, also where one term mixes the exponents of two
+    # coefficients (b's support lies in a's).
+    t = HeckeElement.t_basis(4, (4, 3, 2, 1))
+    a = kl_context(4).element((3, 4, 1, 2))
+    b = HeckeElement.t_basis(4, (2, 1, 4, 3))
+    for gap in (*range(1, 17), 2 * 10 ** 9 + 1):
+        c = LaurentQ({0: 1, gap: -2})
+        d = LaurentQ({gap - 1: 3, 2 * gap: Fraction(1, 3)})
+        for x, parts in ((t.scale(c), [(t, c)]),
+                         (a.scale(c) + b.scale(d), [(a, c), (b, d)])):
+            for J in all_parabolic_subsets(4):
+                assert induced_character(x, J) == sum(
+                    (induced_character(y, J) * e for y, e in parts), ZERO
+                ), (gap, sorted(J))
 
 
 def test_long_word_count_matches_trace():
@@ -988,7 +1036,7 @@ def test_character_route_builds_no_quotient_module(monkeypatch, capsys):
     def refuse(n, J):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
-    monkeypatch.setattr(parabolic, "_quotient_tables", refuse)
+    monkeypatch.setattr(parabolic, "_quotients", refuse)
     _class_chars.cache_clear()
     w = (3, 5, 1, 4, 2)
     for a in (kl_context(5).element(w), HeckeElement.t_basis(5, w),
