@@ -11,7 +11,9 @@ OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
   tests/data/cli_cases.json;
 - each verb of its "caching" and "not_caching" lists twice against one
   empty --cache-dir per tree, at the same path on both sides, whose files
-  are compared after each run.
+  are compared after each run;
+- each command of its "tampered_cache" cases twice in the same way, with
+  the case's cache files written to the directory first.
 Every difference in exit code, stdout, stderr or cache bytes is printed,
 and the exit code is 1 if there is any.  Four commands run at once.
 HECKE_LAB_MAX_N is unset in the child processes, so the default size
@@ -56,15 +58,20 @@ def outcomes(src: str, argv: list, runs: int, cache: str | None) -> list:
     return out
 
 
-def compare(old: str, new: str, argv: list, cached: bool) -> list:
+def compare(old: str, new: str, argv: list, cached: bool,
+            files: dict | None = None) -> list:
     """The differences between the two trees on argv: one run, or two
-    through a cache directory that starts empty on each side."""
+    through a cache directory that starts on each side empty or holding
+    files ({name: text})."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "cache") if cached else None
         sides = []
         for src in (old, new):
             if cache:
                 shutil.rmtree(cache, ignore_errors=True)
+                for name, text in (files or {}).items():
+                    os.makedirs(cache, exist_ok=True)
+                    Path(cache, name).write_text(text, "utf-8")
             sides.append(outcomes(src, argv, 2 if cached else 1, cache))
     return [f"{shlex.join(argv)} (run {i}): {what} differs: "
             f"{a!r:.300} against {b!r:.300}"
@@ -89,8 +96,12 @@ def main(argv=None) -> int:
         *(argv for argv, _ in cases["rank_below_one"].values()))]
     cached = [shlex.split(argv)
               for argv in (*cases["caching"], *cases["not_caching"])]
+    tampered = [(shlex.split(case["argv"]), True,
+                 {name: json.dumps(payload)
+                  for name, payload in case["cache"].items()})
+                for case in cases["tampered_cache"].values()]
     tasks = [(argv, False) for argv in golden + errors]
-    tasks += [(argv, True) for argv in cached]
+    tasks += [(argv, True) for argv in cached] + tampered
     old, new = (os.path.abspath(src) for src in (args.old, args.new))
     with ThreadPoolExecutor(4) as pool:
         found = pool.map(lambda task: compare(old, new, *task), tasks)
@@ -98,7 +109,8 @@ def main(argv=None) -> int:
     for line in diffs:
         print(line)
     print(f"{len(tasks)} commands ({len(golden)} golden, {len(errors)} "
-          f"errors, {len(cached)} run twice through a cache): "
+          f"errors, {len(cached) + len(tampered)} run twice through a "
+          f"cache, {len(tampered)} of them tampered): "
           f"{len(diffs)} differences")
     return 1 if diffs else 0
 

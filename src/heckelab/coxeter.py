@@ -290,6 +290,12 @@ def _descents(seq) -> int:
     return sum(1 << t for t in range(len(seq) - 1) if seq[t] > seq[t + 1])
 
 
+def _swapped(mask: int, s: int, lo: bool, hi: bool) -> int:
+    """The descent mask after swapping the entries s, s+1: bit s flips,
+    and bits s-1 and s+1 become lo and hi (lo is dropped at s = 0)."""
+    return (mask ^ 1 << s) & ~(5 << s >> 1) | (lo | hi << 2) << s >> 1
+
+
 class PermTable:
     """Permutations of 1..n numbered in the order they are added.  Calling
     the table validates and numbers a permutation; `left` and `right` fill
@@ -320,38 +326,50 @@ class PermTable:
         if (i := self.index.get(w)) is None:
             if sorted(w) != list(range(1, self.n + 1)):
                 raise ValueError(f"not a permutation of 1..{self.n}: {w}")
-            i = self._add(w, length(w))
+            i = self._add(w, length(w), _descents(inverse(w)), _descents(w))
         return i
 
-    def _add(self, w: Perm, lw: int) -> int:
+    def _add(self, w: Perm, lw: int, ld: int, rd: int) -> int:
         i = self.index[w] = len(self.perms)
         self.perms.append(w)
         self.lengths.append(lw)
-        self.ldesc.append(_descents(inverse(w)))
-        self.rdesc.append(_descents(w))
+        self.ldesc.append(ld)
+        self.rdesc.append(rd)
         self.lmult.append([None] * (self.n - 1))
         self.rmult.append([None] * (self.n - 1))
         return i
 
     def left(self, x: int, s: int) -> int:
-        """s_{s+1} x: one swap of the values s+1, s+2; the length moves by
-        one, down iff s is a left descent of x."""
+        """s_{s+1} x: one swap of the values s+1, s+2, at positions a, b.  A
+        new entry takes its length (one up or down), left descents
+        (`_swapped`) and right descents (changed iff |a - b| = 1) from x."""
         if (y := self.lmult[x][s]) is None:
             w = list(self.perms[x])
             a, b = w.index(s + 1), w.index(s + 2)
             w[a], w[b] = s + 2, s + 1
             if (y := self.index.get(w := tuple(w))) is None:
-                y = self._add(w, self.lengths[x] + 1
-                              - 2 * (self.ldesc[x] >> s & 1))
+                d = self.ldesc[x]
+                y = self._add(
+                    w, self.lengths[x] + 1 - 2 * (d >> s & 1),
+                    _swapped(d, s, s and w.index(s) > b,
+                             s + 3 <= self.n and a > w.index(s + 3)),
+                    self.rdesc[x] ^ (abs(a - b) == 1) << min(a, b))
             self.lmult[x][s], self.lmult[y][s] = y, x
         return y
 
     def right(self, x: int, s: int) -> int:
-        """x s_{s+1}: one swap of the positions s, s+1 (a permutation not
-        yet numbered has its length counted afresh)."""
+        """x s_{s+1}: one swap of the positions s, s+1, holding u, v; as in
+        `left`, with positions and values exchanged."""
         if (y := self.rmult[x][s]) is None:
             w = self.perms[x]
-            y = self(w[:s] + (w[s + 1], w[s]) + w[s + 2:])
+            u, v = w[s], w[s + 1]
+            if (y := self.index.get(ws := w[:s] + (v, u) + w[s + 2:])) is None:
+                d = self.rdesc[x]
+                y = self._add(
+                    ws, self.lengths[x] + 1 - 2 * (d >> s & 1),
+                    self.ldesc[x] ^ (abs(u - v) == 1) << min(u, v) - 1,
+                    _swapped(d, s, s and w[s - 1] > v,
+                             s + 2 < self.n and u > w[s + 2]))
             self.rmult[x][s], self.rmult[y][s] = y, x
         return y
 
@@ -368,7 +386,7 @@ def perm_table(n: int) -> PermTable:
     if table is None:
         table = PermTable(n)
         for lw, w in sorted((length(w), w) for w in all_permutations(n)):
-            table._add(w, lw)
+            table._add(w, lw, _descents(inverse(w)), _descents(w))
         for x, s in product(range(len(table)), range(n - 1)):
             table.left(x, s)
             table.right(x, s)

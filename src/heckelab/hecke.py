@@ -20,10 +20,12 @@ arithmetic).  Since P_{u,w} = P_{u^-1,w^-1} = P_{w0 u w0, w0 w w0}
 (Kazhdan-Lusztig 1979), an element whose image under one of these maps
 is already held is relabeled from it instead: a full table runs the
 recursion once per orbit (230 of 720 elements at n=6, 1,388 of 5,040 at
-n=7).  The leading 1, the constant terms, the degree bound
-deg P_{z,w} < (len(w)-len(z))/2 and the field range are checked as
-postconditions on every element.  Elements are memoized per n behind a
-size guard.
+n=7).  Every element, recursed, relabeled or loaded, is checked for its
+leading 1, constant terms 1, the degree bound deg P_{z,w} <
+(len(w)-len(z))/2 and fields in [0, 2^30), at one comparison per term:
+each interned polynomial p records its need, the least len(w)-len(z)
+it may sit at, 2 deg p + 1 (infinite when its constant term or a field
+fails).  Elements are memoized per n behind a size guard.
 """
 
 from __future__ import annotations
@@ -264,8 +266,7 @@ class KLContext:
         self._table: dict = {}   # w index -> {z index: interned P_{z,w}}
         self._polys: dict = {}   # packed polynomial -> its interned copy
         self._views: dict = {}   # interned polynomial -> shared LaurentQ
-        # bits 30 and 31 of every field up to q^(n(n-1)/2), the top degree
-        self._high = sum(3 << 30 << W * k for k in range(n * (n - 1) // 2 + 1))
+        self._need: dict = {}   # interned polynomial -> its need (`_defect`)
         # x -> x^-1, w0 x w0 and w0 x^-1 w0: each a length-preserving
         # involution, with its index map filled only where an element was
         # relabeled through it
@@ -279,7 +280,10 @@ class KLContext:
     def _intern(self, p: int) -> int:
         if p not in self._polys:
             self._polys[p] = p
-            self._views[p] = from_q_coefficients(unpack_signed(p, W))
+            cs = unpack_signed(p, W)
+            self._views[p] = from_q_coefficients(cs)
+            self._need[p] = 2 * len(cs) - 1 if cs[:1] == [1] and all(
+                0 <= c < 1 << 30 for c in cs) else math.inf
         return self._polys[p]
 
     # -- core recursion -----------------------------------------------------
@@ -316,12 +320,13 @@ class KLContext:
         for image, f in self._mirrors:
             src = table.get(index.get(image(perm)))
             if src is not None:
-                for x in src.keys() - f.keys():
-                    y = index.get(fx := image(perms[x]))
-                    if y is None:
-                        y = ix._add(fx, ix.lengths[x])
-                    f[x], f[y] = y, x
-                return {f[x]: p for x, p in src.items()}
+                out = {}
+                for x, p in src.items():
+                    if (y := f.get(x)) is None:
+                        y = f[x] = ix(image(perms[x]))
+                        f[y] = x
+                    out[y] = p
+                return out
         return None
 
     def _recurse(self, w: int) -> dict:
@@ -369,12 +374,9 @@ class KLContext:
         lengths, perms = self._index.lengths, self._index.perms
         if terms.get(w) != 1:
             return f"leading coefficient of B_{perms[w]} is not 1"
-        lw, high = lengths[w], self._high
+        lw, need = lengths[w], self._need
         for z, p in terms.items():
-            # fields below q^((lw - lengths[z]) / 2) only (a negative p
-            # shifts to -1), bits 30 and 31 of each clear
-            if p & high or p & _FIELD != 1 or (
-                    p >> W * ((lw - lengths[z] + 1) // 2) and z != w):
+            if lw - lengths[z] < need[p] and z != w:
                 return (f"constant term, degree bound or range fails for "
                         f"P_({perms[z]},{perms[w]}) = {self._views[p]}")
         return None

@@ -320,7 +320,7 @@ def _class_sum(cc: _ClassChars, terms) -> dict:
         g[1].append(cls[index[w]])
     groups: dict = {}   # equal coefficients in distinct objects
     for c, ks in by_id.values():
-        key = tuple(c.c.items())
+        key = tuple(sorted(c.c.items()))   # not in insertion order
         key = cc.coeff(key) if cc.coeff else key
         groups.setdefault(key, []).extend(ks)
     return _class_total(cc, groups)

@@ -16,7 +16,9 @@ Bott-Samelson products from LaurentQ products, induced characters
 from per-z trace matrices on the quotient module, the traces of the
 T_{w_mu} from the diagonal of its action and the class-sum route from
 dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
-from T-basis products B_s * B_{w'} on permutation tuples, the plethystic
+from T-basis products B_s * B_{w'} on permutation tuples, their
+postcondition check by shifts and masks on each packed polynomial
+(`shift_defect`), the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd) and from the per-n linear map on the
 monomial basis over n! [n]_q! with one exact division per Schur
@@ -44,7 +46,7 @@ from heckelab.coxeter import (
     apply_s_left, apply_s_right, evaluate_word, inverse, left_descents,
     length, perm_table, right_descents,
 )
-from heckelab.hecke import HeckeElement, kl_context
+from heckelab.hecke import W, HeckeElement, kl_context
 from heckelab.laurentq import (
     ONE, Q, ZERO, LaurentQ, from_q_coefficients, pack_signed, q_power,
     signed_width, unpack_signed,
@@ -1077,6 +1079,27 @@ class TupleKL:
                             LaurentQ({lw - length(z): m}))
         memo[w] = out
         return out
+
+
+def shift_defect(ctx, w: int, terms: dict):
+    """`KLContext._defect` by shifts and masks on each packed P_{z,w},
+    with no per-polynomial bounds: the constant field is 1, bits 30 and
+    31 of every field up to the top degree n(n-1)/2 are clear, and no
+    field lies at or above q^((l(w)-l(z))/2) for z != w.  A z at least
+    two longer than w makes the shift negative and raises ValueError."""
+    field = (1 << W) - 1
+    n, ix = ctx.n, ctx._index
+    lengths, perms = ix.lengths, ix.perms
+    if terms.get(w) != 1:
+        return f"leading coefficient of B_{perms[w]} is not 1"
+    lw = lengths[w]
+    high = sum(3 << 30 << W * k for k in range(n * (n - 1) // 2 + 1))
+    for z, p in terms.items():
+        if p & high or p & field != 1 or (
+                p >> W * ((lw - lengths[z] + 1) // 2) and z != w):
+            return (f"constant term, degree bound or range fails for "
+                    f"P_({perms[z]},{perms[w]}) = {ctx._views[p]}")
+    return None
 
 
 # -- the plethystic LLT over rational functions ------------------------------

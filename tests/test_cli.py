@@ -571,6 +571,20 @@ def test_tampered_cache_is_a_miss(tmp_path, capsys):
         _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
 
 
+@pytest.mark.parametrize("case", list(CASES["tampered_cache"].values()),
+                         ids=list(CASES["tampered_cache"]))
+def test_tampered_cache_warning_names_the_term(tmp_path, capsys, case):
+    # a term at z longer than w once failed on a negative shift count,
+    # and the warning named neither the term nor the check
+    (name, payload), = case["cache"].items()
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    argv = ["--cache-dir", str(tmp_path), *shlex.split(case["argv"])]
+    assert run(capsys, *argv) == (0, case["stdout"], f"heckelab: ignoring "
+                                  f"KL cache {path}: {case['warning']}\n")
+    assert run(capsys, *argv) == (0, case["stdout"], "")
+
+
 def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):
     # 1+2q passes the constant-term, leading-1 and degree checks, but
     # P_{1234,3412} must equal P_{1324,3412} = 1+q (an extremal pair)

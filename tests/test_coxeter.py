@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckelab.coxeter import (
-    all_hessenberg_functions, all_permutations, apply_s_left, apply_s_right,
+    PermTable, all_hessenberg_functions, all_permutations, apply_s_left,
+    apply_s_right,
     avoids_patterns, bruhat_leq, check_hessenberg, codominant_from_hessenberg,
     cycle_type, evaluate_word, identity, inverse, left_descents,
     left_inversions, length, multiply, perm_table, reduced_word,
@@ -259,3 +260,23 @@ def test_perm_table_matches_the_eager_oracle():
             assert getattr(tbl, name) == getattr(ref, name), (n, name)
         assert tbl.rdesc == [sum(1 << (i - 1) for i in right_descents(w))
                              for w in tbl.perms], n
+
+
+def test_steps_from_the_identity_number_s_n_with_exact_entries():
+    # every permutation numbered by `left` alone, or by `right` alone,
+    # takes its length and descent masks from the one it came from
+    for n in range(1, 7):
+        full = perm_table(n)
+        for step in ("left", "right"):
+            tbl = PermTable(n)
+            tbl(identity(n))
+            x = 0
+            while x < len(tbl):
+                for s in range(n - 1):
+                    getattr(tbl, step)(x, s)
+                x += 1
+            assert len(tbl) == len(full), (n, step)
+            for y, w in enumerate(tbl.perms):
+                g = full.index[w]
+                assert (tbl.lengths[y], tbl.ldesc[y], tbl.rdesc[y]) == \
+                    (full.lengths[g], full.ldesc[g], full.rdesc[g]), (w, step)

@@ -11,18 +11,18 @@ from hypothesis import given, strategies as st
 
 from heckelab import config
 from heckelab.coxeter import (
-    all_permutations, apply_s_right, avoids_patterns, bruhat_leq, identity,
-    inverse, length, perm_table, reduced_word, right_descents,
+    _descents, all_permutations, apply_s_right, avoids_patterns, bruhat_leq,
+    identity, inverse, length, perm_table, reduced_word, right_descents,
 )
 from heckelab.hecke import (
-    HeckeElement, KLContext, bott_samelson_product, kl_context,
+    W, HeckeElement, KLContext, bott_samelson_product, kl_context,
     springer_decomposition,
 )
 from heckelab.laurentq import (
     LaurentQ, ONE, Q, from_q_coefficients, q_power, v_power,
 )
 
-from oracles import TupleKL, laurent_bott_samelson_product
+from oracles import TupleKL, laurent_bott_samelson_product, shift_defect
 
 E4 = identity(4)
 S1 = (2, 1, 3, 4)
@@ -622,6 +622,83 @@ def test_defect_refuses_fields_outside_the_range():
     for c in (1 << 30, (1 << 32) - 1, -1):
         terms[e] = ctx._intern(1 + (c << 32))
         assert "range fails for P_((1, 2, 3, 4)," in ctx._defect(w, terms)
+
+
+def test_defect_agrees_with_the_shift_oracle():
+    # the per-polynomial bounds refuse what the shifts and masks refuse
+    # and name the same P: on every element of S_n as it is built,
+    # recursed or relabeled, and on tampered copies of it.  Only a term
+    # longer than w made the shifts raise instead.
+    for n in range(1, 6):
+        ctx = KLContext(n)
+        ix, check, mirror, relabeled = ctx._index, ctx._defect, ctx._mirror, []
+
+        def defect(w, terms):
+            assert (why := check(w, terms)) == shift_defect(ctx, w, terms)
+            return why
+
+        def relabel(w):
+            relabeled.append((out := mirror(w)) is not None)
+            return out
+
+        ctx._defect, ctx._mirror = defect, relabel
+        for w in all_permutations(n):
+            ctx.element(w)
+        assert len(relabeled) == math.factorial(n)
+        assert n < 3 or 0 < sum(relabeled) < len(relabeled)
+        w0 = ix(tuple(range(n, 0, -1)))
+        for w, terms in list(ctx._table.items()):
+            lw, copies = ix.lengths[w], [dict(terms)]
+            del copies[0][w]   # no leading 1
+            for z, p in terms.items():
+                k = max(lw - ix.lengths[z] - 1, 0) // 2   # top degree allowed
+                c = p >> W * k & (1 << W) - 1   # its coefficient
+                for bad in (p + (1 << W * ((lw - ix.lengths[z] + 1) // 2)),
+                            p + 1, p + (1 << 30 << W * k),
+                            p - (c + 1 << W * k)):
+                    copies.append({**terms, z: ctx._intern(bad)})
+            for bad in copies:
+                assert check(w, bad) == shift_defect(ctx, w, bad) is not None
+            if w != w0:   # a term longer than w
+                why = check(w, bad := {**terms, w0: 1})
+                assert f"fails for P_({ix.perms[w0]},{ix.perms[w]}) = 1" in why
+                if ix.lengths[w0] - lw >= 2:
+                    with pytest.raises(ValueError, match="negative shift"):
+                        shift_defect(ctx, w, bad)
+                else:
+                    assert why == shift_defect(ctx, w, bad)
+
+
+def _fresh_entries(ctx):
+    """Every permutation the context numbered, with its length and
+    left and right descent masks counted afresh, and as stored."""
+    ix = ctx._index
+    return ([(w, length(w), _descents(inverse(w)), _descents(w))
+             for w in ix.perms],
+            list(zip(ix.perms, ix.lengths, ix.ldesc, ix.rdesc)))
+
+
+def test_numbered_permutations_have_their_descents():
+    # left and right take the length and both masks of a new permutation
+    # from the one it came from; a full table, cold point queries and a
+    # cache load (right steps in `_pair_defect`) all keep them exact
+    full = {}
+    for n in range(1, 7):
+        ctx = full[n] = KLContext(n)
+        for w in all_permutations(n):
+            ctx.element(w)
+        fresh, stored = _fresh_entries(ctx)
+        assert len(fresh) == math.factorial(n) and fresh == stored, n
+    for w in random.Random(7).sample(list(all_permutations(7)), 20):
+        ctx = KLContext(7)
+        ctx.element(w)
+        fresh, stored = _fresh_entries(ctx)
+        assert fresh == stored, w
+    loaded = KLContext(4)
+    loaded.load_json(full[4].to_json())
+    assert any(y is not None for row in loaded._index.rmult for y in row)
+    fresh, stored = _fresh_entries(loaded)
+    assert fresh == stored
 
 
 def _raised(n, w, xs, j):

@@ -1187,6 +1187,23 @@ def test_class_too_wide_for_the_fields_widens_the_sum(monkeypatch):
     assert kernel(2 ** 30).top < 2 ** 31
 
 
+def test_equal_coefficients_share_one_class_sum_group(monkeypatch):
+    # the two coefficients are equal but list their terms in different
+    # orders; one group each made one extra sum (exact either way)
+    a = HeckeElement(3, {(1, 2, 3): LaurentQ({0: 1, 2: 1}),
+                         (2, 1, 3): LaurentQ({2: 1, 0: 1})})
+    sizes = []
+
+    def total(cc, groups):
+        sizes.append(len(groups))
+        return class_total(cc, groups)
+
+    class_total = parabolic._class_total
+    monkeypatch.setattr(parabolic, "_class_total", total)
+    assert _young_characters(a) == _mac_chars(a)
+    assert sizes == [1]
+
+
 def test_induced_characters_repeated_and_every_j():
     a = kl_context(4).element((3, 4, 1, 2)).scale(LaurentQ({-1: 2, 2: 1}))
     Js = all_parabolic_subsets(4)
