@@ -149,7 +149,7 @@ def _save_kl_cache(cache_dir, n: int) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"   # renamed over the cache in one step
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(ctx.to_json(), fh, sort_keys=True)
+            fh.write(json.dumps(ctx.to_json(), sort_keys=True))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

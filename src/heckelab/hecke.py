@@ -31,6 +31,7 @@ fails).  Elements are memoized per n behind a size guard.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache
 from re import fullmatch
 
@@ -167,9 +168,11 @@ class HeckeElement(Terms):
         return f"HeckeElement(n={self.n}, {len(self.terms)} terms)"
 
     def to_json(self) -> dict:
-        return {"n": self.n,
-                "terms": [{"perm": list(w), "coeff": c.to_json()}
-                          for w, c in self.sorted_terms()]}
+        coeffs: dict = {}   # id of a shared coefficient -> its JSON, once
+        return {"n": self.n, "terms": [
+            {"perm": list(w), "coeff": coeffs.get(id(c))
+             or coeffs.setdefault(id(c), c.to_json())}
+            for w, c in self.sorted_terms()]}
 
     @staticmethod
     def from_json(data: dict) -> "HeckeElement":
@@ -200,17 +203,43 @@ def _t_bar(n: int, w: Perm) -> HeckeElement:
     return elem
 
 
+def _plus_ts(terms: dict, s: int, desc: list, mult: list, move,
+             width: int) -> dict:
+    """terms {z: x}, x packing q-coefficients in width-bit fields, times
+    1 + T_s on the side of a `PermTable` whose descents, products and
+    `left` or `right` are desc, mult and move.  T_z (1 + T_s) is T_z + T_zs
+    or q T_z + q T_zs, so both of {z, zs} get x_z + q x_zs for z the
+    shorter, which a lower Bruhat interval holds."""
+    out, bit = {}, 1 << s
+    for z, x in terms.items():
+        if not desc[z] & bit:
+            zs = mult[z][s] or move(z, s)   # index 0 is filled already
+            out[z] = out[zs] = x + (terms.get(zs, 0) << width)
+    return out
+
+
+def _product_terms(table: PermTable, sig, width: int) -> dict:
+    """(1 + T_{s_1})...(1 + T_{s_k}) on table's indices, sig 0-based."""
+    terms = {table(range(1, table.n + 1)): 1}
+    for s in sig:
+        terms = _plus_ts(terms, s, table.rdesc, table.rmult, table.right,
+                         width)
+    return terms
+
+
+_product_tables = cache(PermTable)   # per n, lazy: what products reach
+
+
 def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     """The product (1 + T_{s_1})(1 + T_{s_2})...(1 + T_{s_k}) in the T-basis.
 
-    The word need not be reduced.  T_w (1 + T_s) is T_w + T_{ws} when ws
-    is longer, q T_w + q T_{ws} when shorter: coefficients stay in N[q]
-    and each factor doubles their sum at q = 1, so none exceeds 2^k, and
-    a term rides in one int as signed (k + 2)-bit fields, one per power
-    of q, that never carry.  The support lies below the word's Demazure
+    The word need not be reduced.  Coefficients stay in N[q] and each
+    factor doubles their sum at q = 1, so none exceeds 2^k: a term rides
+    in one int as signed (k + 2)-bit q-fields that never carry, on a lazy
+    table shared per n.  The support lies below the word's Demazure
     product; when that is w0 (n! terms) the guard for all of S_n applies
-    to the KL expansion its callers do next (the word characters of
-    `parabolic` take the product on table indices, without this rule).
+    to the KL expansion its callers do next (`parabolic` takes the product
+    on `perm_table` indices, without this rule).
 
     >>> print(bott_samelson_product((1,), 2))
     T[1,2] + T[2,1]
@@ -228,21 +257,12 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
                        f"product is w0 ({n}! = {math.factorial(n):,} "
                        "terms): n")
     width = len(word) + 2   # 2^k needs k + 1 bits plus the sign bit
-    terms = {identity(n): 1}
-    for i in word:
-        nxt: dict = {}
-        for w, x in terms.items():
-            if w[i - 1] > w[i]:   # ws shorter
-                x <<= width
-            ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-            nxt[w] = nxt.get(w, 0) + x
-            nxt[ws] = nxt.get(ws, 0) + x
-        terms = nxt
-    views: dict = {}   # equal coefficients share one LaurentQ
-    for x in terms.values():
-        if x not in views:
-            views[x] = from_q_coefficients(unpack_signed(x, width))
-    return HeckeElement._raw(n, {w: views[x] for w, x in terms.items()})
+    table = _product_tables(n)
+    terms = _product_terms(table, [i - 1 for i in word], width)
+    views = {x: from_q_coefficients(unpack_signed(x, width))   # shared
+             for x in set(terms.values())}
+    return HeckeElement._raw(n, {table.perms[z]: views[x]
+                                 for z, x in terms.items()})
 
 
 class KLContext:
@@ -340,15 +360,8 @@ class KLContext:
         s = bit.bit_length() - 1
         wp = left(w, s)
         base = self._get(wp)
-        # B_s B_{w'} = (T_s + 1) B_{w'} gives x and sx the same coefficient
-        # P_{lo,w'} + q P_{hi,w'}, {lo < hi} = {x, sx}, set from lo: B_{w'}
-        # lives on [e, w'], which holds lo with hi (`left` fills a None
-        # entry and returns an index 0 as is)
-        out = {}
-        for x, p in base.items():
-            if not ldesc[x] & bit:
-                sx = lmult[x][s] or left(x, s)
-                out[x] = out[sx] = p + (base.get(sx, 0) << W)
+        # B_s B_{w'} = (1 + T_s) B_{w'}, B_{w'} on the interval [e, w']
+        out = _plus_ts(base, s, ldesc, lmult, left, W)
         # minus sum mu(z, w') q^((len(w)-len(z))/2) B_z over z < w' with s
         # a left descent of z
         lw = lengths[w]
@@ -425,16 +438,52 @@ class KLContext:
         return self._mu(self._get(wi), self._index(u), wi)
 
     def expand_cprime(self, a: HeckeElement) -> dict:
-        """Expand a = sum_w coeff(w) B_w by triangular elimination from the
-        largest (length, one-line) term down; round-trips through
-        `element`."""
-        lengths = self._index.lengths
-        residue = a
-        out = {}
-        while residue.terms:
-            w = max(residue.terms, key=lambda u: (lengths[self._index(u)], u))
-            out[w] = c = residue.terms[w]
-            residue = residue - self.element(w).scale(c)
+        """Expand a = sum_w coeff(w) B_w (`_eliminate`), the coefficients
+        cleared of denominators (times scale) and shifted by their least
+        v-exponent lo into ints on the way in, and back on the way out."""
+        ix = self._index
+        cs = {ix(w): c.c for w, c in a.terms.items()}
+        scale = math.lcm(*(x.denominator for c in cs.values()
+                           for x in c.values() if type(x) is not int))
+        lo = min((e for c in cs.values() for e in c), default=0)
+        out = self._eliminate({z: [(e - lo, int(x * scale)) for e, x in
+                                   c.items()] for z, c in cs.items()})
+        return {ix.perms[w]: LaurentQ({lo + e: Fraction(x, scale)
+                                       for e, x in enumerate(c)})
+                for w, c in out.items()}
+
+    def _eliminate(self, terms: dict, need: int = 0) -> dict:
+        """{w: v-coefficients of c_w} for sum_z terms[z] T_z = sum_w c_w B_w,
+        from the largest (length, one-line) z down: a step subtracts c_w
+        P_{z,w}, P packed on v once per pass, at the z of B_w only.  As
+        |x - c P| <= |x| + |c| P(1) for P >= 0 (|.| the sum of |fields|),
+        no residue exceeds total, the largest |terms[z]| plus |c_w| max P(1)
+        per step; a pass reads one only while total fits a field."""
+        lengths, perms = self._index.lengths, self._index.perms
+        total = max([need] + [sum(abs(x) for _, x in c)
+                              for c in terms.values()])
+        width = signed_width(total)
+        res = {z: pack_signed(c, width) for z, c in terms.items()}
+        levels, on_v, out, top = {}, {}, {}, 0   # top: the largest P(1)
+        for z in res:
+            levels.setdefault(lengths[z], []).append(z)
+        while levels:
+            for w in sorted(levels.pop(max(levels)), key=perms.__getitem__,
+                            reverse=True):
+                if total >> width - 1:
+                    return self._eliminate(terms, total)
+                if c := res[w]:   # w is never visited again
+                    out[w] = cs = unpack_signed(c, width)
+                    for z, p in self._get(w).items():
+                        if (v := on_v.get(p)) is None:
+                            qs = unpack_signed(p, W)
+                            top = max(top, sum(qs))
+                            v = on_v[p] = pack_signed(
+                                ((2 * k, x) for k, x in enumerate(qs)), width)
+                        if z not in res:
+                            levels.setdefault(lengths[z], []).append(z)
+                        res[z] = res.get(z, 0) - c * v
+                    total += sum(map(abs, cs)) * top
         return out
 
     # -- persistence ------------------------------------------------------------
@@ -465,12 +514,18 @@ class KLContext:
             if not fullmatch(r"[0-9]+(,[0-9]+)*", name):
                 raise ValueError(f"malformed KL cache element name {name!r}")
             return self._index(map(int, name.split(",")))
+        parse = cache(lambda pairs: self._parse_poly({"v": dict(pairs)}))
+
+        def poly(data):   # each distinct payload once; where one is
+            try:          # unhashable or malformed, `_parse_poly` says why
+                return parse(tuple(data["v"].items()))
+            except (KeyError, TypeError, AttributeError):
+                return self._parse_poly(data)
         loaded = {}
         try:
             for ws, terms in data["elements"].items():
                 w = index(ws)
-                loaded[w] = {index(zs): self._parse_poly(p)
-                             for zs, p in terms.items()}
+                loaded[w] = {index(zs): poly(p) for zs, p in terms.items()}
                 if why := (self._defect(w, loaded[w])
                            or self._pair_defect(w, loaded[w])):
                     raise ValueError(why)

@@ -498,12 +498,13 @@ class Terms:
         1 is dropped; any other precedes the basis element, parenthesized
         unless it is a single monomial, with "*" between them in plain
         text.  ``name`` goes on to `_name`."""
-        star = "" if latex else "*"
-        bits = []
+        star, bits, heads = "" if latex else "*", [], {}
         for k, c in self.sorted_terms():
-            b, cs = self._name(k, latex, **name), c.render(latex)
-            bits.append(b if cs == "1" else f"{cs}{star}{b}"
-                        if len(c.c) == 1 else f"({cs}){star}{b}")
+            if (head := heads.get(id(c))) is None:   # once per shared c
+                cs = c.render(latex)
+                head = heads[id(c)] = ("" if cs == "1" else cs + star
+                                       if len(c.c) == 1 else f"({cs}){star}")
+            bits.append(head + self._name(k, latex, **name))
         return ("+" if latex else " + ").join(bits) or "0"
 
     def __str__(self):

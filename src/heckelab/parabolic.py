@@ -50,7 +50,7 @@ from . import config
 from .coxeter import (
     Perm, Word, _ints, cycle_type, left_inversions, perm_table,
 )
-from .hecke import HeckeElement
+from .hecke import HeckeElement, _product_terms
 from .laurentq import (
     ONE, ZERO, LaurentQ, _raw, pack_signed, signed_width, unpack_signed,
 )
@@ -406,23 +406,11 @@ def induced_character(a: HeckeElement, J) -> LaurentQ:
 def _word_characters(n: int, sig: tuple) -> dict:
     """{lam: c_lam((1+T_{s_1})...(1+T_{s_k}))} over the nonzero ones, for
     the checked letter indices sig: by the paper's theorem, the word counts
-    of every J from one product and one class sum.
-
-    T_z (1 + T_s) is T_z + T_zs when zs is longer, q T_z + q T_zs when
-    shorter, so a step gives both members of a pair {z, zs}, z the shorter
-    (lower) index, x_z + q x_zs.  The q-fields are k + 2 bits wide, as in
-    `bott_samelson_product`, whose w0 rule guards a KL expansion, not this
-    sum over at most n! terms."""
-    rmult, cc, width = perm_table(n).rmult, _class_chars(n), len(sig) + 2
-    terms = {0: 1}
-    for s in sig:
-        nxt: dict = {}
-        for z, x in terms.items():
-            if (zs := rmult[z][s]) not in nxt:
-                y = terms.get(zs, 0)
-                nxt[z] = nxt[zs] = (x + (y << width) if zs > z
-                                    else y + (x << width))
-        terms = nxt
+    of every J from one product, on `perm_table(n)` for the class ids, and
+    one class sum.  The w0 rule of `bott_samelson_product` guards a KL
+    expansion, not this sum over at most n! terms."""
+    cc, width = _class_chars(n), len(sig) + 2
+    terms = _product_terms(perm_table(n), sig, width)
     groups: dict = {}   # equal coefficients share one group
     for z, x in terms.items():
         groups.setdefault(x, []).append(cc.cls[z])

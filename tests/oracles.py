@@ -12,7 +12,10 @@ basis (`oracle_to_basis`, which also takes the `LaurentFrac` coefficients
 the library's packed route cannot), binary-word counts and word sets
 from depth-first walks over all 2^k words, the counts also from
 transfer-matrix sweeps over the library's shared quotients (`sweep_*`),
-Bott-Samelson products from LaurentQ products, induced characters
+Bott-Samelson products from LaurentQ products and from a packed loop on
+permutation tuples (`tuple_bott_samelson_product`), Kazhdan-Lusztig
+expansions by elimination on whole `HeckeElement` residues
+(`residue_expand_cprime`), induced characters
 from per-z trace matrices on the quotient module, the traces of the
 T_{w_mu} from the diagonal of its action and the class-sum route from
 dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
@@ -1036,6 +1039,38 @@ def laurent_bott_samelson_product(word, n: int) -> HeckeElement:
     out = HeckeElement.unit(n)
     for i in word:
         out = out + out.mul_ts_right(i)
+    return out
+
+
+def tuple_bott_samelson_product(word, n: int) -> HeckeElement:
+    """prod (1 + T_s) over the word on permutation tuples, each term's
+    q-coefficients packed in one int of signed (k + 2)-bit fields: the
+    reference for the index kernel `hecke._product_terms`."""
+    width = len(word) + 2
+    terms = {tuple(range(1, n + 1)): 1}
+    for i in word:
+        nxt: dict = {}
+        for w, x in terms.items():
+            if w[i - 1] > w[i]:   # ws shorter
+                x <<= width
+            ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            nxt[w] = nxt.get(w, 0) + x
+            nxt[ws] = nxt.get(ws, 0) + x
+        terms = nxt
+    return HeckeElement(n, {w: from_q_coefficients(unpack_signed(x, width))
+                            for w, x in terms.items()})
+
+
+def residue_expand_cprime(ctx, a: HeckeElement) -> dict:
+    """a = sum_w coeff(w) B_w by triangular elimination on whole
+    `HeckeElement` residues, taking the largest (length, one-line) term of
+    the residue at each step: the reference for `KLContext.expand_cprime`,
+    which eliminates on the context's indices."""
+    residue, out = a, {}
+    while residue.terms:
+        w = max(residue.terms, key=lambda u: (length(u), u))
+        out[w] = c = residue.terms[w]
+        residue = residue - ctx.element(w).scale(c)
     return out
 
 

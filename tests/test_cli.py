@@ -509,7 +509,7 @@ def test_cache_dir_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("argv, name", CASES["caching"].items())
 def test_caching_verbs_write_then_read_the_cache(tmp_path, capsys, argv,
                                                  name):
-    argv = ["--cache-dir", str(tmp_path), *argv.split()]
+    argv = ["--cache-dir", str(tmp_path), *shlex.split(argv)]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert [p.name for p in tmp_path.iterdir()] == [name]

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -22,7 +23,10 @@ from heckelab.laurentq import (
     LaurentQ, ONE, Q, from_q_coefficients, q_power, v_power,
 )
 
-from oracles import TupleKL, laurent_bott_samelson_product, shift_defect
+from oracles import (
+    TupleKL, laurent_bott_samelson_product, residue_expand_cprime, shift_defect,
+    tuple_bott_samelson_product,
+)
 
 E4 = identity(4)
 S1 = (2, 1, 3, 4)
@@ -406,6 +410,66 @@ def test_cprime_round_trip_random():
             assert back == a
 
 
+def test_expansion_matches_the_residue_oracle():
+    # every KL element of S_n, n <= 5, and seeded (not necessarily
+    # reduced) products at n <= 7, against the elimination on whole
+    # HeckeElement residues
+    for n in range(1, 6):
+        ctx = kl_context(n)
+        for w in all_permutations(n):
+            b = ctx.element(w)
+            assert ctx.expand_cprime(b) == residue_expand_cprime(ctx, b)
+    rng = random.Random(30)
+    for n in range(2, 8):
+        ctx = kl_context(n)
+        for _ in range(4):
+            word = tuple(rng.randint(1, n - 1)
+                         for _ in range(rng.randint(n, 2 * n)))
+            a = bott_samelson_product(word, n)
+            assert ctx.expand_cprime(a) == residue_expand_cprime(ctx, a), word
+
+
+def test_expansion_of_fractional_json_elements():
+    # fractions and negative or odd v-exponents are scaled and shifted
+    # into ints on the way in and back on the way out
+    rng = random.Random(31)
+    for n, count in ((3, 10), (4, 10), (5, 4)):
+        ctx, perms = kl_context(n), list(all_permutations(n))
+        for _ in range(count):
+            payload = {"n": n, "terms": [
+                {"perm": list(w), "coeff": {"v": {
+                    str(rng.randint(-7, 4)): f"{rng.randint(-9, 9)}/"
+                    f"{rng.randint(1, 6)}" for _ in range(3)}}}
+                for w in rng.sample(perms, 5)]}
+            a = HeckeElement.from_json(json.loads(json.dumps(payload)))
+            expansion = ctx.expand_cprime(a)
+            assert expansion == residue_expand_cprime(ctx, a), payload
+            assert HeckeElement(n, expansion).to_json() == \
+                HeckeElement(n, residue_expand_cprime(ctx, a)).to_json()
+
+
+def test_expansion_needs_fields_wider_than_64_bits():
+    # X T_e with X = 2^95 - 1 fills the 96-bit fields its bound asks for,
+    # and fits no narrower ones; in X T_s - X T_e the step at s lifts the
+    # bound to 2X, so the pass restarts at 128 bits, where -2X at e fits;
+    # X' T_w0 scales the inverse KL polynomials of S_4 past 64 bits, also
+    # with fractions and negative v-exponents
+    ctx, x = kl_context(4), (1 << 95) - 1
+    s, e, w0 = (2, 1, 3, 4), identity(4), (4, 3, 2, 1)
+    cases = [(HeckeElement(4, {e: x}), {e: LaurentQ({0: x})}),
+             (HeckeElement(4, {s: x, e: -x}), {s: LaurentQ({0: x}),
+                                               e: LaurentQ({0: -2 * x})}),
+             (HeckeElement(4, {w0: (1 << 64) + 1}), None),
+             (HeckeElement(4, {w0: LaurentQ({-3: Fraction((1 << 66) + 1, 3),
+                                             2: -1}), s: Q}), None)]
+    for a, want in cases:
+        expansion = ctx.expand_cprime(a)
+        assert expansion == residue_expand_cprime(ctx, a)
+        assert want is None or expansion == want
+        assert max(abs(c) for cs in expansion.values()
+                   for c in cs.c.values()) > 1 << 64
+
+
 def test_bott_samelson_examples():
     assert bott_samelson_product((), 3) == HeckeElement.unit(3)
     one_plus_ts = bott_samelson_product((1,), 3)
@@ -424,17 +488,27 @@ def test_empty_product_is_the_unit():
 
 
 def test_packed_product_matches_laurent_oracle():
+    # term by term against the LaurentQ products and the tuple loop: every
+    # word of length <= 6 at n <= 4, then seeded words at n = 5-7 (the
+    # lazy table is shared, so later words reuse and extend the numbering
+    # of earlier ones)
     for n in range(1, 5):
         for k in range(7):
             for word in product(range(1, n), repeat=k):
-                assert bott_samelson_product(word, n) == \
-                    laurent_bott_samelson_product(word, n), word
+                terms = bott_samelson_product(word, n).terms
+                assert terms == laurent_bott_samelson_product(word, n).terms \
+                    == tuple_bott_samelson_product(word, n).terms, word
     rng = random.Random(23)
     for n in (5, 6):
         for k in (12, 20, 30):
             word = tuple(rng.randint(1, n - 1) for _ in range(k))
             assert bott_samelson_product(word, n) == \
                 laurent_bott_samelson_product(word, n), word
+    for _ in range(200):
+        n = rng.randint(5, 7)
+        word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 14)))
+        assert bott_samelson_product(word, n).terms == \
+            tuple_bott_samelson_product(word, n).terms, word
 
 
 def test_packed_product_width_bound():
