@@ -439,18 +439,28 @@ class KLContext:
 
     def expand_cprime(self, a: HeckeElement) -> dict:
         """Expand a = sum_w coeff(w) B_w (`_eliminate`), the coefficients
-        cleared of denominators (times scale) and shifted by their least
-        v-exponent lo into ints on the way in, and back on the way out."""
-        ix = self._index
+        cleared of denominators (times scale) and shifted into ints on the
+        way in, and back on the way out.  The expansion adds at most
+        len(w0) to a v-exponent, so runs of exponents farther apart are
+        expanded apart, each shifted by its least exponent lo."""
+        ix, runs, out = self._index, {}, {}
         cs = {ix(w): c.c for w, c in a.terms.items()}
         scale = math.lcm(*(x.denominator for c in cs.values()
                            for x in c.values() if type(x) is not int))
-        lo = min((e for c in cs.values() for e in c), default=0)
-        out = self._eliminate({z: [(e - lo, int(x * scale)) for e, x in
-                                   c.items()] for z, c in cs.items()})
-        return {ix.perms[w]: LaurentQ({lo + e: Fraction(x, scale)
-                                       for e, x in enumerate(c)})
-                for w, c in out.items()}
+        span = self.n * (self.n - 1) // 2   # len(w0)
+        first, last = {}, -math.inf   # first[e]: the least exponent of its run
+        for e in sorted({e for c in cs.values() for e in c}):
+            first[e] = first[last] if e - last <= span else e
+            last = e
+        for z, c in cs.items():
+            for e, x in c.items():
+                runs.setdefault(first[e], {}).setdefault(z, []).append(
+                    (e - first[e], int(x * scale)))
+        for lo, terms in runs.items():
+            for w, c in self._eliminate(terms).items():
+                out.setdefault(ix.perms[w], {}).update(
+                    (lo + e, Fraction(x, scale)) for e, x in enumerate(c))
+        return {w: LaurentQ(c) for w, c in out.items()}
 
     def _eliminate(self, terms: dict, need: int = 0) -> dict:
         """{w: v-coefficients of c_w} for sum_z terms[z] T_z = sum_w c_w B_w,

@@ -213,6 +213,21 @@ def test_sparse_v_exponents_in_a_class_sum(e, shown):
                     payload) == library
 
 
+@pytest.mark.parametrize("e, shown", [
+    ("20000000000", "(-1-7/2q^10000000000)*B[1,2,3] + "
+                    "(1+1/2q^10000000000)*B[2,1,3]"),
+    ("-20000000000", "(-7/2q^{-10000000000}-1)*B[1,2,3] + "
+                     "(1/2q^{-10000000000}+1)*B[2,1,3]")])
+def test_sparse_v_exponents_in_an_expansion(e, shown):
+    # residues packed from the least exponent of the whole element ran out
+    # of memory; the values are those of the elimination on whole elements
+    payload = json.dumps({"n": 3, "terms": [
+        {"perm": [2, 1, 3], "coeff": {"v": {"0": "1", e: "1/2"}}},
+        {"perm": [1, 2, 3], "coeff": {"v": {e: "-3"}}}]})
+    assert _limited(_CLI, "cprime-expand", "--json", payload) == (
+        0, shown + "\n", "")
+
+
 def test_budget_guard_exit_code(capsys):
     code, out, err = run(capsys, "--max-n", "3", "kl-basis", "--w", "3412")
     assert code == 2

@@ -448,6 +448,17 @@ def test_expansion_of_fractional_json_elements():
                 HeckeElement(n, residue_expand_cprime(ctx, a)).to_json()
 
 
+def test_expansion_of_exponent_runs_apart():
+    # v-exponents farther apart than len(w0) = 6 are expanded as separate
+    # runs, whose terms must never meet; gaps on both sides of that length
+    ctx = kl_context(4)
+    for gap in range(1, 10):
+        a = HeckeElement(4, {(4, 3, 2, 1): LaurentQ({0: 1, gap: -2}),
+                             (2, 1, 3, 4): LaurentQ({gap: 3}),
+                             (3, 4, 1, 2): LaurentQ({-gap: Fraction(1, 3)})})
+        assert ctx.expand_cprime(a) == residue_expand_cprime(ctx, a), gap
+
+
 def test_expansion_needs_fields_wider_than_64_bits():
     # X T_e with X = 2^95 - 1 fills the 96-bit fields its bound asks for,
     # and fits no narrower ones; in X T_s - X T_e the step at s lifts the
