@@ -203,28 +203,28 @@ def _t_bar(n: int, w: Perm) -> HeckeElement:
     return elem
 
 
-def _plus_ts(terms: dict, s: int, desc: list, mult: list, move,
+def _plus_ts(terms: dict, sig, desc: list, mult: list, move,
              width: int) -> dict:
     """terms {z: x}, x packing q-coefficients in width-bit fields, times
-    1 + T_s on the side of a `PermTable` whose descents, products and
-    `left` or `right` are desc, mult and move.  T_z (1 + T_s) is T_z + T_zs
-    or q T_z + q T_zs, so both of {z, zs} get x_z + q x_zs for z the
-    shorter, which a lower Bruhat interval holds."""
-    out, bit = {}, 1 << s
-    for z, x in terms.items():
-        if not desc[z] & bit:
-            zs = mult[z][s] or move(z, s)   # index 0 is filled already
-            out[z] = out[zs] = x + (terms.get(zs, 0) << width)
-    return out
+    (1 + T_{s_1})...(1 + T_{s_k}) for the 0-based letters sig, on the
+    side of a `PermTable` whose descents, products and `left` or `right`
+    are desc, mult and move.  T_z (1 + T_s) is T_z + T_zs or q T_z +
+    q T_zs, so both of {z, zs} get x_z + q x_zs for z the shorter, which
+    a lower Bruhat interval holds."""
+    for s in sig:
+        out, bit = {}, 1 << s
+        for z, x in terms.items():
+            if not desc[z] & bit:
+                zs = mult[z][s] or move(z, s)   # index 0 is filled already
+                out[z] = out[zs] = x + (terms.get(zs, 0) << width)
+        terms = out
+    return terms
 
 
 def _product_terms(table: PermTable, sig, width: int) -> dict:
     """(1 + T_{s_1})...(1 + T_{s_k}) on table's indices, sig 0-based."""
-    terms = {table(range(1, table.n + 1)): 1}
-    for s in sig:
-        terms = _plus_ts(terms, s, table.rdesc, table.rmult, table.right,
-                         width)
-    return terms
+    return _plus_ts({table(range(1, table.n + 1)): 1}, sig, table.rdesc,
+                    table.rmult, table.right, width)
 
 
 _product_tables = cache(PermTable)   # per n, lazy: what products reach
@@ -361,7 +361,7 @@ class KLContext:
         wp = left(w, s)
         base = self._get(wp)
         # B_s B_{w'} = (1 + T_s) B_{w'}, B_{w'} on the interval [e, w']
-        out = _plus_ts(base, s, ldesc, lmult, left, W)
+        out = _plus_ts(base, (s,), ldesc, lmult, left, W)
         # minus sum mu(z, w') q^((len(w)-len(z))/2) B_z over z < w' with s
         # a left descent of z
         lw = lengths[w]
