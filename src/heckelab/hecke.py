@@ -259,8 +259,8 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     width = len(word) + 2   # 2^k needs k + 1 bits plus the sign bit
     table = _product_tables(n)
     terms = _product_terms(table, [i - 1 for i in word], width)
-    views = {x: from_q_coefficients(unpack_signed(x, width))   # shared
-             for x in set(terms.values())}
+    views = {x: from_q_coefficients(unpack_signed(x, width))
+             for x in set(terms.values())}   # one LaurentQ per coefficient
     return HeckeElement._raw(n, {table.perms[z]: views[x]
                                  for z, x in terms.items()})
 
