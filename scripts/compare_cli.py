@@ -9,13 +9,11 @@ OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
 - every argv of tests/data/cli_golden.json;
 - the usage, rank-guard and rank-below-one errors of
   tests/data/cli_cases.json;
-- each verb of its "caching" and "not_caching" lists twice against one
-  empty --cache-dir per tree, at the same path on both sides, whose files
-  are compared after each run;
-- each command of its "tampered_cache" cases twice in the same way, with
-  the case's cache files written to the directory first.
-Every difference in exit code, stdout, stderr or cache bytes is printed,
-and the exit code is 1 if there is any.  Four commands run at once.
+- each command of its "cache_dir" list twice with --cache-dir, at the
+  same path on both sides (a tree that still writes a Kazhdan-Lusztig
+  cache there reads it back in the second run).
+Every difference in exit code, stdout or stderr is printed, and the exit
+code is 1 if there is any.  Four commands run at once.
 HECKE_LAB_MAX_N is unset in the child processes, so the default size
 guard applies on both sides.
 
@@ -28,7 +26,6 @@ import argparse
 import json
 import os
 import shlex
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -38,12 +35,12 @@ from pathlib import Path
 DATA = Path(__file__).resolve().parent.parent / "tests/data"
 GOLDEN, CASES = DATA / "cli_golden.json", DATA / "cli_cases.json"
 
-FIELDS = ("exit code", "stdout", "stderr", "cache files")
+FIELDS = ("exit code", "stdout", "stderr")
 
 
 def outcomes(src: str, argv: list, runs: int, cache: str | None) -> list:
-    """(exit code, stdout, stderr, {name: bytes} of the cache) of each of
-    `runs` fresh processes of argv on the tree src."""
+    """(exit code, stdout, stderr) of each of `runs` fresh processes of
+    argv on the tree src, with --cache-dir cache if cache is set."""
     env = {k: v for k, v in os.environ.items() if k != "HECKE_LAB_MAX_N"}
     env["PYTHONPATH"] = src
     prefix = ["--cache-dir", cache] if cache else []
@@ -52,27 +49,17 @@ def outcomes(src: str, argv: list, runs: int, cache: str | None) -> list:
         done = subprocess.run(
             [sys.executable, "-m", "heckelab.cli", *prefix, *argv],
             capture_output=True, env=env, timeout=600)
-        files = {p.name: p.read_bytes() for p in sorted(Path(cache).iterdir())
-                 } if cache and os.path.isdir(cache) else {}
-        out.append((done.returncode, done.stdout, done.stderr, files))
+        out.append((done.returncode, done.stdout, done.stderr))
     return out
 
 
-def compare(old: str, new: str, argv: list, cached: bool,
-            files: dict | None = None) -> list:
+def compare(old: str, new: str, argv: list, cached: bool) -> list:
     """The differences between the two trees on argv: one run, or two
-    through a cache directory that starts on each side empty or holding
-    files ({name: text})."""
+    with --cache-dir naming a directory that does not exist."""
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "cache") if cached else None
-        sides = []
-        for src in (old, new):
-            if cache:
-                shutil.rmtree(cache, ignore_errors=True)
-                for name, text in (files or {}).items():
-                    os.makedirs(cache, exist_ok=True)
-                    Path(cache, name).write_text(text, "utf-8")
-            sides.append(outcomes(src, argv, 2 if cached else 1, cache))
+        sides = [outcomes(src, argv, 2 if cached else 1, cache)
+                 for src in (old, new)]
     return [f"{shlex.join(argv)} (run {i}): {what} differs: "
             f"{a!r:.300} against {b!r:.300}"
             for i, pair in enumerate(zip(*sides), 1)
@@ -94,14 +81,9 @@ def main(argv=None) -> int:
         *(argv for argv, _ in cases["usage_errors"].values()),
         *cases["rank_guard"], cases["rank_guard_before_bad_j"],
         *(argv for argv, _ in cases["rank_below_one"].values()))]
-    cached = [shlex.split(argv)
-              for argv in (*cases["caching"], *cases["not_caching"])]
-    tampered = [(shlex.split(case["argv"]), True,
-                 {name: json.dumps(payload)
-                  for name, payload in case["cache"].items()})
-                for case in cases["tampered_cache"].values()]
+    cached = [shlex.split(argv) for argv in cases["cache_dir"]]
     tasks = [(argv, False) for argv in golden + errors]
-    tasks += [(argv, True) for argv in cached] + tampered
+    tasks += [(argv, True) for argv in cached]
     old, new = (os.path.abspath(src) for src in (args.old, args.new))
     with ThreadPoolExecutor(4) as pool:
         found = pool.map(lambda task: compare(old, new, *task), tasks)
@@ -109,8 +91,7 @@ def main(argv=None) -> int:
     for line in diffs:
         print(line)
     print(f"{len(tasks)} commands ({len(golden)} golden, {len(errors)} "
-          f"errors, {len(cached) + len(tampered)} run twice through a "
-          f"cache, {len(tampered)} of them tampered): "
+          f"errors, {len(cached)} run twice with --cache-dir): "
           f"{len(diffs)} differences")
     return 1 if diffs else 0
 

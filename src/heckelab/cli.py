@@ -5,8 +5,9 @@ Output conventions: results go to stdout, diagnostics to stderr; output
 bytes are a pure function of the arguments and the chosen format.  Exit
 codes: 0 success, 1 domain error (e.g. incomparable permutations), 2
 usage error (bad literals, unknown verbs, size guard).  A verb checks
-n, J and its word in one call (`_check_args`); `main` saves the KL cache
-of each rank the verb opened (`_load_kl_cache`) once it has returned.
+n, J and its word in one call (`_check_args`).  `--cache-dir` is still
+accepted, so older command lines run unchanged, but it reads and writes
+nothing: recomputing a Kazhdan-Lusztig table costs less than reading it.
 
 Permutation literals are contiguous digits for n <= 9 ("3412") and
 comma-separated entries for larger n ("10,3,2,...").  Partitions, words
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import config
@@ -112,51 +112,6 @@ def _render(x, fmt: str, **name) -> str:
     return x.render(fmt == "latex", **name)
 
 
-# -- KL cache persistence ----------------------------------------------------------
-
-def _cache_path(cache_dir: str, n: int) -> str:
-    return os.path.join(cache_dir, f"kl_n{n}.json")
-
-
-_on_disk: dict = {}   # cache path -> elements in it when last read or written
-_opened: set = set()   # ranks whose cache `main` saves after the verb
-
-
-def _load_kl_cache(cache_dir, n: int):
-    """The shared context, merged with a valid cache file; an unreadable
-    or inconsistent file is a cache miss with a warning."""
-    ctx = kl_context(n)
-    if cache_dir:
-        _opened.add(n)
-        path = _cache_path(cache_dir, n)
-        _on_disk.pop(path, None)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                _on_disk[path] = ctx.load_json(_read_json(fh.read()))
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError) as exc:
-            print(f"heckelab: ignoring KL cache {path}: {exc}",
-                  file=sys.stderr)
-    return ctx
-
-
-def _save_kl_cache(cache_dir, n: int) -> None:
-    ctx, path = kl_context(n), _cache_path(cache_dir, n)
-    if _on_disk.get(path) == len(ctx):
-        return   # nothing new since the file was read or written
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"   # renamed over the cache in one step
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(ctx.to_json(), sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    _on_disk[path] = len(ctx)
-
-
 # -- verb handlers --------------------------------------------------------------
 
 def _element_from_args(args, parser) -> HeckeElement:
@@ -167,7 +122,7 @@ def _element_from_args(args, parser) -> HeckeElement:
     if args.w:
         return HeckeElement.t_basis(len(args.w), args.w)
     if args.kl:
-        return _load_kl_cache(args.cache_dir, len(args.kl)).element(args.kl)
+        return kl_context(len(args.kl)).element(args.kl)
     if args.json_elem:
         return HeckeElement.from_json(_read_json(args.json_elem))
     with open(args.file, "r", encoding="utf-8") as fh:
@@ -180,12 +135,12 @@ def run_kl_poly(args, parser) -> str:
         parser.error(f"size mismatch: |u|={len(u)} but |w|={len(w)}")
     if args.n is not None and args.n != len(w):
         parser.error(f"--n {args.n} does not match the literals (n={len(w)})")
-    p = _load_kl_cache(args.cache_dir, len(w)).polynomial(u, w)
+    p = kl_context(len(w)).polynomial(u, w)
     return _render(p, args.format)
 
 
 def run_kl_basis(args, parser) -> str:
-    elem = _load_kl_cache(args.cache_dir, len(args.w)).element(args.w)
+    elem = kl_context(len(args.w)).element(args.w)
     return _render(elem, args.format)
 
 
@@ -200,7 +155,7 @@ def run_cprime_expand(args, parser) -> str:
     else:
         elem = _element_from_args(args, parser)
         _check_args(args, parser, elem.n)
-    expansion = _load_kl_cache(args.cache_dir, elem.n).expand_cprime(elem)
+    expansion = kl_context(elem.n).expand_cprime(elem)
     return _render(HeckeElement(elem.n, expansion), args.format, label="B")
 
 
@@ -243,7 +198,7 @@ def run_good_words(args, parser) -> str:
 def run_frobenius(args, parser) -> str:
     n = len(args.w)
     if args.of == "kl":
-        elem = _load_kl_cache(args.cache_dir, n).element(args.w)
+        elem = kl_context(n).element(args.w)
     else:
         elem = HeckeElement.t_basis(n, args.w)
     return _render(frobenius_character(elem, args.basis), args.format)
@@ -278,8 +233,7 @@ def run_llt(args, parser) -> str:
 
 def run_springer(args, parser) -> str:
     _check_args(args, parser, args.n)
-    expansion = springer_decomposition(
-        args.word, args.n, _load_kl_cache(args.cache_dir, args.n))
+    expansion = springer_decomposition(args.word, args.n)
     if args.normalization == "classical":
         # divide out v^(len(top) - len(u)): the multiplicity series P_u(v)
         top = evaluate_word(args.word, args.n)
@@ -293,7 +247,7 @@ def run_ih_poincare(args, parser) -> str:
     n = len(args.w)
     J = args.J if args.J is not None else frozenset(range(1, n))
     _check_args(args, parser, n, J)
-    elem = _load_kl_cache(args.cache_dir, n).element(args.w)
+    elem = kl_context(n).element(args.w)
     return _render(induced_character(elem, J), args.format)
 
 
@@ -341,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="raise/lower the global size guard "
                              "(overrides HECKE_LAB_MAX_N)")
     parser.add_argument("--cache-dir", default=None,
-                        help="directory for the JSON Kazhdan-Lusztig cache")
+                        help="ignored: Kazhdan-Lusztig tables are recomputed "
+                             "on every run")
     parser.add_argument("--seed", type=int, default=None,
                         help="reserved for the randomized test harness; "
                              "never affects computation results")
@@ -443,13 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cache_dir is not None:
+        print("heckelab: ignoring --cache-dir: Kazhdan-Lusztig tables are "
+              "recomputed, never read from or written to disk",
+              file=sys.stderr)
     previous_guard = config._override
     if args.max_n is not None:
         config.set_max_n(args.max_n)
     try:
         out = args.func(args, parser)
-        for n in _opened:
-            _save_kl_cache(args.cache_dir, n)
     except config.BudgetError as exc:
         print(f"heckelab: {exc}", file=sys.stderr)
         return 2
@@ -457,7 +414,6 @@ def main(argv=None) -> int:
         print(f"heckelab: {exc}", file=sys.stderr)
         return 1
     finally:
-        _opened.clear()
         config.set_max_n(previous_guard)
     print(out)
     return 0

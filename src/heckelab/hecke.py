@@ -20,7 +20,7 @@ arithmetic).  Since P_{u,w} = P_{u^-1,w^-1} = P_{w0 u w0, w0 w w0}
 (Kazhdan-Lusztig 1979), an element whose image under one of these maps
 is already held is relabeled from it instead: a full table runs the
 recursion once per orbit (230 of 720 elements at n=6, 1,388 of 5,040 at
-n=7).  Every element, recursed, relabeled or loaded, is checked for its
+n=7).  Every element, recursed or relabeled, is checked for its
 leading 1, constant terms 1, the degree bound deg P_{z,w} <
 (len(w)-len(z))/2 and fields in [0, 2^30), at one comparison per term:
 each interned polynomial p records its need, the least len(w)-len(z)
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from re import fullmatch
 
 from . import config
 from .coxeter import (
@@ -294,7 +293,7 @@ class KLContext:
             inverse, w0_conjugate, lambda x: w0_conjugate(inverse(x))))
 
     def __len__(self):
-        """Number of elements held (built or loaded)."""
+        """Number of elements held."""
         return len(self._table)
 
     def _intern(self, p: int) -> int:
@@ -394,28 +393,6 @@ class KLContext:
                         f"P_({perms[z]},{perms[w]}) = {self._views[p]}")
         return None
 
-    def _pair_defect(self, w: int, terms: dict):
-        """Why B_w breaks P_{x,w} = P_{sx,w} (s in D_L(w) \\ D_L(x)) or
-        P_{x,w} = P_{xs,w} (s in D_R(w) \\ D_R(x)), du Cloux's extremal pairs,
-        or lacks sx < x for some x (B_w lives on [e, w]), or None; for
-        w != e these catch any single changed polynomial."""
-        ix = self._index
-        ldesc, rdesc, perms = ix.ldesc, ix.rdesc, ix.perms
-        for x, p in terms.items():
-            for mask, mult, want in ((ldesc[x], ix.left, None),
-                                     (ldesc[w] & ~ldesc[x], ix.left, p),
-                                     (rdesc[w] & ~rdesc[x], ix.right, p)):
-                while mask:
-                    s = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    if (y := mult(x, s)) not in terms:
-                        return (f"B_{perms[w]} has a term at {perms[x]} "
-                                f"but none at {perms[y]}")
-                    if want and terms[y] != want:
-                        return (f"P_({perms[x]},{perms[w]}) differs from "
-                                f"P_({perms[y]},{perms[w]})")
-        return None
-
     @property
     def _elements(self) -> dict:
         """Every element held, as views keyed by permutation (read by
@@ -495,63 +472,6 @@ class KLContext:
                         res[z] = res.get(z, 0) - c * v
                     total += sum(map(abs, cs)) * top
         return out
-
-    # -- persistence ------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        names = [",".join(map(str, w)) for w in self._index.perms]
-        coeffs = {p: v.to_json() for p, v in self._views.items()}
-        return {"format": "heckelab-kl-cache", "version": 1, "n": self.n,
-                "elements": {
-                    names[w]: {names[z]: coeffs[p] for z, p in terms.items()}
-                    for w, terms in self._table.items()}}
-
-    def load_json(self, data: dict) -> int:
-        """Add the payload's elements that are not yet held; return how many
-        it has.  Raises ValueError, adding nothing, unless format, version
-        and n match and every element has integer q-coefficients and passes
-        `_defect` (constant terms 1, leading 1 at w, degree bound) and
-        `_pair_defect` (equal polynomials on extremal pairs).  Element
-        names must have the form `to_json` writes, digits separated by
-        single commas, and are checked as permutations of 1..n."""
-        if (not isinstance(data, dict) or data.get("n") != self.n
-                or data.get("format") != "heckelab-kl-cache"
-                or data.get("version") != 1):
-            raise ValueError("unrecognized KL cache payload")
-
-        @cache
-        def index(name):
-            if not fullmatch(r"[0-9]+(,[0-9]+)*", name):
-                raise ValueError(f"malformed KL cache element name {name!r}")
-            return self._index(map(int, name.split(",")))
-        parse = cache(lambda pairs: self._parse_poly({"v": dict(pairs)}))
-
-        def poly(data):   # each distinct payload once; where one is
-            try:          # unhashable or malformed, `_parse_poly` says why
-                return parse(tuple(data["v"].items()))
-            except (KeyError, TypeError, AttributeError):
-                return self._parse_poly(data)
-        loaded = {}
-        try:
-            for ws, terms in data["elements"].items():
-                w = index(ws)
-                loaded[w] = {index(zs): poly(p) for zs, p in terms.items()}
-                if why := (self._defect(w, loaded[w])
-                           or self._pair_defect(w, loaded[w])):
-                    raise ValueError(why)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed KL cache payload: {exc!r}") from None
-        for w, terms in loaded.items():
-            self._table.setdefault(w, terms)
-        return len(loaded)
-
-    def _parse_poly(self, data: dict) -> int:
-        p = LaurentQ.from_json(data)
-        cs = p.q_coefficients()
-        if any(type(c) is not int or not 0 <= c < 1 << 30 for c in cs):
-            raise ValueError(f"not a polynomial with integer coefficients "
-                             f"in [0, 2^30): {p}")
-        return self._intern(pack_signed(enumerate(cs), W))
 
 
 _contexts: dict = {}

@@ -21,7 +21,8 @@ T_{w_mu} from the diagonal of its action and the class-sum route from
 dict convolutions (`mac_young_characters`), Kazhdan-Lusztig elements
 from T-basis products B_s * B_{w'} on permutation tuples, their
 postcondition check by shifts and masks on each packed polynomial
-(`shift_defect`), the plethystic
+(`shift_defect`) and by du Cloux's extremal-pair equalities
+(`pair_defect`), the plethystic
 LLT from power sums rescaled over rational functions in q (`LaurentFrac`
 normal forms by polynomial gcd) and from the per-n linear map on the
 monomial basis over n! [n]_q! with one exact division per Schur
@@ -1134,6 +1135,30 @@ def shift_defect(ctx, w: int, terms: dict):
                 p >> W * ((lw - lengths[z] + 1) // 2) and z != w):
             return (f"constant term, degree bound or range fails for "
                     f"P_({perms[z]},{perms[w]}) = {ctx._views[p]}")
+    return None
+
+
+def pair_defect(ctx, w: int, terms: dict):
+    """Why B_w = {z: P_{z,w}} on the indices of `ctx` breaks
+    P_{x,w} = P_{sx,w} (s in D_L(w) \\ D_L(x)) or P_{x,w} = P_{xs,w}
+    (s in D_R(w) \\ D_R(x)), du Cloux's extremal pairs, or lacks sx < x
+    for some x (B_w lives on [e, w]), or None; for w != e these catch any
+    single changed polynomial.  Numbers the right steps it takes."""
+    ix = ctx._index
+    ldesc, rdesc, perms = ix.ldesc, ix.rdesc, ix.perms
+    for x, p in terms.items():
+        for mask, mult, want in ((ldesc[x], ix.left, None),
+                                 (ldesc[w] & ~ldesc[x], ix.left, p),
+                                 (rdesc[w] & ~rdesc[x], ix.right, p)):
+            while mask:
+                s = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                if (y := mult(x, s)) not in terms:
+                    return (f"B_{perms[w]} has a term at {perms[x]} "
+                            f"but none at {perms[y]}")
+                if want and terms[y] != want:
+                    return (f"P_({perms[x]},{perms[w]}) differs from "
+                            f"P_({perms[y]},{perms[w]})")
     return None
 
 

@@ -1,4 +1,5 @@
-"""Command surface: literals, exit codes, formats, determinism, caching."""
+"""Command surface: literals, exit codes, formats, determinism, the
+ignored --cache-dir."""
 
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from heckelab import chromatic, cli, parabolic, symfunc
 from heckelab.cli import main
 from heckelab.coxeter import all_hessenberg_functions, all_permutations
-from heckelab.hecke import HeckeElement, KLContext, bott_samelson_product
+from heckelab.hecke import HeckeElement, bott_samelson_product
 from heckelab.laurentq import LaurentQ, ONE, Q, from_q_coefficients
 from heckelab.parabolic import induced_character
 from heckelab.symfunc import SymFunc
@@ -28,7 +29,7 @@ def run(capsys, *argv):
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
-# error and cache cases, shared with scripts/compare_cli.py
+# error and --cache-dir cases, shared with scripts/compare_cli.py
 CASES = json.loads((Path(__file__).parent / "data" / "cli_cases.json")
                    .read_text(encoding="utf-8"))
 
@@ -412,7 +413,8 @@ def test_non_integer_letter_json_is_domain_error(capsys):
     '{"n": 3}',
     '[1, 2]',
     '{"n": 3, "terms": [{"coeff": {"v": {"0": "1"}}}]}',
-], ids=["no-terms", "not-an-object", "term-without-perm"])
+    '{"n": 3, "terms": [{"perm": [2, 1, 3], "coe',
+], ids=["no-terms", "not-an-object", "term-without-perm", "truncated"])
 def test_malformed_json_is_domain_error(capsys, payload):
     code, out, err = run(capsys, "induced-char", "--J", "1",
                          "--json", payload)
@@ -503,148 +505,22 @@ def test_repeated_runs_are_byte_identical(capsys):
         assert run(capsys, *argv) == run(capsys, *argv)
 
 
-def test_cache_dir_round_trip(tmp_path, capsys):
-    cache = tmp_path / "klcache"
-    argv = ["--cache-dir", str(cache), "kl-poly", "--u", "1234",
-            "--w", "3412"]
-    first = run(capsys, *argv)
-    assert first[0] == 0
-    assert (cache / "kl_n4.json").exists()
-    payload = json.loads((cache / "kl_n4.json").read_text())
-    assert payload["format"] == "heckelab-kl-cache"
-    second = run(capsys, *argv)
-    assert second == first
-    # a run that computes no new element leaves the file as it is
-    (cache / "kl_n4.json").write_text(json.dumps(payload, indent=1))
-    assert run(capsys, *argv) == first
-    assert (cache / "kl_n4.json").read_text() == json.dumps(payload, indent=1)
-    assert [p.name for p in cache.iterdir()] == ["kl_n4.json"]
+IGNORED = ("heckelab: ignoring --cache-dir: Kazhdan-Lusztig tables are "
+           "recomputed, never read from or written to disk\n")
 
 
-@pytest.mark.parametrize("argv, name", CASES["caching"].items())
-def test_caching_verbs_write_then_read_the_cache(tmp_path, capsys, argv,
-                                                 name):
-    argv = ["--cache-dir", str(tmp_path), *shlex.split(argv)]
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert [p.name for p in tmp_path.iterdir()] == [name]
-    assert run(capsys, *argv) == (0, out, "")
-
-
-@pytest.mark.parametrize("argv, code", CASES["not_caching"].items())
-def test_other_verbs_write_no_cache(tmp_path, capsys, argv, code):
-    # a verb that fails (exit code 1) saves no cache either
-    assert run(capsys, "--cache-dir", str(tmp_path), *argv.split())[0] == code
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_n7_cache_is_reused_by_a_second_process(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "HECKE_LAB_MAX_N"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    argv = [sys.executable, "-m", "heckelab.cli", "--cache-dir",
-            str(tmp_path), "kl-poly", "--u", "1234567", "--w", "6274531"]
-    first = subprocess.run(argv, capture_output=True, env=env, check=True)
-    path = tmp_path / "kl_n7.json"
-    assert "6,2,7,4,5,3,1" in json.loads(path.read_text())["elements"]
-    written = path.read_bytes(), path.stat().st_mtime_ns
-    second = subprocess.run(argv, capture_output=True, env=env, check=True)
-    assert (second.stdout, second.stderr) == (first.stdout, b"")
-    assert (path.read_bytes(), path.stat().st_mtime_ns) == written
-
-
-def _corrupt_cache_recomputes(tmp_path, capsys, corrupt):
-    cache = tmp_path / "klcache"
-    argv = ["--cache-dir", str(cache), "kl-poly", "--u", "1234",
-            "--w", "3412"]
-    assert run(capsys, *argv) == (0, "1+q\n", "")
-    path = cache / "kl_n4.json"
-    path.write_text(corrupt(path.read_text()))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (0, "1+q\n")
-    assert err.startswith("heckelab: ignoring KL cache") and \
-        err.count("\n") == 1
-    fresh = KLContext(4)
-    fresh.load_json(json.loads(path.read_text()))
-    assert fresh.polynomial((1, 2, 3, 4), (3, 4, 1, 2)) == ONE + Q
-    return err
-
-
-def test_tampered_cache_is_a_miss(tmp_path, capsys):
-    edits = {
-        "constant-term": lambda b: b.update({"1,2,3,4": {"v": {"0": "7"}}}),
-        "negative": lambda b: b.update({"1,2,3,4": {"v": {"0": "1",
-                                                          "2": "-1"}}}),
-        "wide": lambda b: b.update({"1,2,3,4": {"v": {"0": "1",
-                                                      "2": str(1 << 30)}}}),
-        "lower-interval-term": lambda b: b.pop("1,2,3,4"),   # [e, 3412]
-    }
-    for name, edit in edits.items():
-        def tamper(text):
-            payload = json.loads(text)
-            edit(payload["elements"]["3,4,1,2"])
-            return json.dumps(payload)
-        _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
-
-
-@pytest.mark.parametrize("case", list(CASES["tampered_cache"].values()),
-                         ids=list(CASES["tampered_cache"]))
-def test_tampered_cache_warning_names_the_term(tmp_path, capsys, case):
-    # a term at z longer than w once failed on a negative shift count,
-    # and the warning named neither the term nor the check
-    (name, payload), = case["cache"].items()
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    argv = ["--cache-dir", str(tmp_path), *shlex.split(case["argv"])]
-    assert run(capsys, *argv) == (0, case["stdout"], f"heckelab: ignoring "
-                                  f"KL cache {path}: {case['warning']}\n")
-    assert run(capsys, *argv) == (0, case["stdout"], "")
-
-
-def test_plausible_wrong_polynomial_is_a_miss(tmp_path, capsys):
-    # 1+2q passes the constant-term, leading-1 and degree checks, but
-    # P_{1234,3412} must equal P_{1324,3412} = 1+q (an extremal pair)
-    def tamper(text):
-        payload = json.loads(text)
-        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": "1", "2": "2"}}
-        return json.dumps(payload)
-    _corrupt_cache_recomputes(tmp_path, capsys, tamper)
-
-
-@pytest.mark.parametrize("name", [" 3, 4,1 ,2 ", "+3,4,1,2", "3,4,1,0_2"],
-                         ids=["blanks", "sign", "underscore"])
-def test_loose_element_names_in_cache_are_a_miss(tmp_path, capsys, name):
-    # int() read each name as 3412, so the renamed file loaded without a
-    # warning; only the digits-and-commas names that to_json writes load
-    def tamper(text):
-        payload = json.loads(text)
-        payload["elements"][name] = payload["elements"].pop("3,4,1,2")
-        return json.dumps(payload)
-    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
-    assert f"malformed KL cache element name {name!r}" in err
-
-
-def test_float_coefficient_in_cache_is_a_miss(tmp_path, capsys):
-    def tamper(text):
-        payload = json.loads(text)
-        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": {"0": 1.0,
-                                                           "2": 1}}
-        return json.dumps(payload)
-    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
-    assert "coefficient 1.0 of v^0 is not an integer" in err
-
-
-def test_integer_coefficients_in_cache_are_read(tmp_path, capsys):
-    cache = tmp_path / "klcache"
-    argv = ["--cache-dir", str(cache), "kl-poly", "--u", "1234",
-            "--w", "3412"]
-    assert run(capsys, *argv) == (0, "1+q\n", "")
-    path = cache / "kl_n4.json"
-    payload = json.loads(path.read_text())
-    for terms in payload["elements"].values():
-        for coeff in terms.values():
-            coeff["v"] = {e: int(c) for e, c in coeff["v"].items()}
-    path.write_text(json.dumps(payload))
-    assert run(capsys, *argv) == (0, "1+q\n", "")
+@pytest.mark.parametrize("argv, code", CASES["cache_dir"].items())
+def test_cache_dir_is_accepted_and_ignored(tmp_path, capsys, argv, code):
+    # the verbs that read and wrote the retired KL cache, and some that
+    # never did: with --cache-dir each run prints what it prints without
+    # the flag, adds one stderr line, and creates no directory
+    argv, cache = shlex.split(argv), tmp_path / "klcache"
+    plain = run(capsys, *argv)
+    assert plain[0] == code
+    for _ in range(2):
+        assert run(capsys, "--cache-dir", str(cache), *argv) == (
+            code, plain[1], IGNORED + plain[2])
+    assert not cache.exists()
 
 
 def test_json_number_coefficients_on_the_command_line(capsys):
@@ -689,17 +565,6 @@ def test_repeated_terms_in_json_are_refused(capsys):
         assert (code, out, err) == (1, "", f"heckelab: {name}\n"), body
 
 
-def test_repeated_exponent_in_cache_is_a_miss(tmp_path, capsys):
-    # {"0": "1", "2": "1", "00": "1"} read as 1+q and loaded silently
-    def tamper(text):
-        payload = json.loads(text)
-        payload["elements"]["3,4,1,2"]["1,2,3,4"] = {
-            "v": {"0": "1", "2": "1", "00": "1"}}
-        return json.dumps(payload)
-    err = _corrupt_cache_recomputes(tmp_path, capsys, tamper)
-    assert "exponent key '00' repeats v^0" in err
-
-
 def test_repeated_keys_in_json_are_refused(capsys, tmp_path):
     # json.loads kept the last of two identical keys: induced-char printed
     # 5q for the first element and read the second as n=3, with exit 0
@@ -715,30 +580,6 @@ def test_repeated_keys_in_json_are_refused(capsys, tmp_path):
                 1, "", f"heckelab: repeated key {key} in a JSON object\n")
 
 
-def test_repeated_key_in_cache_is_a_miss(tmp_path, capsys):
-    for name, old, new in (
-            ("n", '"n": 4', '"n": 4, "n": 4'),
-            ("exponent", '{"v": {"0": "1"}}', '{"v": {"0": "1", "0": "1"}}')):
-        def tamper(text, old=old, new=new):
-            assert old in text
-            return text.replace(old, new, 1)
-        err = _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
-        assert "repeated key " in err, err
-
-
-def test_loose_integer_strings_in_cache_are_a_miss(tmp_path, capsys):
-    # "0_2" and "0_1" read as 2 and 1, so both entries passed as 1+q
-    # without a warning
-    for name, v in (("key", {"0": "1", "0_2": "1"}),
-                    ("value", {"0": "1", "2": "0_1"})):
-        def tamper(text, v=v):
-            payload = json.loads(text)
-            payload["elements"]["3,4,1,2"]["1,2,3,4"] = {"v": v}
-            return json.dumps(payload)
-        err = _corrupt_cache_recomputes(tmp_path / name, capsys, tamper)
-        assert "'0_2'" in err or "'0_1' of v^2" in err, err
-
-
 def test_cli_import_loads_no_dataclasses():
     # dataclasses and the inspect module it imports took about a third of
     # the import time of heckelab.cli, which every CLI process pays
@@ -750,11 +591,6 @@ def test_cli_import_loads_no_dataclasses():
         text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
-
-
-def test_truncated_cache_is_a_miss(tmp_path, capsys):
-    _corrupt_cache_recomputes(tmp_path, capsys,
-                              lambda text: text[:len(text) // 2])
 
 
 def test_cprime_expand_word_route(capsys):

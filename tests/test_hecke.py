@@ -24,8 +24,8 @@ from heckelab.laurentq import (
 )
 
 from oracles import (
-    TupleKL, laurent_bott_samelson_product, residue_expand_cprime, shift_defect,
-    tuple_bott_samelson_product,
+    TupleKL, laurent_bott_samelson_product, pair_defect, residue_expand_cprime,
+    shift_defect, tuple_bott_samelson_product,
 )
 
 E4 = identity(4)
@@ -208,6 +208,14 @@ def _counting(ctx):
     return ctx
 
 
+def _seed(ctx, src, w):
+    """Put B_w of the context src into ctx, re-indexed on ctx's own
+    table, as if ctx had built it."""
+    perms, ix = src._index.perms, ctx._index
+    ctx._table[ix(w)] = {ix(perms[z]): ctx._intern(p)
+                         for z, p in src._get(src._index(w)).items()}
+
+
 @pytest.mark.parametrize("order", ["length-lex", "reversed", "shuffled"])
 def test_relabeled_elements_match_tuple_oracle(order):
     # an element is relabeled whenever an image under x -> x^-1, w0 x w0
@@ -237,22 +245,17 @@ def test_full_table_recurses_once_per_orbit():
 
 
 def test_relabeled_from_a_cache_of_the_inverse_only():
-    # a loaded B_{w^-1} alone gives B_w with no recursion and no other
+    # a held B_{w^-1} alone gives B_w with no recursion and no other
     # element built
-    def name(u):
-        return ",".join(map(str, u))
-
     for n in (4, 5):
         full = KLContext(n)
         for w in _by_length(n):
             full.element(w)
-        data = full.to_json()
         for w in all_permutations(n):
             if inverse(w) == w:
                 continue
             ctx = _counting(KLContext(n))
-            ctx.load_json(dict(data, elements={
-                name(inverse(w)): data["elements"][name(inverse(w))]}))
+            _seed(ctx, full, inverse(w))
             assert ctx.element(w).terms == _oracle(n).element(w).terms, w
             assert ctx.recursions == 0 and len(ctx) == 2, w
 
@@ -294,15 +297,19 @@ def test_point_query_indexes_only_the_interval():
 
 
 def test_lazy_table_entries_agree_with_the_complete_table():
-    # a point query fills left steps only; a cache load checks extremal
-    # pairs and fills right steps too.  Mapped to permutations, every
-    # entry either lazy table filled is the complete table's.
+    # a point query fills left steps only; checking the extremal pairs of
+    # the elements it built, copied to a fresh context, fills right steps
+    # too.  Mapped to permutations, every entry either lazy table filled
+    # is the complete table's.
     full = perm_table(6)
     ctx = KLContext(6)
     ctx.element((4, 6, 2, 5, 1, 3))
-    loaded = KLContext(6)
-    loaded.load_json(ctx.to_json())
-    for lazy, filled in ((ctx._index, "lmult"), (loaded._index, "rmult")):
+    seeded = KLContext(6)
+    for w in ctx._elements:
+        _seed(seeded, ctx, w)
+    for w, terms in seeded._table.items():
+        assert pair_defect(seeded, w, terms) is None
+    for lazy, filled in ((ctx._index, "lmult"), (seeded._index, "rmult")):
         assert 0 < len(lazy) < len(full)
         assert any(y is not None for row in getattr(lazy, filled)
                    for y in row)
@@ -632,9 +639,6 @@ def test_json_round_trip():
     ctx = kl_context(4)
     B = ctx.element((3, 4, 1, 2))
     assert HeckeElement.from_json(B.to_json()) == B
-    fresh = KLContext(4)
-    fresh.load_json(ctx.to_json())
-    assert fresh.element((3, 4, 1, 2)) == B
 
 
 def test_float_coefficient_is_refused():
@@ -662,39 +666,6 @@ def test_json_repeated_permutation_is_refused():
     term = {"perm": [2, 1], "coeff": {"v": {"0": "1"}}}
     with pytest.raises(ValueError, match=r"repeated permutation \[2, 1\]"):
         HeckeElement.from_json({"n": 2, "terms": [term, dict(term)]})
-
-
-def _tampered(edit):
-    ctx = KLContext(4)
-    ctx.element((3, 4, 1, 2))
-    payload = json.loads(json.dumps(ctx.to_json()))
-    edit(payload, payload["elements"]["3,4,1,2"])
-    return payload
-
-
-@pytest.mark.parametrize("edit", [
-    lambda d, b: d.update(n=5),
-    lambda d, b: d.update(version=2),
-    lambda d, b: d.update(elements=[]),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "7"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "1": "1"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "1/2"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "4": "1"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1/0"}}}),
-    lambda d, b: b.update({"3,4,1,2": {"v": {"0": "2"}}}),
-    lambda d, b: b.update({"1,1,3,4": {"v": {"0": "1"}}}),
-    lambda d, b: b.update({"1,2,3,4": 7}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "2"}}}),
-    lambda d, b: b.update({"1,3,2,4": {"v": {"0": "1", "2": "2"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": "-1"}}}),
-    lambda d, b: b.update({"1,2,3,4": {"v": {"0": "1", "2": str(1 << 30)}}}),
-    lambda d, b: b.pop("1,2,3,4"),
-])
-def test_load_json_rejects_bad_payloads(edit):
-    ctx = KLContext(4)
-    with pytest.raises(ValueError):
-        ctx.load_json(_tampered(edit))
-    assert len(ctx) == 0
 
 
 def test_defect_refuses_fields_outside_the_range():
@@ -765,8 +736,9 @@ def _fresh_entries(ctx):
 
 def test_numbered_permutations_have_their_descents():
     # left and right take the length and both masks of a new permutation
-    # from the one it came from; a full table, cold point queries and a
-    # cache load (right steps in `_pair_defect`) all keep them exact
+    # from the one it came from; a full table, cold point queries and the
+    # extremal-pair check of a copied table (right steps in `pair_defect`)
+    # all keep them exact
     full = {}
     for n in range(1, 7):
         ctx = full[n] = KLContext(n)
@@ -779,43 +751,62 @@ def test_numbered_permutations_have_their_descents():
         ctx.element(w)
         fresh, stored = _fresh_entries(ctx)
         assert fresh == stored, w
-    loaded = KLContext(4)
-    loaded.load_json(full[4].to_json())
-    assert any(y is not None for row in loaded._index.rmult for y in row)
-    fresh, stored = _fresh_entries(loaded)
+    seeded = KLContext(4)
+    for w in all_permutations(4):
+        _seed(seeded, full[4], w)
+    for w, terms in seeded._table.items():
+        assert pair_defect(seeded, w, terms) is None
+    assert any(y is not None for row in seeded._index.rmult for y in row)
+    fresh, stored = _fresh_entries(seeded)
     assert fresh == stored
 
 
-def _raised(n, w, xs, j):
-    """A one-element KL payload for B_w with q^j added to P_{x,w}, x in xs."""
-    def name(u):
-        return ",".join(map(str, u))
+def test_built_elements_pass_the_extremal_pair_check():
+    # every element of the full tables for n <= 6, and of 20 cold n=7
+    # point queries, keeps P_{x,w} = P_{sx,w} and P_{x,w} = P_{xs,w}
+    for n in range(1, 7):
+        ctx = KLContext(n)
+        for w in all_permutations(n):
+            ctx.element(w)
+        for w, terms in ctx._table.items():
+            assert pair_defect(ctx, w, terms) is None, (n, ctx._index.perms[w])
+    for w in random.Random(7).sample(list(all_permutations(7)), 20):
+        ctx = KLContext(7)
+        ctx.element(w)
+        wi = ctx._index(w)
+        assert pair_defect(ctx, wi, ctx._table[wi]) is None, w
 
-    terms = {name(z): (c + q_power(j) if z in xs else c).to_json()
-             for z, c in kl_context(n).element(w).terms.items()}
-    return {"format": "heckelab-kl-cache", "version": 1, "n": n,
-            "elements": {name(w): terms}}
+
+def _raised(ctx, w, xs, j):
+    """B_w on the indices of ctx with q^j added to P_{x,w}, x in xs."""
+    ix = ctx._index
+    terms = dict(ctx._get(ix(w)))
+    for x in xs:
+        terms[ix(x)] = ctx._intern(terms[ix(x)] + (1 << W * j))
+    return terms
 
 
-def test_load_json_rejects_plausible_changes():
+def test_pair_defect_catches_plausible_changes():
     # P_{x,w} + q^j keeps the constant term, the leading 1 and the degree
     # bound whenever j < (l(w) - l(x)) / 2; only the extremal-pair
     # equalities can tell it from the true polynomial.  Every such single
     # change at n = 4, and 300 of the 3,441 at n = 5.
     for n, sample in ((4, None), (5, 300)):
+        ctx = KLContext(n)   # not the shared context: `_raised` interns
         changes = [(w, x, j) for w in all_permutations(n)
-                   for x in kl_context(n).element(w).terms
+                   for x in ctx.element(w).terms
                    for j in range(1, (length(w) - length(x) + 1) // 2)]
         if sample:
             changes = random.Random(n).sample(changes, sample)
         for w, x, j in changes:
-            with pytest.raises(ValueError, match="differs from"):
-                KLContext(n).load_json(_raised(n, w, {x}, j))
+            raised = _raised(ctx, w, {x}, j)
+            assert ctx._defect(ctx._index(w), raised) is None
+            assert "differs from" in pair_defect(ctx, ctx._index(w), raised)
     # {12345, 21345} is closed under the left-hand equalities for
     # w = 23451, so only a right-hand one sees both raised together
-    with pytest.raises(ValueError, match="differs from"):
-        KLContext(5).load_json(_raised(
-            5, (2, 3, 4, 5, 1), {(1, 2, 3, 4, 5), (2, 1, 3, 4, 5)}, 1))
+    w = (2, 3, 4, 5, 1)
+    raised = _raised(ctx, w, {(1, 2, 3, 4, 5), (2, 1, 3, 4, 5)}, 1)
+    assert "differs from" in pair_defect(ctx, ctx._index(w), raised)
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())

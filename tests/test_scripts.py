@@ -2,8 +2,6 @@
 an API change that breaks one of them fails here."""
 
 import importlib.util
-import json
-import shlex
 import shutil
 import subprocess
 import sys
@@ -57,23 +55,3 @@ def test_compare_cli_reports_a_changed_output(tmp_path):
         "kl-poly --u 1234 --w 3412 (run 2)"]
     assert all(": stdout differs: b'1+q\\n' against b'1+q\\n\\n'" in d
                for d in diffs)
-
-
-def test_compare_cli_seeds_the_cache_of_a_tampered_case(tmp_path):
-    # the case's cache file is written before each side runs: a tree that
-    # words the refusal differently differs in the first run's warning
-    # only, and the second run reads the cache the first one rewrote
-    case = json.loads((SCRIPTS.parent / "tests/data/cli_cases.json").read_text(
-        "utf-8"))["tampered_cache"]["term-longer-than-w"]
-    files = {name: json.dumps(payload)
-             for name, payload in case["cache"].items()}
-    argv = shlex.split(case["argv"])
-    compare = _compare_cli()
-    assert compare(str(SRC), str(SRC), argv, True, files) == []
-    shutil.copytree(SRC / "heckelab", tmp_path / "heckelab")
-    hecke = tmp_path / "heckelab" / "hecke.py"
-    hecke.write_text(hecke.read_text().replace(
-        "constant term, degree bound or range fails", "bound fails"))
-    diffs = compare(str(SRC), str(tmp_path), argv, True, files)
-    assert len(diffs) == 1 and diffs[0].startswith(
-        f"{case['argv']} (run 1): stderr differs: ")
