@@ -9,7 +9,7 @@ OLD_SRC and NEW_SRC are directories that hold the `heckelab` package (the
 - every argv of tests/data/cli_golden.json;
 - the usage, rank-guard and rank-below-one errors of
   tests/data/cli_cases.json;
-- each command of its "cache_dir" list twice with --cache-dir, at the
+- each command of its "cache_dir" lists twice with --cache-dir, at the
   same path on both sides (a tree that still writes a Kazhdan-Lusztig
   cache there reads it back in the second run).
 Every difference in exit code, stdout or stderr is printed, and the exit
@@ -81,7 +81,8 @@ def main(argv=None) -> int:
         *(argv for argv, _ in cases["usage_errors"].values()),
         *cases["rank_guard"], cases["rank_guard_before_bad_j"],
         *(argv for argv, _ in cases["rank_below_one"].values()))]
-    cached = [shlex.split(argv) for argv in cases["cache_dir"]]
+    cached = [shlex.split(argv) for verbs in cases["cache_dir"].values()
+              for argv in verbs]
     tasks = [(argv, False) for argv in golden + errors]
     tasks += [(argv, True) for argv in cached]
     old, new = (os.path.abspath(src) for src in (args.old, args.new))

@@ -509,11 +509,9 @@ IGNORED = ("heckelab: ignoring --cache-dir: Kazhdan-Lusztig tables are "
            "recomputed, never read from or written to disk\n")
 
 
-@pytest.mark.parametrize("argv, code", CASES["cache_dir"].items())
-def test_cache_dir_is_accepted_and_ignored(tmp_path, capsys, argv, code):
-    # the verbs that read and wrote the retired KL cache, and some that
-    # never did: with --cache-dir each run prints what it prints without
-    # the flag, adds one stderr line, and creates no directory
+def _cache_dir_is_ignored(tmp_path, capsys, argv, code):
+    # with --cache-dir each run prints what it prints without the flag,
+    # adds one stderr line, and creates no directory
     argv, cache = shlex.split(argv), tmp_path / "klcache"
     plain = run(capsys, *argv)
     assert plain[0] == code
@@ -521,6 +519,20 @@ def test_cache_dir_is_accepted_and_ignored(tmp_path, capsys, argv, code):
         assert run(capsys, "--cache-dir", str(cache), *argv) == (
             code, plain[1], IGNORED + plain[2])
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv, code",
+                         CASES["cache_dir"]["kl_verbs"].items())
+def test_cache_dir_is_accepted_and_ignored(tmp_path, capsys, argv, code):
+    # the verbs that read and wrote the retired KL cache
+    _cache_dir_is_ignored(tmp_path, capsys, argv, code)
+
+
+@pytest.mark.parametrize("argv, code",
+                         CASES["cache_dir"]["other_verbs"].items())
+def test_other_verbs_write_no_cache(tmp_path, capsys, argv, code):
+    # verbs that never used the cache; one fails (exit code 1)
+    _cache_dir_is_ignored(tmp_path, capsys, argv, code)
 
 
 def test_json_number_coefficients_on_the_command_line(capsys):

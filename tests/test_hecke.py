@@ -786,7 +786,9 @@ def _raised(ctx, w, xs, j):
     return terms
 
 
-def test_pair_defect_catches_plausible_changes():
+def test_load_json_rejects_plausible_changes():
+    # the extremal-pair check that guarded loaded tables, now the
+    # `pair_defect` oracle:
     # P_{x,w} + q^j keeps the constant term, the leading 1 and the degree
     # bound whenever j < (l(w) - l(x)) / 2; only the extremal-pair
     # equalities can tell it from the true polynomial.  Every such single
