@@ -179,7 +179,7 @@ def reduced_word(w: Perm) -> Word:
 def evaluate_word(word: Word, n: int) -> Perm:
     """The product s_{i1} s_{i2} ... s_{ik} as a permutation of [n]."""
     w = identity(n)
-    for i in word:
+    for i in _ints(word, "letter"):
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index out of range: {i} (n={n})")
         w = apply_s_right(w, i)

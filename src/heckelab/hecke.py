@@ -112,6 +112,7 @@ class HeckeElement(Terms):
 
         T_w T_s = T_{ws} when ws is longer, else (q-1) T_w + q T_{ws}.
         """
+        (i,) = _ints((i,), "letter")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index out of range: {i}")
         d = {}
@@ -243,7 +244,7 @@ def bott_samelson_product(word: Word, n: int) -> HeckeElement:
     >>> print(bott_samelson_product((1,), 2))
     T[1,2] + T[2,1]
     """
-    word = tuple(word)
+    word = _ints(word, "letter")
     top = list(range(1, n + 1))   # the Demazure product, O(k + n)
     for i in word:
         if not 1 <= i <= n - 1:

@@ -22,8 +22,8 @@ some w in JW, or, over all of W, the *good* words of w: the absolute
 composite fixes w and every left descent of w in J is witnessed by a
 step where right multiplication by the letter equals left multiplication
 by the descent (the paper's theorem).  The counts are computed as c_J(a);
-the words are listed and checked through the up/down kernel of the
-shared quotient of (n, J), in O(k * (states + words found)) per start and
+the words are listed and checked on `perm_table` indices (`_kernel`),
+in O(k * (states + words found)) per start and
 O(k + len(w)) per pair, the word and J of a call checked once per
 (n, word, J) (`_scan`).
 Good pairs project to coset minima bijectively onto the quotient
@@ -48,7 +48,8 @@ from types import MappingProxyType
 
 from . import config
 from .coxeter import (
-    Perm, Word, _ints, cycle_type, left_inversions, perm_table,
+    Perm, Word, _ints, check_permutation, cycle_type, left_inversions,
+    perm_table,
 )
 from .hecke import HeckeElement, _product_terms
 from .laurentq import (
@@ -74,41 +75,20 @@ def _valid_j(n: int, J: frozenset) -> frozenset:
 
 
 class ParabolicQuotient:
-    """The set JW of minimal right-coset representatives of S_n: `reps` in
-    (length, one-line) order and the position of each (`index`, read-only).
-    One immutable value per (n, J), shared (`_quotients`), and equal to
-    another with the same reps (which fix n and J).
+    """The minimal right-coset representatives JW of S_n: `reps`, the
+    perms of `perm_table(n)` with no left descent in J, in table order,
+    and the position of each (`index`, read-only).  One immutable value
+    per (n, J), shared (`_quotients`), equal to one with the same reps."""
 
-    For the binary-word routes it keeps `_tbl`, the shared `perm_table(n)`,
-    and `_steps[s-1][i] = (up, down, wit)`, the up/down step kernel of the
-    dot action on positions.  up = max(w ._J s, w) and down = the min; the
-    two differ in length unless they coincide, and positions refine length,
-    so max/min on positions are max/min in the Bruhat order.  Bit t-1 of
-    wit is set when s_t w = w s (the witness condition of good words); at
-    J = {} this is the absolute dynamics on all of W, on table indices."""
-
-    __slots__ = ("n", "J", "reps", "index", "_tbl", "_steps")
+    __slots__ = ("n", "J", "reps", "index")
     __hash__ = None   # its index is a mapping
 
     def __init__(self, n: int, J):
         J = _valid_j(n, frozenset(J))
         tbl, jmask = perm_table(n), _gen_mask(J)
-        # no left descent in J; table order is (length, lex) already
-        ids = [gi for gi in range(len(tbl)) if not tbl.ldesc[gi] & jmask]
-        loc = {gi: i for i, gi in enumerate(ids)}
-        steps = []
-        for s in range(n - 1):
-            row = []
-            for i, gi in enumerate(ids):
-                ws = tbl.rmult[gi][s]
-                j = loc.get(ws, i)
-                wit = sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
-                          if tw == ws)
-                row.append((max(i, j), min(i, j), wit))
-            steps.append(tuple(row))
-        reps = tuple(tbl.perms[gi] for gi in ids)
+        reps = tuple(w for w, d in zip(tbl.perms, tbl.ldesc) if not d & jmask)
         index = MappingProxyType({w: i for i, w in enumerate(reps)})
-        for name, x in zip(self.__slots__, (n, J, reps, index, tbl, steps)):
+        for name, x in zip(self.__slots__, (n, J, reps, index)):
             object.__setattr__(self, name, x)
 
     def _frozen(self, name, *value):
@@ -447,8 +427,8 @@ def good_word_characters_all_j(sigma: Word, n: int) -> dict:
 
 def _scan(n: int, sigma: Word, J) -> tuple:
     """(letter indices, J checked, mask of J) at rank n, sigma and J read
-    once: the rank guard every call (so a caller may take its quotient
-    from `_quotients`), the rest once per (n, word, J)."""
+    once: the rank guard every call (so a caller may take its kernel from
+    `_kernel`), the rest once per (n, word, J)."""
     config.check_n(n)
     return _checked(n, tuple(sigma), frozenset(J))
 
@@ -481,11 +461,29 @@ def _bits(b, k: int) -> tuple:
     return b
 
 
-def _state(qt: ParabolicQuotient, w: Perm) -> int:
-    if (i := qt.index.get(w)) is None:
-        qt._tbl(w)   # refuses what is not a permutation of 1..n
+@cache
+def _kernel(n: int, stay: int) -> tuple:
+    """(perm_table(n), steps) for the walks on the perms with no left
+    descent in the mask stay (None elsewhere): steps[s][u] = (max(u, v),
+    min(u, v), wit), v = us = u s_(s+1), or u when us has a left descent in
+    stay; table order refines length, so these are the Bruhat max and min.
+    us = r u for r swapping the values a, b at positions s+1, s+2 of u; r
+    = s_t (t = min(a, b)) iff |a - b| = 1, and then only left descent t
+    changes: bit t-1 of wit = ldesc[u] ^ ldesc[us] is set iff s_t u = us."""
+    tbl = perm_table(n)
+    ldesc, steps = tbl.ldesc, [[None] * len(tbl) for _ in range(n - 1)]
+    for u in (u for u, d in enumerate(ldesc) if not d & stay):
+        for s, us in enumerate(tbl.rmult[u]):
+            v = u if ldesc[us] & stay else us
+            steps[s][u] = max(u, v), min(u, v), ldesc[u] ^ ldesc[us]
+    return tbl, tuple(map(tuple, steps))
+
+
+def _state(tbl, stay: int, w: Perm) -> int:
+    if (u := tbl.index.get(w)) is None or tbl.ldesc[u] & stay:
+        tbl(w)   # refuses what is not a permutation of 1..n
         raise ValueError(f"{w} is not a minimal coset representative")
-    return i
+    return u
 
 
 def _gen_mask(J: frozenset) -> int:
@@ -521,11 +519,11 @@ def _walk(steps: list, sig: tuple, start: int, need: int) -> set:
     return set(tails.get((start, 0), ()))
 
 
-def _path(qt: ParabolicQuotient, sig: tuple, w: Perm, b: tuple) -> tuple:
-    """Follow b from w in qt: (the path w_0..w_k as positions in qt, the
-    witness bits of its steps)."""
-    path, witnessed = [u := _state(qt, w)], 0
-    steps, add = qt._steps, path.append
+def _path(steps: list, sig: tuple, b: tuple, u: int) -> tuple:
+    """Follow b from the table index u: (the path u_0..u_k, the witness
+    bits of its steps)."""
+    path, witnessed = [u], 0
+    add = path.append
     for s, bit in zip(sig, b):
         up, down, wit = steps[s][u]
         witnessed |= wit
@@ -543,10 +541,10 @@ def phi(w: Perm, sigma: Word, b, J=None) -> Perm:
     ((2, 3, 1), (1, 3, 2))
     """
     w = tuple(w)
-    sig, J, _ = _scan(len(w), sigma, () if J is None else J)
-    qt = _quotients(len(w), J)
-    path, _ = _path(qt, sig, w, _bits(b, len(sig)))
-    return qt.reps[path[-1]]
+    sig, _, stay = _scan(len(w), sigma, () if J is None else J)
+    tbl, steps = _kernel(len(w), stay)
+    path, _ = _path(steps, sig, _bits(b, len(sig)), _state(tbl, stay, w))
+    return tbl.perms[path[-1]]
 
 
 def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
@@ -554,9 +552,9 @@ def bin_set(w: Perm, sigma: Word, J, n: int | None = None) -> set:
     JW), in O(k * (states + words found)) for a word of length k."""
     w = tuple(w)
     n = len(w) if n is None else n
-    sig, J, _ = _scan(n, sigma, J)
-    qt = _quotients(n, J)
-    return _walk(qt._steps, sig, _state(qt, w), 0)
+    sig, _, stay = _scan(n, sigma, J)
+    tbl, steps = _kernel(n, stay)
+    return _walk(steps, sig, _state(tbl, stay, w), 0)
 
 
 # -- good words ---------------------------------------------------------------
@@ -566,9 +564,9 @@ def good_words(w: Perm, sigma: Word, J) -> set:
     every left descent of w lying in J is witnessed at some step."""
     w = tuple(w)
     sig, _, jmask = _scan(len(w), sigma, J)
-    qt = _quotients(len(w), frozenset())
-    start = _state(qt, w)
-    return _walk(qt._steps, sig, start, qt._tbl.ldesc[start] & jmask)
+    tbl, steps = _kernel(len(w), 0)
+    start = _state(tbl, 0, w)
+    return _walk(steps, sig, start, tbl.ldesc[start] & jmask)
 
 
 def all_parabolic_subsets(n: int) -> list:
@@ -585,16 +583,16 @@ def _check_good(w: Perm, sigma: Word, b, J) -> tuple:
     of J."""
     w, sigma = tuple(w), tuple(sigma)
     sig, _, jmask = _scan(len(w), sigma, J)
-    qt = _quotients(len(w), frozenset())
+    tbl, steps = _kernel(len(w), 0)
     b = _bits(b, len(sig))
-    path, witnessed = _path(qt, sig, w, b)
+    path, witnessed = _path(steps, sig, b, _state(tbl, 0, w))
     if path[-1] != path[0]:
         raise ValueError(f"{b} does not fix {w} along {sigma}")
-    if missing := qt._tbl.ldesc[path[0]] & jmask & ~witnessed:
+    if missing := tbl.ldesc[path[0]] & jmask & ~witnessed:
         raise ValueError(f"{b} is not good for {w}: descent "
                          f"{(missing & -missing).bit_length()} has no "
                          "witness step")
-    return sig, b, path, qt._tbl, jmask
+    return sig, b, path, tbl, jmask
 
 
 def kappa(w: Perm, b, sigma: Word, J):
@@ -643,9 +641,9 @@ def is_good_sequence(delta, u: Perm, J=None) -> bool:
     inversion root (i, j) of u has {i, ..., j-1} inside J (for roots g
     inside W_J the relevant simple roots stay inside W_J automatically).
     """
-    u = tuple(u)
+    u = check_permutation(u)
     n = len(u)
-    delta = [tuple(r) for r in delta]
+    delta = [_ints(r, "root entry") for r in delta]
     for i, j in delta:
         if not 1 <= i < j <= n:
             raise ValueError(f"not a positive root for n={n}: {(i, j)}")

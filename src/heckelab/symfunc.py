@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
-from math import factorial, gcd, lcm
+from itertools import compress
+from math import factorial, lcm
 from numbers import Number
 from operator import mul
 
@@ -276,13 +276,13 @@ class SymFunc(Terms):
         xs = [x for d in polys for x in d.values()]
         l1 = sum(map(abs, xs))   # an int unless some x is a Fraction
         scale = 1 if type(l1) is int else lcm(*(x.denominator for x in xs))
-        # field i of a packed coefficient: its v^(lo + step i) term * scale
-        lo = min(exps := set().union(*polys), default=0)
-        step = gcd(*(e - lo for e in exps)) or 1
+        # field i of a packed coefficient: its term at the i-th least
+        # v-exponent, times scale (a basis change never mixes exponents)
+        exps = sorted(set().union(*polys))
         # no field of the result exceeds top times the l1 norm of the input;
         # a multiple of 32 bits, which `unpack_signed` reads in one step
         width = signed_width(top * int(scale * l1))
-        place = {e: scale << (e - lo) // step * width for e in exps}
+        place = {e: scale << i * width for i, e in enumerate(exps)}
         acc: dict = {}
         for mu, d in zip(self.coeffs, polys):
             x = int(sum(map(mul, d.values(), map(place.__getitem__, d))))
@@ -291,7 +291,7 @@ class SymFunc(Terms):
         div, out = den * scale, {}
         for lam, x in acc.items():
             if row := x and unpack_signed(x, width):
-                d = dict(compress(zip(count(lo, step), row), row))
+                d = dict(compress(zip(exps, row), row))
                 out[lam] = _raw(d) if div == 1 else LaurentQ(
                     {e: Fraction(c, div) for e, c in d.items()})
         return SymFunc(target, n)._like(out)

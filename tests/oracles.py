@@ -57,7 +57,7 @@ from heckelab.laurentq import (
 )
 from heckelab.coxeter import cycle_type
 from heckelab.parabolic import (
-    _gen_mask, _quotients, _scan, _young_trace, all_parabolic_subsets,
+    _gen_mask, _scan, _young_trace, all_parabolic_subsets,
     induced_character,
 )
 from heckelab.symfunc import (
@@ -627,8 +627,9 @@ def dfs_good_words(w, sigma, J) -> set:
 # -- binary-word counts by transfer-matrix sweeps ------------------------------
 #
 # The combinatorial side of the paper's identity, which the library computes as
-# one product and one class sum; these count the words on the library's
-# shared quotients (`parabolic._quotients`).  Counts follow each orbit
+# one product and one class sum; these count the words on the up/down kernel
+# of each quotient on its own positions (`positions_kernel`, independent of
+# the library's kernel on table indices).  Counts follow each orbit
 # {u, us} or {u} of the first letter s from one start and merge the paths that
 # meet at the same state (a transfer matrix): u and us step to the same up and
 # down with the same witness bits, as (us)s(us)^-1 = usu^-1, so one sweep is
@@ -645,6 +646,26 @@ def dfs_good_words(w, sigma, J) -> set:
 # straight into the total.  The bound is reached (n = 3, J = {1, 2}), so one
 # bit less would read it as negative.
 
+@lru_cache(maxsize=None)
+def positions_kernel(n: int, J: frozenset) -> tuple:
+    """(reps, steps): reps[i] is the table index of position i of JW and
+    steps[s][i] = (up, down, wit) on positions, up/down the max/min of i
+    and its dot action by s_(s+1), and bit t of wit set when
+    s_(t+1) reps[i] = reps[i] s_(s+1), found by scanning the left
+    products.  Positions refine length, as table indices do."""
+    tbl, reps, dot = _quotient(n, J)
+    steps = []
+    for s in range(n - 1):
+        row = []
+        for i, gi in enumerate(reps):
+            j, ws = dot[i][s], tbl.rmult[gi][s]
+            wit = sum(1 << t for t, tw in enumerate(tbl.lmult[gi])
+                      if tw == ws)
+            row.append((max(i, j), min(i, j), wit))
+        steps.append(tuple(row))
+    return reps, steps
+
+
 def _count_width(k: int, starts: int) -> int:
     return (starts * math.comb(k, k // 2)).bit_length() + 1
 
@@ -653,26 +674,27 @@ def _count_width(k: int, starts: int) -> int:
 BITS = 4096
 
 
-def _orbits(qt, sig: tuple) -> list:
+def _orbits(reps: list, steps: list, sig: tuple) -> list:
     """The orbits of the first letter s of sig on the states: pairs
     (u, u.s) and fixed points (u,); each state alone for no letter."""
     if not sig:
-        return [(u,) for u in range(len(qt.reps))]
+        return [(u,) for u in range(len(reps))]
     return [(u,) if up == u else (u, up)
-            for u, (up, down, _) in enumerate(qt._steps[sig[0]])
+            for u, (up, down, _) in enumerate(steps[sig[0]])
             if down == u]
 
 
-def _sweeps(qt, sig: tuple, orbits: list, need: int, width: int):
+def _sweeps(steps: list, sig: tuple, orbits: list, need: int, width: int):
     """(orbit, its counts) for each of the orbits, all with the same need,
     swept BITS // F orbits at a time (at least one)."""
     size = max(1, BITS // ((len(sig) + 1) * width))
     for i in range(0, len(orbits), size):
         chunk = orbits[i:i + size]
-        yield from zip(chunk, _sweep(qt, sig, chunk, need, width))
+        yield from zip(chunk, _sweep(steps, sig, chunk, need, width))
 
 
-def _sweep(qt, sig: tuple, chunk: list, need: int, width: int) -> list:
+def _sweep(steps: list, sig: tuple, chunk: list, need: int,
+           width: int) -> list:
     """For each orbit of the chunk, the packed counts of the words whose
     composite returns to a start of the orbit, keyed by (start, the set of
     witness bits inside need that they collect).  The starts of an orbit
@@ -684,7 +706,7 @@ def _sweep(qt, sig: tuple, chunk: list, need: int, width: int) -> list:
     # the state (u, mask) is the int u << shift | mask, as mask lies in need
     vec = {orbit[0] << shift: 1 << p * block for p, orbit in enumerate(chunk)}
     for s in sig:
-        row, nxt = qt._steps[s], {}
+        row, nxt = steps[s], {}
         get = nxt.get
         if not need:   # every mask is 0 and a state is u
             for u, x in vec.items():
@@ -711,10 +733,11 @@ def sweep_bott_samelson_character(sigma, J, n: int) -> LaurentQ:
     """c_J of prod (1+T_s) over sigma: the binary words fixing each
     quotient element under the up/down composites, counted by sweeps."""
     sig, J, _ = _scan(n, sigma, J)
-    qt = _quotients(n, J)
-    width = _count_width(len(sig), len(qt.reps))
+    reps, steps = positions_kernel(n, J)
+    width = _count_width(len(sig), len(reps))
     total = 0
-    for _, counts in _sweeps(qt, sig, _orbits(qt, sig), 0, width):
+    orbits = _orbits(reps, steps, sig)
+    for _, counts in _sweeps(steps, sig, orbits, 0, width):
         total += sum(counts.values())
     return from_q_coefficients(unpack_signed(total, width))
 
@@ -738,16 +761,17 @@ def _good_characters(sigma, n: int, Js: list) -> dict:
     set m); J then reads, for each d, the words whose m covers d & J, and
     each (d, d & J) is summed once for all the J that share it."""
     sig, _, _ = _scan(n, sigma, ())
-    qt = _quotients(n, frozenset())
-    width = _count_width(len(sig), len(qt.reps))
-    ldesc, track = qt._tbl.ldesc, _gen_mask(frozenset().union(*Js))
+    reps, steps = positions_kernel(n, frozenset())
+    width = _count_width(len(sig), len(reps))
+    ldesc = [perm_table(n).ldesc[gi] for gi in reps]
+    track = _gen_mask(frozenset().union(*Js))
     groups: dict = {}
-    for orbit in _orbits(qt, sig):
+    for orbit in _orbits(reps, steps, sig):
         groups.setdefault((ldesc[orbit[0]] | ldesc[orbit[-1]]) & track,
                           []).append(orbit)
     by_d: dict = {}   # {d: {m: packed counts}}
     for need, orbits in groups.items():
-        for _, counts in _sweeps(qt, sig, orbits, need, width):
+        for _, counts in _sweeps(steps, sig, orbits, need, width):
             for (t, m), x in counts.items():
                 row = by_d.setdefault(ldesc[t] & track, {})
                 row[m] = row.get(m, 0) + x

@@ -229,6 +229,21 @@ def test_sparse_v_exponents_in_an_expansion(e, shown):
         0, shown + "\n", "")
 
 
+@pytest.mark.parametrize("e, shown", [
+    ("20000000000", "(1+q^{1/2}+q^10000000000)*s[2] + "
+                    "(-1-q^{1/2}-q^10000000000)*s[1,1]"),
+    ("-20000000000", "(q^{-10000000000}+1+q^{1/2})*s[2] + "
+                     "(-q^{-10000000000}-1-q^{1/2})*s[1,1]")])
+def test_sparse_v_exponents_in_a_basis_change(e, shown):
+    # packed fields once stood for every exponent from the least to the
+    # largest in steps of their gcd, and ran out of memory
+    assert _limited(
+        "from heckelab.laurentq import LaurentQ; "
+        "from heckelab.symfunc import SymFunc; "
+        "print(SymFunc('m', 2, {(2,): LaurentQ({0: 1, 1: 1, "
+        "int(sys.argv[1]): 1})}).to_basis('s'))", e) == (0, shown + "\n", "")
+
+
 def test_budget_guard_exit_code(capsys):
     code, out, err = run(capsys, "--max-n", "3", "kl-basis", "--w", "3412")
     assert code == 2

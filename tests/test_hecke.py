@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 from heckelab import config
 from heckelab.coxeter import (
     _descents, all_permutations, apply_s_right, avoids_patterns, bruhat_leq,
-    identity, inverse, length, perm_table, reduced_word, right_descents,
+    evaluate_word, identity, inverse, length, perm_table, reduced_word,
+    right_descents,
 )
 from heckelab.hecke import (
     W, HeckeElement, KLContext, bott_samelson_product, kl_context,
@@ -545,6 +546,22 @@ def test_product_rejects_letters_out_of_range():
     for word in ((0,), (1, 3), (2, 1, 4)):
         with pytest.raises(ValueError, match="out of range"):
             bott_samelson_product(word, 3)
+
+
+def test_letters_are_read_as_integers():
+    # a float letter once indexed a list: 1.0 reads as 1, 1.5 is refused
+    t = HeckeElement.unit(3)
+    routes = (lambda word: evaluate_word(word, 3),
+              lambda word: bott_samelson_product(word, 3),
+              lambda word: springer_decomposition(word, 3),
+              lambda word: t.mul_word_right(word),
+              lambda word: t.mul_ts_right(*word))
+    for route in routes:
+        assert route((1.0,)) == route((1,)) == route((True,))
+        for bad in (1.5, "1"):
+            with pytest.raises(ValueError, match=f"letter {bad!r} is not"):
+                route((bad,))
+    assert evaluate_word((2.0, 1.0), 3) == evaluate_word((2, 1), 3)
 
 
 def test_product_over_w0_follows_the_group_guard(monkeypatch):

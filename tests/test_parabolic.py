@@ -656,6 +656,18 @@ def test_is_good_sequence_basics():
         is_good_sequence(((2, 1),), (2, 1, 3))
 
 
+def test_is_good_sequence_checks_its_inputs():
+    # u = (1, 1, 2) and the root (1.5, 2) once gave False
+    with pytest.raises(ValueError, match="not a permutation"):
+        is_good_sequence(((1, 2),), (1, 1, 2))
+    with pytest.raises(ValueError, match="root entry 1.5 is not an integer"):
+        is_good_sequence(((1.5, 2),), (2, 1, 3))
+    with pytest.raises(ValueError, match="entry '2' is not an integer"):
+        is_good_sequence(((1, 2),), (1, "2"))
+    assert is_good_sequence(((1.0, 2),), (2.0, 1, 3))
+    assert not is_good_sequence(((2.0, 3),), (2, 1, 3))
+
+
 def test_subgroup_check_matches_coset_minima():
     # u lies in W_J iff its coset minimum is e; a sequence holding every
     # inversion root of u is good, so only the W_J check can fail
@@ -949,11 +961,44 @@ def test_word_counts_build_no_quotient_table(monkeypatch):
         raise AssertionError(f"quotient table built for n={n}, J={set(J)}")
 
     monkeypatch.setattr(parabolic, "_quotients", refuse)
+    parabolic._kernel.cache_clear()
     sigma = (4, 1, 3, 2, 4, 1, 3)   # a word no other test checks at n=5
     assert good_word_characters_all_j(sigma, 5)[J13] == \
         bott_samelson_character(sigma, J13, 5) == \
         good_word_character(sigma, J13, 5) == \
         induced_character(bott_samelson_product(sigma, 5), J13)
+    # the listing routes walk the kernel on table indices, built afresh
+    w, wbar = (1, 4, 3, 2, 5), (1, 3, 4, 2, 5)
+    words = good_words(w, sigma, J13)
+    assert words == oracles.dfs_good_words(w, sigma, J13) and len(words) == 2
+    for b in words:
+        assert kappa(w, b, sigma, J13) == (wbar, b)
+        assert phi(w, sigma, b) == w and phi(wbar, sigma, b, J13) == wbar
+        path = [phi(w, sigma[:i], b[:i]) for i in range(len(sigma))]
+        assert derive_root_sequence(w, sigma, b, J13) == tuple(
+            tuple(sorted(u[s - 1:s + 1]))
+            for u, s, bit in zip(path, sigma, b) if bit)
+    assert bin_set(wbar, sigma, J13) == \
+        oracles.dfs_bin_set(wbar, sigma, J13, 5) >= words
+
+
+def test_table_kernel_matches_the_positions_kernel():
+    # the word walks' kernel on perm_table indices against the kernel on
+    # the quotient's own positions, whose witness bits come from a scan of
+    # the left products, mapped through its reps; None outside JW
+    for n in range(1, 7):
+        tbl = perm_table(n)
+        for J in all_parabolic_subsets(n):
+            got, steps = parabolic._kernel(n, parabolic._gen_mask(J))
+            reps, positions = oracles.positions_kernel(n, J)
+            assert got is tbl and len(steps) == len(positions) == n - 1
+            assert parabolic_quotient(n, J).reps == \
+                tuple(tbl.perms[gi] for gi in reps), (n, sorted(J))
+            for s, row in enumerate(positions):
+                expected = [None] * len(tbl)
+                for i, (up, down, wit) in enumerate(row):
+                    expected[reps[i]] = reps[up], reps[down], wit
+                assert list(steps[s]) == expected, (n, sorted(J), s)
 
 
 def test_class_sums_over_spread_v_exponents():
